@@ -26,8 +26,8 @@ from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams, build_back
                         certify)
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
-from .spaces import (BmoParams, area_function, bmo_norm, equivalence_experiment,
-                     g_constant, g_function, lipschitz_norm,
+from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
+                     equivalence_experiment, g_constant, g_function, lipschitz_norm,
                      make_equivalence_suite, reproducing_check)
 from .spectral import (assemble, compose, eigendecompose,
                        fractional_heat_kernel, heat_kernel)
@@ -71,23 +71,44 @@ class RunConfig:
                 f"seed={self.seed}")
 
 
+def _parse_number(raw: str, key: str, kind=float):
+    """`kind(raw)`, which must be finite; anything else is a config error."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
+
+
+def _number(section, key: str, default, kind=float):
+    raw = section.get(key)
+    return default if raw is None else _parse_number(raw, key, kind)
+
+
+def _numbers(section, key: str, default: str) -> tuple:
+    """Comma-separated finite floats."""
+    return tuple(_parse_number(v, key) for v in section.get(key, default).split(","))
+
+
 def _build_potential(section) -> tuple[PotentialSpec, str]:
     kind = section.get("kind", "constant")
-    scale = float(section.get("scale", 1.0))
+    scale = _number(section, "scale", 1.0)
     if kind == "zero":
         return potentials.zero(), "zero"
     if kind == "constant":
-        c = float(section.get("c", 1.0))
+        c = _number(section, "c", 1.0)
         spec = potentials.constant(c)
         label = f"constant c={c:g}"
     elif kind == "power":
-        sigma = float(section.get("sigma", 2.0))
+        sigma = _number(section, "sigma", 2.0)
         spec = potentials.power(sigma)
         label = f"power sigma={sigma:g}"
     elif kind == "well":
-        height = float(section.get("height", 1.0))
-        width = float(section.get("width", 1.0))
-        center = float(section.get("center", 0.0))
+        height = _number(section, "height", 1.0)
+        width = _number(section, "width", 1.0)
+        center = _number(section, "center", 0.0)
         spec = potentials.well(height, width, center)
         label = f"well v={height:g} w={width:g}"
     else:
@@ -117,9 +138,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown sections: {sorted(extra)}")
 
     g = parser["grid"]
-    n = g.getint("n", 1)
-    L = g.getfloat("l", 16.0)
-    M = g.getint("m", 256)
+    n = _number(g, "n", 1, int)
+    L = _number(g, "l", 16.0)
+    M = _number(g, "m", 256, int)
     bc = g.get("bc", "dirichlet")
 
     pot_section = parser["potential"] if "potential" in parser else {}
@@ -127,27 +148,29 @@ def parse_config(text: str) -> RunConfig:
         pot, label = _build_potential(pot_section)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    q = float(pot_section.get("q")) if "q" in pot_section else None
+    q = _number(pot_section, "q", None)
 
     f = parser["fractional"] if "fractional" in parser else {}
-    alpha = float(f.get("alpha", 0.5))
-    beta = float(f.get("beta", 1.0))
-    gamma = float(f.get("gamma", 0.25))
-    delta = float(f.get("delta")) if "delta" in f else None
-    n_list = tuple(float(v) for v in f.get("n_list", "0,1").split(","))
+    alpha = _number(f, "alpha", 0.5)
+    beta = _number(f, "beta", 1.0)
+    gamma = _number(f, "gamma", 0.25)
+    delta = _number(f, "delta", None)
+    n_list = _numbers(f, "n_list", "0,1")
 
     r = parser["run"] if "run" in parser else {}
     command = r.get("command", "selftest")
     out = r.get("out", "out")
-    seed = int(r.get("seed", 0))
-    times = tuple(float(v) for v in r.get("times", "0.25,1,4").split(","))
+    seed = _number(r, "seed", 0, int)
+    times = _numbers(r, "times", "0.25,1,4")
 
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ConfigError(f"beta must be positive, got {beta}")
+    if not all(t > 0.0 for t in times):
+        raise ConfigError(f"times must be positive, got {list(times)}")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0,1], got {gamma}")
     if command == "equiv" and not gamma < min(2.0 * alpha, 2.0 * alpha * beta):
@@ -244,9 +267,10 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
     grid, dec, rho = _space_context(cfg)
     suite = make_equivalence_suite(dec, rho, cfg.gamma, seed=cfg.seed)
     params = BmoParams(cfg.gamma)
+    balls = ball_family(grid, rho, params)
     rows = []
     for i, f in enumerate(suite):
-        nb = bmo_norm(f, params, rho)
+        nb = bmo_norm(f, params, rho, balls)
         nl = lipschitz_norm(f, cfg.gamma, rho)
         ng = g_function(dec, cfg.alpha, cfg.beta, f).l2_norm()
         ns = area_function(dec, cfg.alpha, cfg.beta, f).l2_norm()

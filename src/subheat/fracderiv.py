@@ -132,13 +132,6 @@ def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
                              alpha=alpha, beta=beta)
 
 
-def d_apply(dec: SpectralDecomposition, alpha: float, beta: float, t: float,
-            values: np.ndarray) -> np.ndarray:
-    """t^beta d_t^beta e^{-t L^alpha} f without forming the kernel table."""
-    la = dec.eigenvalues ** alpha
-    return apply_multiplier(dec, lambda lam: (t * la) ** beta * np.exp(-t * la), values)
-
-
 @dataclass(frozen=True)
 class GradientField:
     grid: Grid

@@ -196,21 +196,37 @@ def g_constant(beta: float) -> float:
 
 def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
                   f: GridFunction, times: np.ndarray | None = None) -> GridFunction:
-    """Cone square function: aggregate |D f|^2 over |x - y| < t^(1/2 alpha)."""
+    """Cone square function: aggregate |D f|^2 over |x - y| < t^(1/2 alpha).
+
+    S(x)^2 = sum_j w_j h^n t_j^(-n/2 alpha) sum_{|x-y| < r_j} |D f(t_j, y)|^2
+    with r_j = t_j^(1/2 alpha). At n=1 each slice is a sliding-window sum.
+    At n>=2 the sum is split into distance shells: with the slices sorted by
+    radius (the ladder may come in any order), the pair (x, y) lies inside
+    the cones of exactly the slices j >= first(x, y), the index of the first
+    sorted radius strictly above |x - y|. So S(x)^2 gathers suffix sums of the
+    weighted slices, one entry per y. Memory per call: one N x N distance
+    matrix (plus the N x N x n temporary that builds it), then one N x N
+    index array and one N x N gather.
+    """
     times = times if times is not None else default_time_grid(dec, alpha, beta)
     fld = d_field(dec, alpha, beta, f, times)
     grid = dec.grid
     n, h, w = grid.dimension, grid.spacing, grid.cell_weight
+    if n >= 2:
+        radii = times ** (1.0 / (2.0 * alpha))
+        order = np.argsort(radii, kind="stable")
+        scale = fld.weights * w / times ** (n / (2.0 * alpha))
+        slices = (scale[:, None] * fld.values ** 2)[order]
+        tail = np.zeros((times.size + 1, grid.size))
+        tail[:-1] = np.cumsum(slices[::-1], axis=0)[::-1]
+        first = np.searchsorted(radii[order], grid.pair_distances(), side="right")
+        out = tail[first, np.arange(grid.size)].sum(axis=1)
+        return grid_function(grid, np.sqrt(out))
     out = np.zeros(grid.size)
     for t_j, w_j, row in zip(times, fld.weights, fld.values):
         radius = t_j ** (1.0 / (2.0 * alpha))
-        sq = row ** 2
-        if n == 1:
-            half = int(np.floor(radius / h - 0.5)) if radius >= h else 0
-            window = _sliding_window_sum(sq, half)
-        else:
-            dist = grid.pair_distances()
-            window = (dist < radius) @ sq
+        half = int(np.floor(radius / h - 0.5)) if radius >= h else 0
+        window = _sliding_window_sum(row ** 2, half)
         out += w_j * window * w / t_j ** (n / (2.0 * alpha))
     return grid_function(grid, np.sqrt(out))
 

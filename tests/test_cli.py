@@ -130,6 +130,23 @@ def test_main_exit_codes(tmp_path):
     assert main(["selftest", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("command, line, bad_line", [
+    ("selftest", "alpha = 0.5", "alpha = abc"),
+    ("selftest", "n_list = 0", "n_list = 0,x"),
+    ("selftest", "L = 16", "L = nan"),
+    ("selftest", "beta = 1.0", "beta = nan"),
+    ("verify", "n_list = 0", "n_list = 0\ndelta = nan"),
+    ("kernels", "seed = 7", "seed = 7\ntimes = -1"),
+], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative"])
+def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
+    text = FULL.replace("M = 128", "M = 64")
+    assert line in text
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text.replace(line, bad_line))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_spaces_command(tmp_path):
     text = FULL.replace("command = selftest", f"command = spaces\nout = {tmp_path}/s")
     text = text.replace("M = 128", "M = 64")

@@ -190,6 +190,66 @@ def test_area_function_on_atoms(dec, rho):
     assert max(vals) < 50.0
 
 
+def _area_function_per_slice(dec, alpha, beta, f, times):
+    """Reference cone square function: one |x - y| < r_j mask per time slice."""
+    fld = d_field(dec, alpha, beta, f, times)
+    grid = dec.grid
+    n, w = grid.dimension, grid.cell_weight
+    dist = grid.pair_distances()
+    out = np.zeros(grid.size)
+    for t_j, w_j, row in zip(times, fld.weights, fld.values):
+        radius = t_j ** (1.0 / (2.0 * alpha))
+        window = (dist < radius) @ row ** 2
+        out += w_j * window * w / t_j ** (n / (2.0 * alpha))
+    return np.sqrt(out)
+
+
+@pytest.fixture(scope="module", params=["dirichlet", "periodic"])
+def dec_2d(request):
+    g = build_grid(2, 8.0, 16, request.param)
+    return eigendecompose(assemble(g, constant(1.0)))
+
+
+def _random_member(dec, seed):
+    rng = np.random.default_rng(seed)
+    return grid_function(dec.grid, rng.standard_normal(dec.grid.size))
+
+
+def _ladder(dec, alpha, beta, kind):
+    if kind == "radius-on-pair-distance":
+        # at alpha = 1/2 the radius is t itself, so these slices put pairs
+        # exactly on the cone boundary, where the strict < must leave them out
+        assert alpha == 0.5
+        on_grid = np.unique(dec.grid.pair_distances())[1:9]
+        return np.sort(np.concatenate([on_grid, np.geomspace(3.0, 40.0, 12)]))
+    times = default_time_grid(dec, alpha, beta, n_times=24)
+    return np.random.default_rng(3).permutation(times) if kind == "shuffled" else times
+
+
+@pytest.mark.parametrize("alpha, beta, kind", [
+    (0.5, 1.0, "sorted"), (0.3, 0.5, "sorted"), (0.5, 1.0, "shuffled"),
+    (0.5, 1.0, "radius-on-pair-distance")])
+def test_area_function_2d_matches_per_slice_oracle(dec_2d, alpha, beta, kind):
+    f = _random_member(dec_2d, 11)
+    times = _ladder(dec_2d, alpha, beta, kind)
+    got = area_function(dec_2d, alpha, beta, f, times).values
+    ref = _area_function_per_slice(dec_2d, alpha, beta, f, times)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_area_function_2d_one_pair_distances_call(dec_2d, monkeypatch):
+    calls = []
+    original = type(dec_2d.grid).pair_distances
+
+    def counted(grid):
+        calls.append(1)
+        return original(grid)
+
+    monkeypatch.setattr(type(dec_2d.grid), "pair_distances", counted)
+    area_function(dec_2d, 0.5, 1.0, _random_member(dec_2d, 14))
+    assert len(calls) == 1
+
+
 def test_carleson_unit_field_hand_quadrature(dec):
     g = dec.grid
     times = default_time_grid(dec, 0.5, 1.0, n_times=32)
