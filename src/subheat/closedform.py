@@ -9,7 +9,7 @@ and the harmonic-oscillator kernel for V = |x|^2 in one dimension.
 import numpy as np
 from scipy.special import gamma
 
-from .grid import Grid
+from .grid import Grid, gauss_legendre_panels
 from .spectral import KernelSlice, ROUTE_CLOSED_FORM, ROUTE_FOURIER
 
 
@@ -53,23 +53,18 @@ def poisson_table(grid: Grid, t: float) -> KernelSlice:
 def fourier_fractional_value(r: float, t: float, alpha: float) -> float:
     """One-dimensional Fourier oracle (1/pi) * int_0^inf e^{-t xi^(2a)} cos(xi r) dxi.
 
-    Integrates panel-by-panel between cosine zeros so the oscillatory tail
-    cancels correctly; the envelope cutoff keeps the truncation below 1e-12.
+    Integrates on Gauss-Legendre panels between cosine zeros so the oscillatory
+    tail cancels correctly; the envelope cutoff keeps the truncation below 1e-12.
     """
     r = abs(float(r))
     xi_max = (45.0 / t) ** (1.0 / (2.0 * alpha))
-    nodes, weights = np.polynomial.legendre.leggauss(24)
     if r * xi_max < np.pi:
         edges = np.linspace(0.0, xi_max, 64)
     else:
         zeros = np.arange(0.5 * np.pi / r, xi_max + np.pi / r, np.pi / r)
         edges = np.concatenate(([0.0], zeros[zeros <= xi_max], [xi_max]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xi = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * np.sum(
-            weights * np.exp(-t * xi ** (2.0 * alpha)) * np.cos(xi * r)
-        )
+    xi, w = gauss_legendre_panels(edges, 24)
+    total = np.sum(w * np.exp(-t * xi ** (2.0 * alpha)) * np.cos(xi * r))
     return float(total / np.pi)
 
 

@@ -1,11 +1,18 @@
 """Registry of pointwise kernel estimates as executable majorants.
 
-Each registry id (E1..E12) pairs a kernel-level object with its claimed
-majorant. A certificate records the measured supremum of |object| / majorant
-over a space-time test lattice, the argmax, and the stability of that
-supremum under grid refinement. "Verified" here always means: finite measured
-constant, stable under refinement, correct tail exponent; a lattice scan is
-not a proof.
+The table `_REGISTRY` is the list of estimates. Each (id, member) entry names
+an object, its time ladder, its lattice, its majorant and whether it needs
+V != 0. Every object is the semigroup multiplier (t lam^a)^b e^{-t lam^a} of
+`spectral.semigroup_multiplier`, as a kernel table or its x-gradient. One
+loop per lattice shape runs the entries: pairs of lattice points, shifted
+pairs (increments over physical shifts h, as a shift rule allows) and mass
+rows (integrals over y at lattice points x).
+
+A certificate records the measured supremum of |object| / majorant over the
+lattice, the argmax, and the stability of that supremum under grid
+refinement. "Verified" here always means: finite measured constant, stable
+under refinement, correct tail exponent; a lattice scan is not a proof, and
+a scan that visits no lattice point fails.
 
 Gaussian-decay majorants use the decay constant c = 1/8 and the scan is
 capped at |x - y| <= 6 sqrt(t): beyond the parabolic window the lattice
@@ -14,16 +21,15 @@ would only measure discretization, not the estimate.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import closedform, potentials
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, gradient_values, inner_box_mask
 from .potentials import PotentialSpec, is_zero
 from .spectral import (SpectralDecomposition, assemble, eigendecompose,
-                       fractional_heat_kernel, frac_heat_power_kernel, heat_kernel,
-                       heat_power_kernel)
-from .fracderiv import d_operator
+                       multiplier_kernel, semigroup_multiplier)
 
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
@@ -65,19 +71,10 @@ class EstimateParams:
         return replace(self, q=q, delta_prime=dp)
 
 
-DEFAULT_PARAMS = {
-    "E1": EstimateParams(),
-    "E2": EstimateParams(),
-    "E3": EstimateParams(m=1),
-    "E4": EstimateParams(),
-    "E5": EstimateParams(),
-    "E6": EstimateParams(),
+#: E7 defaults to its fractional member and E8 to alpha = 0.3; the rest to EstimateParams()
+DEFAULT_PARAMS = {eid: EstimateParams() for eid in ESTIMATE_IDS} | {
     "E7": EstimateParams(member="frac"),
     "E8": EstimateParams(alpha=0.3),
-    "E9": EstimateParams(),
-    "E10": EstimateParams(),
-    "E11": EstimateParams(),
-    "E12": EstimateParams(member="size"),
 }
 
 
@@ -113,83 +110,53 @@ class VerifierBackend:
             if self.zero_potential:
                 self._rho = np.full(self.grid.size, np.inf)
             else:
-                aux = potentials.compute_aux_function(self.potential, self.grid,
-                                                      indices=self.lattice_indices())
-                rho = aux.rho
-                # fill the rest at lattice accuracy for gradient neighbors
-                missing = ~np.isfinite(rho) | (rho == np.inf)
-                if np.any(missing):
-                    lat = self.lattice_indices()
-                    pts, lat_pts = self.grid.points, self.grid.points[lat]
-                    for i in np.nonzero(missing)[0]:
-                        j = np.argmin(np.linalg.norm(lat_pts - pts[i], axis=1))
-                        rho[i] = rho[lat[j]]
+                lat = self.lattice_indices()
+                rho = potentials.compute_aux_function(self.potential, self.grid,
+                                                      indices=lat).rho
+                # fill the rest from the nearest lattice point
+                lat_pts = self.grid.points[lat]
+                for i in np.nonzero(~np.isfinite(rho))[0]:
+                    j = np.argmin(np.linalg.norm(lat_pts - self.grid.points[i], axis=1))
+                    rho[i] = rho[lat[j]]
                 self._rho = rho
         return self._rho
 
     def lattice_indices(self) -> np.ndarray:
         # physical spacing ~ L/32 (every 4th point at the default M = 256),
         # so refinements scan the same pair geometry
-        from .grid import inner_box_mask
         mask = inner_box_mask(self.grid, 0.5)
         idx = np.nonzero(mask)[0]
         stride = max(1, self.grid.points_per_axis // 64)
         return idx[::stride]
 
-    def kernel_table(self, kind: str, t: float, alpha: float = 0.5,
-                     beta: float = 1.0, m: int = 1) -> np.ndarray:
-        key = (kind, round(float(t), 14), alpha, beta, m)
-        if key in self._kernels:
-            return self._kernels[key]
-        if kind == "heat":
-            if self.zero_potential:
-                table = closedform.gaussian_heat_table(self.grid, t).table
-            else:
-                table = heat_kernel(self.dec, t).table
-        elif kind == "frac":
-            if self.zero_potential and abs(alpha - 0.5) < 1e-14:
-                table = closedform.poisson_table(self.grid, t).table
-            else:
-                table = fractional_heat_kernel(self.dec, alpha, t).table
-        elif kind == "frac_power":
-            table = frac_heat_power_kernel(self.dec, alpha, m, t).table
-        elif kind == "heat_power":
-            table = heat_power_kernel(self.dec, m, t).table
-        elif kind == "d_op":
-            table = d_operator(self.dec, alpha, beta, t).table
-        else:
-            raise KeyError(kind)
-        if len(self._kernels) > 64:
-            self._kernels.clear()
-        self._kernels[key] = table
-        return table
+    def kernel_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
+        """Kernel of t^power d_t^power e^{-t L^alpha} (up to sign), cached per triple.
 
-    def gradient_table(self, kind: str, t: float, alpha: float = 0.5) -> np.ndarray:
-        """d/dx of K(x, y) for every column y, axis 0 (first coordinate)."""
-        key = ("grad_" + kind, round(float(t), 14), alpha)
-        if key in self._kernels:
-            return self._kernels[key]
-        table = self.kernel_table(kind, t, alpha=alpha)
-        grad = _table_gradient_axis0(self.grid, table)
-        if len(self._kernels) > 64:
-            self._kernels.clear()
-        self._kernels[key] = grad
-        return grad
+        For V = 0 the semigroup itself (power 0) comes from the closed forms:
+        the Gaussian at alpha = 1 and the Poisson kernel at alpha = 1/2.
+        """
+        def build():
+            if power == 0 and self.zero_potential:
+                if alpha == 1:
+                    return closedform.gaussian_heat_table(self.grid, t).table
+                if abs(alpha - 0.5) < 1e-14:
+                    return closedform.poisson_table(self.grid, t).table
+            return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t).table
+        return self._cached((round(float(t), 14), alpha, power), build)
 
+    def gradient_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
+        """d/dx of `kernel_table` in the first coordinate of x, for every column y."""
+        return self._cached(
+            ("grad", round(float(t), 14), alpha, power),
+            lambda: gradient_values(self.grid, self.kernel_table(t, alpha, power), axis=0))
 
-def _table_gradient_axis0(grid: Grid, table: np.ndarray) -> np.ndarray:
-    """Central difference in the first x-coordinate of K(x, y) for all y."""
-    n, M, h = grid.dimension, grid.points_per_axis, grid.spacing
-    shaped = table.reshape((M,) * n + (table.shape[1],))
-    if grid.bc == "periodic":
-        plus = np.roll(shaped, -1, axis=0)
-        minus = np.roll(shaped, 1, axis=0)
-    else:
-        pad = [(0, 0)] * (n + 1)
-        pad[0] = (1, 1)
-        padded = np.pad(shaped, pad)
-        plus, minus = padded[2:], padded[:-2]
-    return ((plus - minus) / (2.0 * h)).reshape(table.shape)
+    def _cached(self, key, build):
+        if key not in self._kernels:
+            value = build()
+            if len(self._kernels) > 64:
+                self._kernels.clear()
+            self._kernels[key] = value
+        return self._kernels[key]
 
 
 def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 256,
@@ -246,10 +213,7 @@ class _ScanAccumulator:
             flat = int(np.argmax(ratio))
             i, j = np.unravel_index(flat, ratio.shape) if ratio.ndim == 2 else (flat, flat)
             self.c_meas = float(np.max(ratio))
-            if ratio.ndim == 2:
-                self.argmax = (float(xs[i]), float(ys[j]), float(t))
-            else:
-                self.argmax = (float(xs[i]), float(ys[i]), float(t))
+            self.argmax = (float(xs[i]), float(ys[j]), float(t))
 
 
 def _pair_geometry(backend: VerifierBackend):
@@ -291,306 +255,249 @@ def _shift_indices(backend: VerifierBackend, idx: np.ndarray, steps: int):
 def scan_estimate(eid: str, params: EstimateParams, backend: VerifierBackend):
     """Sup of |object| / majorant over the estimate's lattice; one grid."""
     p = params.resolved(eid, backend.grid.dimension)
-    if eid in RHO_ONLY_IDS and backend.zero_potential:
-        raise ValueError(f"{eid}: majorant degenerates (rho undefined) for the zero potential")
-    if eid == "E3" and p.member == "mass" and backend.zero_potential:
-        raise ValueError("E3 mass member needs a nonzero potential")
-    scan = _SCANNERS[eid]
+    members = _REGISTRY[eid]
+    entry = members.get(p.member, members.get(None))
+    if entry is None:
+        raise ValueError(f"unknown {eid} member {p.member!r}")
+    if entry.needs_potential and backend.zero_potential:
+        if eid in RHO_ONLY_IDS:
+            raise ValueError(f"{eid}: majorant degenerates (rho undefined) for the zero potential")
+        raise ValueError(f"{eid} {p.member} member needs a nonzero potential")
     acc = _ScanAccumulator()
-    lattice_desc = scan(p, backend, acc)
+    entry.lattice(entry, p, backend, acc)
     if acc.total and acc.excluded > 0.01 * acc.total:
         raise ValueError(
             f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant"
         )
-    return acc, lattice_desc, p
+    return acc, entry.lattice_desc.format(p=p), p
 
 
-def _polynomial_kernel_scan(p, backend, acc, kind, exponent_beta, power_m):
-    """Shared scan for E1/E3-size/E9: |K| vs t^b (t^(1/2a)+r)^-(n+2ab) penalty."""
+@dataclass(frozen=True)
+class _Point:
+    """What a majorant sees at one time (and shift) of a scan."""
+
+    p: EstimateParams
+    n: int
+    t: float
+    t_sc: float                     # t^(1/2a), sqrt(t) on the heat ladder
+    rho_x: np.ndarray               # rho at the rows (a column on pair lattices)
+    rho_y: np.ndarray | None = None
+    r: np.ndarray | None = None     # |x - y| per pair
+    shift: float = 0.0
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One (id, member) of the registry."""
+
+    lattice: Callable               # _pairs, _shifted_pairs or _mass_rows
+    majorant: Callable              # _Point -> majorant, shaped like the object
+    lattice_desc: str               # formatted with the resolved params as p
+    heat: bool = False              # alpha = 1 object on the heat ladder
+    power: str | None = None        # EstimateParams field holding the order b
+    gradient: bool = False          # x-gradient of the object
+    scaled: bool = False            # object multiplied by t_sc
+    shift_rule: Callable | None = None   # _Point -> allowed: a bool, or one per pair
+    needs_potential: bool = False
+
+
+def _ladder(entry: _Entry, p: EstimateParams, backend: VerifierBackend, gradient: bool):
+    """(t, t_sc, table) over the entry's time ladder: the object's kernel or its x-gradient."""
+    alpha = 1.0 if entry.heat else p.alpha
+    power = getattr(p, entry.power) if entry.power else 0
+    table = backend.gradient_table if gradient else backend.kernel_table
+    for t in time_grid(backend, p.alpha, heat_scaling=entry.heat):
+        t_sc = np.sqrt(t) if entry.heat else _scaling_time(t, p.alpha)
+        yield t, t_sc, table(t, alpha, power)
+
+
+def _pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()[idx]
-    for t in time_grid(backend, p.alpha, heat_scaling=False):
-        t_sc = _scaling_time(t, p.alpha)
-        if kind == "frac":
-            table = backend.kernel_table("frac", t, alpha=p.alpha)
-            numer, expo = t, n + 2.0 * p.alpha
-        elif kind == "frac_power":
-            table = backend.kernel_table("frac_power", t, alpha=p.alpha, m=power_m)
-            numer, expo = t ** power_m, n + 2.0 * p.alpha * power_m
-        else:
-            table = backend.kernel_table("d_op", t, alpha=p.alpha, beta=exponent_beta)
-            numer, expo = t ** exponent_beta, n + 2.0 * p.alpha * exponent_beta
-        maj = (numer * (t_sc + r) ** (-expo)
-               * _sum_penalty(t_sc, rho[:, None], rho[None, :], p.N))
-        acc.update(table[np.ix_(idx, idx)], maj, xs, xs, t)
-    return f"pairs on stride-{LATTICE_STRIDE} inner half-box; sqrt2 time ladder"
+    for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
+        obj = table[np.ix_(idx, idx)]
+        if entry.scaled:
+            obj = t_sc * obj
+        point = _Point(p, n, t, t_sc, rho[:, None], rho[None, :], r)
+        acc.update(obj, entry.majorant(point), xs, xs, t)
 
 
-def _scan_e1(p, backend, acc):
-    return _polynomial_kernel_scan(p, backend, acc, "frac", None, None)
-
-
-def _scan_e3(p, backend, acc):
-    if p.member == "size":
-        return _polynomial_kernel_scan(p, backend, acc, "frac_power", None, p.m)
-    if p.member == "holder":
-        return _holder_scan(p, backend, acc, kind="frac_power", power_m=p.m,
-                            shift_cap="t_sc")
-    if p.member == "mass":
-        return _mass_scan(p, backend, acc, kind="frac_power", power_m=p.m)
-    raise ValueError(f"unknown E3 member {p.member!r}")
-
-
-def _scan_e9(p, backend, acc):
-    return _polynomial_kernel_scan(p, backend, acc, "d_op", p.beta, None)
-
-
-def _holder_scan(p, backend, acc, kind, power_m=1, shift_cap="t_sc",
-                 d_beta=None):
-    """Holder increments |K(x+h,y) - K(x,y)| vs (|h|/t^(1/2a))^d' * size majorant."""
+def _shifted_pairs(entry, p, backend, acc):
+    """A scalar shift rule drops a whole shift; a per-pair rule masks pairs."""
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()[idx]
-    rho_full = backend.rho()
-    for t in time_grid(backend, p.alpha, heat_scaling=False):
-        t_sc = _scaling_time(t, p.alpha)
-        cap = {"t_sc": t_sc, "t_inv_alpha": t ** (1.0 / p.alpha)}[shift_cap]
-        if kind == "frac":
-            table = backend.kernel_table("frac", t, alpha=p.alpha)
-            numer, expo = t, n + 2.0 * p.alpha
-        elif kind == "frac_power":
-            table = backend.kernel_table("frac_power", t, alpha=p.alpha, m=power_m)
-            numer, expo = t ** power_m, n + 2.0 * p.alpha * power_m
-        else:
-            table = backend.kernel_table("d_op", t, alpha=p.alpha, beta=d_beta)
-            numer, expo = t ** d_beta, n + 2.0 * p.alpha * d_beta
-        for steps, shift in _physical_shifts(backend, p):
-            if shift > cap:
-                continue
+    shifts = _physical_shifts(backend, p)
+    for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
+        for steps, shift in shifts:
             sh_idx, valid = _shift_indices(backend, idx, steps)
-            if not np.any(valid):
+            point = _Point(p, n, t, t_sc, rho[valid][:, None], rho[None, :], r[valid], shift)
+            allowed = entry.shift_rule(point)
+            if not np.any(valid) or (np.ndim(allowed) == 0 and not allowed):
                 continue
-            rows, rows_sh = idx[valid], sh_idx[valid]
-            incr = table[rows_sh][:, idx] - table[rows][:, idx]
-            maj = ((shift / t_sc) ** p.delta_prime * numer
-                   * (t_sc + r[valid]) ** (-expo)
-                   * _sum_penalty(t_sc, rho_full[rows][:, None], rho[None, :], p.N))
+            incr = table[sh_idx[valid]][:, idx] - table[idx[valid]][:, idx]
+            maj = np.where(allowed, entry.majorant(point), np.inf)
             acc.update(incr, maj, xs[valid], xs, t)
-    return (f"pairs stride-{LATTICE_STRIDE}, shifts {p.shifts} cells, "
-            f"cap {shift_cap}; sqrt2 time ladder")
 
 
-def _scan_e2(p, backend, acc):
-    return _holder_scan(p, backend, acc, kind="frac", shift_cap="t_inv_alpha")
-
-
-def _scan_e10(p, backend, acc):
-    return _holder_scan(p, backend, acc, kind="d_op", d_beta=p.beta, shift_cap="t_sc")
-
-
-def _mass_scan(p, backend, acc, kind, power_m=1, d_beta=None, heat=False):
-    """|int K(x, y) dy| vs (t_sc/rho)^d' (1 + t_sc/rho)^-N."""
+def _mass_rows(entry, p, backend, acc):
+    """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one)."""
+    n, w = backend.grid.dimension, backend.grid.cell_weight
     idx, xs, _ = _pair_geometry(backend)
     rho = backend.rho()[idx]
-    w = backend.grid.cell_weight
-    for t in time_grid(backend, p.alpha, heat_scaling=heat):
-        t_sc = np.sqrt(t) if heat else _scaling_time(t, p.alpha)
-        if kind == "frac_power":
-            table = backend.kernel_table("frac_power", t, alpha=p.alpha, m=power_m)
-        elif kind == "heat_power":
-            table = backend.kernel_table("heat_power", t, m=power_m)
+    for t, t_sc, table in _ladder(entry, p, backend, False):
+        if entry.gradient:
+            obj = gradient_values(backend.grid, np.sum(table, axis=1) * w, axis=0)[idx]
         else:
-            table = backend.kernel_table("d_op", t, alpha=p.alpha, beta=d_beta)
-        masses = np.abs(np.sum(table[idx], axis=1) * w)
-        ratio_pen = t_sc / rho
-        maj = ratio_pen ** p.delta_prime * (1.0 + ratio_pen) ** (-p.N)
-        acc.update(masses, maj, xs, xs, t)
-    return f"mass rows stride-{LATTICE_STRIDE}; sqrt2 time ladder"
+            obj = np.sum(table[idx], axis=1) * w
+        if entry.scaled:
+            obj = t_sc * obj
+        acc.update(obj, entry.majorant(_Point(p, n, t, t_sc, rho)), xs, xs, t)
 
 
-def _scan_e11(p, backend, acc):
-    return _mass_scan(p, backend, acc, kind="d_op", d_beta=p.beta)
+def _holder_lead(s: _Point):
+    return (s.shift / s.t_sc) ** s.p.delta_prime
 
 
-def _gauss_majorant(prefactor, r, t, pen):
-    inside = r <= GAUSS_WINDOW * np.sqrt(t)
-    maj = prefactor * np.exp(-GAUSS_DECAY * r * r / t) * pen
+def _power_majorant(s: _Point, b, lead=1.0, penalty=_sum_penalty):
+    """lead * t^b (t_sc + r)^-(n + 2ab) * penalty: the size of t^b d_t^b K_{a,t}."""
+    return (lead * s.t ** b * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha * b))
+            * penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N))
+
+
+def _gauss_majorant(s: _Point, prefactor):
+    """prefactor e^(-c r^2/t) * penalty inside the parabolic window."""
+    inside = s.r <= GAUSS_WINDOW * np.sqrt(s.t)
+    pen = _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)
+    maj = prefactor * np.exp(-GAUSS_DECAY * s.r * s.r / s.t) * pen
     return np.where(inside, maj, np.inf)   # outside the window: trivially satisfied
 
 
-def _scan_e4(p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
-    for t in time_grid(backend, p.alpha, heat_scaling=True):
-        grad = backend.gradient_table("heat", t)[np.ix_(idx, idx)]
-        pen = _sum_penalty(np.sqrt(t), rho[:, None], rho[None, :], p.N)
-        far = np.sqrt(t) <= r
-        maj_far = _gauss_majorant(t ** (-(n + 1) / 2.0), r, t, pen)
-        with np.errstate(divide="ignore"):
-            maj_near = _gauss_majorant(1.0 / (r * t ** (n / 2.0)), r, t, pen)
-        maj = np.where(far, maj_far, maj_near)
-        acc.update(grad, maj, xs, xs, t)
-    return (f"gradient pairs stride-{LATTICE_STRIDE}, two regimes, "
-            f"c={GAUSS_DECAY}, window {GAUSS_WINDOW} sqrt(t)")
+def _gradient_majorant(s: _Point, far_lead, near_lead, near_r):
+    """Gaussian gradient bound: far_lead t^(-(n+1)/2) for r >= sqrt(t),
+    near_lead / (near_r t^(n/2)) below."""
+    far = _gauss_majorant(s, far_lead * s.t ** (-(s.n + 1) / 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = _gauss_majorant(s, near_lead / (near_r * s.t ** (s.n / 2.0)))
+    return np.where(s.t_sc <= s.r, far, near)
 
 
-def _scan_e5(p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
-    for t in time_grid(backend, p.alpha, heat_scaling=True):
-        grad = backend.gradient_table("heat", t)[np.ix_(idx, idx)]
-        maj = t ** (-(n + 1) / 2.0) * _sum_penalty(np.sqrt(t), rho[:, None],
-                                                   rho[None, :], p.N)
-        acc.update(grad, maj, xs, xs, t)
-    return f"gradient pairs stride-{LATTICE_STRIDE}; global bound"
+def _e7_heat_majorant(s: _Point):
+    r_pos = np.where(s.r > 0, s.r, np.inf)
+    near_lead = (s.shift / r_pos) ** s.p.delta_prime
+    return _gradient_majorant(s, _holder_lead(s), near_lead, r_pos)
 
 
-def _scan_e6(p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
-    for t in time_grid(backend, p.alpha, heat_scaling=False):
-        t_sc = _scaling_time(t, p.alpha)
-        grad = backend.gradient_table("frac", t, alpha=p.alpha)[np.ix_(idx, idx)]
-        obj = t_sc * np.abs(grad)
-        maj = (t * (t_sc + r) ** (-(n + 2.0 * p.alpha))
-               * _prod_penalty(t_sc, rho[:, None], rho[None, :], p.N))
-        acc.update(obj, maj, xs, xs, t)
-    return f"scaled fractional gradient pairs stride-{LATTICE_STRIDE}"
+def _mass_majorant(s: _Point):
+    ratio = s.t_sc / s.rho_x
+    return ratio ** s.p.delta_prime * (1.0 + ratio) ** (-s.p.N)
 
 
-def _scan_e7(p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()
-    for t in time_grid(backend, p.alpha, heat_scaling=(p.member != "frac")):
-        if p.member == "frac":
-            t_sc = _scaling_time(t, p.alpha)
-            grad = backend.gradient_table("frac", t, alpha=p.alpha)
-        else:
-            t_sc = np.sqrt(t)
-            grad = backend.gradient_table("heat", t)
-        for steps, shift in _physical_shifts(backend, p):
-            sh_idx, valid = _shift_indices(backend, idx, steps)
-            if not np.any(valid):
-                continue
-            rows, rows_sh = idx[valid], sh_idx[valid]
-            incr = np.abs(grad[rows_sh][:, idx] - grad[rows][:, idx])
-            rr = r[valid]
-            allowed = shift < rr / 4.0
-            if p.member == "frac":
-                maj = ((shift / t_sc) ** p.delta_prime / t_sc
-                       * t * (t_sc + rr) ** (-(n + 2.0 * p.alpha)))
-            else:
-                pen = _sum_penalty(t_sc, rho[rows][:, None], rho[idx][None, :], p.N)
-                far = t_sc <= rr
-                maj_far = _gauss_majorant(
-                    (shift / t_sc) ** p.delta_prime * t ** (-(n + 1) / 2.0), rr, t, pen)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    maj_near = _gauss_majorant(
-                        (shift / np.where(rr > 0, rr, np.inf)) ** p.delta_prime
-                        / (np.where(rr > 0, rr, np.inf) * t ** (n / 2.0)), rr, t, pen)
-                maj = np.where(far, maj_far, maj_near)
-            maj = np.where(allowed, maj, np.inf)
-            acc.update(incr, maj, xs[valid], xs, t)
-    return f"gradient Holder member={p.member}, shifts {p.shifts}, |h| < r/4"
+def _e8_majorant(s: _Point):
+    ratio = s.t_sc / s.rho_x
+    return np.minimum(ratio ** (1.0 + 2.0 * s.p.alpha), ratio ** (-s.p.N))
 
 
-def _scan_e8(p, backend, acc):
-    idx, xs, _ = _pair_geometry(backend)
-    rho = backend.rho()[idx]
-    w = backend.grid.cell_weight
-    for t in time_grid(backend, p.alpha, heat_scaling=False):
-        t_sc = _scaling_time(t, p.alpha)
-        table = backend.kernel_table("frac", t, alpha=p.alpha)
-        u = np.sum(table, axis=1) * w          # e^{-t L^alpha} 1
-        grad = _vector_gradient_axis0(backend.grid, u)
-        obj = t_sc * np.abs(grad[idx])
-        ratio_pen = t_sc / rho
-        maj = np.minimum(ratio_pen ** (1.0 + 2.0 * p.alpha), ratio_pen ** (-p.N))
-        acc.update(obj, maj, xs, xs, t)
-    return f"semigroup-of-one gradient, stride-{LATTICE_STRIDE}"
+def _holder_desc(cap: str) -> str:
+    return f"pairs stride-{LATTICE_STRIDE}, shifts {{p.shifts}} cells, cap {cap}; sqrt2 time ladder"
 
 
-def _vector_gradient_axis0(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return _table_gradient_axis0(grid, values[:, None])[:, 0]
+_PAIRS = f"pairs on stride-{LATTICE_STRIDE} inner half-box; sqrt2 time ladder"
+_MASS = f"mass rows stride-{LATTICE_STRIDE}; sqrt2 time ladder"
+_E7 = "gradient Holder member={p.member}, shifts {p.shifts}, |h| < r/4"
+_HEAT_SIZE = f"heat family member={{p.member}}, c={GAUSS_DECAY}, window {GAUSS_WINDOW}"
+_HEAT_HOLDER = "heat family member={p.member}, shifts {p.shifts}"
 
-
-def _scan_e12(p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
-    if p.member in ("size", "q_size"):
-        kind = "heat" if p.member == "size" else "heat_power"
-        # size member carries the Feynman-Kac normalization (4 pi t)^(-n/2),
-        # making the potential-free closed form the exact equality case
-        pref = (4.0 * np.pi) ** (-n / 2.0) if p.member == "size" else 1.0
-        for t in time_grid(backend, p.alpha, heat_scaling=True):
-            table = (backend.kernel_table("heat", t) if kind == "heat"
-                     else backend.kernel_table("heat_power", t, m=p.m))
-            pen = _sum_penalty(np.sqrt(t), rho[:, None], rho[None, :], p.N)
-            maj = _gauss_majorant(pref * t ** (-n / 2.0), r, t, pen)
-            acc.update(table[np.ix_(idx, idx)], maj, xs, xs, t)
-        return f"heat family member={p.member}, c={GAUSS_DECAY}, window {GAUSS_WINDOW}"
-    if p.member in ("holder", "q_holder"):
-        rho_full = backend.rho()
-        for t in time_grid(backend, p.alpha, heat_scaling=True):
-            table = (backend.kernel_table("heat", t) if p.member == "holder"
-                     else backend.kernel_table("heat_power", t, m=p.m))
-            for steps, shift in _physical_shifts(backend, p):
-                if shift >= np.sqrt(t):
-                    continue
-                sh_idx, valid = _shift_indices(backend, idx, steps)
-                if not np.any(valid):
-                    continue
-                rows, rows_sh = idx[valid], sh_idx[valid]
-                incr = table[rows_sh][:, idx] - table[rows][:, idx]
-                pen = _sum_penalty(np.sqrt(t), rho_full[rows][:, None],
-                                   rho[None, :], p.N)
-                maj = _gauss_majorant(
-                    (shift / np.sqrt(t)) ** p.delta_prime * t ** (-n / 2.0),
-                    r[valid], t, pen)
-                acc.update(incr, maj, xs[valid], xs, t)
-        return f"heat family member={p.member}, shifts {p.shifts}"
-    if p.member == "q_mass":
-        if backend.zero_potential:
-            raise ValueError("E12 q_mass member needs a nonzero potential")
-        return _mass_scan(p, backend, acc, kind="heat_power", power_m=p.m, heat=True)
-    raise ValueError(f"unknown E12 member {p.member!r}")
-
-
-_SCANNERS = {
-    "E1": _scan_e1, "E2": _scan_e2, "E3": _scan_e3, "E4": _scan_e4,
-    "E5": _scan_e5, "E6": _scan_e6, "E7": _scan_e7, "E8": _scan_e8,
-    "E9": _scan_e9, "E10": _scan_e10, "E11": _scan_e11, "E12": _scan_e12,
+#: estimate id -> member -> entry; member None serves every other member name.
+#: Two pairs of default rows agree by construction: E3 size at m=1 and E9 at
+#: beta=1 scan one object against one majorant, and E7's fractional member
+#: carries no rho penalty, so its N=0 and N=1 rows are the same.
+_REGISTRY = {
+    "E1": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1), _PAIRS)},
+    "E2": {None: _Entry(_shifted_pairs, lambda s: _power_majorant(s, 1, _holder_lead(s)),
+                        _holder_desc("t_inv_alpha"),
+                        shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha))},
+    "E3": {
+        "size": _Entry(_pairs, lambda s: _power_majorant(s, s.p.m), _PAIRS, power="m"),
+        "holder": _Entry(_shifted_pairs,
+                         lambda s: _power_majorant(s, s.p.m, _holder_lead(s)),
+                         _holder_desc("t_sc"), power="m",
+                         shift_rule=lambda s: s.shift <= s.t_sc),
+        "mass": _Entry(_mass_rows, _mass_majorant, _MASS, power="m", needs_potential=True),
+    },
+    "E4": {None: _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
+                        f"gradient pairs stride-{LATTICE_STRIDE}, two regimes, "
+                        f"c={GAUSS_DECAY}, window {GAUSS_WINDOW} sqrt(t)",
+                        heat=True, gradient=True)},
+    "E5": {None: _Entry(_pairs,
+                        lambda s: (s.t ** (-(s.n + 1) / 2.0)
+                                   * _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)),
+                        f"gradient pairs stride-{LATTICE_STRIDE}; global bound",
+                        heat=True, gradient=True)},
+    "E6": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1, penalty=_prod_penalty),
+                        f"scaled fractional gradient pairs stride-{LATTICE_STRIDE}",
+                        gradient=True, scaled=True)},
+    "E7": {
+        "frac": _Entry(_shifted_pairs,
+                       lambda s: (_holder_lead(s) / s.t_sc * s.t
+                                  * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha))),
+                       _E7, gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
+        None: _Entry(_shifted_pairs, _e7_heat_majorant, _E7, heat=True, gradient=True,
+                     shift_rule=lambda s: s.shift < s.r / 4.0),
+    },
+    "E8": {None: _Entry(_mass_rows, _e8_majorant,
+                        f"semigroup-of-one gradient, stride-{LATTICE_STRIDE}",
+                        gradient=True, scaled=True, needs_potential=True)},
+    "E9": {None: _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), _PAIRS,
+                        power="beta")},
+    "E10": {None: _Entry(_shifted_pairs,
+                         lambda s: _power_majorant(s, s.p.beta, _holder_lead(s)),
+                         _holder_desc("t_sc"), power="beta",
+                         shift_rule=lambda s: s.shift <= s.t_sc)},
+    "E11": {None: _Entry(_mass_rows, _mass_majorant, _MASS, power="beta",
+                         needs_potential=True)},
+    "E12": {
+        # size carries the Feynman-Kac normalization (4 pi t)^(-n/2), making
+        # the potential-free closed form the exact equality case
+        "size": _Entry(_pairs,
+                       lambda s: _gauss_majorant(s, (4.0 * np.pi) ** (-s.n / 2.0)
+                                                 * s.t ** (-s.n / 2.0)),
+                       _HEAT_SIZE, heat=True),
+        "q_size": _Entry(_pairs, lambda s: _gauss_majorant(s, s.t ** (-s.n / 2.0)),
+                         _HEAT_SIZE, heat=True, power="m"),
+        "holder": _Entry(_shifted_pairs,
+                         lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
+                         _HEAT_HOLDER, heat=True,
+                         shift_rule=lambda s: s.shift < np.sqrt(s.t)),
+        "q_holder": _Entry(_shifted_pairs,
+                           lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
+                           _HEAT_HOLDER, heat=True, power="m",
+                           shift_rule=lambda s: s.shift < np.sqrt(s.t)),
+        "q_mass": _Entry(_mass_rows, _mass_majorant, _MASS, heat=True, power="m",
+                         needs_potential=True),
+    },
 }
 
 
 def certify(estimate_id: str, params: EstimateParams | None,
             backend) -> BoundCertificate:
     """Scan one estimate; `backend` may be a single backend or a (coarse, fine) pair."""
-    if estimate_id not in _SCANNERS:
+    if estimate_id not in _REGISTRY:
         raise KeyError(f"unknown estimate id {estimate_id!r}")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
     backends = backend if isinstance(backend, (list, tuple)) else [backend]
-    results = []
-    for b in backends:
-        acc, lattice_desc, resolved = scan_estimate(estimate_id, params, b)
-        results.append((acc, lattice_desc, resolved))
-    fine = results[-1][0]
-    if len(results) >= 2:
-        coarse = results[-2][0]
-        ratio = coarse.c_meas / fine.c_meas if fine.c_meas > 0 else np.nan
+    scans = [scan_estimate(estimate_id, params, b) for b in backends]
+    fine, lattice_desc, resolved = scans[-1]
+    if len(scans) >= 2 and fine.c_meas > 0:
+        ratio = scans[-2][0].c_meas / fine.c_meas
     else:
         ratio = np.nan
-    resolved = results[-1][2]
-    passed = bool(np.isfinite(fine.c_meas)
+    # a scan that visited no lattice point measured nothing
+    passed = bool(fine.total > 0 and np.isfinite(fine.c_meas)
                   and fine.c_meas <= resolved.ceiling
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
-    return BoundCertificate(estimate_id, resolved, results[-1][1], fine.c_meas,
+    return BoundCertificate(estimate_id, resolved, lattice_desc, fine.c_meas,
                             fine.argmax, float(ratio), passed, fine.excluded)
 
 
@@ -606,10 +513,7 @@ def refinement_study(estimate_id: str, params: EstimateParams | None,
         if not same_box or gf.points_per_axis % gc.points_per_axis != 0:
             raise ValueError("grids are not nested refinements of the same box")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    c_by_grid = []
-    for b in backends:
-        acc, _, _ = scan_estimate(estimate_id, params, b)
-        c_by_grid.append(acc.c_meas)
+    c_by_grid = [scan_estimate(estimate_id, params, b)[0].c_meas for b in backends]
     ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
               for i in range(len(c_by_grid) - 1)]
     cert = certify(estimate_id, params, backends[-2:])
@@ -631,6 +535,7 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
     if points < 6:
         raise ValueError("need at least 6 sample points for a decay fit")
     n = backend.grid.dimension
+    i0 = int(np.argmin(np.linalg.norm(backend.grid.points, axis=1)))
     if axis == "spatial":
         alpha = params.alpha
         L = backend.grid.half_width
@@ -644,15 +549,12 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         t_sc = _scaling_time(t, alpha)
         rs = np.geomspace(lo_mult * t_sc, hi_mult * t_sc, points)
         if backend.zero_potential and abs(alpha - 0.5) < 1e-14:
-            if estimate_id == "E1":
-                vals = closedform.poisson_value(rs, t, n)
-            else:
-                # t d_t of the Poisson kernel at beta = 1
-                vals = np.abs(_poisson_time_derivative(rs, t, n))
+            vals = closedform.poisson_value(rs, t, n)
+            if estimate_id == "E9":
+                # t d_t of the Poisson kernel c_n t (t^2 + r^2)^(-(n+1)/2) at beta = 1
+                vals = np.abs(vals * (1.0 - (n + 1.0) * t * t / (t * t + rs * rs)))
         else:
-            kind = "frac" if estimate_id == "E1" else "d_op"
-            table = backend.kernel_table(kind, t, alpha=alpha, beta=params.beta)
-            i0 = int(np.argmin(np.linalg.norm(backend.grid.points, axis=1)))
+            table = backend.kernel_table(t, alpha, 0 if estimate_id == "E1" else params.beta)
             dist = backend.grid.distances_from(backend.grid.points[i0])
             vals = np.array([np.abs(table[i0, int(np.argmin(np.abs(dist - r)))])
                              for r in rs])
@@ -662,34 +564,19 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         alpha, beta = params.alpha, params.beta
         lam = backend.dec.eigenvalues
         ts = np.geomspace(1e-7, 1e-5, points) / max(lam[-1] ** alpha, 1.0)
-        i0 = int(np.argmin(np.linalg.norm(backend.grid.points, axis=1)))
-        vals = []
-        for t in ts:
-            mult = (t * lam ** alpha) ** beta * np.exp(-t * lam ** alpha)
-            vals.append(np.sum(mult * backend.dec.basis[i0] ** 2))
-        slope, r2 = _loglog_fit(ts, np.asarray(vals))
+        mult = semigroup_multiplier(ts, alpha, beta)(lam)
+        slope, r2 = _loglog_fit(ts, np.sum(mult * backend.dec.basis[i0] ** 2, axis=1))
         return {"axis": "temporal", "slope": slope, "expected": beta, "r2": r2}
     if axis == "rho":
         rho = backend.rho()
         idx = backend.lattice_indices()
         if backend.zero_potential or np.ptp(rho[idx]) < 1e-9 * np.max(rho[idx]):
             return {"axis": "rho", "skipped": "axis constant"}
-        alpha = params.alpha
-        t = 1.0
-        t_sc = _scaling_time(t, alpha)
-        table = backend.kernel_table("frac", t, alpha=alpha)
-        diag = np.abs(np.diagonal(table)[idx])
-        base = t * (t_sc + 0.0) ** (-(n + 2.0 * alpha))
-        pen_axis = 1.0 + 2.0 * t_sc / rho[idx]
-        slope, r2 = _loglog_fit(pen_axis, diag / base)
+        # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal
+        diag = np.abs(np.diagonal(backend.kernel_table(1.0, params.alpha))[idx])
+        slope, r2 = _loglog_fit(1.0 + 2.0 / rho[idx], diag)
         return {"axis": "rho", "slope": slope, "r2": r2}
     raise ValueError(f"unknown axis {axis!r}")
-
-
-def _poisson_time_derivative(r, t, n):
-    # t d_t of c_n t (t^2 + r^2)^(-(n+1)/2)
-    base = closedform.poisson_value(r, t, n)
-    return base * (1.0 - (n + 1.0) * t * t / (t * t + r * r))
 
 
 def _loglog_fit(x, y):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma, roots_jacobi
 
-from .grid import Grid, GridFunction, boundary_layer_mask, gradient_values, grid_function
+from .grid import (Grid, GridFunction, boundary_layer_mask, gauss_legendre_panels,
+                   gradient_values, grid_function)
 from .spectral import (KernelSlice, SpectralDecomposition, apply_multiplier,
-                       multiplier_kernel)
+                       multiplier_kernel, semigroup_multiplier)
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,19 @@ def _u_quadrature(spec: FracDerivSpec, t: float, u_max: float):
     if u_max <= u_head * (1.0 + 1e-12):
         return u_h, w_h
     edges = np.exp(np.linspace(np.log(u_head), np.log(u_max), spec.tail_panels + 1))
-    xg, wg = np.polynomial.legendre.leggauss(spec.tail_panel_nodes)
-    u_t = np.concatenate([(0.5 * (b - a)) * xg + 0.5 * (a + b)
-                          for a, b in zip(edges[:-1], edges[1:])])
-    w_t = np.concatenate([(0.5 * (b - a)) * wg for a, b in zip(edges[:-1], edges[1:])])
+    u_t, w_t = gauss_legendre_panels(edges, spec.tail_panel_nodes)
     w_t = w_t * u_t ** (m - beta - 1.0)
     return np.concatenate([u_h, u_t]), np.concatenate([w_h, w_t])
+
+
+def _node_multipliers(dec: SpectralDecomposition, alpha: float, spec: FracDerivSpec,
+                      t: float):
+    """Weights w_q and multipliers d_t^m e^{-(t + u_q) L^alpha} at the nodes, (Q, modes)."""
+    la = dec.eigenvalues ** alpha
+    lam_min = max(dec.positive_min ** alpha, 1e-12)
+    u, w = _u_quadrature(spec, t, spec.upper_factor * t + spec.upper_factor / lam_min)
+    # d_t^m e^{-(t+u) lam^alpha} = (-lam^alpha)^m e^{-(t+u) lam^alpha}
+    return w, (-la[None, :]) ** spec.m * np.exp(-np.outer(t + u, la))
 
 
 def frac_multiplier_quadrature(dec: SpectralDecomposition, alpha: float,
@@ -66,14 +74,8 @@ def frac_multiplier_quadrature(dec: SpectralDecomposition, alpha: float,
     """Quadrature route for the multiplier of d_t^beta e^{-t L^alpha} per eigenvalue."""
     if t <= 0:
         raise ValueError("time must be positive")
-    m, beta = spec.m, spec.beta
-    la = dec.eigenvalues ** alpha
-    lam_min = max(dec.positive_min ** alpha, 1e-12)
-    u_max = spec.upper_factor * t + spec.upper_factor / lam_min
-    u, w = _u_quadrature(spec, t, u_max)
-    # d_t^m e^{-(t+u) lam^alpha} = (-lam^alpha)^m e^{-(t+u) lam^alpha}
-    values = (-la[None, :]) ** m * np.exp(-np.outer(t + u, la))
-    return (-1.0) ** m * (w @ values) / _gamma(m - beta)
+    w, values = _node_multipliers(dec, alpha, spec, t)
+    return (-1.0) ** spec.m * (w @ values) / _gamma(spec.m - spec.beta)
 
 
 def frac_derivative_scalar(a: float, beta: float, t: float,
@@ -97,16 +99,11 @@ def frac_time_derivative(dec: SpectralDecomposition, alpha: float,
     at the quadrature nodes (identical by linearity, kept as a cross-check).
     """
     if tables:
-        m, beta = spec.m, spec.beta
-        la = dec.eigenvalues ** alpha
-        lam_min = max(dec.positive_min ** alpha, 1e-12)
-        u_max = spec.upper_factor * t + spec.upper_factor / lam_min
-        u, w = _u_quadrature(spec, t, u_max)
+        w, values = _node_multipliers(dec, alpha, spec, t)
         acc = np.zeros((dec.grid.size, dec.grid.size))
-        for uq, wq in zip(u, w):
-            mult = (-la) ** m * np.exp(-(t + uq) * la)
+        for wq, mult in zip(w, values):
             acc += wq * ((dec.basis * mult[None, :]) @ dec.basis.T)
-        acc *= (-1.0) ** m / _gamma(m - beta)
+        acc *= (-1.0) ** spec.m / _gamma(spec.m - spec.beta)
         return KernelSlice(dec.grid, float(t), acc, "spectral",
                            {"kind": "frac_derivative_quadrature", "alpha": alpha,
                             "beta": spec.beta, "tables": True})
@@ -123,13 +120,8 @@ def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
         raise ValueError("operator order beta must be positive")
     if t <= 0:
         raise ValueError("time must be positive")
-
-    def mult(lam):
-        la = lam ** alpha
-        return (t * la) ** beta * np.exp(-t * la)
-
-    return multiplier_kernel(dec, mult, t, kind="time_derivative_power",
-                             alpha=alpha, beta=beta)
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha, beta), t,
+                             kind="time_derivative_power", alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -165,10 +157,9 @@ def nabla_alpha(dec: SpectralDecomposition, alpha: float, f: GridFunction,
     """Spatial gradient and order-1/(2 alpha) time derivative of e^{-t L^alpha} f."""
     if t <= 0 or not (0.0 < alpha < 1.0):
         raise ValueError("need t > 0 and alpha in (0,1)")
-    u_vals = apply_multiplier(dec, lambda lam: np.exp(-t * lam ** alpha), f.values)
+    decay = semigroup_multiplier(t, alpha)
+    u_vals = apply_multiplier(dec, decay, f.values)
     grad = gradient_of_function(grid_function(dec.grid, u_vals))
     # multiplier (lam^alpha)^(1/(2 alpha)) = sqrt(lam)
-    time_part = apply_multiplier(
-        dec, lambda lam: np.sqrt(lam) * np.exp(-t * lam ** alpha), f.values
-    )
+    time_part = apply_multiplier(dec, lambda lam: np.sqrt(lam) * decay(lam), f.values)
     return grad, grid_function(dec.grid, time_part)

@@ -130,30 +130,42 @@ def inner_box_mask(grid: Grid, fraction: float = 0.5) -> np.ndarray:
     return np.all(np.abs(grid.points) <= limit + 1e-12, axis=1)
 
 
-def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+def gradient_values(grid: Grid, values: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Second-order central differences of a grid function, (N, n).
 
     Dirichlet grids extend by zero outside the box (matching the operator's
-    zero exterior values); periodic grids wrap.
+    zero exterior values); periodic grids wrap. With `axis` given, only that
+    partial derivative is returned, shaped like `values`; trailing columns
+    are then independent grid functions (a kernel table K(x, y) is
+    differentiated in x for every y).
     """
-    n, M, h = grid.dimension, grid.points_per_axis, grid.spacing
-    v = values.reshape((M,) * n)
-    out = np.empty(v.shape + (n,))
-    for d in range(n):
-        if grid.bc == PERIODIC:
-            plus = np.roll(v, -1, axis=d)
-            minus = np.roll(v, 1, axis=d)
-        else:
-            pad = [(0, 0)] * n
-            pad[d] = (1, 1)
-            vp = np.pad(v, pad)
-            sl_plus = [slice(None)] * n
-            sl_plus[d] = slice(2, M + 2)
-            sl_minus = [slice(None)] * n
-            sl_minus[d] = slice(0, M)
-            plus, minus = vp[tuple(sl_plus)], vp[tuple(sl_minus)]
-        out[..., d] = (plus - minus) / (2.0 * h)
-    return out.reshape(grid.size, n)
+    if axis is None:
+        return np.stack([gradient_values(grid, values, d) for d in range(grid.dimension)],
+                        axis=-1)
+    M, h = grid.points_per_axis, grid.spacing
+    v = values.reshape((M,) * grid.dimension + values.shape[1:])
+    if grid.bc == PERIODIC:
+        plus, minus = np.roll(v, -1, axis=axis), np.roll(v, 1, axis=axis)
+    else:
+        pad = [(0, 0)] * v.ndim
+        pad[axis] = (1, 1)
+        vp = np.pad(v, pad)
+        plus = vp[(slice(None),) * axis + (slice(2, None),)]
+        minus = vp[(slice(None),) * axis + (slice(None, -2),)]
+    return ((plus - minus) / (2.0 * h)).reshape(values.shape)
+
+
+def gauss_legendre_panels(edges: np.ndarray, nodes_per_panel: int):
+    """Composite Gauss-Legendre nodes and weights on the panels between consecutive `edges`.
+
+    Every one-dimensional integral of the package (subordination, fractional
+    derivatives, the Fourier oracle) is built from this rule.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+    nodes = np.concatenate([(0.5 * (b - a)) * xg + 0.5 * (a + b)
+                            for a, b in zip(edges[:-1], edges[1:])])
+    weights = np.concatenate([(0.5 * (b - a)) * wg for a, b in zip(edges[:-1], edges[1:])])
+    return nodes, weights
 
 
 def boundary_layer_mask(grid: Grid) -> np.ndarray:

@@ -14,7 +14,7 @@ from scipy.special import gamma as _gamma
 
 from .fracderiv import gradient_of_function
 from .grid import Ball, Grid, GridFunction, ball_points, grid_function
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, semigroup_multiplier
 
 MIN_TIME_NODES = 16
 
@@ -41,7 +41,7 @@ class Atom:
 @dataclass(frozen=True)
 class SpaceTimeField:
     grid: Grid
-    times: np.ndarray                 # (J,), increasing
+    times: np.ndarray                 # (J,), any order
     values: np.ndarray = field(repr=False)   # (J, N)
     weights: np.ndarray = field(repr=False)  # (J,), trapezoid weights for dt/t
 
@@ -65,26 +65,23 @@ def default_time_grid(dec: SpectralDecomposition, alpha: float, beta: float,
 
 
 def _log_trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    lt = np.log(times)
+    """Trapezoid weights for dt/t in log t, each at its own time: any ladder order."""
+    order = np.argsort(times, kind="stable")
+    lt = np.log(times[order])
     w = np.zeros_like(lt)
     w[1:-1] = 0.5 * (lt[2:] - lt[:-2])
     w[0] = 0.5 * (lt[1] - lt[0])
     w[-1] = 0.5 * (lt[-1] - lt[-2])
-    return w
-
-
-def _d_multipliers(dec: SpectralDecomposition, alpha: float, beta: float,
-                   times: np.ndarray) -> np.ndarray:
-    la = dec.eigenvalues ** alpha
-    tl = np.outer(times, la)
-    return tl ** beta * np.exp(-tl)        # zero mode contributes 0 for beta > 0
+    out = np.empty_like(w)
+    out[order] = w
+    return out
 
 
 def d_field(dec: SpectralDecomposition, alpha: float, beta: float,
             f: GridFunction, times: np.ndarray) -> SpaceTimeField:
     """t^beta d_t^beta e^{-t L^alpha} f on the time ladder, with dt/t weights."""
     coeff = dec.coefficients(f.values)
-    mult = _d_multipliers(dec, alpha, beta, times)
+    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues)
     values = (mult * coeff[None, :]) @ dec.basis.T
     return SpaceTimeField(dec.grid, times, values, _log_trapezoid_weights(times))
 
@@ -272,7 +269,7 @@ def reproducing_check(dec: SpectralDecomposition, alpha: float, beta: float,
     coeff = dec.coefficients(f.values)
     if dec.has_zero_mode and abs(coeff[0]) > 1e-10 * max(np.linalg.norm(coeff), 1e-300):
         raise ValueError("zero-mode contamination: project the mean out of f first")
-    mult = _d_multipliers(dec, alpha, beta, times) ** 2
+    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) ** 2
     weights = _log_trapezoid_weights(times)
     integral = weights @ mult                     # per eigenvalue
     c = 2.0 ** (2.0 * beta) / _gamma(2.0 * beta)
@@ -296,7 +293,7 @@ def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecompositio
         return None
     cf = dec.coefficients(f.values)
     ca = dec.coefficients(atom.function.values)
-    mult = _d_multipliers(dec, alpha, beta, times) ** 2
+    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) ** 2
     weights = _log_trapezoid_weights(times)
     pairing = float(np.sum((weights @ mult) * cf * ca))
     c = _gamma(2.0 * beta) / 2.0 ** (2.0 * beta)
@@ -307,16 +304,16 @@ def nabla_alpha_field(dec: SpectralDecomposition, alpha: float, f: GridFunction,
                       times: np.ndarray):
     """|t^(1/2a) grad_x u|, |t^(1/2a) d_t^(1/2a) u| magnitudes per time, (J, N) each."""
     coeff = dec.coefficients(f.values)
-    la = dec.eigenvalues ** alpha
+    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
     grads = np.empty((times.size, dec.grid.size))
     timeparts = np.empty_like(grads)
     for j, t in enumerate(times):
-        u = dec.synthesize(np.exp(-t * la) * coeff)
+        u = dec.synthesize(decay[j] * coeff)
         gf = gradient_of_function(grid_function(dec.grid, u))
         t_sc = t ** (1.0 / (2.0 * alpha))
         grads[j] = t_sc * gf.magnitude()
         timeparts[j] = t_sc * np.abs(
-            dec.synthesize(np.sqrt(dec.eigenvalues) * np.exp(-t * la) * coeff))
+            dec.synthesize(np.sqrt(dec.eigenvalues) * decay[j] * coeff))
     return grads, timeparts
 
 
@@ -330,12 +327,13 @@ def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
     """
     coeff = dec.coefficients(f.values)
     la = dec.eigenvalues ** alpha
+    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
     vals = np.empty((times.size, dec.grid.size))
     for j, s in enumerate(times):
-        v = dec.synthesize(np.exp(-s * la) * coeff)
+        v = dec.synthesize(decay[j] * coeff)
         gf = gradient_of_function(grid_function(dec.grid, v))
         gsq = s ** (1.0 / alpha) * gf.magnitude() ** 2
-        dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * np.exp(-s * la) * coeff)) ** 2
+        dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * decay[j] * coeff)) ** 2
         vals[j] = (gsq + dsq) / (2.0 * alpha)
     return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
 

@@ -125,32 +125,34 @@ def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
     return KernelSlice(dec.grid, float(t), table, route, params)
 
 
+def semigroup_multiplier(t, alpha: float = 1.0, power=0):
+    """lam -> (t lam^alpha)^power e^{-t lam^alpha}, the multiplier of t^b d_t^b e^{-t L^alpha}.
+
+    This is the one place the multiplier is written: power = 0 is the
+    semigroup itself, alpha = 1 the heat family. It follows the real-normalized
+    convention d_t^b e^{-at} = a^b e^{-at} of `fracderiv`, so an integer order
+    drops the sign (-1)^b, which no consumer sees (scans take |object|, square
+    functions square it); keep such an order an int so the power stays exact.
+    An array `t` gives one row per time, (J, modes).
+    """
+    def multiplier(lam):
+        tl = np.multiply.outer(t, lam ** alpha)
+        decay = np.exp(-tl)
+        return decay if power == 0 else tl ** power * decay
+    return multiplier
+
+
 def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, lambda lam: np.exp(-t * lam), t, kind="heat")
+    return multiplier_kernel(dec, semigroup_multiplier(t), t, kind="heat")
 
 
 def fractional_heat_kernel(dec: SpectralDecomposition, alpha: float, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, lambda lam: np.exp(-t * lam ** alpha), t,
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha), t,
                              kind="fractional_heat", alpha=alpha)
 
 
 def poisson_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, lambda lam: np.exp(-t * np.sqrt(lam)), t, kind="poisson")
-
-
-def heat_power_kernel(dec: SpectralDecomposition, m: int, t: float) -> KernelSlice:
-    """t^m d_t^m of the heat kernel: multiplier t^m (-lam)^m e^{-t lam}."""
-    return multiplier_kernel(dec, lambda lam: (t * lam) ** m * (-1.0) ** m * np.exp(-t * lam),
-                             t, kind="heat_power", m=m)
-
-
-def frac_heat_power_kernel(dec: SpectralDecomposition, alpha: float, m: int,
-                           t: float) -> KernelSlice:
-    """t^m d_t^m of the fractional heat kernel (multiplier route)."""
-    def mult(lam):
-        la = lam ** alpha
-        return (-t * la) ** m * np.exp(-t * la)
-    return multiplier_kernel(dec, mult, t, kind="frac_heat_power", alpha=alpha, m=m)
+    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5), t, kind="poisson")
 
 
 def mth_time_derivative_kernel(dec: SpectralDecomposition, alpha: float, m: int,

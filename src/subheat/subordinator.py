@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
+from .grid import gauss_legendre_panels
 from .spectral import (KernelSlice, SpectralDecomposition, ROUTE_SUBORDINATED,
                        multiplier_kernel)
 
@@ -68,10 +69,7 @@ def _descent_nodes(alpha: float, half_panels: int = 30, nodes: int = 16):
     # panel edges graded geometrically toward both endpoints of (0, pi)
     g = 0.5 ** np.arange(half_panels, -1, -1.0)
     edges = np.concatenate(([0.0], 0.5 * np.pi * g, (np.pi - 0.5 * np.pi * g[::-1])[1:]))
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    phi = np.concatenate([(0.5 * (b - a)) * xg + 0.5 * (a + b)
-                          for a, b in zip(edges[:-1], edges[1:])])
-    w = np.concatenate([(0.5 * (b - a)) * wg for a, b in zip(edges[:-1], edges[1:])])
+    phi, w = gauss_legendre_panels(edges, nodes)
     log_u = ((alpha / (1.0 - alpha)) * (np.log(np.sin(alpha * phi)) - np.log(np.sin(phi)))
              + np.log(np.sin((1.0 - alpha) * phi)) - np.log(np.sin(phi)))
     return log_u, w
@@ -154,11 +152,7 @@ class SubQuadrature:
 def _log_gl(lo: float, hi: float, n_nodes: int, panel_nodes: int):
     n_panels = max(1, n_nodes // panel_nodes)
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_panels + 1))
-    xg, wg = np.polynomial.legendre.leggauss(panel_nodes)
-    pts = np.concatenate([(0.5 * (b - a)) * xg + 0.5 * (a + b)
-                          for a, b in zip(edges[:-1], edges[1:])])
-    wts = np.concatenate([(0.5 * (b - a)) * wg for a, b in zip(edges[:-1], edges[1:])])
-    return pts, wts
+    return gauss_legendre_panels(edges, panel_nodes)
 
 
 def _series_tail_integral(alpha: float, S: float, mus: np.ndarray,

@@ -179,3 +179,34 @@ out = {out}
     assert any(ln.startswith("E8") for ln in skipped)
     assert any(ln.startswith("E11") for ln in skipped)
     assert report["pass"]
+
+
+PINNED = """
+[grid]
+n = 1
+L = 16
+M = 128
+
+[potential]
+kind = {kind}
+"""
+
+
+@pytest.mark.parametrize("kind, pinned", [
+    ("power\nsigma = 2", "certificates_n1_m128_power2.csv"),
+    ("zero", "certificates_n1_m128_zero.csv"),
+], ids=["power2", "zero"])
+def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
+    """`verify` output equals the certificates recorded at commit dfa95eb, byte for byte.
+
+    The files in tests/data/ were written by
+    `subheat verify --config <PINNED with kind> --out <dir>` on that commit
+    (n=1 M=128 against M=64, every estimate id at N=0 and N=1). The two
+    potentials cover every registry entry of the default run, both
+    closed-form substitutions of the zero potential and the E8/E11 skip text.
+    """
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED.format(kind=kind))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+    expected = Path(__file__).parent / "data" / pinned
+    assert (tmp_path / "v" / "certificates.csv").read_bytes() == expected.read_bytes()

@@ -181,6 +181,15 @@ def test_e9_within_factor_two_of_e1_at_zero_potential(zero_pair):
     assert c1.c_meas <= 2.0 * c9.c_meas
 
 
+def test_empty_scan_fails_its_certificate():
+    # at n=2 M=16 the spacing is 2 and no shift in (1, 2, 4) L/64 is a whole
+    # number of cells, so the E2 Holder scan visits no lattice point
+    pair = [build_backend(n=2, points_per_axis=M, potential=power(2.0)) for M in (8, 16)]
+    cert = certify("E2", None, pair[1])
+    assert cert.c_meas == 0.0 and cert.passed is False
+    assert refinement_study("E2", None, pair)["pass"] is False
+
+
 def test_certificate_lattice_description(flat_pair):
     cert = certify("E1", None, flat_pair)
     assert "pairs" in cert.lattice

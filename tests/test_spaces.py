@@ -250,6 +250,35 @@ def test_area_function_2d_one_pair_distances_call(dec_2d, monkeypatch):
     assert len(calls) == 1
 
 
+def _assert_ladder_order_free(dec):
+    # the dt/t weights follow their times, so a shuffled ladder is the same ladder
+    f = _random_member(dec, 5)
+    times = default_time_grid(dec, 0.5, 1.0, n_times=20)
+    shuffled = np.random.default_rng(4).permutation(times)
+    for functional in (g_function, area_function):
+        np.testing.assert_allclose(functional(dec, 0.5, 1.0, f, shuffled).values,
+                                   functional(dec, 0.5, 1.0, f, times).values,
+                                   rtol=1e-12, atol=0.0)
+    assert reproducing_check(dec, 0.5, 1.0, f, shuffled) == pytest.approx(
+        reproducing_check(dec, 0.5, 1.0, f, times), rel=1e-12)
+
+
+def test_shuffled_ladder_matches_sorted_n1(dec):
+    _assert_ladder_order_free(dec)
+
+
+def test_shuffled_ladder_matches_sorted_n2(dec_2d):
+    _assert_ladder_order_free(dec_2d)
+
+
+def test_log_trapezoid_weights_follow_their_times():
+    times = np.geomspace(1e-3, 1e1, 20)
+    order = np.random.default_rng(6).permutation(times.size)
+    w = _log_trapezoid_weights(times[order])
+    assert np.array_equal(w, _log_trapezoid_weights(times)[order])
+    assert np.sum(w) == pytest.approx(np.log(1e4))
+
+
 def test_carleson_unit_field_hand_quadrature(dec):
     g = dec.grid
     times = default_time_grid(dec, 0.5, 1.0, n_times=32)
