@@ -14,9 +14,8 @@ config and seed the CSV outputs are byte-identical.
 
 import argparse
 import configparser
-import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,20 @@ def _build_potential(section) -> tuple[PotentialSpec, str]:
 
 
 def parse_config(text: str) -> RunConfig:
+    return _check_command(_read_config(text))
+
+
+def _check_command(cfg: RunConfig) -> RunConfig:
+    """The checks that depend on the command, which the command line may replace."""
+    bound = min(2.0 * cfg.alpha, 2.0 * cfg.alpha * cfg.beta)
+    if cfg.command == "equiv" and not cfg.gamma < bound:
+        raise ConfigError(
+            f"equiv needs gamma < min(2 alpha, 2 alpha beta) = {bound:g}, "
+            f"got gamma={cfg.gamma}")
+    return cfg
+
+
+def _read_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -173,10 +186,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"times must be positive, got {list(times)}")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0,1], got {gamma}")
-    if command == "equiv" and not gamma < min(2.0 * alpha, 2.0 * alpha * beta):
-        raise ConfigError(
-            f"equiv needs gamma < min(2 alpha, 2 alpha beta) = "
-            f"{min(2 * alpha, 2 * alpha * beta):g}, got gamma={gamma}")
     try:
         build_grid(n, L, M, bc)
     except ValueError as exc:
@@ -195,20 +204,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(f"# config: {config.describe()}\n")
-    buf.write(",".join(header) + "\n")
+def _write_csv(path: Path, config: RunConfig, header: list[str], chunks) -> None:
+    """Write the config comment, the header and `chunks`, lazily formatted CSV text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config: {config.describe()}\n")
+        fh.write(",".join(header) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _csv_lines(rows):
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    path.write_text(buf.getvalue(), encoding="utf-8")
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
-def _kernel_rows(table: np.ndarray):
-    N = table.shape[0]
-    for i in range(N):
-        for j in range(N):
-            yield (i, j, table[i, j])
+def _kernel_lines(table: np.ndarray):
+    """One chunk per table row; `format(v, ".17g")` is `_fmt` of a float64.
+
+    Rows go to Python floats one at a time: the whole table at once leaves
+    its floats' memory behind for the next command's peak.
+    """
+    columns = [f",{j}," for j in range(table.shape[1])]
+    for i, row in enumerate(table):
+        yield "".join([f"{i}{col}{format(v, '.17g')}\n"
+                       for col, v in zip(columns, row.tolist())])
 
 
 def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
@@ -221,7 +240,7 @@ def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
         for tag, K in (("heat", heat), ("frac", frac)):
             path = out / f"{tag}_t{t:g}.csv"
             _write_csv(path, cfg, ["x_index", "y_index", "value"],
-                       _kernel_rows(K.table))
+                       _kernel_lines(K.table))
             paths.append(str(path))
     return {"pass": True, "outputs": paths}
 
@@ -252,7 +271,8 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
             all_pass &= cert.passed
     path = out / "certificates.csv"
     _write_csv(path, cfg, ["id", "alpha", "beta", "N", "delta", "C_meas", "argmax_x",
-                           "argmax_y", "argmax_t", "refine_ratio", "pass"], rows)
+                           "argmax_y", "argmax_t", "refine_ratio", "pass"],
+               _csv_lines(rows))
     return {"pass": all_pass, "outputs": [str(path)]}
 
 
@@ -277,7 +297,7 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
         rows.append((i, nb, nl, ng, ns, f.l2_norm()))
     path = out / "space_norms.csv"
     _write_csv(path, cfg, ["member", "bmo", "lipschitz", "g_l2", "area_l2", "l2"],
-               rows)
+               _csv_lines(rows))
     return {"pass": True, "outputs": [str(path)]}
 
 
@@ -289,10 +309,10 @@ def _cmd_equiv(cfg: RunConfig, out: Path) -> dict:
             for i, row in enumerate(report["rows"])]
     path = out / "equivalence.csv"
     _write_csv(path, cfg, ["member", "N1_bmo", "N2_sup", "N3_carleson", "N4_gradient",
-                           "N5_nu_carleson"], rows)
+                           "N5_nu_carleson"], _csv_lines(rows))
     summary = out / "equivalence_summary.csv"
     _write_csv(summary, cfg, ["ratio_min", "ratio_max", "c_star"],
-               [(report["ratio_min"], report["ratio_max"], report["c_star"])])
+               _csv_lines([(report["ratio_min"], report["ratio_max"], report["c_star"])]))
     ok = report["c_star"] <= 100.0
     return {"pass": ok, "outputs": [str(path), str(summary)],
             "c_star": report["c_star"]}
@@ -373,17 +393,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-        cfg = parse_config(text)
         updates = {"command": args.command}
         if args.out is not None:
             updates["out"] = args.out
         if args.seed is not None:
             updates["seed"] = args.seed
-        from dataclasses import replace
-        cfg = replace(cfg, **updates)
-        if cfg.command == "equiv" and not cfg.gamma < min(2 * cfg.alpha,
-                                                          2 * cfg.alpha * cfg.beta):
-            raise ConfigError("equiv needs gamma < min(2 alpha, 2 alpha beta)")
+        cfg = _check_command(replace(_read_config(text), **updates))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -106,19 +106,14 @@ class VerifierBackend:
         return is_zero(self.potential)
 
     def rho(self) -> np.ndarray:
+        """rho at the `lattice_indices()` points, in that order; +inf for V = 0."""
         if self._rho is None:
+            lat = self.lattice_indices()
             if self.zero_potential:
-                self._rho = np.full(self.grid.size, np.inf)
+                self._rho = np.full(lat.size, np.inf)
             else:
-                lat = self.lattice_indices()
-                rho = potentials.compute_aux_function(self.potential, self.grid,
-                                                      indices=lat).rho
-                # fill the rest from the nearest lattice point
-                lat_pts = self.grid.points[lat]
-                for i in np.nonzero(~np.isfinite(rho))[0]:
-                    j = np.argmin(np.linalg.norm(lat_pts - self.grid.points[i], axis=1))
-                    rho[i] = rho[lat[j]]
-                self._rho = rho
+                self._rho = potentials.compute_aux_function(self.potential, self.grid,
+                                                            indices=lat).rho[lat]
         return self._rho
 
     def lattice_indices(self) -> np.ndarray:
@@ -314,7 +309,7 @@ def _ladder(entry: _Entry, p: EstimateParams, backend: VerifierBackend, gradient
 def _pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
+    rho = backend.rho()
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
         obj = table[np.ix_(idx, idx)]
         if entry.scaled:
@@ -327,7 +322,7 @@ def _shifted_pairs(entry, p, backend, acc):
     """A scalar shift rule drops a whole shift; a per-pair rule masks pairs."""
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
-    rho = backend.rho()[idx]
+    rho = backend.rho()
     shifts = _physical_shifts(backend, p)
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
         for steps, shift in shifts:
@@ -345,7 +340,7 @@ def _mass_rows(entry, p, backend, acc):
     """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one)."""
     n, w = backend.grid.dimension, backend.grid.cell_weight
     idx, xs, _ = _pair_geometry(backend)
-    rho = backend.rho()[idx]
+    rho = backend.rho()
     for t, t_sc, table in _ladder(entry, p, backend, False):
         if entry.gradient:
             obj = gradient_values(backend.grid, np.sum(table, axis=1) * w, axis=0)[idx]
@@ -487,7 +482,11 @@ def certify(estimate_id: str, params: EstimateParams | None,
         raise KeyError(f"unknown estimate id {estimate_id!r}")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
     backends = backend if isinstance(backend, (list, tuple)) else [backend]
-    scans = [scan_estimate(estimate_id, params, b) for b in backends]
+    return _verdict(estimate_id, [scan_estimate(estimate_id, params, b) for b in backends])
+
+
+def _verdict(estimate_id: str, scans: list) -> BoundCertificate:
+    """Certificate of the last scan, with its stability against the one before."""
     fine, lattice_desc, resolved = scans[-1]
     if len(scans) >= 2 and fine.c_meas > 0:
         ratio = scans[-2][0].c_meas / fine.c_meas
@@ -513,10 +512,11 @@ def refinement_study(estimate_id: str, params: EstimateParams | None,
         if not same_box or gf.points_per_axis % gc.points_per_axis != 0:
             raise ValueError("grids are not nested refinements of the same box")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    c_by_grid = [scan_estimate(estimate_id, params, b)[0].c_meas for b in backends]
+    scans = [scan_estimate(estimate_id, params, b) for b in backends]
+    c_by_grid = [acc.c_meas for acc, _, _ in scans]
     ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
               for i in range(len(c_by_grid) - 1)]
-    cert = certify(estimate_id, params, backends[-2:])
+    cert = _verdict(estimate_id, scans)
     return {
         "estimate": estimate_id,
         "grids": [b.grid.points_per_axis for b in backends],
@@ -570,11 +570,11 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
     if axis == "rho":
         rho = backend.rho()
         idx = backend.lattice_indices()
-        if backend.zero_potential or np.ptp(rho[idx]) < 1e-9 * np.max(rho[idx]):
+        if backend.zero_potential or np.ptp(rho) < 1e-9 * np.max(rho):
             return {"axis": "rho", "skipped": "axis constant"}
         # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal
         diag = np.abs(np.diagonal(backend.kernel_table(1.0, params.alpha))[idx])
-        slope, r2 = _loglog_fit(1.0 + 2.0 / rho[idx], diag)
+        slope, r2 = _loglog_fit(1.0 + 2.0 / rho, diag)
         return {"axis": "rho", "slope": slope, "r2": r2}
     raise ValueError(f"unknown axis {axis!r}")
 

@@ -144,10 +144,18 @@ def ball_integral(spec: PotentialSpec, n: int, center, radius: float,
         return float(_SPHERE_SURFACE[n] * np.sum(w * vals * s ** (n - 1)))
     if grid is None:
         raise ValueError("grid quadrature needed for a non-radial ball integral")
+    return _grid_ball_sum(spec, grid, center, q)(radius)
+
+
+def _grid_ball_sum(spec: PotentialSpec, grid: Grid, center, q: float = 1.0):
+    """radius -> sum of V^q * h^n over the grid points with |y - center| < radius.
+
+    V^q and the distances are computed once, so a bisection over the radius
+    pays one masked sum per step.
+    """
+    vals = eval_on_grid(spec, grid) ** q
     dist = grid.distances_from(center)
-    members = dist < radius
-    vals = eval_on_grid(spec, grid)[members] ** q
-    return float(np.sum(vals) * grid.cell_weight)
+    return lambda radius: float(np.sum(vals[dist < radius]) * grid.cell_weight)
 
 
 @dataclass(frozen=True)
@@ -180,8 +188,17 @@ def reverse_holder_constant(spec: PotentialSpec, q: float, ball_sample: list[Bal
 
 
 def _rho_functional(spec: PotentialSpec, grid: Grid, x, r: float) -> float:
+    return _rho_functional_at(spec, grid, x)(r)
+
+
+def _rho_functional_at(spec: PotentialSpec, grid: Grid, x):
+    """r -> r^(2-n) * integral of V over B(x, r) for one point x."""
     n = grid.dimension
-    return r ** (2 - n) * ball_integral(spec, n, x, r, grid)
+    if n > 1 and _radial_profile_about(spec, x) is None:
+        integral = _grid_ball_sum(spec, grid, x)
+    else:
+        integral = lambda r: ball_integral(spec, n, x, r, grid)
+    return lambda r: r ** (2 - n) * integral(r)
 
 
 def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9,
@@ -196,16 +213,17 @@ def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=float).reshape(grid.dimension)
+    functional = _rho_functional_at(spec, grid, x)
     lo = grid.spacing
     hi = 2.0 * grid.half_width * np.sqrt(grid.dimension)
-    if _rho_functional(spec, grid, x, hi) <= 1.0:
+    if functional(hi) <= 1.0:
         return (hi, True) if with_flag else hi
     # functional can exceed 1 already at the spacing scale for large potentials
-    while _rho_functional(spec, grid, x, lo) > 1.0 and lo > 1e-9 * grid.spacing:
+    while functional(lo) > 1.0 and lo > 1e-9 * grid.spacing:
         lo *= 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _rho_functional(spec, grid, x, mid) <= 1.0:
+        if functional(mid) <= 1.0:
             lo = mid
         else:
             hi = mid

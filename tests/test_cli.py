@@ -1,4 +1,7 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +213,58 @@ def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
     expected = Path(__file__).parent / "data" / pinned
     assert (tmp_path / "v" / "certificates.csv").read_bytes() == expected.read_bytes()
+
+
+PINNED_N2_VERIFY = PINNED.replace("n = 1", "n = 2").replace("M = 128", "M = 16")
+PINNED_N1_KERNELS = "[grid]\nn = 1\nL = 16\nM = 16\n"
+
+
+@pytest.mark.parametrize("command, text, pinned", [
+    ("verify", PINNED_N2_VERIFY.format(kind="power\nsigma = 2"),
+     {"certificates.csv": "certificates_n2_m16_power2.csv"}),
+    ("kernels", PINNED_N1_KERNELS,
+     {f"{tag}_t{t}.csv": f"kernels_n1_m16/{tag}_t{t}.csv"
+      for t in ("0.25", "1", "4") for tag in ("heat", "frac")}),
+], ids=["verify-n2-m16-power2", "kernels-n1-m16"])
+def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
+    """Outputs equal the files recorded at commit d2efde8, byte for byte.
+
+    The files in tests/data/ were written on that commit by
+    `python -m subheat.cli <command> --config <text> --out <dir>`. The n=2
+    `verify` reaches the grid-sum branch of the critical radius (|x|^2 is
+    radial about no grid point); `kernels` writes the six default tables.
+    """
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    data = Path(__file__).parent / "data"
+    for written, recorded in pinned.items():
+        assert (tmp_path / "o" / written).read_bytes() == (data / recorded).read_bytes(), written
+
+
+def test_equiv_gamma_checked_on_the_command_line_command(tmp_path, capsys):
+    """The gamma hypothesis follows the command that runs, not the config's."""
+    text = MINIMAL.replace("M = 256", "M = 16") + (
+        "[fractional]\ngamma = 0.6\nalpha = 0.2\nbeta = 1\n[run]\ncommand = {command}\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.format(command="equiv"))
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text.format(command="selftest"))
+    assert main(["equiv", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    cfg_path.write_text(text.format(command="equiv"))
+    assert main(["selftest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_python_m_subheat_runs_the_cli(tmp_path):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(MINIMAL.replace("M = 256", "M = 16"))
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "subheat", "selftest",
+         "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "selftest.txt").exists()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from subheat import estimates
 from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
                                build_backend, certify, decay_exponent_fit,
                                refinement_study, scan_estimate)
-from subheat.potentials import power, zero
+from subheat.potentials import compute_aux_function, power, zero
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +194,45 @@ def test_empty_scan_fails_its_certificate():
 def test_certificate_lattice_description(flat_pair):
     cert = certify("E1", None, flat_pair)
     assert "pairs" in cert.lattice
+
+
+def _refinement_study_rescanning(estimate_id, params, backends):
+    """`refinement_study` as of commit d2efde8: it scanned the last two grids twice."""
+    params = params if params is not None else DEFAULT_PARAMS[estimate_id]
+    c_by_grid = [scan_estimate(estimate_id, params, b)[0].c_meas for b in backends]
+    ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
+              for i in range(len(c_by_grid) - 1)]
+    cert = certify(estimate_id, params, backends[-2:])
+    return {
+        "estimate": estimate_id,
+        "grids": [b.grid.points_per_axis for b in backends],
+        "c_meas": c_by_grid,
+        "ratios": ratios,
+        "pass": cert.passed and all(0.8 <= r <= 1.25 for r in ratios if np.isfinite(r)),
+        "certificate": cert,
+    }
+
+
+@pytest.mark.parametrize("eid, params, pair", [("E5", None, "flat_pair"),
+                                               ("E12", EstimateParams(N=0.0), "zero_pair")])
+def test_refinement_study_scans_each_grid_once(monkeypatch, request, eid, params, pair):
+    backends = request.getfixturevalue(pair)
+    expected = _refinement_study_rescanning(eid, params, backends)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return scan_estimate(*args)
+
+    monkeypatch.setattr(estimates, "scan_estimate", counting)
+    assert refinement_study(eid, params, backends) == expected
+    assert calls == [eid, eid]
+
+
+def test_backend_rho_is_aligned_with_the_lattice():
+    backend = build_backend(n=2, points_per_axis=16, potential=power(2.0))
+    lat = backend.lattice_indices()
+    aux = compute_aux_function(power(2.0), backend.grid, indices=lat)
+    assert np.array_equal(backend.rho(), aux.rho[lat])
+    zero_backend = build_backend(n=2, points_per_axis=16, potential=zero())
+    assert zero_backend.rho().shape == lat.shape and np.all(np.isinf(zero_backend.rho()))

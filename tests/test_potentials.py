@@ -163,3 +163,53 @@ def test_reverse_holder_reports_partial_exclusions():
     res = reverse_holder_constant(well(2.0, 0.5), 2.0, balls, g)
     assert res.excluded == 1
     assert res.holds and np.isfinite(res.c_best)
+
+
+def _per_step_rho(spec, grid, x, tol=1e-9):
+    """`compute_rho` as of commit d2efde8, for a V that is radial about no grid point.
+
+    Every bisection step re-evaluates V on the whole grid and the distances
+    from x, as that commit's grid-sum branch of `ball_integral` did.
+    """
+    n = grid.dimension
+
+    def functional(r):
+        dist = grid.distances_from(x)
+        vals = eval_potential(spec, grid.points)[dist < r] ** 1.0
+        return r ** (2 - n) * float(np.sum(vals) * grid.cell_weight)
+
+    lo = grid.spacing
+    hi = 2.0 * grid.half_width * np.sqrt(n)
+    if functional(hi) <= 1.0:
+        return hi, True
+    while functional(lo) > 1.0 and lo > 1e-9 * grid.spacing:
+        lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if functional(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi), False
+    raise RuntimeError("no convergence")
+
+
+@pytest.mark.parametrize("n, M, bc", [(2, 16, "dirichlet"), (2, 16, "periodic"),
+                                      (3, 8, "dirichlet")],
+                         ids=["n2-dirichlet", "n2-periodic", "n3-dirichlet"])
+@pytest.mark.parametrize("spec", [
+    power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
+    sum_of(constant(0.01), power(2.0)),
+], ids=["power2", "well", "scaled-power1.5", "constant+power"])
+def test_aux_function_matches_per_step_bisection(n, M, bc, spec):
+    # The midpoint grid holds no origin, so every point takes the grid-sum
+    # branch, whose V and distances are now computed once per point. The
+    # cases reach rho below the spacing (power2), mid-box values and, at n=3,
+    # the box-limited flag (scaled-power1.5).
+    grid = build_grid(n, 4.0 if n == 3 else 8.0, M, bc)
+    idx = np.arange(0, grid.size, 5)
+    aux = compute_aux_function(spec, grid, indices=idx)
+    expected = [_per_step_rho(spec, grid, x) for x in grid.points[idx]]
+    assert np.array_equal(aux.rho[idx], [value for value, _ in expected])
+    assert np.array_equal(aux.box_limited[idx], [flag for _, flag in expected])
