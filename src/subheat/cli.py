@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import potentials
-from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams, build_backend,
-                        certify)
+from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateNotApplicable,
+                        EstimateParams, build_backend, certify)
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
 from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
@@ -261,8 +261,11 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
             try:
                 cert = certify(eid, params, [coarse, fine])
             except ValueError as exc:
+                # only an estimate that needs V != 0 may skip; any other error fails
+                expected = isinstance(exc, EstimateNotApplicable)
                 rows.append((eid, params.alpha, params.beta, N, "", "", "", "", "",
-                             "", f"skipped: {exc}"))
+                             "", f"{'skipped' if expected else 'failed'}: {exc}"))
+                all_pass &= expected
                 continue
             resolved = cert.params
             rows.append((eid, resolved.alpha, resolved.beta, N, resolved.delta_prime,

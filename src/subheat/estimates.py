@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import closedform, potentials
-from .grid import Grid, build_grid, gradient_values, inner_box_mask
+from .grid import PERIODIC, Grid, build_grid, inner_box_mask
 from .potentials import PotentialSpec, is_zero
 from .spectral import (SpectralDecomposition, assemble, eigendecompose,
                        multiplier_kernel, semigroup_multiplier)
@@ -41,6 +41,10 @@ ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
 
 #: ids whose majorant is a pure power of t^(1/2a)/rho and needs V != 0
 RHO_ONLY_IDS = {"E8", "E11"}
+
+
+class EstimateNotApplicable(ValueError):
+    """The estimate needs V != 0 and the potential is zero: an expected skip."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,37 @@ class BoundCertificate:
     sub_constants: dict = field(default_factory=dict)
 
 
+def lattice_indices(grid: Grid) -> np.ndarray:
+    """Flat indices of the scan lattice, ascending: the inner half-box points,
+    every max(1, M // 64)-th along each axis.
+
+    The physical spacing is then about L/32 on every axis (every 4th point at
+    M = 256), so refinements scan the same pair geometry.
+    """
+    M = grid.points_per_axis
+    inner = np.nonzero(inner_box_mask(grid, 0.5))[0]
+    coords = np.array(np.unravel_index(inner, (M,) * grid.dimension))
+    on_stride = (coords - coords.min(axis=1, keepdims=True)) % max(1, M // 64) == 0
+    return inner[np.all(on_stride, axis=0)]
+
+
+@dataclass(frozen=True)
+class _RowBlock:
+    """The grid rows a scan reads: first the lattice and its shifts (the rows
+    of a gradient table), then their axis-0 stencil neighbours."""
+
+    rows: np.ndarray
+    pos: np.ndarray                 # grid index -> position in `rows`, -1 off the block
+    stencil: int                    # rows[:stencil] have their neighbours in the block
+
+    def at(self, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Positions of the grid rows `idx` in `table`, a kernel or gradient block."""
+        p = self.pos[idx]
+        if np.any((p < 0) | (p >= table.shape[0])):
+            raise ValueError("scan reads a kernel row outside its block")
+        return p
+
+
 class VerifierBackend:
     """Grid + potential + decomposition bundle with kernel and rho caches."""
 
@@ -99,6 +134,7 @@ class VerifierBackend:
         self.potential = potential
         self.dec: SpectralDecomposition = eigendecompose(assemble(grid, potential))
         self._kernels: dict = {}
+        self._blocks: dict = {}
         self._rho: np.ndarray | None = None
 
     @property
@@ -117,33 +153,61 @@ class VerifierBackend:
         return self._rho
 
     def lattice_indices(self) -> np.ndarray:
-        # physical spacing ~ L/32 (every 4th point at the default M = 256),
-        # so refinements scan the same pair geometry
-        mask = inner_box_mask(self.grid, 0.5)
-        idx = np.nonzero(mask)[0]
-        stride = max(1, self.grid.points_per_axis // 64)
-        return idx[::stride]
+        return lattice_indices(self.grid)
 
-    def kernel_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
-        """Kernel of t^power d_t^power e^{-t L^alpha} (up to sign), cached per triple.
+    def row_block(self, shifts: tuple = EstimateParams.shifts) -> _RowBlock:
+        """Rows read by scans with these Holder shifts: the lattice, the lattice
+        moved by each representable shift, and the stencil neighbours of both."""
+        if shifts not in self._blocks:
+            grid, lat = self.grid, self.lattice_indices()
+            moved = [_shift_indices(grid, lat, steps)
+                     for steps, _ in _physical_shifts(grid, shifts)]
+            base = np.unique(np.concatenate([lat] + [sh[valid] for sh, valid in moved]))
+            near = [_shift_indices(grid, base, step, grid.bc == PERIODIC) for step in (1, -1)]
+            extra = np.setdiff1d(np.concatenate([nb[valid] for nb, valid in near]), base)
+            rows = np.concatenate([base, extra])
+            pos = np.full(grid.size, -1)
+            pos[rows] = np.arange(rows.size)
+            self._blocks[shifts] = _RowBlock(rows, pos, base.size)
+        return self._blocks[shifts]
 
-        For V = 0 the semigroup itself (power 0) comes from the closed forms:
-        the Gaussian at alpha = 1 and the Poisson kernel at alpha = 1/2.
+    def kernel_rows(self, t: float, alpha: float, power, rows) -> np.ndarray:
+        """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to sign).
+
+        For V = 0 the semigroup itself (power 0) comes from the closed forms,
+        sliced to the rows: the Gaussian at alpha = 1 and the Poisson kernel
+        at alpha = 1/2. Everything else is one row-restricted sandwich.
         """
-        def build():
-            if power == 0 and self.zero_potential:
-                if alpha == 1:
-                    return closedform.gaussian_heat_table(self.grid, t).table
-                if abs(alpha - 0.5) < 1e-14:
-                    return closedform.poisson_table(self.grid, t).table
-            return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t).table
-        return self._cached((round(float(t), 14), alpha, power), build)
+        if power == 0 and self.zero_potential:
+            if alpha == 1:
+                return closedform.gaussian_heat_table(self.grid, t).table[rows]
+            if abs(alpha - 0.5) < 1e-14:
+                return closedform.poisson_table(self.grid, t).table[rows]
+        return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t,
+                                 rows=rows).table
 
-    def gradient_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
-        """d/dx of `kernel_table` in the first coordinate of x, for every column y."""
+    def kernel_table(self, t: float, alpha: float = 1.0, power=0,
+                     shifts: tuple = EstimateParams.shifts) -> np.ndarray:
+        """`kernel_rows` on the rows of `row_block(shifts)`, a (len(rows), N) block.
+
+        Only the rows the scans read are computed (304 of 1,024 at n=2 M=32);
+        the sandwich sets multiplier entries below 1e-300 to zero, which moves
+        no entry. Cached per (shifts, t, alpha, power), so scans with the same
+        shifts (E3 size and E9, for one) share their tables.
+        """
+        rows = self.row_block(shifts).rows
+        return self._cached((shifts, round(float(t), 14), alpha, power),
+                            lambda: self.kernel_rows(t, alpha, power, rows))
+
+    def gradient_table(self, t: float, alpha: float = 1.0, power=0,
+                       shifts: tuple = EstimateParams.shifts) -> np.ndarray:
+        """d/dx of `kernel_table` in the first coordinate of x, for every column y,
+        at the block's first `stencil` rows (the lattice and its shifts)."""
+        blk = self.row_block(shifts)
         return self._cached(
-            ("grad", round(float(t), 14), alpha, power),
-            lambda: gradient_values(self.grid, self.kernel_table(t, alpha, power), axis=0))
+            ("grad", shifts, round(float(t), 14), alpha, power),
+            lambda: _axis0_gradient(self.grid, blk, self.kernel_table(t, alpha, power, shifts),
+                                    blk.rows[:blk.stencil]))
 
     def _cached(self, key, build):
         if key not in self._kernels:
@@ -219,17 +283,17 @@ def _pair_geometry(backend: VerifierBackend):
     return idx, pts[:, 0], r
 
 
-def _physical_shifts(backend: VerifierBackend, p: EstimateParams):
+def _physical_shifts(grid: Grid, shifts: tuple):
     """(steps, length) for each requested shift representable on this grid.
 
     Shifts are fixed physical lengths (multiples of L/64), so coarse and fine
     scans increment by the same displacements and certificates stay comparable
     under refinement.
     """
-    h = backend.grid.spacing
-    unit = backend.grid.half_width / 64.0
+    h = grid.spacing
+    unit = grid.half_width / 64.0
     out = []
-    for k in p.shifts:
+    for k in shifts:
         length = k * unit
         steps = int(round(length / h))
         if steps >= 1 and abs(steps * h - length) <= 1e-9 * length:
@@ -237,14 +301,31 @@ def _physical_shifts(backend: VerifierBackend, p: EstimateParams):
     return out
 
 
-def _shift_indices(backend: VerifierBackend, idx: np.ndarray, steps: int):
-    """Lattice indices shifted by `steps` grid cells along the first axis."""
-    n, M = backend.grid.dimension, backend.grid.points_per_axis
-    stride = M ** (n - 1)
-    shifted = idx + steps * stride
-    first = (idx // stride) % M
-    valid = (first + steps >= 0) & (first + steps < M)
-    return shifted, valid
+def _shift_indices(grid: Grid, idx: np.ndarray, steps: int, wrap: bool = False):
+    """Grid indices `steps` cells along the first axis, and which are inside the box.
+
+    With `wrap` (a periodic grid) every index wraps around and is valid.
+    """
+    M = grid.points_per_axis
+    stride = M ** (grid.dimension - 1)
+    first = idx // stride
+    if wrap:
+        return idx + ((first + steps) % M - first) * stride, np.ones(idx.shape, dtype=bool)
+    return idx + steps * stride, (first + steps >= 0) & (first + steps < M)
+
+
+def _axis0_gradient(grid: Grid, blk: _RowBlock, values: np.ndarray, targets: np.ndarray):
+    """`grid.gradient_values(grid, ., axis=0)` at the grid rows `targets`, from `values`
+    aligned with the block's rows: zero outside a Dirichlet box, wrapped on a
+    periodic grid, with the same expression, so the values are the same bits."""
+    sides = []
+    for step in (1, -1):
+        near, valid = _shift_indices(grid, targets, step, grid.bc == PERIODIC)
+        side = np.zeros((targets.size,) + values.shape[1:])
+        side[valid] = values[blk.at(near[valid], values)]
+        sides.append(side)
+    plus, minus = sides
+    return (plus - minus) / (2.0 * grid.spacing)
 
 
 def scan_estimate(eid: str, params: EstimateParams, backend: VerifierBackend):
@@ -256,8 +337,9 @@ def scan_estimate(eid: str, params: EstimateParams, backend: VerifierBackend):
         raise ValueError(f"unknown {eid} member {p.member!r}")
     if entry.needs_potential and backend.zero_potential:
         if eid in RHO_ONLY_IDS:
-            raise ValueError(f"{eid}: majorant degenerates (rho undefined) for the zero potential")
-        raise ValueError(f"{eid} {p.member} member needs a nonzero potential")
+            raise EstimateNotApplicable(
+                f"{eid}: majorant degenerates (rho undefined) for the zero potential")
+        raise EstimateNotApplicable(f"{eid} {p.member} member needs a nonzero potential")
     acc = _ScanAccumulator()
     entry.lattice(entry, p, backend, acc)
     if acc.total and acc.excluded > 0.01 * acc.total:
@@ -303,15 +385,16 @@ def _ladder(entry: _Entry, p: EstimateParams, backend: VerifierBackend, gradient
     table = backend.gradient_table if gradient else backend.kernel_table
     for t in time_grid(backend, p.alpha, heat_scaling=entry.heat):
         t_sc = np.sqrt(t) if entry.heat else _scaling_time(t, p.alpha)
-        yield t, t_sc, table(t, alpha, power)
+        yield t, t_sc, table(t, alpha, power, p.shifts)
 
 
 def _pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()
+    blk = backend.row_block(p.shifts)
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
-        obj = table[np.ix_(idx, idx)]
+        obj = table[np.ix_(blk.at(idx, table), idx)]
         if entry.scaled:
             obj = t_sc * obj
         point = _Point(p, n, t, t_sc, rho[:, None], rho[None, :], r)
@@ -323,29 +406,33 @@ def _shifted_pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()
-    shifts = _physical_shifts(backend, p)
+    blk = backend.row_block(p.shifts)
+    shifts = _physical_shifts(backend.grid, p.shifts)
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
         for steps, shift in shifts:
-            sh_idx, valid = _shift_indices(backend, idx, steps)
+            sh_idx, valid = _shift_indices(backend.grid, idx, steps)
             point = _Point(p, n, t, t_sc, rho[valid][:, None], rho[None, :], r[valid], shift)
             allowed = entry.shift_rule(point)
             if not np.any(valid) or (np.ndim(allowed) == 0 and not allowed):
                 continue
-            incr = table[sh_idx[valid]][:, idx] - table[idx[valid]][:, idx]
+            incr = (table[blk.at(sh_idx[valid], table)][:, idx]
+                    - table[blk.at(idx[valid], table)][:, idx])
             maj = np.where(allowed, entry.majorant(point), np.inf)
             acc.update(incr, maj, xs[valid], xs, t)
 
 
 def _mass_rows(entry, p, backend, acc):
-    """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one)."""
+    """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one),
+    from the full-width sums of the lattice's neighbour rows."""
     n, w = backend.grid.dimension, backend.grid.cell_weight
     idx, xs, _ = _pair_geometry(backend)
     rho = backend.rho()
+    blk = backend.row_block(p.shifts)
     for t, t_sc, table in _ladder(entry, p, backend, False):
         if entry.gradient:
-            obj = gradient_values(backend.grid, np.sum(table, axis=1) * w, axis=0)[idx]
+            obj = _axis0_gradient(backend.grid, blk, np.sum(table, axis=1) * w, idx)
         else:
-            obj = np.sum(table[idx], axis=1) * w
+            obj = np.sum(table[blk.at(idx, table)], axis=1) * w
         if entry.scaled:
             obj = t_sc * obj
         acc.update(obj, entry.majorant(_Point(p, n, t, t_sc, rho)), xs, xs, t)
@@ -554,10 +641,10 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
                 # t d_t of the Poisson kernel c_n t (t^2 + r^2)^(-(n+1)/2) at beta = 1
                 vals = np.abs(vals * (1.0 - (n + 1.0) * t * t / (t * t + rs * rs)))
         else:
-            table = backend.kernel_table(t, alpha, 0 if estimate_id == "E1" else params.beta)
+            row = backend.kernel_rows(t, alpha, 0 if estimate_id == "E1" else params.beta,
+                                      [i0])[0]
             dist = backend.grid.distances_from(backend.grid.points[i0])
-            vals = np.array([np.abs(table[i0, int(np.argmin(np.abs(dist - r)))])
-                             for r in rs])
+            vals = np.array([np.abs(row[int(np.argmin(np.abs(dist - r)))]) for r in rs])
         slope, r2 = _loglog_fit(rs, vals)
         return {"axis": "spatial", "slope": slope, "expected": -expo, "r2": r2}
     if axis == "temporal":
@@ -573,7 +660,8 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         if backend.zero_potential or np.ptp(rho) < 1e-9 * np.max(rho):
             return {"axis": "rho", "skipped": "axis constant"}
         # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal
-        diag = np.abs(np.diagonal(backend.kernel_table(1.0, params.alpha))[idx])
+        table = backend.kernel_table(1.0, params.alpha)
+        diag = np.abs(table[backend.row_block().at(idx, table), idx])
         slope, r2 = _loglog_fit(1.0 + 2.0 / rho, diag)
         return {"axis": "rho", "slope": slope, "r2": r2}
     raise ValueError(f"unknown axis {axis!r}")

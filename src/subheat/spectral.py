@@ -57,15 +57,16 @@ class SpectralDecomposition:
 class KernelSlice:
     grid: Grid
     time: float
-    table: np.ndarray = field(repr=False)   # (N, N), 1/volume units
+    table: np.ndarray = field(repr=False)   # (len(rows), N), 1/volume units
     route: str
     params: dict = field(default_factory=dict)
+    rows: np.ndarray | None = field(default=None, repr=False)   # None: all N rows
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.table)))
 
     def row_masses(self) -> np.ndarray:
-        """integral of K(x, y) dy per x."""
+        """integral of K(x, y) dy per computed row x."""
         return np.sum(self.table, axis=1) * self.grid.cell_weight
 
 
@@ -116,13 +117,26 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
-                      route: str = ROUTE_SPECTRAL, **params) -> KernelSlice:
-    """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m."""
+                      route: str = ROUTE_SPECTRAL, rows=None, **params) -> KernelSlice:
+    """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m.
+
+    This is the one place the sandwich B diag(m) B^T is written. With `rows`
+    (grid indices) only those rows x are computed, shaped (len(rows), N);
+    each entry is the same dot product as in the full table. OpenBLAS gave
+    the full table's bits for every block of four rows or more tried; one
+    to three rows may take another kernel (gemv for one) and differ in the
+    last place. Multiplier entries below 1e-300 in magnitude are set to 0
+    first: their terms lie below the rounding of the table's entries, and
+    subnormal products would make the matrix product up to 3x slower.
+    """
     m = np.asarray(multiplier(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("multiplier not finite on the spectrum")
-    table = (dec.basis * m[None, :]) @ dec.basis.T
-    return KernelSlice(dec.grid, float(t), table, route, params)
+    m = np.where(np.abs(m) < 1e-300, 0.0, m)
+    left = dec.basis if rows is None else dec.basis[rows]
+    table = (left * m[None, :]) @ dec.basis.T
+    return KernelSlice(dec.grid, float(t), table, route, params,
+                       None if rows is None else np.asarray(rows))
 
 
 def semigroup_multiplier(t, alpha: float = 1.0, power=0):
@@ -164,7 +178,13 @@ def mth_time_derivative_kernel(dec: SpectralDecomposition, alpha: float, m: int,
     return multiplier_kernel(dec, mult, t, kind="mth_derivative", alpha=alpha, m=m)
 
 
+def _require_full(K: KernelSlice, operation: str) -> None:
+    if K.rows is not None:
+        raise ValueError(f"{operation} needs the full kernel table, not a row block")
+
+
 def apply_kernel(K: KernelSlice, f: GridFunction) -> GridFunction:
+    _require_full(K, "apply_kernel")
     if f.grid.size != K.grid.size:
         raise ValueError("kernel and function live on different grids")
     return grid_function(K.grid, (K.table @ f.values) * K.grid.cell_weight)
@@ -178,6 +198,8 @@ def apply_multiplier(dec: SpectralDecomposition, multiplier, values: np.ndarray)
 
 def compose(K1: KernelSlice, K2: KernelSlice) -> KernelSlice:
     """Chapman-Kolmogorov composition (K1 o K2)(x, y) = int K1(x,z) K2(z,y) dz."""
+    _require_full(K1, "compose")
+    _require_full(K2, "compose")
     table = K1.table @ K2.table * K1.grid.cell_weight
     return KernelSlice(K1.grid, K1.time + K2.time, table, K1.route,
                        {"composed": True})

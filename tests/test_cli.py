@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subheat.cli import ConfigError, main, parse_config, run
@@ -222,17 +223,24 @@ PINNED_N1_KERNELS = "[grid]\nn = 1\nL = 16\nM = 16\n"
 @pytest.mark.parametrize("command, text, pinned", [
     ("verify", PINNED_N2_VERIFY.format(kind="power\nsigma = 2"),
      {"certificates.csv": "certificates_n2_m16_power2.csv"}),
+    ("verify", PINNED_N2_VERIFY.format(kind="power\nsigma = 2").replace(
+        "M = 16", "M = 16\nbc = periodic"),
+     {"certificates.csv": "certificates_n2_m16_power2_periodic.csv"}),
     ("kernels", PINNED_N1_KERNELS,
      {f"{tag}_t{t}.csv": f"kernels_n1_m16/{tag}_t{t}.csv"
       for t in ("0.25", "1", "4") for tag in ("heat", "frac")}),
-], ids=["verify-n2-m16-power2", "kernels-n1-m16"])
+], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "kernels-n1-m16"])
 def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
-    """Outputs equal the files recorded at commit d2efde8, byte for byte.
+    """Outputs equal the files recorded before the code they pin changed, byte for byte.
 
-    The files in tests/data/ were written on that commit by
-    `python -m subheat.cli <command> --config <text> --out <dir>`. The n=2
-    `verify` reaches the grid-sum branch of the critical radius (|x|^2 is
-    radial about no grid point); `kernels` writes the six default tables.
+    The files in tests/data/ were written by
+    `python -m subheat.cli <command> --config <text> --out <dir>` at commit
+    d2efde8, and the periodic certificates by `python -m subheat verify` at
+    commit ea43564. The n=2 `verify` reaches the grid-sum branch of the
+    critical radius (|x|^2 is radial about no grid point), on both
+    boundary conditions (the inner lattice never reaches the periodic wrap
+    of the gradient stencil; the row-block oracle test in test_estimates.py
+    does); `kernels` writes the six default tables.
     """
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
@@ -268,3 +276,18 @@ def test_python_m_subheat_runs_the_cli(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "o" / "selftest.txt").exists()
+
+
+def test_verify_fails_when_a_certificate_cannot_be_computed(tmp_path):
+    """(t lam^a)^beta overflows at beta = 400: those rows fail, they do not skip."""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED.format(kind="power\nsigma = 2")
+                        + "[fractional]\nbeta = 400\nn_list = 0\n")
+    with np.errstate(all="ignore"):
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")])
+    assert code == 1
+    lines = (tmp_path / "v" / "certificates.csv").read_text().splitlines()
+    failed = [ln.split(",")[0] for ln in lines
+              if ln.endswith("failed: multiplier not finite on the spectrum")]
+    assert failed == ["E9", "E10", "E11"]
+    assert not any("skipped" in ln for ln in lines)

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from subheat import estimates
+from subheat.closedform import gaussian_heat_table, poisson_table
 from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
                                build_backend, certify, decay_exponent_fit,
                                refinement_study, scan_estimate)
+from subheat.grid import build_grid, gradient_values, inner_box_mask
 from subheat.potentials import compute_aux_function, power, zero
+from subheat.spectral import semigroup_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +241,178 @@ def test_backend_rho_is_aligned_with_the_lattice():
     assert np.array_equal(backend.rho(), aux.rho[lat])
     zero_backend = build_backend(n=2, points_per_axis=16, potential=zero())
     assert zero_backend.rho().shape == lat.shape and np.all(np.isinf(zero_backend.rho()))
+
+
+class _FullTables:
+    """The kernel tables of commit ea43564: full N x N sandwiches, no flush, and
+    the x-gradient from `grid.gradient_values` over the whole table."""
+
+    def __init__(self, backend):
+        self.grid, self.dec = backend.grid, backend.dec
+        self.zero_potential = backend.zero_potential
+        self.rho, self.lattice_indices = backend.rho, backend.lattice_indices
+        self._tables = {}
+
+    def kernel_table(self, t, alpha=1.0, power=0):
+        key = (round(float(t), 14), alpha, power)
+        if key not in self._tables:
+            if power == 0 and self.zero_potential and alpha == 1:
+                table = gaussian_heat_table(self.grid, t).table
+            elif power == 0 and self.zero_potential and abs(alpha - 0.5) < 1e-14:
+                table = poisson_table(self.grid, t).table
+            else:
+                m = semigroup_multiplier(t, alpha, power)(self.dec.eigenvalues)
+                if not np.all(np.isfinite(m)):
+                    raise ValueError("multiplier not finite on the spectrum")
+                table = (self.dec.basis * m[None, :]) @ self.dec.basis.T
+            self._tables[key] = table
+        return self._tables[key]
+
+    def gradient_table(self, t, alpha=1.0, power=0):
+        return gradient_values(self.grid, self.kernel_table(t, alpha, power), axis=0)
+
+
+def _full_ladder(entry, p, full, gradient):
+    alpha = 1.0 if entry.heat else p.alpha
+    power = getattr(p, entry.power) if entry.power else 0
+    table = full.gradient_table if gradient else full.kernel_table
+    for t in estimates.time_grid(full, p.alpha, heat_scaling=entry.heat):
+        t_sc = np.sqrt(t) if entry.heat else estimates._scaling_time(t, p.alpha)
+        yield t, t_sc, table(t, alpha, power)
+
+
+def _full_shift_indices(full, idx, steps):
+    n, M = full.grid.dimension, full.grid.points_per_axis
+    stride = M ** (n - 1)
+    first = (idx // stride) % M
+    return idx + steps * stride, (first + steps >= 0) & (first + steps < M)
+
+
+def _full_pairs(entry, p, full, acc):
+    idx, xs, r = estimates._pair_geometry(full)
+    rho = full.rho()
+    for t, t_sc, table in _full_ladder(entry, p, full, entry.gradient):
+        obj = table[np.ix_(idx, idx)]
+        if entry.scaled:
+            obj = t_sc * obj
+        point = estimates._Point(p, full.grid.dimension, t, t_sc, rho[:, None], rho[None, :], r)
+        acc.update(obj, entry.majorant(point), xs, xs, t)
+
+
+def _full_shifted_pairs(entry, p, full, acc):
+    idx, xs, r = estimates._pair_geometry(full)
+    rho = full.rho()
+    h, unit = full.grid.spacing, full.grid.half_width / 64.0
+    shifts = [(int(round(k * unit / h)), k * unit) for k in p.shifts
+              if int(round(k * unit / h)) >= 1
+              and abs(int(round(k * unit / h)) * h - k * unit) <= 1e-9 * k * unit]
+    for t, t_sc, table in _full_ladder(entry, p, full, entry.gradient):
+        for steps, shift in shifts:
+            sh_idx, valid = _full_shift_indices(full, idx, steps)
+            point = estimates._Point(p, full.grid.dimension, t, t_sc, rho[valid][:, None],
+                                     rho[None, :], r[valid], shift)
+            allowed = entry.shift_rule(point)
+            if not np.any(valid) or (np.ndim(allowed) == 0 and not allowed):
+                continue
+            incr = table[sh_idx[valid]][:, idx] - table[idx[valid]][:, idx]
+            maj = np.where(allowed, entry.majorant(point), np.inf)
+            acc.update(incr, maj, xs[valid], xs, t)
+
+
+def _full_mass_rows(entry, p, full, acc):
+    w = full.grid.cell_weight
+    idx, xs, _ = estimates._pair_geometry(full)
+    rho = full.rho()
+    for t, t_sc, table in _full_ladder(entry, p, full, False):
+        if entry.gradient:
+            obj = gradient_values(full.grid, np.sum(table, axis=1) * w, axis=0)[idx]
+        else:
+            obj = np.sum(table[idx], axis=1) * w
+        if entry.scaled:
+            obj = t_sc * obj
+        point = estimates._Point(p, full.grid.dimension, t, t_sc, rho)
+        acc.update(obj, entry.majorant(point), xs, xs, t)
+
+
+_FULL_LOOPS = {estimates._pairs: _full_pairs, estimates._shifted_pairs: _full_shifted_pairs,
+               estimates._mass_rows: _full_mass_rows}
+
+
+def _outcome(scan, *args):
+    try:
+        acc, desc, _ = scan(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return repr((acc.c_meas, acc.argmax, acc.excluded, acc.total, desc))
+
+
+def _full_scan(eid, params, full):
+    p = params.resolved(eid, full.grid.dimension)
+    entry = estimates._REGISTRY[eid].get(p.member, estimates._REGISTRY[eid].get(None))
+    acc = estimates._ScanAccumulator()
+    _FULL_LOOPS[entry.lattice](entry, p, full, acc)
+    if acc.total and acc.excluded > 0.01 * acc.total:
+        raise ValueError(f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant")
+    return acc, entry.lattice_desc.format(p=p), p
+
+
+@pytest.mark.parametrize("potential", [power(2.0), zero()], ids=["power2", "zero"])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 16)])
+def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
+    """Every registry entry scans the same bits on row blocks as on full tables.
+
+    At n=2 M=16 no default shift is a whole number of cells; shifts (8, 32)
+    are one and four cells there, so the shifted loops and their own row set
+    run too. A shift of L/2 carries the lattice's top row to the last grid
+    point, whose gradient stencil leaves the box (zero or wrapped).
+    """
+    backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=potential)
+    full = _FullTables(backend)
+    for shifts in ((1, 2, 4), (8, 32)):
+        blk = backend.row_block(shifts)
+        for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
+            assert np.array_equal(backend.kernel_table(t, alpha, power_, shifts),
+                                  full.kernel_table(t, alpha, power_)[blk.rows])
+            assert np.array_equal(backend.gradient_table(t, alpha, power_, shifts),
+                                  full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
+        for eid, members in estimates._REGISTRY.items():
+            for member, entry in members.items():
+                params = replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2,
+                                 shifts=shifts)
+                if entry.needs_potential and backend.zero_potential:
+                    with pytest.raises(estimates.EstimateNotApplicable):
+                        scan_estimate(eid, params, backend)
+                    continue
+                expected = _outcome(_full_scan, eid, params, full)
+                assert _outcome(scan_estimate, eid, params, backend) == expected, (eid, member)
+    assert set(backend._blocks) == {(1, 2, 4), (8, 32)}
+
+
+def test_row_block_never_reads_an_uncomputed_row():
+    backend = build_backend(n=1, points_per_axis=64, potential=power(2.0))
+    blk = backend.row_block()
+    table = backend.kernel_table(1.0, 0.5)
+    assert table.shape == (blk.rows.size, backend.grid.size) and blk.rows.size < backend.grid.size
+    outside = np.setdiff1d(np.arange(backend.grid.size), blk.rows)[:3]
+    with pytest.raises(ValueError):
+        blk.at(outside, table)
+    neighbour_only = blk.rows[blk.stencil:][:1]
+    blk.at(neighbour_only, table)
+    with pytest.raises(ValueError):
+        blk.at(neighbour_only, backend.gradient_table(1.0, 0.5))
+
+
+@pytest.mark.parametrize("M", [64, 256, 512])
+def test_n1_lattice_is_unchanged(M):
+    grid = build_grid(1, 16.0, M)
+    flat = np.nonzero(inner_box_mask(grid, 0.5))[0][::max(1, M // 64)]
+    assert np.array_equal(estimates.lattice_indices(grid), flat)
+
+
+def test_n2_lattice_is_strided_per_axis():
+    grid = build_grid(2, 16.0, 128)
+    pts = grid.points[estimates.lattice_indices(grid)]
+    assert pts.shape == (32 * 32, 2)
+    assert np.unique(pts[:, 0]).size == 32 and np.unique(pts[:, 1]).size == 32
+    assert set(map(tuple, pts)) == set(map(tuple, pts[:, ::-1]))

@@ -7,7 +7,7 @@ from subheat.grid import build_grid, from_callable, grid_function
 from subheat.potentials import constant, power, zero
 from subheat.spectral import (apply_kernel, assemble, compose, eigendecompose,
                               fractional_heat_kernel, heat_kernel, multiplier_kernel,
-                              poisson_kernel)
+                              poisson_kernel, semigroup_multiplier)
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +189,40 @@ def test_size_cap_enforced():
     assemble(build_grid(2, 8.0, 48, "periodic"), zero())  # at the cap, fine
     with pytest.raises(ValueError):
         assemble(build_grid(3, 2.0, 18, "dirichlet"), zero())
+
+
+@pytest.mark.parametrize("n, M, bc", [(1, 128, "dirichlet"), (2, 16, "periodic")])
+@pytest.mark.parametrize("t, alpha, power_", [(0.05, 1.0, 0), (1.0, 0.5, 1), (64.0, 0.3, 2)])
+def test_row_block_equals_the_full_tables_rows(n, M, bc, t, alpha, power_):
+    dec = eigendecompose(assemble(build_grid(n, 16.0, M, bc), power(2.0)))
+    mult = semigroup_multiplier(t, alpha, power_)
+    full = multiplier_kernel(dec, mult, t).table
+    rng = np.random.default_rng(0)
+    for rows in (np.arange(4), np.sort(rng.choice(dec.grid.size, 37, replace=False)),
+                 rng.permutation(dec.grid.size)[: dec.grid.size // 3]):
+        K = multiplier_kernel(dec, mult, t, rows=rows)
+        assert K.table.shape == (rows.size, dec.grid.size)
+        assert np.array_equal(K.rows, rows)
+        assert np.array_equal(K.table, full[rows])
+        assert np.array_equal(K.row_masses(), np.sum(full[rows], axis=1) * dec.grid.cell_weight)
+
+
+def test_subnormal_flush_leaves_the_table_unchanged():
+    dec = eigendecompose(assemble(build_grid(1, 16.0, 256, "dirichlet"), constant(1.0)))
+    m = semigroup_multiplier(64.0, 0.5)(dec.eigenvalues)
+    assert np.count_nonzero((m > 0.0) & (m < np.finfo(float).tiny)) >= 5   # subnormal-heavy
+    unflushed = (dec.basis * m[None, :]) @ dec.basis.T
+    assert np.array_equal(multiplier_kernel(dec, semigroup_multiplier(64.0, 0.5), 64.0).table,
+                          unflushed)
+
+
+def test_row_block_refuses_full_table_operations(dirichlet_flat):
+    dec = dirichlet_flat
+    part = multiplier_kernel(dec, semigroup_multiplier(1.0), 1.0, rows=np.arange(8))
+    f = grid_function(dec.grid, np.ones(dec.grid.size))
+    with pytest.raises(ValueError):
+        apply_kernel(part, f)
+    with pytest.raises(ValueError):
+        compose(part, heat_kernel(dec, 1.0))
+    with pytest.raises(ValueError):
+        compose(heat_kernel(dec, 1.0), part)
