@@ -1,22 +1,23 @@
 """Fractional heat semigroups of discretized Schrodinger operators.
 
-Kernels of e^{-t L^alpha} for L = -Delta + V with reverse-Holder potentials,
-stable-subordinator densities, time-fractional derivatives, pointwise-estimate
-certificates, and the Campanato/Carleson function-space machinery.
+One multiplier on one eigenbasis: the kernels of e^{-t L^alpha} and of its
+time derivatives t^beta d_t^beta e^{-t L^alpha} for L = -Delta_h + V with a
+nonnegative potential V, the subordination and time-quadrature routes to
+them, the critical radius rho of V, pointwise-estimate certificates, and the
+Campanato/Carleson function-space functionals. Gradients are the
+central-difference stencil of `grid.gradient_values`.
 """
 
 from .grid import Ball, Grid, GridFunction, build_grid, grid_integrate, ball_points
 from .potentials import (PotentialSpec, compute_rho, constant, eval_potential,
-                         power, reverse_holder_constant, well, zero)
+                         power, well, zero)
 from .spectral import (DiscreteOperator, KernelSlice, SpectralDecomposition,
                        apply_kernel, assemble, eigendecompose,
                        fractional_heat_kernel, heat_kernel, multiplier_kernel,
                        poisson_kernel)
-from .subordinator import (SubordinatorDensity, SubQuadrature, density,
-                           density_selftest, laplace_transform, make_density,
-                           subordinate_kernel)
-from .fracderiv import (FracDerivSpec, GradientField, d_operator,
-                        frac_time_derivative, nabla_alpha, spatial_gradient)
+from .subordinator import (SubQuadrature, density, density_selftest,
+                           laplace_transform, subordinate_kernel)
+from .fracderiv import FracDerivSpec, d_operator, frac_time_derivative
 from .estimates import (BoundCertificate, EstimateParams, build_backend, certify,
                         decay_exponent_fit, refinement_study)
 from .spaces import (Atom, BmoParams, SpaceTimeField, area_function, bmo_norm,

@@ -290,7 +290,7 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
     grid, dec, rho = _space_context(cfg)
     suite = make_equivalence_suite(dec, rho, cfg.gamma, seed=cfg.seed)
     params = BmoParams(cfg.gamma)
-    balls = ball_family(grid, rho, params)
+    balls = ball_family(grid, rho)
     rows = []
     for i, f in enumerate(suite):
         nb = bmo_norm(f, params, rho, balls)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .grid import Grid, gauss_legendre_panels
-from .spectral import KernelSlice, ROUTE_CLOSED_FORM, ROUTE_FOURIER
+from .spectral import KernelSlice
 
 
 def gaussian_heat_value(r, t: float, n: int) -> np.ndarray:
@@ -25,29 +25,15 @@ def poisson_value(r, t: float, n: int) -> np.ndarray:
     return c_n * t / (t * t + r * r) ** ((n + 1) / 2.0)
 
 
-def gaussian_heat_table(grid: Grid, t: float, images: int = 0) -> KernelSlice:
-    """Free heat kernel on grid points; optional periodic image sum."""
+def gaussian_heat_table(grid: Grid, t: float) -> KernelSlice:
+    """Free heat kernel on grid points (Euclidean distances, no periodic images)."""
     dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    table = gaussian_heat_value(dist, t, grid.dimension)
-    if images > 0:
-        period = 2.0 * grid.half_width
-        diff = grid.points[:, None, :] - grid.points[None, :, :]
-        shifts = [np.arange(-images, images + 1) * period] * grid.dimension
-        for combo in np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, grid.dimension):
-            if np.all(combo == 0.0):
-                continue
-            table = table + gaussian_heat_value(
-                np.linalg.norm(diff + combo[None, None, :], axis=-1), t, grid.dimension
-            )
-    return KernelSlice(grid, float(t), table, ROUTE_CLOSED_FORM,
-                       {"kind": "heat", "potential": "zero", "images": images})
+    return KernelSlice(grid, float(t), gaussian_heat_value(dist, t, grid.dimension))
 
 
 def poisson_table(grid: Grid, t: float) -> KernelSlice:
     dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    return KernelSlice(grid, float(t), poisson_value(dist, t, grid.dimension),
-                       ROUTE_CLOSED_FORM,
-                       {"kind": "fractional_heat", "alpha": 0.5, "potential": "zero"})
+    return KernelSlice(grid, float(t), poisson_value(dist, t, grid.dimension))
 
 
 def fourier_fractional_value(r: float, t: float, alpha: float) -> float:
@@ -80,8 +66,7 @@ def oscillator_heat_table(grid: Grid, t: float) -> KernelSlice:
     if grid.dimension != 1:
         raise ValueError("oscillator closed form implemented for n=1 only")
     x = grid.points[:, 0]
-    return KernelSlice(grid, float(t), oscillator_heat_value(x[:, None], x[None, :], t),
-                       ROUTE_CLOSED_FORM, {"kind": "heat", "potential": "power2"})
+    return KernelSlice(grid, float(t), oscillator_heat_value(x[:, None], x[None, :], t))
 
 
 def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
@@ -92,5 +77,4 @@ def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
     dist = np.abs(x[:, None] - x[None, :])
     uniq, inv = np.unique(np.round(dist / grid.spacing).astype(int), return_inverse=True)
     vals = np.array([fourier_fractional_value(u * grid.spacing, t, alpha) for u in uniq])
-    return KernelSlice(grid, float(t), vals[inv].reshape(dist.shape), ROUTE_FOURIER,
-                       {"kind": "fractional_heat", "alpha": alpha, "potential": "zero"})
+    return KernelSlice(grid, float(t), vals[inv].reshape(dist.shape))

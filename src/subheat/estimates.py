@@ -12,7 +12,8 @@ A certificate records the measured supremum of |object| / majorant over the
 lattice, the argmax, and the stability of that supremum under grid
 refinement. "Verified" here always means: finite measured constant, stable
 under refinement, correct tail exponent; a lattice scan is not a proof, and
-a scan that visits no lattice point fails.
+a scan fails when it visits no lattice point or when |object| / majorant
+overflows at a pair with a positive object and majorant.
 
 Gaussian-decay majorants use the decay constant c = 1/8 and the scan is
 capped at |x - y| <= 6 sqrt(t): beyond the parabolic window the lattice
@@ -20,7 +21,7 @@ kernel's large-deviation tail is heavier than any Gaussian and the ratio
 would only measure discretization, not the estimate.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ from .spectral import (SpectralDecomposition, assemble, eigendecompose,
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
 DEFAULT_CEILING = 1e8
-LATTICE_STRIDE = 4
 
 ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
                 "E7", "E8", "E9", "E10", "E11", "E12"]
@@ -86,13 +86,11 @@ DEFAULT_PARAMS = {eid: EstimateParams() for eid in ESTIMATE_IDS} | {
 class BoundCertificate:
     estimate_id: str
     params: EstimateParams
-    lattice: str
     c_meas: float
     argmax: tuple                    # (x, y, t)
     refine_ratio: float
     passed: bool
     exclusions: int = 0
-    sub_constants: dict = field(default_factory=dict)
 
 
 def lattice_indices(grid: Grid) -> np.ndarray:
@@ -261,12 +259,15 @@ class _ScanAccumulator:
     argmax: tuple = (np.nan, np.nan, np.nan)
     excluded: int = 0
     total: int = 0
+    nonfinite: int = 0              # pairs with |obj| > 0 < maj whose ratio overflowed
 
     def update(self, obj, maj, xs, ys, t):
         ratio = np.abs(obj) / maj
         zero_maj = (maj == 0.0) & (np.abs(obj) > 0.0)
         self.excluded += int(np.count_nonzero(zero_maj))
         self.total += int(ratio.size)
+        overflow = (np.abs(obj) > 0.0) & (maj > 0.0) & ~np.isfinite(ratio)
+        self.nonfinite += int(np.count_nonzero(overflow))
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
         if ratio.size and np.max(ratio) > self.c_meas:
             flat = int(np.argmax(ratio))
@@ -346,7 +347,7 @@ def scan_estimate(eid: str, params: EstimateParams, backend: VerifierBackend):
         raise ValueError(
             f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant"
         )
-    return acc, entry.lattice_desc.format(p=p), p
+    return acc, p
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,6 @@ class _Entry:
 
     lattice: Callable               # _pairs, _shifted_pairs or _mass_rows
     majorant: Callable              # _Point -> majorant, shaped like the object
-    lattice_desc: str               # formatted with the resolved params as p
     heat: bool = False              # alpha = 1 object on the heat ladder
     power: str | None = None        # EstimateParams field holding the order b
     gradient: bool = False          # x-gradient of the object
@@ -481,82 +481,61 @@ def _e8_majorant(s: _Point):
     return np.minimum(ratio ** (1.0 + 2.0 * s.p.alpha), ratio ** (-s.p.N))
 
 
-def _holder_desc(cap: str) -> str:
-    return f"pairs stride-{LATTICE_STRIDE}, shifts {{p.shifts}} cells, cap {cap}; sqrt2 time ladder"
-
-
-_PAIRS = f"pairs on stride-{LATTICE_STRIDE} inner half-box; sqrt2 time ladder"
-_MASS = f"mass rows stride-{LATTICE_STRIDE}; sqrt2 time ladder"
-_E7 = "gradient Holder member={p.member}, shifts {p.shifts}, |h| < r/4"
-_HEAT_SIZE = f"heat family member={{p.member}}, c={GAUSS_DECAY}, window {GAUSS_WINDOW}"
-_HEAT_HOLDER = "heat family member={p.member}, shifts {p.shifts}"
-
 #: estimate id -> member -> entry; member None serves every other member name.
 #: Two pairs of default rows agree by construction: E3 size at m=1 and E9 at
 #: beta=1 scan one object against one majorant, and E7's fractional member
 #: carries no rho penalty, so its N=0 and N=1 rows are the same.
 _REGISTRY = {
-    "E1": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1), _PAIRS)},
+    "E1": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1))},
     "E2": {None: _Entry(_shifted_pairs, lambda s: _power_majorant(s, 1, _holder_lead(s)),
-                        _holder_desc("t_inv_alpha"),
                         shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha))},
     "E3": {
-        "size": _Entry(_pairs, lambda s: _power_majorant(s, s.p.m), _PAIRS, power="m"),
+        "size": _Entry(_pairs, lambda s: _power_majorant(s, s.p.m), power="m"),
         "holder": _Entry(_shifted_pairs,
-                         lambda s: _power_majorant(s, s.p.m, _holder_lead(s)),
-                         _holder_desc("t_sc"), power="m",
+                         lambda s: _power_majorant(s, s.p.m, _holder_lead(s)), power="m",
                          shift_rule=lambda s: s.shift <= s.t_sc),
-        "mass": _Entry(_mass_rows, _mass_majorant, _MASS, power="m", needs_potential=True),
+        "mass": _Entry(_mass_rows, _mass_majorant, power="m", needs_potential=True),
     },
     "E4": {None: _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
-                        f"gradient pairs stride-{LATTICE_STRIDE}, two regimes, "
-                        f"c={GAUSS_DECAY}, window {GAUSS_WINDOW} sqrt(t)",
                         heat=True, gradient=True)},
     "E5": {None: _Entry(_pairs,
                         lambda s: (s.t ** (-(s.n + 1) / 2.0)
                                    * _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)),
-                        f"gradient pairs stride-{LATTICE_STRIDE}; global bound",
                         heat=True, gradient=True)},
     "E6": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1, penalty=_prod_penalty),
-                        f"scaled fractional gradient pairs stride-{LATTICE_STRIDE}",
                         gradient=True, scaled=True)},
     "E7": {
         "frac": _Entry(_shifted_pairs,
                        lambda s: (_holder_lead(s) / s.t_sc * s.t
                                   * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha))),
-                       _E7, gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
-        None: _Entry(_shifted_pairs, _e7_heat_majorant, _E7, heat=True, gradient=True,
+                       gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
+        None: _Entry(_shifted_pairs, _e7_heat_majorant, heat=True, gradient=True,
                      shift_rule=lambda s: s.shift < s.r / 4.0),
     },
-    "E8": {None: _Entry(_mass_rows, _e8_majorant,
-                        f"semigroup-of-one gradient, stride-{LATTICE_STRIDE}",
-                        gradient=True, scaled=True, needs_potential=True)},
-    "E9": {None: _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), _PAIRS,
-                        power="beta")},
+    "E8": {None: _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True,
+                        needs_potential=True)},
+    "E9": {None: _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), power="beta")},
     "E10": {None: _Entry(_shifted_pairs,
                          lambda s: _power_majorant(s, s.p.beta, _holder_lead(s)),
-                         _holder_desc("t_sc"), power="beta",
-                         shift_rule=lambda s: s.shift <= s.t_sc)},
-    "E11": {None: _Entry(_mass_rows, _mass_majorant, _MASS, power="beta",
-                         needs_potential=True)},
+                         power="beta", shift_rule=lambda s: s.shift <= s.t_sc)},
+    "E11": {None: _Entry(_mass_rows, _mass_majorant, power="beta", needs_potential=True)},
     "E12": {
         # size carries the Feynman-Kac normalization (4 pi t)^(-n/2), making
         # the potential-free closed form the exact equality case
         "size": _Entry(_pairs,
                        lambda s: _gauss_majorant(s, (4.0 * np.pi) ** (-s.n / 2.0)
                                                  * s.t ** (-s.n / 2.0)),
-                       _HEAT_SIZE, heat=True),
+                       heat=True),
         "q_size": _Entry(_pairs, lambda s: _gauss_majorant(s, s.t ** (-s.n / 2.0)),
-                         _HEAT_SIZE, heat=True, power="m"),
+                         heat=True, power="m"),
         "holder": _Entry(_shifted_pairs,
                          lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
-                         _HEAT_HOLDER, heat=True,
-                         shift_rule=lambda s: s.shift < np.sqrt(s.t)),
+                         heat=True, shift_rule=lambda s: s.shift < np.sqrt(s.t)),
         "q_holder": _Entry(_shifted_pairs,
                            lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
-                           _HEAT_HOLDER, heat=True, power="m",
+                           heat=True, power="m",
                            shift_rule=lambda s: s.shift < np.sqrt(s.t)),
-        "q_mass": _Entry(_mass_rows, _mass_majorant, _MASS, heat=True, power="m",
+        "q_mass": _Entry(_mass_rows, _mass_majorant, heat=True, power="m",
                          needs_potential=True),
     },
 }
@@ -574,17 +553,18 @@ def certify(estimate_id: str, params: EstimateParams | None,
 
 def _verdict(estimate_id: str, scans: list) -> BoundCertificate:
     """Certificate of the last scan, with its stability against the one before."""
-    fine, lattice_desc, resolved = scans[-1]
+    fine, resolved = scans[-1]
     if len(scans) >= 2 and fine.c_meas > 0:
         ratio = scans[-2][0].c_meas / fine.c_meas
     else:
         ratio = np.nan
-    # a scan that visited no lattice point measured nothing
-    passed = bool(fine.total > 0 and np.isfinite(fine.c_meas)
+    # a scan that visited no lattice point measured nothing, and a ratio that
+    # overflowed is a supremum the scan could not measure
+    passed = bool(fine.total > 0 and fine.nonfinite == 0 and np.isfinite(fine.c_meas)
                   and fine.c_meas <= resolved.ceiling
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
-    return BoundCertificate(estimate_id, resolved, lattice_desc, fine.c_meas,
-                            fine.argmax, float(ratio), passed, fine.excluded)
+    return BoundCertificate(estimate_id, resolved, fine.c_meas, fine.argmax, float(ratio),
+                            passed, fine.excluded)
 
 
 def refinement_study(estimate_id: str, params: EstimateParams | None,
@@ -600,7 +580,7 @@ def refinement_study(estimate_id: str, params: EstimateParams | None,
             raise ValueError("grids are not nested refinements of the same box")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
     scans = [scan_estimate(estimate_id, params, b) for b in backends]
-    c_by_grid = [acc.c_meas for acc, _, _ in scans]
+    c_by_grid = [acc.c_meas for acc, _ in scans]
     ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
               for i in range(len(c_by_grid) - 1)]
     cert = _verdict(estimate_id, scans)

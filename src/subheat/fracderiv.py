@@ -1,4 +1,4 @@
-"""Time-fractional derivatives of semigroup kernels and spatial gradients.
+"""Time-fractional derivatives of semigroup kernels.
 
 The derivative of order beta is the truncated-integral definition
   d_t^beta F(t) = (+-1 / Gamma(m - beta)) * int_0^inf d_t^m F(t + u) u^(m-beta-1) du,
@@ -10,15 +10,14 @@ on log-spaced Gauss-Legendre panels.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma, roots_jacobi
 
-from .grid import (Grid, GridFunction, boundary_layer_mask, gauss_legendre_panels,
-                   gradient_values, grid_function)
-from .spectral import (KernelSlice, SpectralDecomposition, apply_multiplier,
-                       multiplier_kernel, semigroup_multiplier)
+from .grid import gauss_legendre_panels
+from .spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
+                       semigroup_multiplier)
 
 
 @dataclass(frozen=True)
@@ -78,39 +77,15 @@ def frac_multiplier_quadrature(dec: SpectralDecomposition, alpha: float,
     return (-1.0) ** spec.m * (w @ values) / _gamma(spec.m - spec.beta)
 
 
-def frac_derivative_scalar(a: float, beta: float, t: float,
-                           spec: FracDerivSpec | None = None) -> float:
-    """d_t^beta e^{-a t} by the integral definition; the convention makes it a^beta e^{-at}."""
-    spec = spec or FracDerivSpec(beta)
-    m = spec.m
-    u_max = spec.upper_factor * t + spec.upper_factor / max(a, 1e-12)
-    u, w = _u_quadrature(spec, t, u_max)
-    values = (-a) ** m * np.exp(-a * (t + u))
-    return float((-1.0) ** m * np.sum(w * values) / _gamma(m - beta))
-
-
 def frac_time_derivative(dec: SpectralDecomposition, alpha: float,
-                         spec: FracDerivSpec, t: float,
-                         tables: bool = False) -> KernelSlice:
+                         spec: FracDerivSpec, t: float) -> KernelSlice:
     """Kernel of d_t^beta e^{-t L^alpha} by the truncated-integral quadrature.
 
     The m-th time derivative inside the integral comes from the spectral
-    multiplier. With `tables=True` the integral literally sums kernel tables
-    at the quadrature nodes (identical by linearity, kept as a cross-check).
+    multiplier, so the quadrature runs per eigenvalue before one sandwich.
     """
-    if tables:
-        w, values = _node_multipliers(dec, alpha, spec, t)
-        acc = np.zeros((dec.grid.size, dec.grid.size))
-        for wq, mult in zip(w, values):
-            acc += wq * ((dec.basis * mult[None, :]) @ dec.basis.T)
-        acc *= (-1.0) ** spec.m / _gamma(spec.m - spec.beta)
-        return KernelSlice(dec.grid, float(t), acc, "spectral",
-                           {"kind": "frac_derivative_quadrature", "alpha": alpha,
-                            "beta": spec.beta, "tables": True})
     weights = frac_multiplier_quadrature(dec, alpha, spec, t)
-    return multiplier_kernel(dec, lambda lam: weights, t,
-                             kind="frac_derivative_quadrature", alpha=alpha,
-                             beta=spec.beta)
+    return multiplier_kernel(dec, lambda lam: weights, t)
 
 
 def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
@@ -120,46 +95,5 @@ def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
         raise ValueError("operator order beta must be positive")
     if t <= 0:
         raise ValueError("time must be positive")
-    return multiplier_kernel(dec, semigroup_multiplier(t, alpha, beta), t,
-                             kind="time_derivative_power", alpha=alpha, beta=beta)
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha, beta), t)
 
-
-@dataclass(frozen=True)
-class GradientField:
-    grid: Grid
-    values: np.ndarray = field(repr=False)     # (N, n)
-    boundary: np.ndarray = field(repr=False)   # True on the one-cell wall layer
-
-    def at(self, indices) -> np.ndarray:
-        indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        if np.any(self.boundary[indices]):
-            raise ValueError("gradient requested on the boundary layer")
-        return self.values[indices]
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values ** 2, axis=1))
-
-
-def spatial_gradient(K: KernelSlice, y_index: int) -> GradientField:
-    """Central-difference gradient in x of K(., y) at a fixed source column."""
-    column = K.table[:, y_index]
-    vals = gradient_values(K.grid, column)
-    return GradientField(K.grid, vals, boundary_layer_mask(K.grid))
-
-
-def gradient_of_function(f: GridFunction) -> GradientField:
-    return GradientField(f.grid, gradient_values(f.grid, f.values),
-                         boundary_layer_mask(f.grid))
-
-
-def nabla_alpha(dec: SpectralDecomposition, alpha: float, f: GridFunction,
-                t: float) -> tuple[GradientField, GridFunction]:
-    """Spatial gradient and order-1/(2 alpha) time derivative of e^{-t L^alpha} f."""
-    if t <= 0 or not (0.0 < alpha < 1.0):
-        raise ValueError("need t > 0 and alpha in (0,1)")
-    decay = semigroup_multiplier(t, alpha)
-    u_vals = apply_multiplier(dec, decay, f.values)
-    grad = gradient_of_function(grid_function(dec.grid, u_vals))
-    # multiplier (lam^alpha)^(1/(2 alpha)) = sqrt(lam)
-    time_part = apply_multiplier(dec, lambda lam: np.sqrt(lam) * decay(lam), f.values)
-    return grad, grid_function(dec.grid, time_part)

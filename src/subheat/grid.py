@@ -137,7 +137,9 @@ def gradient_values(grid: Grid, values: np.ndarray, axis: int | None = None) -> 
     zero exterior values); periodic grids wrap. With `axis` given, only that
     partial derivative is returned, shaped like `values`; trailing columns
     are then independent grid functions (a kernel table K(x, y) is
-    differentiated in x for every y).
+    differentiated in x for every y). The package differentiates one grid
+    function at a time (`spaces`); the trailing-column mode serves as the
+    test reference of the row-block gradient `estimates._axis0_gradient`.
     """
     if axis is None:
         return np.stack([gradient_values(grid, values, d) for d in range(grid.dimension)],

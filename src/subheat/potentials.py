@@ -1,4 +1,4 @@
-"""Nonnegative potential catalog, reverse-Holder diagnostics and the critical radius.
+"""Nonnegative potential catalog, ball integrals and the critical radius.
 
 The critical radius rho(x) is the largest r with r^(2-n) * integral of V over
 B(x, r) <= 1; it calibrates every decay penalty used by the bound certificates.
@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, Ball
+from .grid import Grid
 
 SIMPSON_INTERVALS = 512
 
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 
 @dataclass(frozen=True)
@@ -158,39 +157,6 @@ def _grid_ball_sum(spec: PotentialSpec, grid: Grid, center, q: float = 1.0):
     return lambda radius: float(np.sum(vals[dist < radius]) * grid.cell_weight)
 
 
-@dataclass(frozen=True)
-class ReverseHolderResult:
-    c_best: float
-    holds: bool
-    excluded: int
-
-
-def reverse_holder_constant(spec: PotentialSpec, q: float, ball_sample: list[Ball],
-                            grid: Grid) -> ReverseHolderResult:
-    """Measured reverse-Holder constant max_B (avg V^q)^(1/q) / (avg V) over the sample."""
-    if q <= 1:
-        raise ValueError("reverse-Holder exponent q must exceed 1")
-    n = grid.dimension
-    c_best, excluded = 0.0, 0
-    for ball in ball_sample:
-        if ball.members.size < 32:
-            raise ValueError("each sampled ball needs at least 32 interior points")
-        vol = _BALL_VOLUME[n] * ball.radius ** n
-        avg_v = ball_integral(spec, n, ball.center, ball.radius, grid) / vol
-        if avg_v <= 0.0:
-            excluded += 1
-            continue
-        avg_vq = ball_integral(spec, n, ball.center, ball.radius, grid, q=q) / vol
-        c_best = max(c_best, avg_vq ** (1.0 / q) / avg_v)
-    if excluded == len(ball_sample):
-        raise ValueError("all sampled balls have vanishing average potential")
-    return ReverseHolderResult(c_best, bool(np.isfinite(c_best)), excluded)
-
-
-def _rho_functional(spec: PotentialSpec, grid: Grid, x, r: float) -> float:
-    return _rho_functional_at(spec, grid, x)(r)
-
-
 def _rho_functional_at(spec: PotentialSpec, grid: Grid, x):
     """r -> r^(2-n) * integral of V over B(x, r) for one point x."""
     n = grid.dimension
@@ -201,12 +167,11 @@ def _rho_functional_at(spec: PotentialSpec, grid: Grid, x):
     return lambda r: r ** (2 - n) * integral(r)
 
 
-def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9,
-                with_flag: bool = False):
+def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9):
     """Critical radius: sup{r : r^(2-n) * int_{B(x,r)} V <= 1} by bisection.
 
-    Returns the bracket top flagged box-limited when the functional never
-    reaches 1 inside the box diameter.
+    Returns (rho, box_limited): the bracket top is flagged box-limited when
+    the functional never reaches 1 inside the box diameter.
     """
     if is_zero(spec):
         raise ValueError("critical radius undefined for the zero potential")
@@ -217,7 +182,7 @@ def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9,
     lo = grid.spacing
     hi = 2.0 * grid.half_width * np.sqrt(grid.dimension)
     if functional(hi) <= 1.0:
-        return (hi, True) if with_flag else hi
+        return hi, True
     # functional can exceed 1 already at the spacing scale for large potentials
     while functional(lo) > 1.0 and lo > 1e-9 * grid.spacing:
         lo *= 0.5
@@ -228,8 +193,7 @@ def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9,
         else:
             hi = mid
         if hi - lo <= tol:
-            value = 0.5 * (lo + hi)
-            return (value, False) if with_flag else value
+            return 0.5 * (lo + hi), False
     raise RuntimeError("rho bisection did not converge in 200 iterations")
 
 
@@ -250,11 +214,11 @@ def compute_aux_function(spec: PotentialSpec, grid: Grid, tol: float = 1e-9,
         return AuxFunction(grid, rho, tol, flags)
     idx = np.arange(grid.size) if indices is None else np.asarray(indices)
     if _is_translation_invariant(spec):
-        value, flag = compute_rho(spec, grid, grid.points[idx[0]], tol, with_flag=True)
+        value, flag = compute_rho(spec, grid, grid.points[idx[0]], tol)
         rho[idx], flags[idx] = value, flag
         return AuxFunction(grid, rho, tol, flags)
     for i in idx:
-        rho[i], flags[i] = compute_rho(spec, grid, grid.points[i], tol, with_flag=True)
+        rho[i], flags[i] = compute_rho(spec, grid, grid.points[i], tol)
     return AuxFunction(grid, rho, tol, flags)
 
 
@@ -264,91 +228,3 @@ def _is_translation_invariant(spec: PotentialSpec) -> bool:
     if spec.kind == "sum":
         return all(_is_translation_invariant(t) for t in spec.terms)
     return False
-
-
-def rho_constant(spec: PotentialSpec, grid: Grid, tol: float = 1e-9) -> float:
-    """rho for translation-invariant potentials (constant across the box)."""
-    if not _is_translation_invariant(spec):
-        raise ValueError("rho is not constant for this potential")
-    return compute_rho(spec, grid, np.zeros(grid.dimension), tol)
-
-
-def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
-    """t^(-n/2) * integral of exp(-|x-y|^2 / 4t) V(y) dy via shell quadrature."""
-    n = grid.dimension
-    x = np.asarray(x, dtype=float).reshape(n)
-    r_max = min(2.0 * grid.half_width * np.sqrt(n), 12.0 * np.sqrt(t))
-    s = np.linspace(0.0, r_max, SIMPSON_INTERVALS + 1)
-    w = _simpson_weights(SIMPSON_INTERVALS, r_max)
-    gauss = np.exp(-s * s / (4.0 * t))
-    if n == 1:
-        vplus = eval_potential(spec, (x[0] + s)[:, None])
-        vminus = eval_potential(spec, (x[0] - s)[:, None])
-        return float(t ** (-0.5) * np.sum(w * gauss * (vplus + vminus)))
-    prof = _radial_profile_about(spec, x)
-    if prof is None:
-        dist = grid.distances_from(x)
-        vals = eval_on_grid(spec, grid)
-        return float(t ** (-n / 2.0) * np.sum(np.exp(-dist ** 2 / (4.0 * t)) * vals)
-                     * grid.cell_weight)
-    return float(t ** (-n / 2.0) * _SPHERE_SURFACE[n]
-                 * np.sum(w * gauss * prof(s) * s ** (n - 1)))
-
-
-def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
-                     sample_scales, q: float = 2.0) -> dict:
-    """Measured constants behind the critical-radius toolbox.
-
-    Reports the doubling constant of V(y)dy, the two-scale comparison constant,
-    the comparability constant of rho between nearby points, and the
-    Gaussian-average bound constant. All are measured suprema over the sample,
-    never proofs.
-    """
-    if is_zero(spec):
-        return {"skipped": "rho undefined for the zero potential"}
-    n = grid.dimension
-    pts = [np.asarray(p, dtype=float).reshape(n) for p in sample_points]
-    scales = [float(r) for r in sample_scales]
-
-    doubling = 0.0
-    for x in pts:
-        for r in scales:
-            if 2.0 * r >= 2.0 * grid.half_width:
-                continue
-            small = ball_integral(spec, n, x, r, grid)
-            big = ball_integral(spec, n, x, 2.0 * r, grid)
-            if small > 0:
-                doubling = max(doubling, big / small)
-
-    two_scale = 0.0
-    for x in pts:
-        for i, r in enumerate(scales):
-            for big_r in scales[i + 1:]:
-                fr = _rho_functional(spec, grid, x, r)
-                fbig = _rho_functional(spec, grid, x, big_r)
-                if fbig > 0:
-                    two_scale = max(two_scale, fr / ((r / big_r) ** (2 - n / q) * fbig))
-
-    rho_vals = {tuple(x): compute_rho(spec, grid, x) for x in pts}
-    comparability = 1.0
-    for x in pts:
-        for y in pts:
-            rx, ry = rho_vals[tuple(x)], rho_vals[tuple(y)]
-            if 0 < np.linalg.norm(x - y) <= rx:
-                comparability = max(comparability, rx / ry, ry / rx)
-
-    delta = min(1.0, 2.0 - n / q)
-    gauss_const = 0.0
-    for x in pts:
-        rx = rho_vals[tuple(x)]
-        for t in scales:
-            g = gaussian_average(spec, grid, x, t)
-            expo = delta if np.sqrt(t) < rx else 2.0
-            gauss_const = max(gauss_const, g * t / (np.sqrt(t) / rx) ** expo)
-
-    return {
-        "doubling_constant": doubling,
-        "two_scale_constant": two_scale,
-        "comparability_constant": comparability,
-        "gaussian_average_constant": gauss_const,
-    }

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .fracderiv import gradient_of_function
-from .grid import Ball, Grid, GridFunction, ball_points, grid_function
+from .grid import (Ball, Grid, GridFunction, ball_points, boundary_layer_mask,
+                   gradient_values, grid_function, inner_box_mask)
 from .spectral import SpectralDecomposition, semigroup_multiplier
 
 MIN_TIME_NODES = 16
@@ -22,8 +22,6 @@ MIN_TIME_NODES = 16
 @dataclass(frozen=True)
 class BmoParams:
     gamma: float
-    inner_fraction: float = 0.5
-    n_radii: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -86,14 +84,13 @@ def d_field(dec: SpectralDecomposition, alpha: float, beta: float,
     return SpaceTimeField(dec.grid, times, values, _log_trapezoid_weights(times))
 
 
-def ball_family(grid: Grid, rho_values: np.ndarray, params: BmoParams,
-                stride: int | None = None) -> list[Ball]:
-    """Grid-centered balls, log-spaced radii plus the critical radius, inside the inner box."""
-    limit = params.inner_fraction * grid.half_width
+def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
+    """Grid-centered balls inside the centered half-box: 12 log-spaced radii
+    plus the critical radius about every max(1, M // 64)-th inner point."""
+    limit = 0.5 * grid.half_width
     idx = np.nonzero(np.all(np.abs(grid.points) <= limit, axis=1))[0]
-    stride = stride if stride is not None else max(1, grid.points_per_axis // 64)
-    idx = idx[::stride]
-    radii = np.geomspace(2.0 * grid.spacing, limit, params.n_radii)
+    idx = idx[::max(1, grid.points_per_axis // 64)]
+    radii = np.geomspace(2.0 * grid.spacing, limit, 12)
     balls = []
     for i in idx:
         center = grid.points[i]
@@ -119,7 +116,7 @@ def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
     grid = f.grid
     if not np.all(np.isfinite(f.values)):
         raise ValueError("bmo_norm requires finite values")
-    balls = balls if balls is not None else ball_family(grid, rho_values, params)
+    balls = balls if balls is not None else ball_family(grid, rho_values)
     n, w = grid.dimension, grid.cell_weight
     best = 0.0
     for ball in balls:
@@ -132,12 +129,11 @@ def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
     return best
 
 
-def lipschitz_norm(f: GridFunction, gamma: float, rho_values: np.ndarray,
-                   stride: int | None = None) -> float:
-    """max of the Holder seminorm and sup |f| / rho^gamma over sampled points."""
+def lipschitz_norm(f: GridFunction, gamma: float, rho_values: np.ndarray) -> float:
+    """max of the Holder seminorm and sup |f| / rho^gamma over sampled points
+    (every max(1, M // 128)-th grid point in flat order)."""
     grid = f.grid
-    stride = stride if stride is not None else max(1, grid.points_per_axis // 128)
-    idx = np.arange(grid.size)[::stride]
+    idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
     pts, vals = grid.points[idx], f.values[idx]
     diff = np.abs(vals[:, None] - vals[None, :])
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
@@ -309,9 +305,8 @@ def nabla_alpha_field(dec: SpectralDecomposition, alpha: float, f: GridFunction,
     timeparts = np.empty_like(grads)
     for j, t in enumerate(times):
         u = dec.synthesize(decay[j] * coeff)
-        gf = gradient_of_function(grid_function(dec.grid, u))
         t_sc = t ** (1.0 / (2.0 * alpha))
-        grads[j] = t_sc * gf.magnitude()
+        grads[j] = t_sc * np.sqrt(np.sum(gradient_values(dec.grid, u) ** 2, axis=1))
         timeparts[j] = t_sc * np.abs(
             dec.synthesize(np.sqrt(dec.eigenvalues) * decay[j] * coeff))
     return grads, timeparts
@@ -331,8 +326,8 @@ def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
     vals = np.empty((times.size, dec.grid.size))
     for j, s in enumerate(times):
         v = dec.synthesize(decay[j] * coeff)
-        gf = gradient_of_function(grid_function(dec.grid, v))
-        gsq = s ** (1.0 / alpha) * gf.magnitude() ** 2
+        gsq = s ** (1.0 / alpha) * np.sqrt(np.sum(gradient_values(dec.grid, v) ** 2,
+                                                  axis=1)) ** 2
         dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * decay[j] * coeff)) ** 2
         vals[j] = (gsq + dsq) / (2.0 * alpha)
     return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
@@ -388,10 +383,9 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     grid = dec.grid
     times = times if times is not None else default_time_grid(dec, alpha, beta)
     params = BmoParams(gamma)
-    balls = ball_family(grid, rho_values, params)
+    balls = ball_family(grid, rho_values)
     kappa = 1.0 + 2.0 * gamma / grid.dimension
     g_over_a = gamma / (2.0 * alpha)
-    from .grid import boundary_layer_mask, inner_box_mask
     interior = inner_box_mask(grid, 0.75) & ~boundary_layer_mask(grid)
     rows = []
     for f in suite:

@@ -15,11 +15,6 @@ from .potentials import PotentialSpec, eval_on_grid
 
 SIZE_CAPS = {1: 512, 2: 48, 3: 16}
 
-ROUTE_SPECTRAL = "spectral"
-ROUTE_SUBORDINATED = "subordinated"
-ROUTE_CLOSED_FORM = "closed_form"
-ROUTE_FOURIER = "fourier_oracle"
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -58,8 +53,6 @@ class KernelSlice:
     grid: Grid
     time: float
     table: np.ndarray = field(repr=False)   # (len(rows), N), 1/volume units
-    route: str
-    params: dict = field(default_factory=dict)
     rows: np.ndarray | None = field(default=None, repr=False)   # None: all N rows
 
     def max_abs(self) -> float:
@@ -117,7 +110,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
-                      route: str = ROUTE_SPECTRAL, rows=None, **params) -> KernelSlice:
+                      rows=None) -> KernelSlice:
     """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m.
 
     This is the one place the sandwich B diag(m) B^T is written. With `rows`
@@ -135,7 +128,7 @@ def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
     m = np.where(np.abs(m) < 1e-300, 0.0, m)
     left = dec.basis if rows is None else dec.basis[rows]
     table = (left * m[None, :]) @ dec.basis.T
-    return KernelSlice(dec.grid, float(t), table, route, params,
+    return KernelSlice(dec.grid, float(t), table,
                        None if rows is None else np.asarray(rows))
 
 
@@ -157,25 +150,15 @@ def semigroup_multiplier(t, alpha: float = 1.0, power=0):
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t), t, kind="heat")
+    return multiplier_kernel(dec, semigroup_multiplier(t), t)
 
 
 def fractional_heat_kernel(dec: SpectralDecomposition, alpha: float, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t, alpha), t,
-                             kind="fractional_heat", alpha=alpha)
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha), t)
 
 
 def poisson_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5), t, kind="poisson")
-
-
-def mth_time_derivative_kernel(dec: SpectralDecomposition, alpha: float, m: int,
-                               t: float) -> KernelSlice:
-    """d_t^m e^{-t L^alpha} without the t^m scaling."""
-    def mult(lam):
-        la = lam ** alpha
-        return (-la) ** m * np.exp(-t * la)
-    return multiplier_kernel(dec, mult, t, kind="mth_derivative", alpha=alpha, m=m)
+    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5), t)
 
 
 def _require_full(K: KernelSlice, operation: str) -> None:
@@ -190,16 +173,9 @@ def apply_kernel(K: KernelSlice, f: GridFunction) -> GridFunction:
     return grid_function(K.grid, (K.table @ f.values) * K.grid.cell_weight)
 
 
-def apply_multiplier(dec: SpectralDecomposition, multiplier, values: np.ndarray) -> np.ndarray:
-    """m(L) f without forming the kernel table."""
-    coeff = dec.coefficients(values)
-    return dec.synthesize(np.asarray(multiplier(dec.eigenvalues)) * coeff)
-
-
 def compose(K1: KernelSlice, K2: KernelSlice) -> KernelSlice:
     """Chapman-Kolmogorov composition (K1 o K2)(x, y) = int K1(x,z) K2(z,y) dz."""
     _require_full(K1, "compose")
     _require_full(K2, "compose")
     table = K1.table @ K2.table * K1.grid.cell_weight
-    return KernelSlice(K1.grid, K1.time + K2.time, table, K1.route,
-                       {"composed": True})
+    return KernelSlice(K1.grid, K1.time + K2.time, table)

@@ -22,8 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .grid import gauss_legendre_panels
-from .spectral import (KernelSlice, SpectralDecomposition, ROUTE_SUBORDINATED,
-                       multiplier_kernel)
+from .spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
 
 SERIES_CROSSOVER = 1.0
 SERIES_KMAX = 400
@@ -91,7 +90,7 @@ def density_half(s) -> np.ndarray:
     return s ** -1.5 * np.exp(-1.0 / (4.0 * s)) / (2.0 * np.sqrt(np.pi))
 
 
-def density(alpha: float, s, crossover: float = SERIES_CROSSOVER) -> np.ndarray:
+def density(alpha: float, s) -> np.ndarray:
     """eta_1(s) for the subordinator normalized by L(eta)(lam) = exp(-lam^alpha)."""
     _check_alpha(alpha)
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -100,37 +99,12 @@ def density(alpha: float, s, crossover: float = SERIES_CROSSOVER) -> np.ndarray:
     if abs(alpha - 0.5) < 1e-14:
         return density_half(s)
     out = np.empty_like(s)
-    low = s <= crossover
+    low = s <= SERIES_CROSSOVER
     if np.any(low):
         out[low] = density_descent(alpha, s[low])
     if np.any(~low):
         out[~low] = density_series(alpha, s[~low])
     return out
-
-
-def density_scaled(alpha: float, t: float, s) -> np.ndarray:
-    """eta_t(s) = t^(-1/alpha) eta_1(s / t^(1/alpha))."""
-    ta = t ** (1.0 / alpha)
-    return density(alpha, np.asarray(s, dtype=float) / ta) / ta
-
-
-@dataclass(frozen=True)
-class SubordinatorDensity:
-    alpha: float
-    crossover: float
-    normalization_defect: float
-
-    def __call__(self, s):
-        return density(self.alpha, s, self.crossover)
-
-    def at_time(self, t: float, s):
-        return density_scaled(self.alpha, t, s)
-
-
-def make_density(alpha: float) -> SubordinatorDensity:
-    _check_alpha(alpha)
-    defect = abs(laplace_transform(alpha, 0.0) - 1.0)
-    return SubordinatorDensity(alpha, SERIES_CROSSOVER, float(defect))
 
 
 @dataclass(frozen=True)
@@ -227,33 +201,7 @@ def subordinate_kernel(dec: SpectralDecomposition, alpha: float, t: float,
     eigenvalue before one basis sandwich.
     """
     weights = subordination_multiplier(alpha, t, dec.eigenvalues, quad)
-    return multiplier_kernel(dec, lambda lam: weights, t,
-                             route=ROUTE_SUBORDINATED, kind="fractional_heat",
-                             alpha=alpha)
-
-
-def subordinate_tables(table_provider, grid, alpha: float, t: float,
-                       quad: SubQuadrature | None = None) -> KernelSlice:
-    """Literal table-space subordination: sum_q eta_t(s_q) K(s_q) w_q.
-
-    `table_provider(s)` returns the heat-kernel table at time s (any route,
-    e.g. the closed-form Gaussian for the potential-free calibration).
-    Unlike the eigenbasis route there is no analytic tail completion, so the
-    default quadrature range is pushed out far enough that the power tail of
-    the subordinator is negligible.
-    """
-    _check_alpha(alpha)
-    quad = quad or SubQuadrature(nodes=448, hi_factor=1e8)
-    ta = t ** (1.0 / alpha)
-    s, w = _log_gl(quad.lo_factor * ta, quad.hi_factor * ta, quad.nodes, quad.panel_nodes)
-    eta_vals = density_scaled(alpha, t, s)
-    acc = np.zeros((grid.size, grid.size))
-    for sq, wq, ev in zip(s, w, eta_vals):
-        if ev == 0.0:
-            continue
-        acc += (wq * ev) * table_provider(sq)
-    return KernelSlice(grid, float(t), acc, ROUTE_SUBORDINATED,
-                       {"kind": "fractional_heat", "alpha": alpha, "tables": True})
+    return multiplier_kernel(dec, lambda lam: weights, t)
 
 
 def tail_exponent_fit(alpha: float, s_lo: float = 1e2, s_hi: float = 1e4,

@@ -1,0 +1,219 @@
+"""Test references that the package's commands do not run.
+
+Two groups live here. The first are literal routes that equal the one
+multiplier route `spectral.multiplier_kernel` by linearity: table-space
+subordination, the time-derivative quadrature summed over kernel tables, the
+scalar fractional derivative, the m-th time derivative and the periodic image
+sum of the free Gaussian. The second are Shen's lemma diagnostics for the
+critical radius: the reverse-Holder constant, the Gaussian average of V and
+the doubling, two-scale and comparability constants.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gamma as _gamma
+
+from subheat.closedform import gaussian_heat_value
+from subheat.fracderiv import FracDerivSpec, _node_multipliers, _u_quadrature
+from subheat.grid import Ball, Grid
+from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
+                                _radial_profile_about, _rho_functional_at,
+                                _simpson_weights, ball_integral, compute_rho,
+                                eval_on_grid, eval_potential, is_zero)
+from subheat.spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
+from subheat.subordinator import SubQuadrature, _check_alpha, _log_gl, density
+
+_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
+
+
+# --- routes equal to the multiplier route by linearity -----------------------
+
+def density_scaled(alpha: float, t: float, s) -> np.ndarray:
+    """eta_t(s) = t^(-1/alpha) eta_1(s / t^(1/alpha))."""
+    ta = t ** (1.0 / alpha)
+    return density(alpha, np.asarray(s, dtype=float) / ta) / ta
+
+
+def subordinate_tables(table_provider, grid, alpha: float, t: float,
+                       quad: SubQuadrature | None = None) -> KernelSlice:
+    """Literal table-space subordination: sum_q eta_t(s_q) K(s_q) w_q.
+
+    `table_provider(s)` returns the heat-kernel table at time s (any route,
+    e.g. the closed-form Gaussian for the potential-free calibration).
+    Unlike the eigenbasis route there is no analytic tail completion, so the
+    default quadrature range is pushed out far enough that the power tail of
+    the subordinator is negligible.
+    """
+    _check_alpha(alpha)
+    quad = quad or SubQuadrature(nodes=448, hi_factor=1e8)
+    ta = t ** (1.0 / alpha)
+    s, w = _log_gl(quad.lo_factor * ta, quad.hi_factor * ta, quad.nodes, quad.panel_nodes)
+    eta_vals = density_scaled(alpha, t, s)
+    acc = np.zeros((grid.size, grid.size))
+    for sq, wq, ev in zip(s, w, eta_vals):
+        if ev == 0.0:
+            continue
+        acc += (wq * ev) * table_provider(sq)
+    return KernelSlice(grid, float(t), acc)
+
+
+def frac_time_derivative_tables(dec: SpectralDecomposition, alpha: float,
+                                spec: FracDerivSpec, t: float) -> KernelSlice:
+    """`fracderiv.frac_time_derivative` summing one kernel table per quadrature node."""
+    w, values = _node_multipliers(dec, alpha, spec, t)
+    acc = np.zeros((dec.grid.size, dec.grid.size))
+    for wq, mult in zip(w, values):
+        acc += wq * ((dec.basis * mult[None, :]) @ dec.basis.T)
+    acc *= (-1.0) ** spec.m / _gamma(spec.m - spec.beta)
+    return KernelSlice(dec.grid, float(t), acc)
+
+
+def frac_derivative_scalar(a: float, beta: float, t: float,
+                           spec: FracDerivSpec | None = None) -> float:
+    """d_t^beta e^{-a t} by the integral definition; the convention makes it a^beta e^{-at}."""
+    spec = spec or FracDerivSpec(beta)
+    m = spec.m
+    u_max = spec.upper_factor * t + spec.upper_factor / max(a, 1e-12)
+    u, w = _u_quadrature(spec, t, u_max)
+    values = (-a) ** m * np.exp(-a * (t + u))
+    return float((-1.0) ** m * np.sum(w * values) / _gamma(m - beta))
+
+
+def mth_time_derivative_kernel(dec: SpectralDecomposition, alpha: float, m: int,
+                               t: float) -> KernelSlice:
+    """d_t^m e^{-t L^alpha} without the t^m scaling."""
+    def mult(lam):
+        la = lam ** alpha
+        return (-la) ** m * np.exp(-t * la)
+    return multiplier_kernel(dec, mult, t)
+
+
+def wrapped_gaussian_table(grid: Grid, t: float, images: int) -> np.ndarray:
+    """Free heat kernel on grid points plus its periodic images up to `images` periods."""
+    diff = grid.points[:, None, :] - grid.points[None, :, :]
+    table = gaussian_heat_value(np.linalg.norm(diff, axis=-1), t, grid.dimension)
+    period = 2.0 * grid.half_width
+    shifts = [np.arange(-images, images + 1) * period] * grid.dimension
+    for combo in np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, grid.dimension):
+        if np.all(combo == 0.0):
+            continue
+        table = table + gaussian_heat_value(
+            np.linalg.norm(diff + combo[None, None, :], axis=-1), t, grid.dimension)
+    return table
+
+
+# --- Shen's lemma diagnostics for the critical radius ------------------------
+
+@dataclass(frozen=True)
+class ReverseHolderResult:
+    c_best: float
+    holds: bool
+    excluded: int
+
+
+def reverse_holder_constant(spec: PotentialSpec, q: float, ball_sample: list[Ball],
+                            grid: Grid) -> ReverseHolderResult:
+    """Measured reverse-Holder constant max_B (avg V^q)^(1/q) / (avg V) over the sample."""
+    if q <= 1:
+        raise ValueError("reverse-Holder exponent q must exceed 1")
+    n = grid.dimension
+    c_best, excluded = 0.0, 0
+    for ball in ball_sample:
+        if ball.members.size < 32:
+            raise ValueError("each sampled ball needs at least 32 interior points")
+        vol = _BALL_VOLUME[n] * ball.radius ** n
+        avg_v = ball_integral(spec, n, ball.center, ball.radius, grid) / vol
+        if avg_v <= 0.0:
+            excluded += 1
+            continue
+        avg_vq = ball_integral(spec, n, ball.center, ball.radius, grid, q=q) / vol
+        c_best = max(c_best, avg_vq ** (1.0 / q) / avg_v)
+    if excluded == len(ball_sample):
+        raise ValueError("all sampled balls have vanishing average potential")
+    return ReverseHolderResult(c_best, bool(np.isfinite(c_best)), excluded)
+
+
+def _rho_functional(spec: PotentialSpec, grid: Grid, x, r: float) -> float:
+    return _rho_functional_at(spec, grid, x)(r)
+
+
+def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
+    """t^(-n/2) * integral of exp(-|x-y|^2 / 4t) V(y) dy via shell quadrature."""
+    n = grid.dimension
+    x = np.asarray(x, dtype=float).reshape(n)
+    r_max = min(2.0 * grid.half_width * np.sqrt(n), 12.0 * np.sqrt(t))
+    s = np.linspace(0.0, r_max, SIMPSON_INTERVALS + 1)
+    w = _simpson_weights(SIMPSON_INTERVALS, r_max)
+    gauss = np.exp(-s * s / (4.0 * t))
+    if n == 1:
+        vplus = eval_potential(spec, (x[0] + s)[:, None])
+        vminus = eval_potential(spec, (x[0] - s)[:, None])
+        return float(t ** (-0.5) * np.sum(w * gauss * (vplus + vminus)))
+    prof = _radial_profile_about(spec, x)
+    if prof is None:
+        dist = grid.distances_from(x)
+        vals = eval_on_grid(spec, grid)
+        return float(t ** (-n / 2.0) * np.sum(np.exp(-dist ** 2 / (4.0 * t)) * vals)
+                     * grid.cell_weight)
+    return float(t ** (-n / 2.0) * _SPHERE_SURFACE[n]
+                 * np.sum(w * gauss * prof(s) * s ** (n - 1)))
+
+
+def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
+                     sample_scales, q: float = 2.0) -> dict:
+    """Measured constants behind the critical-radius toolbox.
+
+    Reports the doubling constant of V(y)dy, the two-scale comparison constant,
+    the comparability constant of rho between nearby points, and the
+    Gaussian-average bound constant. All are measured suprema over the sample,
+    never proofs.
+    """
+    if is_zero(spec):
+        return {"skipped": "rho undefined for the zero potential"}
+    n = grid.dimension
+    pts = [np.asarray(p, dtype=float).reshape(n) for p in sample_points]
+    scales = [float(r) for r in sample_scales]
+
+    doubling = 0.0
+    for x in pts:
+        for r in scales:
+            if 2.0 * r >= 2.0 * grid.half_width:
+                continue
+            small = ball_integral(spec, n, x, r, grid)
+            big = ball_integral(spec, n, x, 2.0 * r, grid)
+            if small > 0:
+                doubling = max(doubling, big / small)
+
+    two_scale = 0.0
+    for x in pts:
+        for i, r in enumerate(scales):
+            for big_r in scales[i + 1:]:
+                fr = _rho_functional(spec, grid, x, r)
+                fbig = _rho_functional(spec, grid, x, big_r)
+                if fbig > 0:
+                    two_scale = max(two_scale, fr / ((r / big_r) ** (2 - n / q) * fbig))
+
+    rho_vals = {tuple(x): compute_rho(spec, grid, x)[0] for x in pts}
+    comparability = 1.0
+    for x in pts:
+        for y in pts:
+            rx, ry = rho_vals[tuple(x)], rho_vals[tuple(y)]
+            if 0 < np.linalg.norm(x - y) <= rx:
+                comparability = max(comparability, rx / ry, ry / rx)
+
+    delta = min(1.0, 2.0 - n / q)
+    gauss_const = 0.0
+    for x in pts:
+        rx = rho_vals[tuple(x)]
+        for t in scales:
+            g = gaussian_average(spec, grid, x, t)
+            expo = delta if np.sqrt(t) < rx else 2.0
+            gauss_const = max(gauss_const, g * t / (np.sqrt(t) / rx) ** expo)
+
+    return {
+        "doubling_constant": doubling,
+        "two_scale_constant": two_scale,
+        "comparability_constant": comparability,
+        "gaussian_average_constant": gauss_const,
+    }

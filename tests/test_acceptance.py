@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from oracles import mth_time_derivative_kernel, subordinate_tables
 from subheat.cli import parse_config, run
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 poisson_value)
@@ -20,15 +21,14 @@ from subheat.fracderiv import (FracDerivSpec, frac_multiplier_quadrature,
 from subheat.grid import build_grid, grid_function, inner_box_mask
 from subheat.potentials import constant, power, zero
 from subheat.spectral import (assemble, compose, eigendecompose,
-                              fractional_heat_kernel, heat_kernel,
-                              mth_time_derivative_kernel)
+                              fractional_heat_kernel, heat_kernel)
 from subheat.spaces import (area_function, g_constant, g_function,
                             duality_pairing_check, make_atom,
                             make_equivalence_suite, equivalence_experiment,
                             quasi_norm, reproducing_check)
 from subheat.subordinator import (density_descent, density_half, density_series,
                                   laplace_transform, subordinate_kernel,
-                                  subordinate_tables, tail_exponent_fit)
+                                  tail_exponent_fit)
 
 RHO_FLAT = 1.0 / np.sqrt(2.0)
 

@@ -218,6 +218,9 @@ def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
 
 PINNED_N2_VERIFY = PINNED.replace("n = 1", "n = 2").replace("M = 128", "M = 16")
 PINNED_N1_KERNELS = "[grid]\nn = 1\nL = 16\nM = 16\n"
+PINNED_N1_NORMS = PINNED.replace("M = 128", "M = 64").format(kind="power\nsigma = 2")
+PINNED_N2_NORMS = "[grid]\nn = 2\nL = 16\nM = 16\n"
+EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
 
 
 @pytest.mark.parametrize("command, text, pinned", [
@@ -229,7 +232,13 @@ PINNED_N1_KERNELS = "[grid]\nn = 1\nL = 16\nM = 16\n"
     ("kernels", PINNED_N1_KERNELS,
      {f"{tag}_t{t}.csv": f"kernels_n1_m16/{tag}_t{t}.csv"
       for t in ("0.25", "1", "4") for tag in ("heat", "frac")}),
-], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "kernels-n1-m16"])
+    ("spaces", PINNED_N1_NORMS, {"space_norms.csv": "norms_n1_m64_power2/space_norms.csv"}),
+    ("equiv", PINNED_N1_NORMS, {name: f"norms_n1_m64_power2/{name}" for name in EQUIV_FILES}),
+    ("spaces", PINNED_N2_NORMS, {"space_norms.csv": "norms_n2_m16_constant/space_norms.csv"}),
+    ("equiv", PINNED_N2_NORMS, {name: f"norms_n2_m16_constant/{name}" for name in EQUIV_FILES}),
+], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "kernels-n1-m16",
+        "spaces-n1-m64-power2", "equiv-n1-m64-power2", "spaces-n2-m16-constant",
+        "equiv-n2-m16-constant"])
 def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     """Outputs equal the files recorded before the code they pin changed, byte for byte.
 
@@ -240,7 +249,9 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     critical radius (|x|^2 is radial about no grid point), on both
     boundary conditions (the inner lattice never reaches the periodic wrap
     of the gradient stencil; the row-block oracle test in test_estimates.py
-    does); `kernels` writes the six default tables.
+    does); `kernels` writes the six default tables. The `spaces` and `equiv`
+    tables were written by `python -m subheat` at commit 1f80921; their N4
+    and N5 columns read the gradient stencil of `grid.gradient_values`.
     """
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)

@@ -79,7 +79,7 @@ def test_alpha_sweep_finite(flat_pair):
     fine = flat_pair[1]
     for alpha in (0.3, 0.5, 0.8):
         for eid in ("E1", "E2", "E6", "E9"):
-            acc, _, _ = scan_estimate(eid, EstimateParams(alpha=alpha), fine)
+            acc, _ = scan_estimate(eid, EstimateParams(alpha=alpha), fine)
             assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -154,7 +154,7 @@ def test_decay_fit_needs_points(flat_pair):
 def test_family_members_e3(flat_pair):
     fine = flat_pair[1]
     for member in ("size", "holder", "mass"):
-        acc, _, _ = scan_estimate("E3", EstimateParams(m=1, member=member), fine)
+        acc, _ = scan_estimate("E3", EstimateParams(m=1, member=member), fine)
         assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -162,12 +162,12 @@ def test_family_members_e12(flat_pair):
     fine = flat_pair[1]
     for member in ("size", "holder", "q_size", "q_holder", "q_mass"):
         for m in (1, 2):
-            acc, _, _ = scan_estimate("E12", EstimateParams(m=m, member=member), fine)
+            acc, _ = scan_estimate("E12", EstimateParams(m=m, member=member), fine)
             assert np.isfinite(acc.c_meas)
 
 
 def test_e7_heat_member(flat_pair):
-    acc, _, _ = scan_estimate("E7", EstimateParams(member="heat"), flat_pair[1])
+    acc, _ = scan_estimate("E7", EstimateParams(member="heat"), flat_pair[1])
     assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -196,9 +196,21 @@ def test_empty_scan_fails_its_certificate():
     assert refinement_study("E2", None, pair)["pass"] is False
 
 
-def test_certificate_lattice_description(flat_pair):
-    cert = certify("E1", None, flat_pair)
-    assert "pairs" in cert.lattice
+def test_overflowing_ratio_fails_its_certificate():
+    """A positive object over a majorant that underflowed to a subnormal gives an
+    infinite ratio: it is counted, and the certificate fails, though every
+    finite ratio lies far below the ceiling."""
+    resolved = DEFAULT_PARAMS["E1"].resolved("E1", 1)
+    xs = np.arange(4.0)
+    obj, maj = np.array([1e-3, 2.0, 0.0, 1.0]), np.array([1.0, 1e-310, 1e-310, 0.0])
+    acc = estimates._ScanAccumulator()
+    with np.errstate(divide="ignore", over="ignore"):
+        acc.update(obj, maj, xs, xs, 1.0)
+    assert (acc.c_meas, acc.total, acc.excluded, acc.nonfinite) == (1e-3, 4, 1, 1)
+    assert estimates._verdict("E1", [(acc, resolved)]).passed is False
+    clean = estimates._ScanAccumulator()
+    clean.update(obj[:1], maj[:1], xs, xs, 1.0)
+    assert estimates._verdict("E1", [(clean, resolved)]).passed is True
 
 
 def _refinement_study_rescanning(estimate_id, params, backends):
@@ -340,10 +352,10 @@ _FULL_LOOPS = {estimates._pairs: _full_pairs, estimates._shifted_pairs: _full_sh
 
 def _outcome(scan, *args):
     try:
-        acc, desc, _ = scan(*args)
+        acc, _ = scan(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return repr((acc.c_meas, acc.argmax, acc.excluded, acc.total, desc))
+    return repr((acc.c_meas, acc.argmax, acc.excluded, acc.total, acc.nonfinite))
 
 
 def _full_scan(eid, params, full):
@@ -353,7 +365,7 @@ def _full_scan(eid, params, full):
     _FULL_LOOPS[entry.lattice](entry, p, full, acc)
     if acc.total and acc.excluded > 0.01 * acc.total:
         raise ValueError(f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant")
-    return acc, entry.lattice_desc.format(p=p), p
+    return acc, p
 
 
 @pytest.mark.parametrize("potential", [power(2.0), zero()], ids=["power2", "zero"])

@@ -1,0 +1,107 @@
+"""The package holds the code its commands run, plus a short named allowlist.
+
+An AST walk over `src/subheat` starts from the command-line entry points and
+follows every name a reached definition mentions: names of its own module,
+names imported with `from .mod import name`, and `mod.name` through
+`from . import mod`. A class counts as one definition with all its methods.
+The allowlist's entries are walked too, so their helpers need no entry.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parents[1] / "src" / "subheat"
+
+ROOTS = {("cli", "main"), ("cli", "run"), ("cli", "parse_config")}
+
+#: top-level definitions no command reaches, each kept for the reason given
+ALLOWED = {
+    ("closedform", "oscillator_heat_table"): "perfbench's tracer names it in TARGETS",
+    ("closedform", "fourier_table"): "perfbench's tracer names it in TARGETS",
+    ("fracderiv", "d_operator"): "perfbench's tracer names it in TARGETS",
+    ("potentials", "sum_of"): "public constructor of the potential catalog",
+    ("grid", "from_callable"): "public constructor of grid functions",
+    ("grid", "grid_integrate"): "public quadrature of a grid function",
+    ("spectral", "poisson_kernel"): "public name of the alpha = 1/2 semigroup",
+    ("spectral", "apply_kernel"): "public action of a kernel on a grid function",
+    ("spaces", "quasi_norm"): "public L^p quasi-norm of the Hardy-atom bounds",
+    ("spaces", "duality_pairing_check"): "public duality functional (README)",
+    ("estimates", "decay_exponent_fit"): "tail-exponent leg of a certificate, to be "
+                                         "wired into verify",
+    ("estimates", "refinement_study"): "certificates across more than two grids",
+    ("fracderiv", "FracDerivSpec"): "time-quadrature route of the fractional derivative",
+    ("fracderiv", "frac_multiplier_quadrature"): "time-quadrature route",
+    ("fracderiv", "frac_time_derivative"): "time-quadrature route",
+}
+
+
+def _modules() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """Top-level functions, classes and assigned names -> their defining node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node
+    return out
+
+
+def _imports(tree: ast.Module) -> tuple[dict, dict]:
+    """(local name -> (module, name)) for `from .mod import name`, and
+    (local name -> module) for `from . import mod`."""
+    names, modules = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module, alias.name)
+    return names, modules
+
+
+def _reached(roots) -> tuple[set, dict]:
+    """Definitions reached from `roots`, and every module's definitions."""
+    trees = _modules()
+    defs = {mod: _definitions(tree) for mod, tree in trees.items()}
+    imports = {mod: _imports(tree) for mod, tree in trees.items()}
+    seen, todo = set(), list(roots)
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in seen or name not in defs.get(mod, {}):
+            continue
+        seen.add((mod, name))
+        names, modules = imports[mod]
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                if node.id in defs[mod]:
+                    todo.append((mod, node.id))
+                elif node.id in names:
+                    todo.append(names[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                todo.append((modules[node.value.id], node.attr))
+    return seen, defs
+
+
+def test_every_definition_is_reached_or_allowed():
+    seen, defs = _reached(ROOTS | set(ALLOWED))
+    unreached = sorted((mod, name) for mod, names in defs.items() for name in names
+                       if (mod, name) not in seen and not name.startswith("__"))
+    assert unreached == [], f"{len(unreached)} neither reached nor allowed: {unreached}"
+
+
+def test_allowlist_names_live_unreached_definitions():
+    seen, defs = _reached(ROOTS)
+    stale = sorted(key for key in ALLOWED
+                   if key[1] not in defs.get(key[0], {}) or key in seen)
+    assert stale == [], f"allowlist entries that are missing or reached: {stale}"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import _rho_functional, check_aux_lemmas, reverse_holder_constant
 from subheat.grid import ball_points, build_grid
-from subheat.potentials import (PotentialSpec, check_aux_lemmas, compute_aux_function,
-                                compute_rho, constant, eval_potential, is_zero, power,
-                                reverse_holder_constant, rho_constant, scaled, sum_of,
-                                well, zero)
+from subheat.potentials import (PotentialSpec, compute_aux_function, compute_rho,
+                                constant, eval_potential, is_zero, power, scaled,
+                                sum_of, well, zero)
 
 
 def test_eval_catalog_values():
@@ -60,27 +60,26 @@ def test_reverse_holder_rejects_all_zero_sample():
 
 def test_rho_constant_n3():
     g = build_grid(3, 4.0, 16)
-    rho = compute_rho(constant(1.0), g, [0.0, 0.0, 0.0], tol=1e-10)
+    rho, _ = compute_rho(constant(1.0), g, [0.0, 0.0, 0.0], tol=1e-10)
     assert rho == pytest.approx(np.sqrt(3.0 / (4.0 * np.pi)), abs=1e-8)
 
 
 def test_rho_power_n3():
     g = build_grid(3, 4.0, 16)
-    rho = compute_rho(power(2.0), g, [0.0, 0.0, 0.0], tol=1e-10)
+    rho, _ = compute_rho(power(2.0), g, [0.0, 0.0, 0.0], tol=1e-10)
     assert rho == pytest.approx((5.0 / (4.0 * np.pi)) ** 0.25, abs=1e-8)
 
 
 def test_rho_constant_n1():
     g = build_grid(1, 16.0, 256)
-    rho = compute_rho(constant(1.0), g, [0.0], tol=1e-10)
+    rho, _ = compute_rho(constant(1.0), g, [0.0], tol=1e-10)
     assert rho == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
 
 
 def test_rho_functional_equals_one_at_rho():
     g = build_grid(1, 16.0, 256)
     for spec in (constant(1.0), power(2.0), constant(4.0)):
-        rho = compute_rho(spec, g, [0.0], tol=1e-10)
-        from subheat.potentials import _rho_functional
+        rho, _ = compute_rho(spec, g, [0.0], tol=1e-10)
         assert _rho_functional(spec, g, np.array([0.0]), rho) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -92,7 +91,7 @@ def test_rho_rejects_zero_potential():
 
 def test_rho_box_limited_flag():
     g = build_grid(1, 2.0, 64)
-    value, limited = compute_rho(scaled(constant(1.0), 1e-6), g, [0.0], with_flag=True)
+    value, limited = compute_rho(scaled(constant(1.0), 1e-6), g, [0.0])
     assert limited
     assert value == pytest.approx(2.0 * 2.0, rel=1e-12)
 
@@ -101,16 +100,16 @@ def test_rho_monotone_in_potential():
     g = build_grid(1, 16.0, 256)
     xs = [[-2.0], [0.0], [1.5]]
     for x in xs:
-        r1 = compute_rho(constant(1.0), g, x)
-        r2 = compute_rho(sum_of(constant(1.0), power(2.0)), g, x)
+        r1, _ = compute_rho(constant(1.0), g, x)
+        r2, _ = compute_rho(sum_of(constant(1.0), power(2.0)), g, x)
         assert r2 <= r1 + 1e-9
 
 
 def test_rho_scaling_never_increases():
     g = build_grid(1, 16.0, 256)
     for x in ([0.0], [3.0]):
-        base = compute_rho(power(2.0), g, x)
-        up = compute_rho(scaled(power(2.0), 3.0), g, x)
+        base, _ = compute_rho(power(2.0), g, x)
+        up, _ = compute_rho(scaled(power(2.0), 3.0), g, x)
         assert up <= base + 1e-9
 
 
@@ -124,7 +123,7 @@ def test_aux_function_constant_shortcut():
     g = build_grid(1, 16.0, 256)
     aux = compute_aux_function(constant(2.0), g)
     assert np.allclose(aux.rho, 0.5, atol=1e-8)
-    assert rho_constant(constant(2.0), g) == pytest.approx(0.5, abs=1e-8)
+    assert compute_rho(constant(2.0), g, [0.0])[0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_check_aux_lemmas_flat():
@@ -151,8 +150,8 @@ def test_check_aux_lemmas_zero_skipped():
 
 def test_comparability_symmetric():
     g = build_grid(1, 16.0, 256)
-    rx = compute_rho(power(2.0), g, [1.0])
-    ry = compute_rho(power(2.0), g, [1.3])
+    rx, _ = compute_rho(power(2.0), g, [1.0])
+    ry, _ = compute_rho(power(2.0), g, [1.3])
     assert max(rx / ry, ry / rx) == pytest.approx(max(ry / rx, rx / ry))
 
 

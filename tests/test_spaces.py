@@ -49,7 +49,7 @@ def test_bmo_homogeneous(dec, rho):
     rng = np.random.default_rng(0)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
     params = BmoParams(0.25)
-    balls = ball_family(dec.grid, rho, params)
+    balls = ball_family(dec.grid, rho)
     a = bmo_norm(f, params, rho, balls)
     b = bmo_norm(grid_function(dec.grid, 2.0 * f.values), params, rho, balls)
     assert b == pytest.approx(2.0 * a, rel=1e-10)
@@ -67,7 +67,7 @@ def test_bmo_holder_profile_stable_under_refinement(rho):
 def test_bmo_small_ball_part_constant_invariant(dec, rho):
     # oscillation on sub-critical balls is exactly unchanged by adding a constant
     params = BmoParams(0.25)
-    balls = [b for b in ball_family(dec.grid, rho, params) if b.radius < RHO_FLAT]
+    balls = [b for b in ball_family(dec.grid, rho) if b.radius < RHO_FLAT]
     rng = np.random.default_rng(1)
     f = rng.standard_normal(dec.grid.size)
     a = bmo_norm(grid_function(dec.grid, f), params, rho, balls)
@@ -305,7 +305,7 @@ def test_carleson_bmo_variant_finite(dec, rho):
     f = from_callable(dec.grid, lambda p: np.minimum(np.abs(p[:, 0]), 4.0) ** gamma)
     fld = d_field(dec, 0.5, 1.0, f, times)
     sq = SpaceTimeField(dec.grid, times, fld.values ** 2, fld.weights)
-    balls = ball_family(dec.grid, rho, BmoParams(gamma))
+    balls = ball_family(dec.grid, rho)
     kappa = 1.0 + 2.0 * gamma
     val = carleson_norm(sq, kappa, balls, box_exponent=1.0)
     assert np.isfinite(val) and val > 0
