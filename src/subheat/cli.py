@@ -26,8 +26,9 @@ from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateNotApplicable,
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
 from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
-                     equivalence_experiment, g_constant, g_function, lipschitz_norm,
-                     make_equivalence_suite, reproducing_check)
+                     equivalence_experiment, equivalence_rho_indices, g_constant,
+                     g_function, lipschitz_norm, make_equivalence_suite,
+                     reproducing_check)
 from .spectral import (assemble, compose, eigendecompose,
                        fractional_heat_kernel, heat_kernel)
 from .subordinator import (density_selftest, laplace_transform, subordinate_kernel)
@@ -279,10 +280,12 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
     return {"pass": all_pass, "outputs": [str(path)]}
 
 
-def _space_context(cfg: RunConfig):
+def _space_context(cfg: RunConfig, rho_indices=None):
+    """Grid, eigenbasis and rho; rho only at `rho_indices(grid)` when given."""
     grid = build_grid(cfg.n, cfg.half_width, cfg.points_per_axis, cfg.bc)
     dec = eigendecompose(assemble(grid, cfg.potential))
-    aux = potentials.compute_aux_function(cfg.potential, grid)
+    indices = None if rho_indices is None else rho_indices(grid)
+    aux = potentials.compute_aux_function(cfg.potential, grid, indices=indices)
     return grid, dec, aux.rho
 
 
@@ -305,7 +308,7 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
 
 
 def _cmd_equiv(cfg: RunConfig, out: Path) -> dict:
-    grid, dec, rho = _space_context(cfg)
+    grid, dec, rho = _space_context(cfg, equivalence_rho_indices)
     suite = make_equivalence_suite(dec, rho, cfg.gamma, seed=cfg.seed)
     report = equivalence_experiment(suite, dec, cfg.alpha, cfg.beta, cfg.gamma, rho)
     rows = [(i, row["N1"], row["N2"], row["N3"], row["N4"], row["N5"])

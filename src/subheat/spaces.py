@@ -84,18 +84,32 @@ def d_field(dec: SpectralDecomposition, alpha: float, beta: float,
     return SpaceTimeField(dec.grid, times, values, _log_trapezoid_weights(times))
 
 
-def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
-    """Grid-centered balls inside the centered half-box: 12 log-spaced radii
-    plus the critical radius about every max(1, M // 64)-th inner point."""
+def _rho_at(rho_values: np.ndarray, i: int, reader: str) -> float:
+    """rho at grid point i; NaN marks a point where rho was not computed."""
+    value = rho_values[i]
+    if np.isnan(value):
+        raise ValueError(f"{reader} reads rho at grid point {i}, where it was not computed")
+    return value
+
+
+def ball_centers(grid: Grid) -> np.ndarray:
+    """Grid indices of the `ball_family` centres: every max(1, M // 64)-th
+    point of the centered half-box."""
     limit = 0.5 * grid.half_width
     idx = np.nonzero(np.all(np.abs(grid.points) <= limit, axis=1))[0]
-    idx = idx[::max(1, grid.points_per_axis // 64)]
+    return idx[::max(1, grid.points_per_axis // 64)]
+
+
+def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
+    """Grid-centered balls inside the centered half-box: 12 log-spaced radii
+    plus the critical radius about every `ball_centers` point."""
+    limit = 0.5 * grid.half_width
     radii = np.geomspace(2.0 * grid.spacing, limit, 12)
     balls = []
-    for i in idx:
+    for i in ball_centers(grid):
         center = grid.points[i]
         rset = list(radii)
-        rho_c = rho_values[i]
+        rho_c = _rho_at(rho_values, i, "ball_family")
         if np.isfinite(rho_c) and 2.0 * grid.spacing < rho_c < limit:
             rset.append(rho_c)
         for r in rset:
@@ -122,23 +136,38 @@ def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
     for ball in balls:
         vals = f.values[ball.members]
         i_center = int(np.argmin(grid.distances_from(ball.center)))
-        reference = vals.mean() if ball.radius < rho_values[i_center] else 0.0
+        rho_c = _rho_at(rho_values, i_center, "bmo_norm")
+        reference = vals.mean() if ball.radius < rho_c else 0.0
         measure = _ball_measure(grid, ball)
         osc = np.sum(np.abs(vals - reference)) * w
         best = max(best, osc / measure ** (1.0 + params.gamma / n))
     return best
 
 
+def _squared_distances(pts: np.ndarray) -> np.ndarray:
+    """(k, k) squared Euclidean distances, summed one axis at a time."""
+    sq = np.zeros((pts.shape[0], pts.shape[0]))
+    for axis in range(pts.shape[1]):
+        d = pts[:, None, axis] - pts[None, :, axis]
+        sq += d * d
+    return sq
+
+
 def lipschitz_norm(f: GridFunction, gamma: float, rho_values: np.ndarray) -> float:
     """max of the Holder seminorm and sup |f| / rho^gamma over sampled points
     (every max(1, M // 128)-th grid point in flat order)."""
     grid = f.grid
+    if np.any(np.isnan(rho_values)):
+        raise ValueError("lipschitz_norm reads rho at every grid point; some were not computed")
     idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
     pts, vals = grid.points[idx], f.values[idx]
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    dist = np.sqrt(_squared_distances(pts))
     mask = dist > 0
-    holder = float(np.max(diff[mask] / dist[mask] ** gamma))
+    dist **= gamma
+    # the pairs left out (i = j) keep |f_i - f_i| = 0, below every other ratio
+    ratio = np.abs(vals[:, None] - vals[None, :])
+    np.divide(ratio, dist, out=ratio, where=mask)
+    holder = float(np.max(ratio))
     # adjacent pairs capture the local seminorm missed by the coarse sample
     fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
     holder = max(holder, float(np.max(fine)))
@@ -333,6 +362,21 @@ def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
     return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
 
 
+#: (centre coordinate on every axis, radius) of the atoms in the equivalence suite
+_SUITE_ATOMS = ((-3.0, 0.5), (1.0, 0.35), (5.0, 0.6))
+
+
+def _atom_center_index(grid: Grid, center: float) -> int:
+    return int(np.argmin(grid.distances_from(np.full(grid.dimension, center))))
+
+
+def equivalence_rho_indices(grid: Grid) -> np.ndarray:
+    """The grid points where `make_equivalence_suite` and `equivalence_experiment`
+    read rho: the `ball_centers` (`bmo_norm` reads the same) and the atom centres."""
+    atoms = [_atom_center_index(grid, center) for center, _ in _SUITE_ATOMS]
+    return np.union1d(ball_centers(grid), atoms)
+
+
 def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
                            gamma: float, seed: int = 0, count: int = 10) -> list[GridFunction]:
     """Functions with spread-out Campanato norms: truncated Holder profiles,
@@ -346,11 +390,12 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
     for c in (0.0, -2.5, 4.0):
         prof = np.minimum(np.linalg.norm(x - c, axis=1), 6.0) ** gamma
         suite.append(grid_function(grid, prof * window))
-    for center, radius in ((-3.0, 0.5), (1.0, 0.35), (5.0, 0.6)):
+    for center, radius in _SUITE_ATOMS:
         radius = max(radius, 2.2 * grid.spacing)
         ctr = np.full(grid.dimension, center)
-        i_c = int(np.argmin(grid.distances_from(ctr)))
-        r_at = rho_values[i_c] if np.isfinite(rho_values[i_c]) else radius * 4
+        i_c = _atom_center_index(grid, center)
+        r_at = _rho_at(rho_values, i_c, "make_equivalence_suite")
+        r_at = r_at if np.isfinite(r_at) else radius * 4
         if radius > r_at:
             continue    # coarse grids cannot host sub-critical atoms
         ball = ball_points(grid, ctr, radius)

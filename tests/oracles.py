@@ -6,7 +6,8 @@ subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
 sum of the free Gaussian. The second are Shen's lemma diagnostics for the
 critical radius: the reverse-Holder constant, the Gaussian average of V and
-the doubling, two-scale and comparability constants.
+the doubling, two-scale and comparability constants, and the per-point
+critical-radius bisection, which the blocked one must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -158,6 +159,55 @@ def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
                      * grid.cell_weight)
     return float(t ** (-n / 2.0) * _SPHERE_SURFACE[n]
                  * np.sum(w * gauss * prof(s) * s ** (n - 1)))
+
+
+def per_step_functional(spec: PotentialSpec, grid: Grid, x):
+    """r -> r^(2-n) * integral of V over B(x, r), with no reuse between calls.
+
+    The shell branch (n = 1, or V radial about x) runs one Simpson sum per
+    call; the grid-sum branch re-evaluates V on the whole grid and the
+    distances from x at every call, as the package did at commit d2efde8.
+    """
+    n = grid.dimension
+    x = np.asarray(x, dtype=float).reshape(n)
+    prof = None if n == 1 else _radial_profile_about(spec, x)
+
+    def integral(r):
+        if n == 1 or prof is not None:
+            s = np.linspace(0.0, r, SIMPSON_INTERVALS + 1)
+            w = _simpson_weights(SIMPSON_INTERVALS, r)
+            if n == 1:
+                vplus = eval_potential(spec, (x[0] + s)[:, None])
+                vminus = eval_potential(spec, (x[0] - s)[:, None])
+                return float(np.sum(w * (vplus ** 1.0 + vminus ** 1.0)))
+            return float(_SPHERE_SURFACE[n] * np.sum(w * prof(s) ** 1.0 * s ** (n - 1)))
+        dist = grid.distances_from(x)
+        vals = eval_potential(spec, grid.points)[dist < r] ** 1.0
+        return float(np.sum(vals) * grid.cell_weight)
+
+    return lambda r: r ** (2 - n) * integral(r)
+
+
+def per_step_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9):
+    """`compute_rho` as a bisection of one point at a time over
+    `per_step_functional`."""
+    n = grid.dimension
+    functional = per_step_functional(spec, grid, x)
+    lo = grid.spacing
+    hi = 2.0 * grid.half_width * np.sqrt(n)
+    if functional(hi) <= 1.0:
+        return hi, True
+    while functional(lo) > 1.0 and lo > 1e-9 * grid.spacing:
+        lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if functional(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi), False
+    raise RuntimeError("no convergence")
 
 
 def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import _rho_functional, check_aux_lemmas, reverse_holder_constant
-from subheat.grid import ball_points, build_grid
-from subheat.potentials import (PotentialSpec, compute_aux_function, compute_rho,
-                                constant, eval_potential, is_zero, power, scaled,
-                                sum_of, well, zero)
+from oracles import (_rho_functional, check_aux_lemmas, per_step_functional,
+                     per_step_rho, reverse_holder_constant)
+from subheat import potentials
+from subheat.cli import main
+from subheat.grid import Grid, ball_points, build_grid
+from subheat.potentials import (RHO_BLOCK, PotentialSpec, compute_aux_function,
+                                compute_rho, constant, eval_potential, is_zero, power,
+                                scaled, sum_of, well, zero)
 
 
 def test_eval_catalog_values():
@@ -164,36 +167,6 @@ def test_reverse_holder_reports_partial_exclusions():
     assert res.holds and np.isfinite(res.c_best)
 
 
-def _per_step_rho(spec, grid, x, tol=1e-9):
-    """`compute_rho` as of commit d2efde8, for a V that is radial about no grid point.
-
-    Every bisection step re-evaluates V on the whole grid and the distances
-    from x, as that commit's grid-sum branch of `ball_integral` did.
-    """
-    n = grid.dimension
-
-    def functional(r):
-        dist = grid.distances_from(x)
-        vals = eval_potential(spec, grid.points)[dist < r] ** 1.0
-        return r ** (2 - n) * float(np.sum(vals) * grid.cell_weight)
-
-    lo = grid.spacing
-    hi = 2.0 * grid.half_width * np.sqrt(n)
-    if functional(hi) <= 1.0:
-        return hi, True
-    while functional(lo) > 1.0 and lo > 1e-9 * grid.spacing:
-        lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if functional(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi), False
-    raise RuntimeError("no convergence")
-
-
 @pytest.mark.parametrize("n, M, bc", [(2, 16, "dirichlet"), (2, 16, "periodic"),
                                       (3, 8, "dirichlet")],
                          ids=["n2-dirichlet", "n2-periodic", "n3-dirichlet"])
@@ -209,6 +182,94 @@ def test_aux_function_matches_per_step_bisection(n, M, bc, spec):
     grid = build_grid(n, 4.0 if n == 3 else 8.0, M, bc)
     idx = np.arange(0, grid.size, 5)
     aux = compute_aux_function(spec, grid, indices=idx)
-    expected = [_per_step_rho(spec, grid, x) for x in grid.points[idx]]
+    expected = [per_step_rho(spec, grid, x) for x in grid.points[idx]]
     assert np.array_equal(aux.rho[idx], [value for value, _ in expected])
     assert np.array_equal(aux.box_limited[idx], [flag for _, flag in expected])
+
+
+N1_SPECS = [power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
+            sum_of(constant(0.01), power(2.0))]
+N1_IDS = ["power2", "well", "scaled-power1.5", "constant+power"]
+
+
+@pytest.mark.parametrize("spec", N1_SPECS, ids=N1_IDS)
+def test_aux_function_matches_per_step_bisection_n1(spec):
+    # n = 1 takes the Simpson shell branch, bisected a block of points at a
+    # time. On [-3.5, 3.5) scaled-power1.5 is box-limited near the centre
+    # and bracketed near the edges. The index sets are one point, a block
+    # minus and plus one point, and the whole grid (two blocks).
+    grid = build_grid(1, 3.5, 2 * RHO_BLOCK)
+    expected = [per_step_rho(spec, grid, x) for x in grid.points]
+    rho_ref = np.array([value for value, _ in expected])
+    flags_ref = np.array([flag for _, flag in expected])
+    rng = np.random.default_rng(0)
+    for size in (1, RHO_BLOCK - 1, RHO_BLOCK + 1, grid.size):
+        idx = np.sort(rng.choice(grid.size, size, replace=False))
+        aux = compute_aux_function(spec, grid, indices=idx)
+        assert np.array_equal(aux.rho[idx], rho_ref[idx])
+        assert np.array_equal(aux.box_limited[idx], flags_ref[idx])
+        assert np.all(np.isnan(np.delete(aux.rho, idx)))
+    assert np.array_equal(compute_aux_function(spec, grid).rho, rho_ref)
+    if spec.scale == 1e-3:
+        assert 0 < flags_ref.sum() < grid.size
+
+
+@pytest.mark.parametrize("spec", N1_SPECS, ids=N1_IDS)
+def test_block_functional_matches_per_step_functional_n1(spec):
+    # rho hides a perturbed functional unless a bisection step sits within
+    # rounding of 1, so the block's Simpson sums are compared value by value
+    grid = build_grid(1, 3.5, 2 * RHO_BLOCK)
+    points = grid.points[:RHO_BLOCK]
+    rows = np.array([0, 5, 5, RHO_BLOCK - 1])
+    radii = np.array([1e-9, 0.3, 2.0, 7.0])
+    got = potentials._block_functional(spec, grid, points)(rows, radii)
+    want = [per_step_functional(spec, grid, points[i])(r) for i, r in zip(rows, radii)]
+    assert np.array_equal(got, want)
+
+
+def test_aux_function_matches_per_step_bisection_radial_n2():
+    # With odd M the origin is a grid point, where |x|^2 is radial and the
+    # shell branch runs; every other point takes the grid sum.
+    L, M = 8.0, 9
+    h = 2.0 * L / M
+    axis = -L + (np.arange(M) + 0.5) * h
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    grid = Grid(2, L, M, "dirichlet", axis, np.stack([m.ravel() for m in mesh], axis=-1))
+    origin = M * M // 2
+    assert np.linalg.norm(grid.points[origin]) < 1e-12
+    aux = compute_aux_function(power(2.0), grid)
+    expected = [per_step_rho(power(2.0), grid, x) for x in grid.points]
+    assert np.array_equal(aux.rho, [value for value, _ in expected])
+    assert np.array_equal(aux.box_limited, [flag for _, flag in expected])
+    assert compute_rho(power(2.0), grid, grid.points[origin]) == expected[origin]
+
+
+def _nan_potential(spec, x):
+    return np.full(np.atleast_2d(x).shape[0], np.nan)
+
+
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 16)])
+def test_nan_functional_raises(monkeypatch, n, M):
+    grid = build_grid(n, 16.0, M)
+    monkeypatch.setattr(potentials, "eval_potential", _nan_potential)
+    with pytest.raises(ValueError, match="not finite"):
+        compute_rho(power(2.0), grid, grid.points[0])
+    with pytest.raises(ValueError, match="not finite"):
+        compute_aux_function(power(2.0), grid, indices=[0, 5])
+
+
+def test_nan_functional_exits_1(monkeypatch, tmp_path, capsys):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[grid]\nn = 1\nL = 16\nM = 64\n[potential]\nkind = power\nsigma = 2\n")
+    monkeypatch.setattr(potentials, "_shell_integrals_1d",
+                        lambda spec, centers, radii, q=1.0: np.full(len(radii), np.nan))
+    assert main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "functional is not finite" in capsys.readouterr().err
+
+
+def test_skipped_points_are_nan_not_zero_potential():
+    # the bisected potentials are checked in the n = 1 oracle test above
+    grid = build_grid(1, 16.0, 64)
+    flat = compute_aux_function(constant(2.0), grid, indices=[3])
+    assert flat.rho[3] == pytest.approx(0.5, abs=1e-8) and np.isnan(flat.rho[4])
+    assert np.all(np.isinf(compute_aux_function(zero(), grid, indices=[3]).rho))

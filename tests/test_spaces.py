@@ -4,10 +4,11 @@ from scipy.special import gamma as gamma_fn
 
 from subheat.grid import ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import constant, zero
-from subheat.spaces import (BmoParams, SpaceTimeField, area_function,
-                            ball_family, bmo_norm, carleson_field_nu_alpha,
+from subheat.spaces import (BmoParams, SpaceTimeField, _squared_distances,
+                            area_function, ball_centers, ball_family, bmo_norm, carleson_field_nu_alpha,
                             carleson_norm, d_field, default_time_grid,
                             duality_pairing_check, equivalence_experiment,
+                            equivalence_rho_indices,
                             g_constant, g_function, lipschitz_norm,
                             make_atom, make_equivalence_suite, quasi_norm,
                             reproducing_check, _log_trapezoid_weights)
@@ -394,3 +395,71 @@ def test_field_needs_sixteen_slices(dec):
         times = default_time_grid(dec, 0.5, 1.0, n_times=8)
         SpaceTimeField(dec.grid, times, np.ones((times.size, dec.grid.size)),
                        _log_trapezoid_weights(times))
+
+
+def _planted_nan(rho, i):
+    out = rho.copy()
+    out[i] = np.nan
+    return out
+
+
+def test_rho_readers_reject_uncomputed_points(dec, rho):
+    grid = dec.grid
+    center = int(ball_centers(grid)[3])
+    f = grid_function(grid, np.cos(grid.points[:, 0]))
+    with pytest.raises(ValueError, match="ball_family reads rho"):
+        ball_family(grid, _planted_nan(rho, center))
+    balls = ball_family(grid, rho)
+    with pytest.raises(ValueError, match="bmo_norm reads rho"):
+        bmo_norm(f, BmoParams(0.25), _planted_nan(rho, center), balls)
+    atom = int(np.argmin(grid.distances_from([1.0])))
+    with pytest.raises(ValueError, match="make_equivalence_suite reads rho"):
+        make_equivalence_suite(dec, _planted_nan(rho, atom), 0.25)
+    outside = int(np.setdiff1d(np.arange(grid.size), equivalence_rho_indices(grid))[0])
+    with pytest.raises(ValueError, match="lipschitz_norm reads rho"):
+        lipschitz_norm(f, 0.25, _planted_nan(rho, outside))
+
+
+def test_equivalence_reads_rho_only_at_its_indices(dec, rho):
+    # NaN everywhere else: the suite and the experiment must not touch it
+    grid = dec.grid
+    partial = np.full(grid.size, np.nan)
+    idx = equivalence_rho_indices(grid)
+    partial[idx] = rho[idx]
+    times = default_time_grid(dec, 0.5, 1.0, n_times=16)
+    got = equivalence_experiment(make_equivalence_suite(dec, partial, 0.25, seed=3),
+                                 dec, 0.5, 1.0, 0.25, partial, times)
+    want = equivalence_experiment(make_equivalence_suite(dec, rho, 0.25, seed=3),
+                                  dec, 0.5, 1.0, 0.25, rho, times)
+    assert got == want
+
+
+@pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+def test_squared_distances_match_the_full_difference_tensor(n, M):
+    pts = build_grid(n, 4.0, M).points * np.array([1.0, 1e-3, 1e3][:n])
+    old = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    assert np.array_equal(_squared_distances(pts), old)
+
+
+def _masked_lipschitz(f, gamma, rho_values):
+    """`lipschitz_norm` with the N x N x n difference tensor and masked pairs."""
+    grid = f.grid
+    idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
+    pts, vals = grid.points[idx], f.values[idx]
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    mask = dist > 0
+    holder = float(np.max(diff[mask] / dist[mask] ** gamma))
+    fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
+    holder = max(holder, float(np.max(fine)))
+    return max(holder, float(np.max(np.abs(f.values) / rho_values ** gamma)))
+
+
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+def test_lipschitz_norm_matches_masked_tensor_expression(n, M, gamma):
+    grid = build_grid(n, 4.0, M)
+    rng = np.random.default_rng(n)
+    f = grid_function(grid, rng.standard_normal(grid.size))
+    rho = np.full(grid.size, 1e6)      # the Holder part decides the norm
+    assert lipschitz_norm(f, gamma, rho) == _masked_lipschitz(f, gamma, rho)
