@@ -15,9 +15,9 @@ from .spectral import (DiscreteOperator, KernelSlice, SpectralDecomposition,
                        apply_kernel, assemble, eigendecompose,
                        fractional_heat_kernel, heat_kernel, multiplier_kernel,
                        poisson_kernel)
-from .subordinator import (SubQuadrature, density, density_selftest,
-                           laplace_transform, subordinate_kernel)
-from .fracderiv import FracDerivSpec, d_operator, frac_time_derivative
+from .subordinator import (density, density_selftest, laplace_transform,
+                           subordinate_kernel)
+from .fracderiv import d_operator, frac_time_derivative
 from .estimates import (BoundCertificate, EstimateParams, build_backend, certify,
                         decay_exponent_fit, refinement_study)
 from .spaces import (Atom, BmoParams, SpaceTimeField, area_function, bmo_norm,

@@ -29,7 +29,7 @@ from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
                      equivalence_experiment, equivalence_rho_indices, g_constant,
                      g_function, lipschitz_norm, make_equivalence_suite,
                      reproducing_check)
-from .spectral import (assemble, compose, eigendecompose,
+from .spectral import (SIZE_CAPS, assemble, compose, eigendecompose,
                        fractional_heat_kernel, heat_kernel)
 from .subordinator import (density_selftest, laplace_transform, subordinate_kernel)
 
@@ -124,12 +124,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_command(cfg: RunConfig) -> RunConfig:
-    """The checks that depend on the command, which the command line may replace."""
+    """The checks of the values the command line may replace: the command and the seed."""
     bound = min(2.0 * cfg.alpha, 2.0 * cfg.alpha * cfg.beta)
     if cfg.command == "equiv" and not cfg.gamma < bound:
         raise ConfigError(
             f"equiv needs gamma < min(2 alpha, 2 alpha beta) = {bound:g}, "
             f"got gamma={cfg.gamma}")
+    if cfg.command == "verify":
+        try:
+            build_grid(cfg.n, cfg.half_width, cfg.points_per_axis // 2, cfg.bc)
+        except ValueError as exc:
+            raise ConfigError(f"verify refines from the coarse grid M/2: {exc}") from exc
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 
@@ -191,6 +198,11 @@ def _read_config(text: str) -> RunConfig:
         build_grid(n, L, M, bc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if M > SIZE_CAPS[n]:
+        raise ConfigError(f"M = {M} exceeds the dense-solver cap {SIZE_CAPS[n]} for n = {n}")
+    if q is not None and not q > n / 2.0:
+        raise ConfigError(f"the reverse-Holder exponent q must exceed n/2 = {n / 2.0:g}, "
+                          f"got q={q}")
     return RunConfig(n, L, M, bc, pot, label, q, alpha, beta, gamma, n_list, delta,
                      command, out, seed, times)
 

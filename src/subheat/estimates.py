@@ -5,8 +5,16 @@ an object, its time ladder, its lattice, its majorant and whether it needs
 V != 0. Every object is the semigroup multiplier (t lam^a)^b e^{-t lam^a} of
 `spectral.semigroup_multiplier`, as a kernel table or its x-gradient. One
 loop per lattice shape runs the entries: pairs of lattice points, shifted
-pairs (increments over physical shifts h, as a shift rule allows) and mass
-rows (integrals over y at lattice points x).
+pairs (increments over the fixed Holder shifts k L/64, k in HOLDER_SHIFTS,
+that are whole numbers of cells, as a shift rule allows) and mass rows
+(integrals over y at lattice points x).
+
+The scan geometry is fixed per grid, so each grid has one row block: the
+lattice, its shifted rows and their axis-0 stencil neighbours. Every kernel
+and gradient table of a backend is computed on those rows only. No row of
+the block leaves the box: the lattice lies in |x|_inf <= L/2, and the largest
+shift plus one stencil cell reaches L/2 + L/16 + h, within the outermost cell
+centre L - h/2 for every M >= 8.
 
 A certificate records the measured supremum of |object| / majorant over the
 lattice, the argmax, and the stability of that supremum under grid
@@ -27,14 +35,15 @@ from typing import Callable
 import numpy as np
 
 from . import closedform, potentials
-from .grid import PERIODIC, Grid, build_grid, inner_box_mask
+from .grid import Grid, build_grid, inner_box_mask
 from .potentials import PotentialSpec, is_zero
 from .spectral import (SpectralDecomposition, assemble, eigendecompose,
                        multiplier_kernel, semigroup_multiplier)
 
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
-DEFAULT_CEILING = 1e8
+CEILING = 1e8                # a certificate fails above this measured constant
+HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64 (refinement-stable)
 
 ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
                 "E7", "E8", "E9", "E10", "E11", "E12"]
@@ -56,8 +65,6 @@ class EstimateParams:
     q: float | None = None          # reverse-Holder exponent; default 2n
     delta_prime: float | None = None
     member: str = "size"            # sub-estimate for family ids (E3, E7, E12)
-    shifts: tuple = (1, 2, 4)       # Holder shifts, multiples of L/64 (refinement-stable)
-    ceiling: float = DEFAULT_CEILING
 
     def resolved(self, eid: str, n: int) -> "EstimateParams":
         q = self.q if self.q is not None else 2.0 * n
@@ -132,7 +139,7 @@ class VerifierBackend:
         self.potential = potential
         self.dec: SpectralDecomposition = eigendecompose(assemble(grid, potential))
         self._kernels: dict = {}
-        self._blocks: dict = {}
+        self._block: _RowBlock | None = None
         self._rho: np.ndarray | None = None
 
     @property
@@ -153,21 +160,19 @@ class VerifierBackend:
     def lattice_indices(self) -> np.ndarray:
         return lattice_indices(self.grid)
 
-    def row_block(self, shifts: tuple = EstimateParams.shifts) -> _RowBlock:
-        """Rows read by scans with these Holder shifts: the lattice, the lattice
-        moved by each representable shift, and the stencil neighbours of both."""
-        if shifts not in self._blocks:
+    def row_block(self) -> _RowBlock:
+        """Rows the scans read: the lattice, the lattice moved by each
+        representable Holder shift, and the stencil neighbours of both."""
+        if self._block is None:
             grid, lat = self.grid, self.lattice_indices()
-            moved = [_shift_indices(grid, lat, steps)
-                     for steps, _ in _physical_shifts(grid, shifts)]
-            base = np.unique(np.concatenate([lat] + [sh[valid] for sh, valid in moved]))
-            near = [_shift_indices(grid, base, step, grid.bc == PERIODIC) for step in (1, -1)]
-            extra = np.setdiff1d(np.concatenate([nb[valid] for nb, valid in near]), base)
-            rows = np.concatenate([base, extra])
+            moved = [_shift_indices(grid, lat, steps) for steps, _ in _physical_shifts(grid)]
+            base = np.unique(np.concatenate([lat] + moved))
+            near = [_shift_indices(grid, base, step) for step in (1, -1)]
+            rows = np.concatenate([base, np.setdiff1d(np.concatenate(near), base)])
             pos = np.full(grid.size, -1)
             pos[rows] = np.arange(rows.size)
-            self._blocks[shifts] = _RowBlock(rows, pos, base.size)
-        return self._blocks[shifts]
+            self._block = _RowBlock(rows, pos, base.size)
+        return self._block
 
     def kernel_rows(self, t: float, alpha: float, power, rows) -> np.ndarray:
         """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to sign).
@@ -184,27 +189,25 @@ class VerifierBackend:
         return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t,
                                  rows=rows).table
 
-    def kernel_table(self, t: float, alpha: float = 1.0, power=0,
-                     shifts: tuple = EstimateParams.shifts) -> np.ndarray:
-        """`kernel_rows` on the rows of `row_block(shifts)`, a (len(rows), N) block.
+    def kernel_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
+        """`kernel_rows` on the rows of `row_block()`, a (len(rows), N) block.
 
         Only the rows the scans read are computed (304 of 1,024 at n=2 M=32);
         the sandwich sets multiplier entries below 1e-300 to zero, which moves
-        no entry. Cached per (shifts, t, alpha, power), so scans with the same
-        shifts (E3 size and E9, for one) share their tables.
+        no entry. Cached per (t, alpha, power), so scans of one object (E3
+        size and E9, for one) share their tables.
         """
-        rows = self.row_block(shifts).rows
-        return self._cached((shifts, round(float(t), 14), alpha, power),
+        rows = self.row_block().rows
+        return self._cached((round(float(t), 14), alpha, power),
                             lambda: self.kernel_rows(t, alpha, power, rows))
 
-    def gradient_table(self, t: float, alpha: float = 1.0, power=0,
-                       shifts: tuple = EstimateParams.shifts) -> np.ndarray:
+    def gradient_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
         """d/dx of `kernel_table` in the first coordinate of x, for every column y,
         at the block's first `stencil` rows (the lattice and its shifts)."""
-        blk = self.row_block(shifts)
+        blk = self.row_block()
         return self._cached(
-            ("grad", shifts, round(float(t), 14), alpha, power),
-            lambda: _axis0_gradient(self.grid, blk, self.kernel_table(t, alpha, power, shifts),
+            ("grad", round(float(t), 14), alpha, power),
+            lambda: _axis0_gradient(self.grid, blk, self.kernel_table(t, alpha, power),
                                     blk.rows[:blk.stencil]))
 
     def _cached(self, key, build):
@@ -284,8 +287,8 @@ def _pair_geometry(backend: VerifierBackend):
     return idx, pts[:, 0], r
 
 
-def _physical_shifts(grid: Grid, shifts: tuple):
-    """(steps, length) for each requested shift representable on this grid.
+def _physical_shifts(grid: Grid):
+    """(steps, length) for each of the HOLDER_SHIFTS representable on this grid.
 
     Shifts are fixed physical lengths (multiples of L/64), so coarse and fine
     scans increment by the same displacements and certificates stay comparable
@@ -294,7 +297,7 @@ def _physical_shifts(grid: Grid, shifts: tuple):
     h = grid.spacing
     unit = grid.half_width / 64.0
     out = []
-    for k in shifts:
+    for k in HOLDER_SHIFTS:
         length = k * unit
         steps = int(round(length / h))
         if steps >= 1 and abs(steps * h - length) <= 1e-9 * length:
@@ -302,30 +305,23 @@ def _physical_shifts(grid: Grid, shifts: tuple):
     return out
 
 
-def _shift_indices(grid: Grid, idx: np.ndarray, steps: int, wrap: bool = False):
-    """Grid indices `steps` cells along the first axis, and which are inside the box.
-
-    With `wrap` (a periodic grid) every index wraps around and is valid.
-    """
+def _shift_indices(grid: Grid, idx: np.ndarray, steps: int) -> np.ndarray:
+    """Grid indices `steps` cells along the first axis; ValueError if one leaves
+    the box (a flat index would silently land on another row)."""
     M = grid.points_per_axis
     stride = M ** (grid.dimension - 1)
-    first = idx // stride
-    if wrap:
-        return idx + ((first + steps) % M - first) * stride, np.ones(idx.shape, dtype=bool)
-    return idx + steps * stride, (first + steps >= 0) & (first + steps < M)
+    first = idx // stride + steps
+    if np.any((first < 0) | (first >= M)):
+        raise ValueError(f"a scan row {steps} cells along axis 0 leaves the box")
+    return idx + steps * stride
 
 
 def _axis0_gradient(grid: Grid, blk: _RowBlock, values: np.ndarray, targets: np.ndarray):
     """`grid.gradient_values(grid, ., axis=0)` at the grid rows `targets`, from `values`
-    aligned with the block's rows: zero outside a Dirichlet box, wrapped on a
-    periodic grid, with the same expression, so the values are the same bits."""
-    sides = []
-    for step in (1, -1):
-        near, valid = _shift_indices(grid, targets, step, grid.bc == PERIODIC)
-        side = np.zeros((targets.size,) + values.shape[1:])
-        side[valid] = values[blk.at(near[valid], values)]
-        sides.append(side)
-    plus, minus = sides
+    aligned with the block's rows: the interior case of that stencil, with the
+    same expression, so the values are the same bits."""
+    plus = values[blk.at(_shift_indices(grid, targets, 1), values)]
+    minus = values[blk.at(_shift_indices(grid, targets, -1), values)]
     return (plus - minus) / (2.0 * grid.spacing)
 
 
@@ -385,14 +381,14 @@ def _ladder(entry: _Entry, p: EstimateParams, backend: VerifierBackend, gradient
     table = backend.gradient_table if gradient else backend.kernel_table
     for t in time_grid(backend, p.alpha, heat_scaling=entry.heat):
         t_sc = np.sqrt(t) if entry.heat else _scaling_time(t, p.alpha)
-        yield t, t_sc, table(t, alpha, power, p.shifts)
+        yield t, t_sc, table(t, alpha, power)
 
 
 def _pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()
-    blk = backend.row_block(p.shifts)
+    blk = backend.row_block()
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
         obj = table[np.ix_(blk.at(idx, table), idx)]
         if entry.scaled:
@@ -406,19 +402,18 @@ def _shifted_pairs(entry, p, backend, acc):
     n = backend.grid.dimension
     idx, xs, r = _pair_geometry(backend)
     rho = backend.rho()
-    blk = backend.row_block(p.shifts)
-    shifts = _physical_shifts(backend.grid, p.shifts)
+    blk = backend.row_block()
+    shifts = [(_shift_indices(backend.grid, idx, steps), shift)
+              for steps, shift in _physical_shifts(backend.grid)]
     for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
-        for steps, shift in shifts:
-            sh_idx, valid = _shift_indices(backend.grid, idx, steps)
-            point = _Point(p, n, t, t_sc, rho[valid][:, None], rho[None, :], r[valid], shift)
+        for sh_idx, shift in shifts:
+            point = _Point(p, n, t, t_sc, rho[:, None], rho[None, :], r, shift)
             allowed = entry.shift_rule(point)
-            if not np.any(valid) or (np.ndim(allowed) == 0 and not allowed):
+            if np.ndim(allowed) == 0 and not allowed:
                 continue
-            incr = (table[blk.at(sh_idx[valid], table)][:, idx]
-                    - table[blk.at(idx[valid], table)][:, idx])
+            incr = table[blk.at(sh_idx, table)][:, idx] - table[blk.at(idx, table)][:, idx]
             maj = np.where(allowed, entry.majorant(point), np.inf)
-            acc.update(incr, maj, xs[valid], xs, t)
+            acc.update(incr, maj, xs, xs, t)
 
 
 def _mass_rows(entry, p, backend, acc):
@@ -427,7 +422,7 @@ def _mass_rows(entry, p, backend, acc):
     n, w = backend.grid.dimension, backend.grid.cell_weight
     idx, xs, _ = _pair_geometry(backend)
     rho = backend.rho()
-    blk = backend.row_block(p.shifts)
+    blk = backend.row_block()
     for t, t_sc, table in _ladder(entry, p, backend, False):
         if entry.gradient:
             obj = _axis0_gradient(backend.grid, blk, np.sum(table, axis=1) * w, idx)
@@ -561,7 +556,7 @@ def _verdict(estimate_id: str, scans: list) -> BoundCertificate:
     # a scan that visited no lattice point measured nothing, and a ratio that
     # overflowed is a supremum the scan could not measure
     passed = bool(fine.total > 0 and fine.nonfinite == 0 and np.isfinite(fine.c_meas)
-                  and fine.c_meas <= resolved.ceiling
+                  and fine.c_meas <= CEILING
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
     return BoundCertificate(estimate_id, resolved, fine.c_meas, fine.argmax, float(ratio),
                             passed, fine.excluded)

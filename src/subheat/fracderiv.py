@@ -10,7 +10,6 @@ on log-spaced Gauss-Legendre panels.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma, roots_jacobi
@@ -19,72 +18,61 @@ from .grid import gauss_legendre_panels
 from .spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
                        semigroup_multiplier)
 
-
-@dataclass(frozen=True)
-class FracDerivSpec:
-    """Order and quadrature layout for one fractional time derivative."""
-
-    beta: float
-    head_nodes: int = 48
-    tail_panels: int = 14
-    tail_panel_nodes: int = 12
-    upper_factor: float = 50.0    # U = upper_factor * t + upper_factor / lam_min^alpha
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("fractional order beta must be positive")
-        if self.head_nodes + self.tail_panels * self.tail_panel_nodes < 64:
-            raise ValueError("fractional-derivative quadrature needs at least 64 nodes")
-        if self.upper_factor < 50.0:
-            raise ValueError("quadrature upper range must reach at least 50 * t")
-
-    @property
-    def m(self) -> int:
-        return int(math.floor(self.beta)) + 1
+HEAD_NODES = 48          # Gauss-Jacobi nodes on [0, min(t, u_max)]
+TAIL_PANELS = 14         # log-spaced Gauss-Legendre panels on the rest
+TAIL_PANEL_NODES = 12
+UPPER_FACTOR = 50.0      # u_max = UPPER_FACTOR * t + UPPER_FACTOR / lam_min^alpha
 
 
-def _u_quadrature(spec: FracDerivSpec, t: float, u_max: float):
+def integer_order(beta: float) -> int:
+    """m = floor(beta) + 1, the whole derivative taken inside the integral."""
+    if beta <= 0:
+        raise ValueError("fractional order beta must be positive")
+    return int(math.floor(beta)) + 1
+
+
+def _u_quadrature(beta: float, t: float, u_max: float):
     """Nodes/weights for int_0^{u_max} g(u) u^(m-beta-1) du, singular weight absorbed."""
-    m, beta = spec.m, spec.beta
+    m = integer_order(beta)
     u_head = min(t, u_max)
-    xj, wj = roots_jacobi(spec.head_nodes, m - beta - 1.0, 0.0)
+    xj, wj = roots_jacobi(HEAD_NODES, m - beta - 1.0, 0.0)
     u_h = u_head * (1.0 - xj) / 2.0
     w_h = wj * (u_head / 2.0) ** (m - beta)
     if u_max <= u_head * (1.0 + 1e-12):
         return u_h, w_h
-    edges = np.exp(np.linspace(np.log(u_head), np.log(u_max), spec.tail_panels + 1))
-    u_t, w_t = gauss_legendre_panels(edges, spec.tail_panel_nodes)
+    edges = np.exp(np.linspace(np.log(u_head), np.log(u_max), TAIL_PANELS + 1))
+    u_t, w_t = gauss_legendre_panels(edges, TAIL_PANEL_NODES)
     w_t = w_t * u_t ** (m - beta - 1.0)
     return np.concatenate([u_h, u_t]), np.concatenate([w_h, w_t])
 
 
-def _node_multipliers(dec: SpectralDecomposition, alpha: float, spec: FracDerivSpec,
-                      t: float):
+def _node_multipliers(dec: SpectralDecomposition, alpha: float, beta: float, t: float):
     """Weights w_q and multipliers d_t^m e^{-(t + u_q) L^alpha} at the nodes, (Q, modes)."""
     la = dec.eigenvalues ** alpha
     lam_min = max(dec.positive_min ** alpha, 1e-12)
-    u, w = _u_quadrature(spec, t, spec.upper_factor * t + spec.upper_factor / lam_min)
+    u, w = _u_quadrature(beta, t, UPPER_FACTOR * t + UPPER_FACTOR / lam_min)
     # d_t^m e^{-(t+u) lam^alpha} = (-lam^alpha)^m e^{-(t+u) lam^alpha}
-    return w, (-la[None, :]) ** spec.m * np.exp(-np.outer(t + u, la))
+    return w, (-la[None, :]) ** integer_order(beta) * np.exp(-np.outer(t + u, la))
 
 
 def frac_multiplier_quadrature(dec: SpectralDecomposition, alpha: float,
-                               spec: FracDerivSpec, t: float) -> np.ndarray:
+                               beta: float, t: float) -> np.ndarray:
     """Quadrature route for the multiplier of d_t^beta e^{-t L^alpha} per eigenvalue."""
     if t <= 0:
         raise ValueError("time must be positive")
-    w, values = _node_multipliers(dec, alpha, spec, t)
-    return (-1.0) ** spec.m * (w @ values) / _gamma(spec.m - spec.beta)
+    m = integer_order(beta)
+    w, values = _node_multipliers(dec, alpha, beta, t)
+    return (-1.0) ** m * (w @ values) / _gamma(m - beta)
 
 
 def frac_time_derivative(dec: SpectralDecomposition, alpha: float,
-                         spec: FracDerivSpec, t: float) -> KernelSlice:
+                         beta: float, t: float) -> KernelSlice:
     """Kernel of d_t^beta e^{-t L^alpha} by the truncated-integral quadrature.
 
     The m-th time derivative inside the integral comes from the spectral
     multiplier, so the quadrature runs per eigenvalue before one sandwich.
     """
-    weights = frac_multiplier_quadrature(dec, alpha, spec, t)
+    weights = frac_multiplier_quadrature(dec, alpha, beta, t)
     return multiplier_kernel(dec, lambda lam: weights, t)
 
 

@@ -65,9 +65,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.values ** 2) * self.grid.cell_weight))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -138,8 +135,9 @@ def gradient_values(grid: Grid, values: np.ndarray, axis: int | None = None) -> 
     partial derivative is returned, shaped like `values`; trailing columns
     are then independent grid functions (a kernel table K(x, y) is
     differentiated in x for every y). The package differentiates one grid
-    function at a time (`spaces`); the trailing-column mode serves as the
-    test reference of the row-block gradient `estimates._axis0_gradient`.
+    function at a time (`spaces`); the verifier's row-block gradient
+    `estimates._axis0_gradient` is the interior case of this stencil, and the
+    trailing-column mode is its test reference.
     """
     if axis is None:
         return np.stack([gradient_values(grid, values, d) for d in range(grid.dimension)],

@@ -16,6 +16,7 @@ import numpy as np
 from .grid import Grid
 
 SIMPSON_INTERVALS = 512
+RHO_TOL = 1e-9           # rho bisection stops when its bracket is this narrow
 
 #: points bisected in lockstep; at n = 1 a block's 32 x 513 Simpson nodes
 #: (~16k doubles per evaluation) keep the temporaries in cache
@@ -195,7 +196,7 @@ def _block_functional(spec: PotentialSpec, grid: Grid, points: np.ndarray):
     return lambda rows, radii: np.array([per_point[i](r) for i, r in zip(rows, radii)])
 
 
-def _bisect_block(functional, count: int, grid: Grid, tol: float):
+def _bisect_block(functional, count: int, grid: Grid):
     """Lockstep bisection of `count` points; functional(rows, radii) -> values.
 
     Each point keeps its own bracket, top check, lo-halving loop and exit, so
@@ -227,7 +228,7 @@ def _bisect_block(functional, count: int, grid: Grid, tol: float):
         below = values(rows, mid) <= 1.0
         lo[rows[below]] = mid[below]
         hi[rows[~below]] = mid[~below]
-        done = hi[rows] - lo[rows] <= tol
+        done = hi[rows] - lo[rows] <= RHO_TOL
         rho[rows[done]] = 0.5 * (lo[rows[done]] + hi[rows[done]])
         rows = rows[~done]
     if rows.size:
@@ -235,21 +236,19 @@ def _bisect_block(functional, count: int, grid: Grid, tol: float):
     return rho, limited
 
 
-def _critical_radii(spec: PotentialSpec, grid: Grid, points: np.ndarray, tol: float):
+def _critical_radii(spec: PotentialSpec, grid: Grid, points: np.ndarray):
     """rho and the box-limited flag at each of `points`, RHO_BLOCK points at a time."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rho = np.empty(len(points))
     limited = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), RHO_BLOCK):
         block = slice(start, start + RHO_BLOCK)
         pts = points[block]
         rho[block], limited[block] = _bisect_block(_block_functional(spec, grid, pts),
-                                                   len(pts), grid, tol)
+                                                   len(pts), grid)
     return rho, limited
 
 
-def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9):
+def compute_rho(spec: PotentialSpec, grid: Grid, x):
     """Critical radius: sup{r : r^(2-n) * int_{B(x,r)} V <= 1} by bisection.
 
     Returns (rho, box_limited): the bracket top is flagged box-limited when
@@ -258,7 +257,7 @@ def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9):
     if is_zero(spec):
         raise ValueError("critical radius undefined for the zero potential")
     x = np.asarray(x, dtype=float).reshape(1, grid.dimension)
-    rho, limited = _critical_radii(spec, grid, x, tol)
+    rho, limited = _critical_radii(spec, grid, x)
     return float(rho[0]), bool(limited[0])
 
 
@@ -266,26 +265,24 @@ def compute_rho(spec: PotentialSpec, grid: Grid, x, tol: float = 1e-9):
 class AuxFunction:
     grid: Grid
     rho: np.ndarray
-    tol: float
     box_limited: np.ndarray
 
 
-def compute_aux_function(spec: PotentialSpec, grid: Grid, tol: float = 1e-9,
-                         indices=None) -> AuxFunction:
+def compute_aux_function(spec: PotentialSpec, grid: Grid, indices=None) -> AuxFunction:
     """rho on the grid, or only at `indices` with NaN elsewhere.
 
     The zero potential gets the +inf sentinel at every point.
     """
     flags = np.zeros(grid.size, dtype=bool)
     if is_zero(spec):
-        return AuxFunction(grid, np.full(grid.size, np.inf), tol, flags)
+        return AuxFunction(grid, np.full(grid.size, np.inf), flags)
     rho = np.full(grid.size, np.nan)
     idx = np.arange(grid.size) if indices is None else np.asarray(indices)
     if _is_translation_invariant(spec):
-        rho[idx], flags[idx] = compute_rho(spec, grid, grid.points[idx[0]], tol)
+        rho[idx], flags[idx] = compute_rho(spec, grid, grid.points[idx[0]])
     else:
-        rho[idx], flags[idx] = _critical_radii(spec, grid, grid.points[idx], tol)
-    return AuxFunction(grid, rho, tol, flags)
+        rho[idx], flags[idx] = _critical_radii(spec, grid, grid.points[idx])
+    return AuxFunction(grid, rho, flags)
 
 
 def _is_translation_invariant(spec: PotentialSpec) -> bool:

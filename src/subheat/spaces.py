@@ -17,6 +17,8 @@ from .grid import (Ball, Grid, GridFunction, ball_points, boundary_layer_mask,
 from .spectral import SpectralDecomposition, semigroup_multiplier
 
 MIN_TIME_NODES = 16
+TIME_TAIL_TOL = 1e-8     # per-mode Gamma-integral tail left outside the default ladder
+SUITE_SIZE = 10          # members of the equivalence suite
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,13 @@ class SpaceTimeField:
 
 
 def default_time_grid(dec: SpectralDecomposition, alpha: float, beta: float,
-                      n_times: int = 64, tol: float = 1e-8) -> np.ndarray:
-    """Log-spaced times whose per-mode Gamma-integral tails stay below tol."""
+                      n_times: int = 64) -> np.ndarray:
+    """Log-spaced times whose per-mode Gamma-integral tails stay below TIME_TAIL_TOL."""
     lam_max = max(dec.lam_max, 1.0)
     lam_min = dec.positive_min
-    u_min = (2.0 * beta * tol * _gamma(2.0 * beta) * 2.0 ** (-2.0 * beta)) ** (1.0 / (2.0 * beta))
-    u_max = 20.0 * (1.0 + beta) + np.log(1.0 / tol)
+    u_min = (2.0 * beta * TIME_TAIL_TOL * _gamma(2.0 * beta)
+             * 2.0 ** (-2.0 * beta)) ** (1.0 / (2.0 * beta))
+    u_max = 20.0 * (1.0 + beta) + np.log(1.0 / TIME_TAIL_TOL)
     t_min = u_min / lam_max ** alpha
     t_max = u_max / lam_min ** alpha
     return np.geomspace(t_min, t_max, n_times)
@@ -378,7 +381,7 @@ def equivalence_rho_indices(grid: Grid) -> np.ndarray:
 
 
 def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
-                           gamma: float, seed: int = 0, count: int = 10) -> list[GridFunction]:
+                           gamma: float, seed: int = 0) -> list[GridFunction]:
     """Functions with spread-out Campanato norms: truncated Holder profiles,
     atoms and random low-frequency combinations."""
     grid = dec.grid
@@ -402,7 +405,7 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
         atom = make_atom(grid, ball, gamma, r_at, kind="oscillating")
         suite.append(atom.function)
     k_low = min(12, grid.size - 1)
-    while len(suite) < count:
+    while len(suite) < SUITE_SIZE:
         coeff = np.zeros(grid.size)
         start = 1 if dec.has_zero_mode else 0
         coeff[start:start + k_low] = rng.standard_normal(k_low)

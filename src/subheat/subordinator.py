@@ -15,7 +15,6 @@ m(lam) = int eta_t(s) e^{-s lam} ds, computed with composite Gauss-Legendre
 panels on log s plus an analytic/numeric tail completion.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +26,10 @@ from .spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
 SERIES_CROSSOVER = 1.0
 SERIES_KMAX = 400
 TAIL_START = 1e4          # switch to the analytic tail beyond this multiple of t^(1/alpha)
+HEAD_START = 1e-6         # the quadrature starts at this multiple of t^(1/alpha)
+QUAD_NODES = 256          # log-s Gauss-Legendre nodes on [HEAD_START, TAIL_START]
+PANEL_NODES = 16          # Gauss-Legendre nodes per panel of every rule here
+DESCENT_HALF_PANELS = 30  # descent-path panels graded toward each end of (0, pi)
 
 
 def _check_alpha(alpha: float):
@@ -34,8 +37,8 @@ def _check_alpha(alpha: float):
         raise ValueError(f"stability index must lie in (0,1), got {alpha}")
 
 
-def _series_coefficients(alpha: float, kmax: int = SERIES_KMAX):
-    ks = np.arange(1, kmax + 1)
+def _series_coefficients(alpha: float):
+    ks = np.arange(1, SERIES_KMAX + 1)
     coeff = ((-1.0) ** (ks + 1)
              * np.exp(gammaln(alpha * ks + 1) - gammaln(ks + 1))
              * np.sin(np.pi * alpha * ks) / np.pi)
@@ -64,11 +67,11 @@ def density_series(alpha: float, s) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _descent_nodes(alpha: float, half_panels: int = 30, nodes: int = 16):
+def _descent_nodes(alpha: float):
     # panel edges graded geometrically toward both endpoints of (0, pi)
-    g = 0.5 ** np.arange(half_panels, -1, -1.0)
+    g = 0.5 ** np.arange(DESCENT_HALF_PANELS, -1, -1.0)
     edges = np.concatenate(([0.0], 0.5 * np.pi * g, (np.pi - 0.5 * np.pi * g[::-1])[1:]))
-    phi, w = gauss_legendre_panels(edges, nodes)
+    phi, w = gauss_legendre_panels(edges, PANEL_NODES)
     log_u = ((alpha / (1.0 - alpha)) * (np.log(np.sin(alpha * phi)) - np.log(np.sin(phi)))
              + np.log(np.sin((1.0 - alpha) * phi)) - np.log(np.sin(phi)))
     return log_u, w
@@ -107,38 +110,23 @@ def density(alpha: float, s) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SubQuadrature:
-    """Composite log-s Gauss-Legendre rule for the subordination integral."""
-
-    nodes: int = 256
-    lo_factor: float = 1e-6    # s_lo = lo_factor * t^(1/alpha)
-    hi_factor: float = TAIL_START
-    panel_nodes: int = 16
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("subordination quadrature needs at least 64 nodes")
-        if self.lo_factor > 1e-3 or self.hi_factor < 1e3:
-            raise ValueError("quadrature range must bracket the scaling time t^(1/alpha)")
-
-
-def _log_gl(lo: float, hi: float, n_nodes: int, panel_nodes: int):
-    n_panels = max(1, n_nodes // panel_nodes)
+def _log_gl(lo: float, hi: float, n_nodes: int):
+    """Gauss-Legendre panels of PANEL_NODES nodes, equal in log s, on [lo, hi]."""
+    n_panels = max(1, n_nodes // PANEL_NODES)
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_panels + 1))
-    return gauss_legendre_panels(edges, panel_nodes)
+    return gauss_legendre_panels(edges, PANEL_NODES)
 
 
-def _series_tail_integral(alpha: float, S: float, mus: np.ndarray,
-                          extra_power: float = 0.0) -> np.ndarray:
-    """int_S^inf u^(-extra_power) eta_1(u) e^(-mu u) du for each mu >= 0.
+def _series_tail_integral(alpha: float, mus: np.ndarray) -> np.ndarray:
+    """int_S^inf eta_1(u) e^(-mu u) du for each mu >= 0, with S = TAIL_START.
 
     mu = 0 uses the term-by-term analytic integral of the tail series; mu > 0
     integrates the series numerically out to the exponential cutoff.
     """
+    S = TAIL_START
     coeff, ks = _series_coefficients(alpha)
     out = np.zeros_like(mus)
-    powers = alpha * ks + extra_power
+    powers = alpha * ks
     analytic = np.sum(coeff * S ** (-powers) / powers)
     for i, mu in enumerate(mus):
         if mu * S > 40.0:
@@ -147,90 +135,80 @@ def _series_tail_integral(alpha: float, S: float, mus: np.ndarray,
             out[i] = analytic
             continue
         hi = max(2.0 * S, 45.0 / mu)
-        pts, wts = _log_gl(S, hi, 12 * 16, 16)
+        pts, wts = _log_gl(S, hi, 12 * PANEL_NODES)
         eta_vals = density_series(alpha, pts)
-        out[i] = np.sum(wts * eta_vals * pts ** (-extra_power) * np.exp(-mu * pts))
+        out[i] = np.sum(wts * eta_vals * np.exp(-mu * pts))
     return out
 
 
-def subordination_multiplier(alpha: float, t: float, lams,
-                             quad: SubQuadrature | None = None) -> np.ndarray:
+def subordination_multiplier(alpha: float, t: float, lams) -> np.ndarray:
     """int_0^inf eta_t(s) e^{-s lam} ds per eigenvalue (approximates e^{-t lam^alpha})."""
     _check_alpha(alpha)
     if t <= 0:
         raise ValueError("time must be positive")
-    quad = quad or SubQuadrature()
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     ta = t ** (1.0 / alpha)
     mus = lams * ta
-    u, w = _log_gl(quad.lo_factor, quad.hi_factor, quad.nodes, quad.panel_nodes)
+    u, w = _log_gl(HEAD_START, TAIL_START, QUAD_NODES)
     eta_vals = density(alpha, u)
     main = (eta_vals * w) @ np.exp(-np.outer(u, mus))
-    tail = _series_tail_integral(alpha, quad.hi_factor, mus)
+    tail = _series_tail_integral(alpha, mus)
     return main + tail
 
 
-def laplace_transform(alpha: float, lam: float, quad: SubQuadrature | None = None) -> float:
+def laplace_transform(alpha: float, lam: float) -> float:
     """int_0^inf e^{-lam s} eta_1(s) ds; equals exp(-lam^alpha)."""
     _check_alpha(alpha)
-    quad = quad or SubQuadrature()
-    u, w = _log_gl(quad.lo_factor, quad.hi_factor, quad.nodes, quad.panel_nodes)
+    u, w = _log_gl(HEAD_START, TAIL_START, QUAD_NODES)
     main = np.sum(density(alpha, u) * w * np.exp(-lam * u))
-    tail = _series_tail_integral(alpha, quad.hi_factor, np.array([float(lam)]))[0]
+    tail = _series_tail_integral(alpha, np.array([float(lam)]))[0]
     return float(main + tail)
 
 
-def negative_moment(alpha: float, gamma_exp: float, quad: SubQuadrature | None = None) -> float:
+def negative_moment(alpha: float, gamma_exp: float) -> float:
     """int_0^inf s^(-gamma) eta_1(s) ds (finite for every gamma > 0)."""
     _check_alpha(alpha)
-    quad = quad or SubQuadrature()
-    u, w = _log_gl(quad.lo_factor, quad.hi_factor, quad.nodes, quad.panel_nodes)
+    u, w = _log_gl(HEAD_START, TAIL_START, QUAD_NODES)
     main = np.sum(density(alpha, u) * w * u ** (-gamma_exp))
     coeff, ks = _series_coefficients(alpha)
     powers = alpha * ks + gamma_exp
-    tail = np.sum(coeff * quad.hi_factor ** (-powers) / powers)
+    tail = np.sum(coeff * TAIL_START ** (-powers) / powers)
     return float(main + tail)
 
 
-def subordinate_kernel(dec: SpectralDecomposition, alpha: float, t: float,
-                       quad: SubQuadrature | None = None) -> KernelSlice:
+def subordinate_kernel(dec: SpectralDecomposition, alpha: float, t: float) -> KernelSlice:
     """K_{alpha,t} = int eta_t(s) K_s ds through the shared eigenbasis.
 
     Summing the spectral heat tables against the quadrature weights contracts
     exactly (matrix assembly is linear), so the weights are accumulated per
     eigenvalue before one basis sandwich.
     """
-    weights = subordination_multiplier(alpha, t, dec.eigenvalues, quad)
+    weights = subordination_multiplier(alpha, t, dec.eigenvalues)
     return multiplier_kernel(dec, lambda lam: weights, t)
 
 
-def tail_exponent_fit(alpha: float, s_lo: float = 1e2, s_hi: float = 1e4,
-                      points: int = 24):
-    """OLS slope of log eta vs log s on [s_lo, s_hi]; the claim is -(1+alpha)."""
-    s = np.geomspace(s_lo, s_hi, points)
+def tail_exponent_fit(alpha: float):
+    """OLS slope of log eta vs log s at 24 points on [1e2, 1e4]; the claim is -(1+alpha)."""
+    s = np.geomspace(1e2, 1e4, 24)
     eta_vals = density(alpha, s)
     A = np.vstack([np.log(s), np.ones_like(s)]).T
     slope = np.linalg.lstsq(A, np.log(eta_vals), rcond=None)[0][0]
     return float(slope)
 
 
-def pointwise_bound_constant(alpha: float, s_lo: float = 1e-2, s_hi: float = 1e4,
-                             points: int = 200) -> float:
-    """Fitted C with eta_1(s) <= C / s^(1+alpha) over the sampled range."""
-    s = np.geomspace(s_lo, s_hi, points)
+def pointwise_bound_constant(alpha: float) -> float:
+    """Fitted C with eta_1(s) <= C / s^(1+alpha) at 200 points on [1e-2, 1e4]."""
+    s = np.geomspace(1e-2, 1e4, 200)
     return float(np.max(density(alpha, s) * s ** (1.0 + alpha)))
 
 
-def overlap_consistency(alpha: float, lo: float = 0.5, hi: float = 2.0,
-                        points: int = 16) -> float:
-    """Max relative gap between the descent and series evaluators on [lo, hi]."""
+def overlap_consistency(alpha: float) -> float:
+    """Max relative gap between the descent evaluator and the series (the closed
+    form at alpha = 1/2) at 16 points on [0.5, 2]."""
     _check_alpha(alpha)
-    if abs(alpha - 0.5) < 1e-14:
-        s = np.geomspace(lo, hi, points)
-        a, b = density_descent(alpha, s), density_half(s)
-        return float(np.max(np.abs(a - b) / np.abs(b)))
-    s = np.geomspace(lo, hi, points)
-    a, b = density_descent(alpha, s), density_series(alpha, s)
+    s = np.geomspace(0.5, 2.0, 16)
+    a = density_descent(alpha, s)
+    b = density_half(s) if abs(alpha - 0.5) < 1e-14 else density_series(alpha, s)
     return float(np.max(np.abs(a - b) / np.abs(b)))
 
 

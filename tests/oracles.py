@@ -16,14 +16,14 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from subheat.closedform import gaussian_heat_value
-from subheat.fracderiv import FracDerivSpec, _node_multipliers, _u_quadrature
+from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
 from subheat.grid import Ball, Grid
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
                                 _radial_profile_about, _rho_functional_at,
                                 _simpson_weights, ball_integral, compute_rho,
                                 eval_on_grid, eval_potential, is_zero)
 from subheat.spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
-from subheat.subordinator import SubQuadrature, _check_alpha, _log_gl, density
+from subheat.subordinator import _check_alpha, _log_gl, density
 
 _BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
@@ -37,19 +37,19 @@ def density_scaled(alpha: float, t: float, s) -> np.ndarray:
 
 
 def subordinate_tables(table_provider, grid, alpha: float, t: float,
-                       quad: SubQuadrature | None = None) -> KernelSlice:
+                       nodes: int = 448, hi_factor: float = 1e8) -> KernelSlice:
     """Literal table-space subordination: sum_q eta_t(s_q) K(s_q) w_q.
 
     `table_provider(s)` returns the heat-kernel table at time s (any route,
-    e.g. the closed-form Gaussian for the potential-free calibration).
+    e.g. the closed-form Gaussian for the potential-free calibration). The
+    rule is `nodes` log-s Gauss-Legendre nodes on [1e-6, hi_factor] t^(1/alpha).
     Unlike the eigenbasis route there is no analytic tail completion, so the
-    default quadrature range is pushed out far enough that the power tail of
-    the subordinator is negligible.
+    default range is pushed out far enough that the power tail of the
+    subordinator is negligible.
     """
     _check_alpha(alpha)
-    quad = quad or SubQuadrature(nodes=448, hi_factor=1e8)
     ta = t ** (1.0 / alpha)
-    s, w = _log_gl(quad.lo_factor * ta, quad.hi_factor * ta, quad.nodes, quad.panel_nodes)
+    s, w = _log_gl(1e-6 * ta, hi_factor * ta, nodes)
     eta_vals = density_scaled(alpha, t, s)
     acc = np.zeros((grid.size, grid.size))
     for sq, wq, ev in zip(s, w, eta_vals):
@@ -60,23 +60,24 @@ def subordinate_tables(table_provider, grid, alpha: float, t: float,
 
 
 def frac_time_derivative_tables(dec: SpectralDecomposition, alpha: float,
-                                spec: FracDerivSpec, t: float) -> KernelSlice:
+                                beta: float, t: float) -> KernelSlice:
     """`fracderiv.frac_time_derivative` summing one kernel table per quadrature node."""
-    w, values = _node_multipliers(dec, alpha, spec, t)
+    m = integer_order(beta)
+    w, values = _node_multipliers(dec, alpha, beta, t)
     acc = np.zeros((dec.grid.size, dec.grid.size))
     for wq, mult in zip(w, values):
         acc += wq * ((dec.basis * mult[None, :]) @ dec.basis.T)
-    acc *= (-1.0) ** spec.m / _gamma(spec.m - spec.beta)
+    acc *= (-1.0) ** m / _gamma(m - beta)
     return KernelSlice(dec.grid, float(t), acc)
 
 
-def frac_derivative_scalar(a: float, beta: float, t: float,
-                           spec: FracDerivSpec | None = None) -> float:
-    """d_t^beta e^{-a t} by the integral definition; the convention makes it a^beta e^{-at}."""
-    spec = spec or FracDerivSpec(beta)
-    m = spec.m
-    u_max = spec.upper_factor * t + spec.upper_factor / max(a, 1e-12)
-    u, w = _u_quadrature(spec, t, u_max)
+def frac_derivative_scalar(a: float, beta: float, t: float) -> float:
+    """d_t^beta e^{-a t} by the integral definition; the convention makes it a^beta e^{-at}.
+
+    The integral runs to u_max = 50 t + 50 / a on the package's node layout."""
+    m = integer_order(beta)
+    u_max = 50.0 * t + 50.0 / max(a, 1e-12)
+    u, w = _u_quadrature(beta, t, u_max)
     values = (-a) ** m * np.exp(-a * (t + u))
     return float((-1.0) ** m * np.sum(w * values) / _gamma(m - beta))
 

@@ -16,8 +16,7 @@ from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 poisson_value)
 from subheat.estimates import (ESTIMATE_IDS, EstimateParams, build_backend, certify,
                                decay_exponent_fit)
-from subheat.fracderiv import (FracDerivSpec, frac_multiplier_quadrature,
-                               frac_time_derivative)
+from subheat.fracderiv import frac_multiplier_quadrature, frac_time_derivative
 from subheat.grid import build_grid, grid_function, inner_box_mask
 from subheat.potentials import constant, power, zero
 from subheat.spectral import (assemble, compose, eigendecompose,
@@ -141,10 +140,10 @@ def test_criterion_6_fractional_derivative_routes(dec_flat):
     la = dec_flat.eigenvalues ** alpha
     for beta in (0.3, 0.5, 1.0, 1.5):
         for t in (0.5, 1.0, 2.0):
-            q = frac_multiplier_quadrature(dec_flat, alpha, FracDerivSpec(beta), t)
+            q = frac_multiplier_quadrature(dec_flat, alpha, beta, t)
             exact = la ** beta * np.exp(-t * la)
             assert np.max(np.abs(q - exact)) <= 1e-4 * np.max(np.abs(exact))
-    quad = frac_time_derivative(dec_flat, alpha, FracDerivSpec(1.0), 1.0)
+    quad = frac_time_derivative(dec_flat, alpha, 1.0, 1.0)
     mult = mth_time_derivative_kernel(dec_flat, alpha, 1, 1.0)
     # real normalization carries the first derivative with a positive sign
     assert np.max(np.abs(quad.table + mult.table)) <= 1e-8 * np.max(np.abs(mult.table))
@@ -228,7 +227,7 @@ def test_criterion_11_duality_pairing(dec_flat):
 
 def test_criterion_12_area_function(dec_flat):
     rho = np.full(dec_flat.grid.size, RHO_FLAT)
-    suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=45, count=10)
+    suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=45)
     for f in suite:
         S = area_function(dec_flat, 0.5, 1.0, f)
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
@@ -249,7 +248,7 @@ def test_criterion_12_area_function(dec_flat):
 
 def test_criterion_13_equivalence(dec_flat):
     rho = np.full(dec_flat.grid.size, RHO_FLAT)
-    suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=47, count=10)
+    suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=47)
     rep = equivalence_experiment(suite, dec_flat, 0.5, 1.0, 0.25, rho)
     assert rep["c_star"] <= 100.0
     doubled = [grid_function(dec_flat.grid, 2.0 * f.values) for f in suite[:3]]

@@ -141,7 +141,15 @@ def test_main_exit_codes(tmp_path):
     ("selftest", "beta = 1.0", "beta = nan"),
     ("verify", "n_list = 0", "n_list = 0\ndelta = nan"),
     ("kernels", "seed = 7", "seed = 7\ntimes = -1"),
-], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative"])
+    ("selftest", "n = 1", "n = 2"),
+    ("verify", "M = 64", "M = 18"),
+    ("verify", "M = 64", "M = 8"),
+    ("spaces", "seed = 7", "seed = -1"),
+    ("verify", "c = 1.0", "c = 1.0\nq = 0"),
+    ("verify", "c = 1.0", "c = 1.0\nq = -2"),
+], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative",
+        "M-above-cap", "coarse-M-odd", "coarse-M-below-8", "seed-negative", "q-zero",
+        "q-negative"])
 def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     text = FULL.replace("M = 128", "M = 64")
     assert line in text
@@ -149,6 +157,14 @@ def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     cfg_path.write_text(text.replace(line, bad_line))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("M = 128", "M = 64"))
+    assert main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_spaces_command(tmp_path):
@@ -229,6 +245,8 @@ EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
     ("verify", PINNED_N2_VERIFY.format(kind="power\nsigma = 2").replace(
         "M = 16", "M = 16\nbc = periodic"),
      {"certificates.csv": "certificates_n2_m16_power2_periodic.csv"}),
+    ("verify", PINNED_N2_VERIFY.format(kind="power\nsigma = 2").replace("M = 16", "M = 32"),
+     {"certificates.csv": "certificates_n2_m32_power2.csv"}),
     ("kernels", PINNED_N1_KERNELS,
      {f"{tag}_t{t}.csv": f"kernels_n1_m16/{tag}_t{t}.csv"
       for t in ("0.25", "1", "4") for tag in ("heat", "frac")}),
@@ -236,7 +254,8 @@ EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
     ("equiv", PINNED_N1_NORMS, {name: f"norms_n1_m64_power2/{name}" for name in EQUIV_FILES}),
     ("spaces", PINNED_N2_NORMS, {"space_norms.csv": "norms_n2_m16_constant/space_norms.csv"}),
     ("equiv", PINNED_N2_NORMS, {name: f"norms_n2_m16_constant/{name}" for name in EQUIV_FILES}),
-], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "kernels-n1-m16",
+], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "verify-n2-m32-power2",
+        "kernels-n1-m16",
         "spaces-n1-m64-power2", "equiv-n1-m64-power2", "spaces-n2-m16-constant",
         "equiv-n2-m16-constant"])
 def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
@@ -248,8 +267,10 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     commit ea43564. The n=2 `verify` reaches the grid-sum branch of the
     critical radius (|x|^2 is radial about no grid point), on both
     boundary conditions (the inner lattice never reaches the periodic wrap
-    of the gradient stencil; the row-block oracle test in test_estimates.py
-    does); `kernels` writes the six default tables. The `spaces` and `equiv`
+    of the gradient stencil). M=16 represents no Holder shift; the n=2 M=32
+    certificates, written by `python -m subheat verify` at commit 65262e7
+    (the benchmark's certify-n2 config), scan the shift L/16 of one cell.
+    `kernels` writes the six default tables. The `spaces` and `equiv`
     tables were written by `python -m subheat` at commit 1f80921; their N4
     and N5 columns read the gradient stencil of `grid.gradient_values`.
     """

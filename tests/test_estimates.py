@@ -315,7 +315,7 @@ def _full_shifted_pairs(entry, p, full, acc):
     idx, xs, r = estimates._pair_geometry(full)
     rho = full.rho()
     h, unit = full.grid.spacing, full.grid.half_width / 64.0
-    shifts = [(int(round(k * unit / h)), k * unit) for k in p.shifts
+    shifts = [(int(round(k * unit / h)), k * unit) for k in estimates.HOLDER_SHIFTS
               if int(round(k * unit / h)) >= 1
               and abs(int(round(k * unit / h)) * h - k * unit) <= 1e-9 * k * unit]
     for t, t_sc, table in _full_ladder(entry, p, full, entry.gradient):
@@ -368,37 +368,50 @@ def _full_scan(eid, params, full):
     return acc, p
 
 
-@pytest.mark.parametrize("potential", [power(2.0), zero()], ids=["power2", "zero"])
-@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("n, M", [(1, 64), (2, 16)])
+_ROW_BLOCK_CASES = [(n, M, bc, potential) for n, M in ((1, 64), (2, 16))
+                    for bc in ("dirichlet", "periodic") for potential in ("power2", "zero")]
+
+
+@pytest.mark.parametrize("n, M, bc, potential", _ROW_BLOCK_CASES + [(2, 32, "periodic", "power2")])
 def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     """Every registry entry scans the same bits on row blocks as on full tables.
 
-    At n=2 M=16 no default shift is a whole number of cells; shifts (8, 32)
-    are one and four cells there, so the shifted loops and their own row set
-    run too. A shift of L/2 carries the lattice's top row to the last grid
-    point, whose gradient stencil leaves the box (zero or wrapped).
+    At n=2 M=16 no Holder shift is a whole number of cells. At n=2 M=32 the
+    shift L/16 is one cell, so the shifted loops read shifted rows and the
+    block gradient reads their stencil neighbours; on the periodic grid the
+    full-table gradient wraps, and the block's interior stencil must agree.
     """
-    backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=potential)
+    spec = power(2.0) if potential == "power2" else zero()
+    backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=spec)
     full = _FullTables(backend)
-    for shifts in ((1, 2, 4), (8, 32)):
-        blk = backend.row_block(shifts)
-        for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
-            assert np.array_equal(backend.kernel_table(t, alpha, power_, shifts),
-                                  full.kernel_table(t, alpha, power_)[blk.rows])
-            assert np.array_equal(backend.gradient_table(t, alpha, power_, shifts),
-                                  full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
-        for eid, members in estimates._REGISTRY.items():
-            for member, entry in members.items():
-                params = replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2,
-                                 shifts=shifts)
-                if entry.needs_potential and backend.zero_potential:
-                    with pytest.raises(estimates.EstimateNotApplicable):
-                        scan_estimate(eid, params, backend)
-                    continue
-                expected = _outcome(_full_scan, eid, params, full)
-                assert _outcome(scan_estimate, eid, params, backend) == expected, (eid, member)
-    assert set(backend._blocks) == {(1, 2, 4), (8, 32)}
+    blk = backend.row_block()
+    for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
+        assert np.array_equal(backend.kernel_table(t, alpha, power_),
+                              full.kernel_table(t, alpha, power_)[blk.rows])
+        assert np.array_equal(backend.gradient_table(t, alpha, power_),
+                              full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
+    for eid, members in estimates._REGISTRY.items():
+        for member, entry in members.items():
+            params = replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2)
+            if entry.needs_potential and backend.zero_potential:
+                with pytest.raises(estimates.EstimateNotApplicable):
+                    scan_estimate(eid, params, backend)
+                continue
+            expected = _outcome(_full_scan, eid, params, full)
+            assert _outcome(scan_estimate, eid, params, backend) == expected, (eid, member)
+    assert backend.row_block() is blk
+
+
+def test_shifted_row_outside_the_box_is_an_error():
+    """A negative or too-large flat index would wrap silently, so a shift that
+    leaves the box raises instead."""
+    grid = build_grid(2, 16.0, 16)
+    first, last = np.array([0]), np.array([grid.size - 1])
+    assert estimates._shift_indices(grid, first, 15)[0] == 15 * 16
+    with pytest.raises(ValueError):
+        estimates._shift_indices(grid, last, 1)
+    with pytest.raises(ValueError):
+        estimates._shift_indices(grid, first, -1)
 
 
 def test_row_block_never_reads_an_uncomputed_row():

@@ -4,8 +4,8 @@ import pytest
 from oracles import (frac_derivative_scalar, frac_time_derivative_tables,
                      mth_time_derivative_kernel)
 from subheat.closedform import gaussian_heat_table
-from subheat.fracderiv import (FracDerivSpec, d_operator, frac_multiplier_quadrature,
-                               frac_time_derivative)
+from subheat.fracderiv import (d_operator, frac_multiplier_quadrature,
+                               frac_time_derivative, integer_order)
 from subheat.grid import boundary_layer_mask, build_grid, gradient_values, grid_function
 from subheat.potentials import constant, zero
 from subheat.spaces import nabla_alpha_field
@@ -18,16 +18,15 @@ def dec():
     return eigendecompose(assemble(g, constant(1.0)))
 
 
-def test_spec_validation():
+def test_spec_validation(dec):
+    """The order beta must be positive; m = floor(beta) + 1."""
     with pytest.raises(ValueError):
-        FracDerivSpec(0.0)
+        frac_multiplier_quadrature(dec, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
-        FracDerivSpec(0.5, head_nodes=8, tail_panels=2, tail_panel_nodes=8)
-    with pytest.raises(ValueError):
-        FracDerivSpec(0.5, upper_factor=10.0)
-    assert FracDerivSpec(1.5).m == 2
-    assert FracDerivSpec(1.0).m == 2
-    assert FracDerivSpec(0.3).m == 1
+        frac_time_derivative(dec, 0.5, -0.5, 1.0)
+    assert integer_order(1.5) == 2
+    assert integer_order(1.0) == 2
+    assert integer_order(0.3) == 1
 
 
 def test_scalar_convention():
@@ -42,8 +41,7 @@ def test_scalar_convention():
 def test_beta_one_reduces_to_ordinary_derivative(dec):
     # the truncated integral telescopes to the first derivative; the
     # real-normalized convention carries it with the sign of lam^alpha e^{-t lam^alpha}
-    spec = FracDerivSpec(1.0)
-    quad = frac_time_derivative(dec, 0.5, spec, 1.0)
+    quad = frac_time_derivative(dec, 0.5, 1.0, 1.0)
     mult = mth_time_derivative_kernel(dec, 0.5, 1, 1.0)
     assert np.max(np.abs(quad.table + mult.table)) <= 1e-8 * np.max(np.abs(mult.table))
 
@@ -51,7 +49,7 @@ def test_beta_one_reduces_to_ordinary_derivative(dec):
 def test_quadrature_vs_multiplier_route(dec):
     for beta in (0.3, 0.5, 1.0, 1.5):
         for t in (0.5, 1.0, 2.0):
-            q = frac_multiplier_quadrature(dec, 0.5, FracDerivSpec(beta), t)
+            q = frac_multiplier_quadrature(dec, 0.5, beta, t)
             la = dec.eigenvalues ** 0.5
             exact = la ** beta * np.exp(-t * la)
             assert np.max(np.abs(q - exact)) <= 1e-4 * np.max(np.abs(exact))
@@ -60,9 +58,8 @@ def test_quadrature_vs_multiplier_route(dec):
 def test_table_route_matches_contracted_route():
     g = build_grid(1, 4.0, 64, "dirichlet")
     small = eigendecompose(assemble(g, constant(1.0)))
-    spec = FracDerivSpec(0.5)
-    lit = frac_time_derivative_tables(small, 0.5, spec, 1.0)
-    con = frac_time_derivative(small, 0.5, spec, 1.0)
+    lit = frac_time_derivative_tables(small, 0.5, 0.5, 1.0)
+    con = frac_time_derivative(small, 0.5, 0.5, 1.0)
     assert np.max(np.abs(lit.table - con.table)) < 1e-12 * np.max(np.abs(con.table))
 
 
@@ -99,8 +96,7 @@ def test_frac_derivative_commutes_with_semigroup(dec):
     first = multiplier_kernel(
         dec, lambda l: (l ** alpha) ** beta * np.exp(-(t + s) * l ** alpha), t + s
     )
-    spec = FracDerivSpec(beta)
-    q = frac_multiplier_quadrature(dec, alpha, spec, t) * np.exp(-s * lam ** alpha)
+    q = frac_multiplier_quadrature(dec, alpha, beta, t) * np.exp(-s * lam ** alpha)
     second = multiplier_kernel(dec, lambda l: q, t + s)
     assert np.max(np.abs(first.table - second.table)) <= 1e-8 * np.max(np.abs(first.table))
 
@@ -109,7 +105,7 @@ def test_composition_of_orders(dec):
     # d^(b1) d^(b2) = d^(b1+b2) on the semigroup, via quadrature both times
     alpha, t = 0.5, 1.0
     la = dec.eigenvalues ** alpha
-    q1 = frac_multiplier_quadrature(dec, alpha, FracDerivSpec(0.5), t)
+    q1 = frac_multiplier_quadrature(dec, alpha, 0.5, t)
     combo = la ** 0.5 * q1  # apply the exact half-derivative to the quadrature result
     direct = la ** 1.0 * np.exp(-t * la)
     assert np.max(np.abs(combo - direct)) <= 1e-6 * np.max(np.abs(direct))

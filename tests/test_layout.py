@@ -29,7 +29,6 @@ ALLOWED = {
     ("estimates", "decay_exponent_fit"): "tail-exponent leg of a certificate, to be "
                                          "wired into verify",
     ("estimates", "refinement_study"): "certificates across more than two grids",
-    ("fracderiv", "FracDerivSpec"): "time-quadrature route of the fractional derivative",
     ("fracderiv", "frac_multiplier_quadrature"): "time-quadrature route",
     ("fracderiv", "frac_time_derivative"): "time-quadrature route",
 }

@@ -63,26 +63,26 @@ def test_reverse_holder_rejects_all_zero_sample():
 
 def test_rho_constant_n3():
     g = build_grid(3, 4.0, 16)
-    rho, _ = compute_rho(constant(1.0), g, [0.0, 0.0, 0.0], tol=1e-10)
+    rho, _ = compute_rho(constant(1.0), g, [0.0, 0.0, 0.0])
     assert rho == pytest.approx(np.sqrt(3.0 / (4.0 * np.pi)), abs=1e-8)
 
 
 def test_rho_power_n3():
     g = build_grid(3, 4.0, 16)
-    rho, _ = compute_rho(power(2.0), g, [0.0, 0.0, 0.0], tol=1e-10)
+    rho, _ = compute_rho(power(2.0), g, [0.0, 0.0, 0.0])
     assert rho == pytest.approx((5.0 / (4.0 * np.pi)) ** 0.25, abs=1e-8)
 
 
 def test_rho_constant_n1():
     g = build_grid(1, 16.0, 256)
-    rho, _ = compute_rho(constant(1.0), g, [0.0], tol=1e-10)
+    rho, _ = compute_rho(constant(1.0), g, [0.0])
     assert rho == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
 
 
 def test_rho_functional_equals_one_at_rho():
     g = build_grid(1, 16.0, 256)
     for spec in (constant(1.0), power(2.0), constant(4.0)):
-        rho, _ = compute_rho(spec, g, [0.0], tol=1e-10)
+        rho, _ = compute_rho(spec, g, [0.0])
         assert _rho_functional(spec, g, np.array([0.0]), rho) == pytest.approx(1.0, abs=1e-7)
 
 

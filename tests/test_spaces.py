@@ -166,7 +166,7 @@ def test_area_function_zero(dec):
 
 
 def test_area_function_l2_bound(dec, rho):
-    suite = make_equivalence_suite(dec, rho, 0.25, seed=6, count=10)
+    suite = make_equivalence_suite(dec, rho, 0.25, seed=6)
     for f in suite:
         S = area_function(dec, 0.5, 1.0, f)
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
@@ -368,14 +368,14 @@ def test_duality_constant_beta_one():
 
 
 def test_equivalence_experiment(dec, rho):
-    suite = make_equivalence_suite(dec, rho, 0.25, seed=11, count=10)
+    suite = make_equivalence_suite(dec, rho, 0.25, seed=11)
     assert len(suite) >= 10
     rep = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho)
     assert rep["c_star"] <= 100.0
 
 
 def test_equivalence_scaling_exact(dec, rho):
-    suite = make_equivalence_suite(dec, rho, 0.25, seed=12, count=10)[:2]
+    suite = make_equivalence_suite(dec, rho, 0.25, seed=12)[:2]
     rep1 = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho)
     doubled = [grid_function(dec.grid, 2.0 * f.values) for f in suite]
     rep2 = equivalence_experiment(doubled, dec, 0.5, 1.0, 0.25, rho)
@@ -385,7 +385,7 @@ def test_equivalence_scaling_exact(dec, rho):
 
 
 def test_equivalence_gamma_hypothesis(dec, rho):
-    suite = make_equivalence_suite(dec, rho, 0.25, seed=13, count=10)[:1]
+    suite = make_equivalence_suite(dec, rho, 0.25, seed=13)[:1]
     with pytest.raises(ValueError):
         equivalence_experiment(suite, dec, 0.2, 1.0, 0.6, rho)
 

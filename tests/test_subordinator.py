@@ -7,7 +7,7 @@ from subheat.closedform import gaussian_heat_value, poisson_value
 from subheat.grid import build_grid, inner_box_mask
 from subheat.potentials import constant, power
 from subheat.spectral import assemble, eigendecompose, fractional_heat_kernel
-from subheat.subordinator import (SubQuadrature, density, density_descent,
+from subheat.subordinator import (QUAD_NODES, TAIL_START, density, density_descent,
                                   density_half, density_selftest, laplace_transform,
                                   negative_moment, overlap_consistency,
                                   pointwise_bound_constant, subordinate_kernel,
@@ -109,15 +109,6 @@ def test_selftest_report_fields():
     assert rep["overlap_consistency"] < 1e-6
 
 
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        SubQuadrature(nodes=32)
-    with pytest.raises(ValueError):
-        SubQuadrature(lo_factor=0.5)
-    with pytest.raises(ValueError):
-        SubQuadrature(hi_factor=10.0)
-
-
 def test_multiplier_matches_fractional_exponential():
     lam = np.concatenate(([0.0], np.geomspace(1e-3, 300.0, 40)))
     for alpha in (0.3, 0.5, 0.8):
@@ -153,14 +144,15 @@ def test_two_route_agreement_power_potential():
 def test_table_route_equals_multiplier_route():
     g = build_grid(1, 4.0, 64, "dirichlet")
     dec = eigendecompose(assemble(g, constant(1.0)))
-    quad = SubQuadrature(nodes=128)
 
     def provider(s):
         lam = dec.eigenvalues
         return (dec.basis * np.exp(-s * lam)[None, :]) @ dec.basis.T
 
-    lit = subordinate_tables(provider, g, 0.6, 0.8, quad)
-    con = subordinate_kernel(dec, 0.6, 0.8, quad)
+    # the oracle on the production rule: every eigenvalue's tail beyond
+    # TAIL_START is below e^-40, so the routes agree by linearity
+    lit = subordinate_tables(provider, g, 0.6, 0.8, nodes=QUAD_NODES, hi_factor=TAIL_START)
+    con = subordinate_kernel(dec, 0.6, 0.8)
     assert np.max(np.abs(lit.table - con.table)) < 1e-11 * con.max_abs()
 
 
