@@ -22,7 +22,8 @@ import numpy as np
 
 from . import potentials
 from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateNotApplicable,
-                        EstimateParams, build_backend, certify)
+                        EstimateParams, build_backend, certify, holder_delta0,
+                        scan_estimate)
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
 from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
@@ -203,6 +204,10 @@ def _read_config(text: str) -> RunConfig:
     if q is not None and not q > n / 2.0:
         raise ConfigError(f"the reverse-Holder exponent q must exceed n/2 = {n / 2.0:g}, "
                           f"got q={q}")
+    if delta is not None and not 0.0 < delta <= holder_delta0(n, q):
+        raise ConfigError(f"delta must lie in (0, delta_0 = {holder_delta0(n, q):g}], got {delta}")
+    if not all(N >= 0.0 for N in n_list):
+        raise ConfigError(f"n_list entries N must be nonnegative, got {list(n_list)}")
     return RunConfig(n, L, M, bc, pot, label, q, alpha, beta, gamma, n_list, delta,
                      command, out, seed, times)
 
@@ -259,32 +264,30 @@ def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
-    coarse = build_backend(cfg.n, cfg.half_width, cfg.points_per_axis // 2, cfg.bc,
-                           cfg.potential)
-    fine = build_backend(cfg.n, cfg.half_width, cfg.points_per_axis, cfg.bc,
-                         cfg.potential)
-    rows, all_pass = [], True
+    backends = [build_backend(cfg.n, cfg.half_width, M, cfg.bc, cfg.potential)
+                for M in (cfg.points_per_axis // 2, cfg.points_per_axis)]
+    jobs = []
     for eid in ESTIMATE_IDS:
-        for N in cfg.n_list:
-            base = DEFAULT_PARAMS[eid]
-            params = EstimateParams(alpha=cfg.alpha if eid != "E8" else base.alpha,
-                                    beta=cfg.beta, m=base.m, N=N,
-                                    q=cfg.q, delta_prime=cfg.delta_prime,
-                                    member=base.member)
-            try:
-                cert = certify(eid, params, [coarse, fine])
-            except ValueError as exc:
-                # only an estimate that needs V != 0 may skip; any other error fails
-                expected = isinstance(exc, EstimateNotApplicable)
-                rows.append((eid, params.alpha, params.beta, N, "", "", "", "", "",
-                             "", f"{'skipped' if expected else 'failed'}: {exc}"))
-                all_pass &= expected
-                continue
-            resolved = cert.params
-            rows.append((eid, resolved.alpha, resolved.beta, N, resolved.delta_prime,
-                         cert.c_meas, cert.argmax[0], cert.argmax[1], cert.argmax[2],
-                         cert.refine_ratio, cert.passed))
-            all_pass &= cert.passed
+        base = DEFAULT_PARAMS[eid]
+        alpha = base.alpha if eid == "E8" else cfg.alpha
+        jobs += [(eid, EstimateParams(alpha=alpha, beta=cfg.beta, m=base.m, N=N, q=cfg.q,
+                                      delta_prime=cfg.delta_prime, member=base.member))
+                 for N in cfg.n_list]
+    scans = [scan_estimate(jobs, backend) for backend in backends]
+    rows, all_pass = [], True
+    for (eid, params), *outcomes in zip(jobs, *scans):
+        head = (eid, params.alpha, params.beta, params.N)
+        try:
+            cert = certify(eid, outcomes)
+        except ValueError as exc:
+            # only an estimate that needs V != 0 may skip; any other error fails
+            expected = isinstance(exc, EstimateNotApplicable)
+            rows.append(head + ("",) * 6 + (f"{'skipped' if expected else 'failed'}: {exc}",))
+            all_pass &= expected
+            continue
+        rows.append(head + (cert.params.delta_prime, cert.c_meas, *cert.argmax,
+                            cert.refine_ratio, cert.passed))
+        all_pass &= cert.passed
     path = out / "certificates.csv"
     _write_csv(path, cfg, ["id", "alpha", "beta", "N", "delta", "C_meas", "argmax_x",
                            "argmax_y", "argmax_t", "refine_ratio", "pass"],

@@ -4,14 +4,14 @@ The table `_REGISTRY` is the list of estimates. Each (id, member) entry names
 an object, its time ladder, its lattice, its majorant and whether it needs
 V != 0. Every object is the semigroup multiplier (t lam^a)^b e^{-t lam^a} of
 `spectral.semigroup_multiplier`, as a kernel table or its x-gradient. One
-loop per lattice shape runs the entries: pairs of lattice points, shifted
-pairs (increments over the fixed Holder shifts k L/64, k in HOLDER_SHIFTS,
-that are whole numbers of cells, as a shift rule allows) and mass rows
-(integrals over y at lattice points x).
+pass per table family (heat ladder or not, a, b) walks the time ladder once
+and hands each time's tables to a step per entry and lattice shape: pairs of
+lattice points, shifted pairs (increments over the fixed Holder shifts k L/64,
+k in HOLDER_SHIFTS, that are whole cells, as a shift rule allows), mass rows.
 
 The scan geometry is fixed per grid, so each grid has one row block: the
 lattice, its shifted rows and their axis-0 stencil neighbours. Every kernel
-and gradient table of a backend is computed on those rows only. No row of
+and gradient table of a scan is computed on those rows only. No row of
 the block leaves the box: the lattice lies in |x|_inf <= L/2, and the largest
 shift plus one stencil cell reaches L/2 + L/16 + h, within the outermost cell
 centre L - h/2 for every M >= 8.
@@ -30,6 +30,7 @@ would only measure discretization, not the estimate.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,6 +57,11 @@ class EstimateNotApplicable(ValueError):
     """The estimate needs V != 0 and the potential is zero: an expected skip."""
 
 
+def holder_delta0(n: int, q: float | None) -> float:
+    """delta_0 = min(1, 2 - n/q), the largest Holder exponent delta'; q defaults to 2n."""
+    return min(1.0, 2.0 - n / (q if q is not None else 2.0 * n))
+
+
 @dataclass(frozen=True)
 class EstimateParams:
     alpha: float = 0.5
@@ -68,7 +74,7 @@ class EstimateParams:
 
     def resolved(self, eid: str, n: int) -> "EstimateParams":
         q = self.q if self.q is not None else 2.0 * n
-        delta0 = min(1.0, 2.0 - n / q)
+        delta0 = holder_delta0(n, q)
         if self.delta_prime is not None:
             dp = self.delta_prime
         elif eid in ("E2",):
@@ -132,14 +138,14 @@ class _RowBlock:
 
 
 class VerifierBackend:
-    """Grid + potential + decomposition bundle with kernel and rho caches."""
+    """Grid + potential + decomposition bundle with the scan geometry and rho."""
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
         self.grid = grid
         self.potential = potential
         self.dec: SpectralDecomposition = eigendecompose(assemble(grid, potential))
-        self._kernels: dict = {}
         self._block: _RowBlock | None = None
+        self._geometry: tuple | None = None
         self._rho: np.ndarray | None = None
 
     @property
@@ -159,6 +165,15 @@ class VerifierBackend:
 
     def lattice_indices(self) -> np.ndarray:
         return lattice_indices(self.grid)
+
+    def pair_geometry(self) -> tuple:
+        """(lattice indices, their first coordinates, |x - y| per lattice pair)."""
+        if self._geometry is None:
+            idx = self.lattice_indices()
+            pts = self.grid.points[idx]
+            diff = pts[:, None, :] - pts[None, :, :]
+            self._geometry = idx, pts[:, 0], np.sqrt(np.sum(diff * diff, axis=-1))
+        return self._geometry
 
     def row_block(self) -> _RowBlock:
         """Rows the scans read: the lattice, the lattice moved by each
@@ -189,34 +204,23 @@ class VerifierBackend:
         return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t,
                                  rows=rows).table
 
-    def kernel_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
-        """`kernel_rows` on the rows of `row_block()`, a (len(rows), N) block.
 
-        Only the rows the scans read are computed (304 of 1,024 at n=2 M=32);
-        the sandwich sets multiplier entries below 1e-300 to zero, which moves
-        no entry. Cached per (t, alpha, power), so scans of one object (E3
-        size and E9, for one) share their tables.
-        """
-        rows = self.row_block().rows
-        return self._cached((round(float(t), 14), alpha, power),
-                            lambda: self.kernel_rows(t, alpha, power, rows))
+class _Tables:
+    """One time of a table family: the row-block kernel (304 of 1,024 rows at n=2
+    M=32) and its axis-0 gradient at the block's first `stencil` rows, each
+    computed on first read. A table that raises is not kept: each reader raises."""
 
-    def gradient_table(self, t: float, alpha: float = 1.0, power=0) -> np.ndarray:
-        """d/dx of `kernel_table` in the first coordinate of x, for every column y,
-        at the block's first `stencil` rows (the lattice and its shifts)."""
-        blk = self.row_block()
-        return self._cached(
-            ("grad", round(float(t), 14), alpha, power),
-            lambda: _axis0_gradient(self.grid, blk, self.kernel_table(t, alpha, power),
-                                    blk.rows[:blk.stencil]))
+    def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power):
+        self.backend, self.t, self.t_sc, self.family = backend, t, t_sc, (alpha, power)
 
-    def _cached(self, key, build):
-        if key not in self._kernels:
-            value = build()
-            if len(self._kernels) > 64:
-                self._kernels.clear()
-            self._kernels[key] = value
-        return self._kernels[key]
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        return self.backend.kernel_rows(self.t, *self.family, self.backend.row_block().rows)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        blk = self.backend.row_block()
+        return _axis0_gradient(self.backend.grid, blk, self.kernel, blk.rows[:blk.stencil])
 
 
 def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 256,
@@ -279,14 +283,6 @@ class _ScanAccumulator:
             self.argmax = (float(xs[i]), float(ys[j]), float(t))
 
 
-def _pair_geometry(backend: VerifierBackend):
-    idx = backend.lattice_indices()
-    pts = backend.grid.points[idx]
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return idx, pts[:, 0], r
-
-
 def _physical_shifts(grid: Grid):
     """(steps, length) for each of the HOLDER_SHIFTS representable on this grid.
 
@@ -325,27 +321,6 @@ def _axis0_gradient(grid: Grid, blk: _RowBlock, values: np.ndarray, targets: np.
     return (plus - minus) / (2.0 * grid.spacing)
 
 
-def scan_estimate(eid: str, params: EstimateParams, backend: VerifierBackend):
-    """Sup of |object| / majorant over the estimate's lattice; one grid."""
-    p = params.resolved(eid, backend.grid.dimension)
-    members = _REGISTRY[eid]
-    entry = members.get(p.member, members.get(None))
-    if entry is None:
-        raise ValueError(f"unknown {eid} member {p.member!r}")
-    if entry.needs_potential and backend.zero_potential:
-        if eid in RHO_ONLY_IDS:
-            raise EstimateNotApplicable(
-                f"{eid}: majorant degenerates (rho undefined) for the zero potential")
-        raise EstimateNotApplicable(f"{eid} {p.member} member needs a nonzero potential")
-    acc = _ScanAccumulator()
-    entry.lattice(entry, p, backend, acc)
-    if acc.total and acc.excluded > 0.01 * acc.total:
-        raise ValueError(
-            f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant"
-        )
-    return acc, p
-
-
 @dataclass(frozen=True)
 class _Point:
     """What a majorant sees at one time (and shift) of a scan."""
@@ -364,7 +339,7 @@ class _Point:
 class _Entry:
     """One (id, member) of the registry."""
 
-    lattice: Callable               # _pairs, _shifted_pairs or _mass_rows
+    lattice: Callable               # _pairs, _shifted_pairs or _mass_rows: one time's step
     majorant: Callable              # _Point -> majorant, shaped like the object
     heat: bool = False              # alpha = 1 object on the heat ladder
     power: str | None = None        # EstimateParams field holding the order b
@@ -374,63 +349,48 @@ class _Entry:
     needs_potential: bool = False
 
 
-def _ladder(entry: _Entry, p: EstimateParams, backend: VerifierBackend, gradient: bool):
-    """(t, t_sc, table) over the entry's time ladder: the object's kernel or its x-gradient."""
-    alpha = 1.0 if entry.heat else p.alpha
-    power = getattr(p, entry.power) if entry.power else 0
-    table = backend.gradient_table if gradient else backend.kernel_table
-    for t in time_grid(backend, p.alpha, heat_scaling=entry.heat):
-        t_sc = np.sqrt(t) if entry.heat else _scaling_time(t, p.alpha)
-        yield t, t_sc, table(t, alpha, power)
-
-
-def _pairs(entry, p, backend, acc):
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
+def _pairs(entry, p, backend, at, acc):
+    idx, xs, r = backend.pair_geometry()
     rho = backend.rho()
-    blk = backend.row_block()
-    for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
-        obj = table[np.ix_(blk.at(idx, table), idx)]
-        if entry.scaled:
-            obj = t_sc * obj
-        point = _Point(p, n, t, t_sc, rho[:, None], rho[None, :], r)
-        acc.update(obj, entry.majorant(point), xs, xs, t)
+    table = at.gradient if entry.gradient else at.kernel
+    obj = table[np.ix_(backend.row_block().at(idx, table), idx)]
+    if entry.scaled:
+        obj = at.t_sc * obj
+    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :], r)
+    acc.update(obj, entry.majorant(point), xs, xs, at.t)
 
 
-def _shifted_pairs(entry, p, backend, acc):
+def _shifted_pairs(entry, p, backend, at, acc):
     """A scalar shift rule drops a whole shift; a per-pair rule masks pairs."""
-    n = backend.grid.dimension
-    idx, xs, r = _pair_geometry(backend)
+    idx, xs, r = backend.pair_geometry()
     rho = backend.rho()
     blk = backend.row_block()
-    shifts = [(_shift_indices(backend.grid, idx, steps), shift)
-              for steps, shift in _physical_shifts(backend.grid)]
-    for t, t_sc, table in _ladder(entry, p, backend, entry.gradient):
-        for sh_idx, shift in shifts:
-            point = _Point(p, n, t, t_sc, rho[:, None], rho[None, :], r, shift)
-            allowed = entry.shift_rule(point)
-            if np.ndim(allowed) == 0 and not allowed:
-                continue
-            incr = table[blk.at(sh_idx, table)][:, idx] - table[blk.at(idx, table)][:, idx]
-            maj = np.where(allowed, entry.majorant(point), np.inf)
-            acc.update(incr, maj, xs, xs, t)
+    table = at.gradient if entry.gradient else at.kernel
+    for steps, shift in _physical_shifts(backend.grid):
+        point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
+                       r, shift)
+        allowed = entry.shift_rule(point)
+        if np.ndim(allowed) == 0 and not allowed:
+            continue
+        sh_idx = _shift_indices(backend.grid, idx, steps)
+        incr = table[blk.at(sh_idx, table)][:, idx] - table[blk.at(idx, table)][:, idx]
+        maj = np.where(allowed, entry.majorant(point), np.inf)
+        acc.update(incr, maj, xs, xs, at.t)
 
 
-def _mass_rows(entry, p, backend, acc):
+def _mass_rows(entry, p, backend, at, acc):
     """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one),
     from the full-width sums of the lattice's neighbour rows."""
-    n, w = backend.grid.dimension, backend.grid.cell_weight
-    idx, xs, _ = _pair_geometry(backend)
-    rho = backend.rho()
-    blk = backend.row_block()
-    for t, t_sc, table in _ladder(entry, p, backend, False):
-        if entry.gradient:
-            obj = _axis0_gradient(backend.grid, blk, np.sum(table, axis=1) * w, idx)
-        else:
-            obj = np.sum(table[blk.at(idx, table)], axis=1) * w
-        if entry.scaled:
-            obj = t_sc * obj
-        acc.update(obj, entry.majorant(_Point(p, n, t, t_sc, rho)), xs, xs, t)
+    idx, xs, _ = backend.pair_geometry()
+    blk, w = backend.row_block(), backend.grid.cell_weight
+    if entry.gradient:
+        obj = _axis0_gradient(backend.grid, blk, np.sum(at.kernel, axis=1) * w, idx)
+    else:
+        obj = np.sum(at.kernel[blk.at(idx, at.kernel)], axis=1) * w
+    if entry.scaled:
+        obj = at.t_sc * obj
+    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, backend.rho())
+    acc.update(obj, entry.majorant(point), xs, xs, at.t)
 
 
 def _holder_lead(s: _Point):
@@ -536,18 +496,56 @@ _REGISTRY = {
 }
 
 
-def certify(estimate_id: str, params: EstimateParams | None,
-            backend) -> BoundCertificate:
-    """Scan one estimate; `backend` may be a single backend or a (coarse, fine) pair."""
-    if estimate_id not in _REGISTRY:
-        raise KeyError(f"unknown estimate id {estimate_id!r}")
-    params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    backends = backend if isinstance(backend, (list, tuple)) else [backend]
-    return _verdict(estimate_id, [scan_estimate(estimate_id, params, b) for b in backends])
+def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
+    """Sup of |object| / majorant over each (id, params) job's lattice; one grid.
+
+    Returns one outcome per job: (accumulator, resolved params), or the
+    ValueError that job raised, which stops that job only. The jobs are
+    grouped by table family (heat ladder or not, alpha, order b), and each
+    family walks its time ladder once, in ascending t: each time's tables are
+    computed once, read by every job of the family and dropped, so at most one
+    kernel table and one gradient table are alive.
+    """
+    outcomes, families = [], {}
+    for eid, params in jobs:
+        p = params.resolved(eid, backend.grid.dimension)
+        entry = _REGISTRY[eid].get(p.member, _REGISTRY[eid].get(None))
+        if entry is None:
+            outcomes.append(ValueError(f"unknown {eid} member {p.member!r}"))
+        elif entry.needs_potential and backend.zero_potential:
+            outcomes.append(EstimateNotApplicable(
+                f"{eid}: majorant degenerates (rho undefined) for the zero potential"
+                if eid in RHO_ONLY_IDS else f"{eid} {p.member} member needs a nonzero potential"))
+        else:
+            family = (entry.heat, 1.0 if entry.heat else p.alpha,
+                      getattr(p, entry.power) if entry.power else 0)
+            families.setdefault(family, []).append((len(outcomes), entry))
+            outcomes.append((_ScanAccumulator(), p))
+    for (heat, alpha, power), members in families.items():
+        for t in time_grid(backend, alpha, heat_scaling=heat):
+            at = _Tables(backend, t, np.sqrt(t) if heat else _scaling_time(t, alpha),
+                         alpha, power)
+            for k, entry in members:
+                if isinstance(outcomes[k], tuple):
+                    try:
+                        entry.lattice(entry, outcomes[k][1], backend, at, outcomes[k][0])
+                    except ValueError as exc:
+                        outcomes[k] = exc
+    for k, (eid, _) in enumerate(jobs):
+        acc = outcomes[k][0] if isinstance(outcomes[k], tuple) else _ScanAccumulator()
+        if acc.total and acc.excluded > 0.01 * acc.total:
+            outcomes[k] = ValueError(
+                f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant")
+    return outcomes
 
 
-def _verdict(estimate_id: str, scans: list) -> BoundCertificate:
-    """Certificate of the last scan, with its stability against the one before."""
+def certify(estimate_id: str, scans: list) -> BoundCertificate:
+    """Certificate of one job from its `scan_estimate` outcomes per grid, coarse
+    first: the last scan, with its stability against the one before. The first
+    outcome that is a ValueError is raised."""
+    for outcome in scans:
+        if isinstance(outcome, ValueError):
+            raise outcome
     fine, resolved = scans[-1]
     if len(scans) >= 2 and fine.c_meas > 0:
         ratio = scans[-2][0].c_meas / fine.c_meas
@@ -574,11 +572,11 @@ def refinement_study(estimate_id: str, params: EstimateParams | None,
         if not same_box or gf.points_per_axis % gc.points_per_axis != 0:
             raise ValueError("grids are not nested refinements of the same box")
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    scans = [scan_estimate(estimate_id, params, b) for b in backends]
+    scans = [scan_estimate([(estimate_id, params)], b)[0] for b in backends]
+    cert = certify(estimate_id, scans)
     c_by_grid = [acc.c_meas for acc, _ in scans]
     ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
               for i in range(len(c_by_grid) - 1)]
-    cert = _verdict(estimate_id, scans)
     return {
         "estimate": estimate_id,
         "grids": [b.grid.points_per_axis for b in backends],
@@ -635,8 +633,7 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         if backend.zero_potential or np.ptp(rho) < 1e-9 * np.max(rho):
             return {"axis": "rho", "skipped": "axis constant"}
         # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal
-        table = backend.kernel_table(1.0, params.alpha)
-        diag = np.abs(table[backend.row_block().at(idx, table), idx])
+        diag = np.abs(backend.kernel_rows(1.0, params.alpha, 0, idx)[np.arange(idx.size), idx])
         slope, r2 = _loglog_fit(1.0 + 2.0 / rho, diag)
         return {"axis": "rho", "slope": slope, "r2": r2}
     raise ValueError(f"unknown axis {axis!r}")

@@ -8,6 +8,8 @@ sum of the free Gaussian. The second are Shen's lemma diagnostics for the
 critical radius: the reverse-Holder constant, the Gaussian average of V and
 the doubling, two-scale and comparability constants, and the per-point
 critical-radius bisection, which the blocked one must reproduce bit for bit.
+`certify_on` certifies one estimate on its own, as the scans before
+`scan_estimate` took a list of jobs did.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,8 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from subheat.closedform import gaussian_heat_value
+from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams, certify,
+                               scan_estimate)
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
 from subheat.grid import Ball, Grid
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
@@ -26,6 +30,18 @@ from subheat.spectral import KernelSlice, SpectralDecomposition, multiplier_kern
 from subheat.subordinator import _check_alpha, _log_gl, density
 
 _BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
+
+
+def certify_on(estimate_id: str, params: EstimateParams | None,
+               backends) -> BoundCertificate:
+    """`certify` of the one job (estimate_id, params) scanned on `backends`, a
+    backend or a list of them, coarse first; params None takes the id's
+    defaults. A job's error is raised, and an unknown id raises KeyError."""
+    backends = backends if isinstance(backends, (list, tuple)) else [backends]
+    params = params if params is not None else DEFAULT_PARAMS.get(estimate_id,
+                                                                  EstimateParams())
+    return certify(estimate_id,
+                   [scan_estimate([(estimate_id, params)], b)[0] for b in backends])
 
 
 # --- routes equal to the multiplier route by linearity -----------------------

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from oracles import mth_time_derivative_kernel, subordinate_tables
+from oracles import certify_on, mth_time_derivative_kernel, subordinate_tables
 from subheat.cli import parse_config, run
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 poisson_value)
-from subheat.estimates import (ESTIMATE_IDS, EstimateParams, build_backend, certify,
+from subheat.estimates import (ESTIMATE_IDS, EstimateParams, build_backend,
                                decay_exponent_fit)
 from subheat.fracderiv import frac_multiplier_quadrature, frac_time_derivative
 from subheat.grid import build_grid, grid_function, inner_box_mask
@@ -163,12 +163,12 @@ def backend_pair_zero():
 
 def test_criterion_7_bound_certificates(backend_pair_flat, backend_pair_zero):
     for eid in ESTIMATE_IDS:
-        cert = certify(eid, None, backend_pair_flat)
+        cert = certify_on(eid, None, backend_pair_flat)
         assert np.isfinite(cert.c_meas)
         assert 0.8 <= cert.refine_ratio <= 1.25, f"{eid}: ratio {cert.refine_ratio}"
-    cal1 = certify("E1", EstimateParams(alpha=0.5, N=0.0), backend_pair_zero)
+    cal1 = certify_on("E1", EstimateParams(alpha=0.5, N=0.0), backend_pair_zero)
     assert cal1.c_meas == pytest.approx(2.0 / np.pi, rel=0.02)
-    cal12 = certify("E12", EstimateParams(N=0.0), backend_pair_zero)
+    cal12 = certify_on("E12", EstimateParams(N=0.0), backend_pair_zero)
     assert cal12.c_meas == pytest.approx(1.0, abs=1e-6)
     _report(7, "bound certificates E1-E12")
 

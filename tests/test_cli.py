@@ -2,12 +2,18 @@ import filecmp
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from subheat import estimates
 from subheat.cli import ConfigError, main, parse_config, run
+from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
+from subheat.grid import build_grid
+from subheat.spectral import multiplier_kernel
 
 MINIMAL = """
 [grid]
@@ -147,9 +153,12 @@ def test_main_exit_codes(tmp_path):
     ("spaces", "seed = 7", "seed = -1"),
     ("verify", "c = 1.0", "c = 1.0\nq = 0"),
     ("verify", "c = 1.0", "c = 1.0\nq = -2"),
+    ("verify", "n_list = 0", "n_list = 0\ndelta = 0"),
+    ("verify", "n_list = 0", "n_list = 0\ndelta = 1.5"),
+    ("verify", "n_list = 0", "n_list = 0,-1"),
 ], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative",
         "M-above-cap", "coarse-M-odd", "coarse-M-below-8", "seed-negative", "q-zero",
-        "q-negative"])
+        "q-negative", "delta-zero", "delta-above-delta0", "n_list-negative"])
 def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     text = FULL.replace("M = 128", "M = 64")
     assert line in text
@@ -230,6 +239,54 @@ def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
     expected = Path(__file__).parent / "data" / pinned
     assert (tmp_path / "v" / "certificates.csv").read_bytes() == expected.read_bytes()
+
+
+def test_verify_computes_each_table_once(tmp_path, monkeypatch):
+    """One sandwich per distinct (t, alpha, b) kernel table of each grid: 92 at
+    n=1 M=128 V=|x|^2 (coarse M=64), where one time ladder per certificate row
+    and a 64-entry cache that cleared on overflow made 150."""
+    calls = []
+
+    def counting(dec, multiplier, t, rows=None):
+        calls.append(t)
+        return multiplier_kernel(dec, multiplier, t, rows=rows)
+
+    monkeypatch.setattr(estimates, "multiplier_kernel", counting)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+    tables = set()
+    for M in (64, 128):
+        grid_only = SimpleNamespace(grid=build_grid(1, 16.0, M))
+        for eid in ESTIMATE_IDS:
+            p = DEFAULT_PARAMS[eid]
+            entry = estimates._REGISTRY[eid].get(p.member, estimates._REGISTRY[eid].get(None))
+            alpha = 1.0 if entry.heat else p.alpha
+            b = getattr(p, entry.power) if entry.power else 0
+            tables |= {(M, t, alpha, b)
+                       for t in estimates.time_grid(grid_only, p.alpha, entry.heat)}
+    assert len(calls) == len(tables) == 92
+
+
+def test_verify_isolates_a_failing_row(tmp_path, monkeypatch):
+    """An error in one estimate fails that estimate's rows only: every other row
+    is the pinned certificate, though it shares its kernel tables."""
+    def failing(point):
+        raise ValueError("planted majorant failure")
+
+    e2 = estimates._REGISTRY["E2"]
+    monkeypatch.setitem(e2, None, replace(e2[None], majorant=failing))
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 1
+    written = (tmp_path / "v" / "certificates.csv").read_text().splitlines()
+    pinned = (Path(__file__).parent / "data" / "certificates_n1_m128_power2.csv")
+    pinned = pinned.read_text().splitlines()
+    assert len(written) == len(pinned)
+    failed = [ln for ln in written if ln.endswith(",failed: planted majorant failure")]
+    assert failed == [ln for ln in written if ln.startswith("E2,")] and len(failed) == 2
+    assert [ln for ln in written if not ln.startswith("E2,")] == \
+        [ln for ln in pinned if not ln.startswith("E2,")]
 
 
 PINNED_N2_VERIFY = PINNED.replace("n = 1", "n = 2").replace("M = 128", "M = 16")

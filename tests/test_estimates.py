@@ -3,14 +3,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import certify_on
 from subheat import estimates
 from subheat.closedform import gaussian_heat_table, poisson_table
 from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
-                               build_backend, certify, decay_exponent_fit,
-                               refinement_study, scan_estimate)
+                               build_backend, decay_exponent_fit, refinement_study,
+                               scan_estimate)
 from subheat.grid import build_grid, gradient_values, inner_box_mask
 from subheat.potentials import compute_aux_function, power, zero
 from subheat.spectral import semigroup_multiplier
+
+
+def _scan(eid, params, backend):
+    """`scan_estimate` of the one job (eid, params): (accumulator, resolved
+    params), or the job's error raised."""
+    (outcome,) = scan_estimate([(eid, params)], backend)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +42,7 @@ def power_pair():
 
 def test_all_ids_finite_and_stable_flat(flat_pair):
     for eid in ESTIMATE_IDS:
-        cert = certify(eid, None, flat_pair)
+        cert = certify_on(eid, None, flat_pair)
         assert np.isfinite(cert.c_meas) and cert.c_meas > 0
         assert 0.8 <= cert.refine_ratio <= 1.25
         assert cert.passed
@@ -40,7 +50,7 @@ def test_all_ids_finite_and_stable_flat(flat_pair):
 
 def test_all_ids_finite_power_potential(power_pair):
     for eid in ESTIMATE_IDS:
-        cert = certify(eid, None, power_pair)
+        cert = certify_on(eid, None, power_pair)
         assert np.isfinite(cert.c_meas)
         assert cert.passed
 
@@ -49,14 +59,14 @@ def test_zero_potential_where_defined(zero_pair):
     for eid in ESTIMATE_IDS:
         if eid in ("E8", "E11"):
             with pytest.raises(ValueError):
-                certify(eid, None, zero_pair)
+                certify_on(eid, None, zero_pair)
         else:
-            cert = certify(eid, None, zero_pair)
+            cert = certify_on(eid, None, zero_pair)
             assert cert.passed
 
 
 def test_e1_poisson_calibration(zero_pair):
-    cert = certify("E1", EstimateParams(alpha=0.5, N=0.0), zero_pair)
+    cert = certify_on("E1", EstimateParams(alpha=0.5, N=0.0), zero_pair)
     assert cert.c_meas == pytest.approx(2.0 / np.pi, rel=0.02)
     # sup of (t+r)^2/(t^2+r^2) sits on the diagonal t = r
     x, y, t = cert.argmax
@@ -64,14 +74,14 @@ def test_e1_poisson_calibration(zero_pair):
 
 
 def test_e12_gaussian_equality_case(zero_pair):
-    cert = certify("E12", EstimateParams(N=0.0), zero_pair)
+    cert = certify_on("E12", EstimateParams(N=0.0), zero_pair)
     assert cert.c_meas == pytest.approx(1.0, abs=1e-6)
     assert cert.refine_ratio == pytest.approx(1.0, abs=1e-9)
 
 
 def test_monotone_in_penalty_exponent(flat_pair):
     fine = flat_pair[1]
-    values = [certify("E1", EstimateParams(N=N), fine).c_meas for N in (0.0, 1.0, 2.0)]
+    values = [certify_on("E1", EstimateParams(N=N), fine).c_meas for N in (0.0, 1.0, 2.0)]
     assert values[0] <= values[1] <= values[2]
 
 
@@ -79,7 +89,7 @@ def test_alpha_sweep_finite(flat_pair):
     fine = flat_pair[1]
     for alpha in (0.3, 0.5, 0.8):
         for eid in ("E1", "E2", "E6", "E9"):
-            acc, _ = scan_estimate(eid, EstimateParams(alpha=alpha), fine)
+            acc, _ = _scan(eid, EstimateParams(alpha=alpha), fine)
             assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -87,7 +97,7 @@ def test_symmetry_under_xy_swap(flat_pair):
     # scanning pairs includes both (i, j) and (j, i); the sup for the
     # symmetric fractional kernel is invariant under the swap
     fine = flat_pair[1]
-    cert = certify("E1", None, fine)
+    cert = certify_on("E1", None, fine)
     x, y, t = cert.argmax
     assert np.isfinite(cert.c_meas)
     # swapped argmax must attain the same ratio by symmetry of K and majorant
@@ -96,7 +106,7 @@ def test_symmetry_under_xy_swap(flat_pair):
 
 def test_unknown_estimate_rejected(flat_pair):
     with pytest.raises(KeyError):
-        certify("E13", None, flat_pair[0])
+        certify_on("E13", None, flat_pair[0])
 
 
 def test_refinement_study_requires_two_grids(flat_pair):
@@ -154,7 +164,7 @@ def test_decay_fit_needs_points(flat_pair):
 def test_family_members_e3(flat_pair):
     fine = flat_pair[1]
     for member in ("size", "holder", "mass"):
-        acc, _ = scan_estimate("E3", EstimateParams(m=1, member=member), fine)
+        acc, _ = _scan("E3", EstimateParams(m=1, member=member), fine)
         assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -162,12 +172,12 @@ def test_family_members_e12(flat_pair):
     fine = flat_pair[1]
     for member in ("size", "holder", "q_size", "q_holder", "q_mass"):
         for m in (1, 2):
-            acc, _ = scan_estimate("E12", EstimateParams(m=m, member=member), fine)
+            acc, _ = _scan("E12", EstimateParams(m=m, member=member), fine)
             assert np.isfinite(acc.c_meas)
 
 
 def test_e7_heat_member(flat_pair):
-    acc, _ = scan_estimate("E7", EstimateParams(member="heat"), flat_pair[1])
+    acc, _ = _scan("E7", EstimateParams(member="heat"), flat_pair[1])
     assert np.isfinite(acc.c_meas) and acc.c_meas > 0
 
 
@@ -181,8 +191,8 @@ def test_params_resolution_defaults():
 
 def test_e9_within_factor_two_of_e1_at_zero_potential(zero_pair):
     # both reduce to Poisson-type kernels at alpha = 1/2, beta = 1
-    c1 = certify("E1", EstimateParams(alpha=0.5, N=0.0), zero_pair)
-    c9 = certify("E9", EstimateParams(alpha=0.5, beta=1.0, N=0.0), zero_pair)
+    c1 = certify_on("E1", EstimateParams(alpha=0.5, N=0.0), zero_pair)
+    c9 = certify_on("E9", EstimateParams(alpha=0.5, beta=1.0, N=0.0), zero_pair)
     assert c9.c_meas <= 2.0 * c1.c_meas
     assert c1.c_meas <= 2.0 * c9.c_meas
 
@@ -191,7 +201,7 @@ def test_empty_scan_fails_its_certificate():
     # at n=2 M=16 the spacing is 2 and no shift in (1, 2, 4) L/64 is a whole
     # number of cells, so the E2 Holder scan visits no lattice point
     pair = [build_backend(n=2, points_per_axis=M, potential=power(2.0)) for M in (8, 16)]
-    cert = certify("E2", None, pair[1])
+    cert = certify_on("E2", None, pair[1])
     assert cert.c_meas == 0.0 and cert.passed is False
     assert refinement_study("E2", None, pair)["pass"] is False
 
@@ -207,19 +217,19 @@ def test_overflowing_ratio_fails_its_certificate():
     with np.errstate(divide="ignore", over="ignore"):
         acc.update(obj, maj, xs, xs, 1.0)
     assert (acc.c_meas, acc.total, acc.excluded, acc.nonfinite) == (1e-3, 4, 1, 1)
-    assert estimates._verdict("E1", [(acc, resolved)]).passed is False
+    assert estimates.certify("E1", [(acc, resolved)]).passed is False
     clean = estimates._ScanAccumulator()
     clean.update(obj[:1], maj[:1], xs, xs, 1.0)
-    assert estimates._verdict("E1", [(clean, resolved)]).passed is True
+    assert estimates.certify("E1", [(clean, resolved)]).passed is True
 
 
 def _refinement_study_rescanning(estimate_id, params, backends):
     """`refinement_study` as of commit d2efde8: it scanned the last two grids twice."""
     params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    c_by_grid = [scan_estimate(estimate_id, params, b)[0].c_meas for b in backends]
+    c_by_grid = [_scan(estimate_id, params, b)[0].c_meas for b in backends]
     ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
               for i in range(len(c_by_grid) - 1)]
-    cert = certify(estimate_id, params, backends[-2:])
+    cert = certify_on(estimate_id, params, backends[-2:])
     return {
         "estimate": estimate_id,
         "grids": [b.grid.points_per_axis for b in backends],
@@ -237,13 +247,13 @@ def test_refinement_study_scans_each_grid_once(monkeypatch, request, eid, params
     expected = _refinement_study_rescanning(eid, params, backends)
     calls = []
 
-    def counting(*args):
-        calls.append(args[0])
-        return scan_estimate(*args)
+    def counting(jobs, backend):
+        calls.append([job[0] for job in jobs])
+        return scan_estimate(jobs, backend)
 
     monkeypatch.setattr(estimates, "scan_estimate", counting)
     assert refinement_study(eid, params, backends) == expected
-    assert calls == [eid, eid]
+    assert calls == [[eid], [eid]]
 
 
 def test_backend_rho_is_aligned_with_the_lattice():
@@ -263,6 +273,7 @@ class _FullTables:
         self.grid, self.dec = backend.grid, backend.dec
         self.zero_potential = backend.zero_potential
         self.rho, self.lattice_indices = backend.rho, backend.lattice_indices
+        self.pair_geometry = backend.pair_geometry
         self._tables = {}
 
     def kernel_table(self, t, alpha=1.0, power=0):
@@ -301,7 +312,7 @@ def _full_shift_indices(full, idx, steps):
 
 
 def _full_pairs(entry, p, full, acc):
-    idx, xs, r = estimates._pair_geometry(full)
+    idx, xs, r = full.pair_geometry()
     rho = full.rho()
     for t, t_sc, table in _full_ladder(entry, p, full, entry.gradient):
         obj = table[np.ix_(idx, idx)]
@@ -312,7 +323,7 @@ def _full_pairs(entry, p, full, acc):
 
 
 def _full_shifted_pairs(entry, p, full, acc):
-    idx, xs, r = estimates._pair_geometry(full)
+    idx, xs, r = full.pair_geometry()
     rho = full.rho()
     h, unit = full.grid.spacing, full.grid.half_width / 64.0
     shifts = [(int(round(k * unit / h)), k * unit) for k in estimates.HOLDER_SHIFTS
@@ -333,7 +344,7 @@ def _full_shifted_pairs(entry, p, full, acc):
 
 def _full_mass_rows(entry, p, full, acc):
     w = full.grid.cell_weight
-    idx, xs, _ = estimates._pair_geometry(full)
+    idx, xs, _ = full.pair_geometry()
     rho = full.rho()
     for t, t_sc, table in _full_ladder(entry, p, full, False):
         if entry.gradient:
@@ -350,21 +361,25 @@ _FULL_LOOPS = {estimates._pairs: _full_pairs, estimates._shifted_pairs: _full_sh
                estimates._mass_rows: _full_mass_rows}
 
 
-def _outcome(scan, *args):
-    try:
-        acc, _ = scan(*args)
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
+def _outcome(outcome):
+    """A `scan_estimate` outcome as comparable text: the error, or the accumulator."""
+    if isinstance(outcome, ValueError):
+        return type(outcome).__name__, str(outcome)
+    acc, _ = outcome
     return repr((acc.c_meas, acc.argmax, acc.excluded, acc.total, acc.nonfinite))
 
 
 def _full_scan(eid, params, full):
+    """One job on the full tables, with its own time ladder: its outcome."""
     p = params.resolved(eid, full.grid.dimension)
     entry = estimates._REGISTRY[eid].get(p.member, estimates._REGISTRY[eid].get(None))
     acc = estimates._ScanAccumulator()
-    _FULL_LOOPS[entry.lattice](entry, p, full, acc)
+    try:
+        _FULL_LOOPS[entry.lattice](entry, p, full, acc)
+    except ValueError as exc:
+        return exc
     if acc.total and acc.excluded > 0.01 * acc.total:
-        raise ValueError(f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant")
+        return ValueError(f"{eid}: {acc.excluded}/{acc.total} lattice points had a zero majorant")
     return acc, p
 
 
@@ -376,6 +391,8 @@ _ROW_BLOCK_CASES = [(n, M, bc, potential) for n, M in ((1, 64), (2, 16))
 def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     """Every registry entry scans the same bits on row blocks as on full tables.
 
+    All entries run in one `scan_estimate` call, as `verify` runs its rows, so
+    the jobs share each time's tables; the oracle scans each entry on its own.
     At n=2 M=16 no Holder shift is a whole number of cells. At n=2 M=32 the
     shift L/16 is one cell, so the shifted loops read shifted rows and the
     block gradient reads their stencil neighbours; on the periodic grid the
@@ -386,19 +403,20 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     full = _FullTables(backend)
     blk = backend.row_block()
     for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
-        assert np.array_equal(backend.kernel_table(t, alpha, power_),
-                              full.kernel_table(t, alpha, power_)[blk.rows])
-        assert np.array_equal(backend.gradient_table(t, alpha, power_),
+        at = estimates._Tables(backend, t, 1.0, alpha, power_)
+        assert np.array_equal(at.kernel, full.kernel_table(t, alpha, power_)[blk.rows])
+        assert np.array_equal(at.gradient,
                               full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
-    for eid, members in estimates._REGISTRY.items():
-        for member, entry in members.items():
-            params = replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2)
-            if entry.needs_potential and backend.zero_potential:
-                with pytest.raises(estimates.EstimateNotApplicable):
-                    scan_estimate(eid, params, backend)
-                continue
-            expected = _outcome(_full_scan, eid, params, full)
-            assert _outcome(scan_estimate, eid, params, backend) == expected, (eid, member)
+    jobs = [(eid, replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2))
+            for eid, members in estimates._REGISTRY.items() for member in members]
+    for (eid, params), outcome in zip(jobs, scan_estimate(jobs, backend), strict=True):
+        entry = estimates._REGISTRY[eid].get(params.member,
+                                             estimates._REGISTRY[eid].get(None))
+        if entry.needs_potential and backend.zero_potential:
+            assert isinstance(outcome, estimates.EstimateNotApplicable), (eid, params.member)
+            continue
+        expected = _outcome(_full_scan(eid, params, full))
+        assert _outcome(outcome) == expected, (eid, params.member)
     assert backend.row_block() is blk
 
 
@@ -417,7 +435,8 @@ def test_shifted_row_outside_the_box_is_an_error():
 def test_row_block_never_reads_an_uncomputed_row():
     backend = build_backend(n=1, points_per_axis=64, potential=power(2.0))
     blk = backend.row_block()
-    table = backend.kernel_table(1.0, 0.5)
+    at = estimates._Tables(backend, 1.0, 1.0, 0.5, 0)
+    table = at.kernel
     assert table.shape == (blk.rows.size, backend.grid.size) and blk.rows.size < backend.grid.size
     outside = np.setdiff1d(np.arange(backend.grid.size), blk.rows)[:3]
     with pytest.raises(ValueError):
@@ -425,7 +444,7 @@ def test_row_block_never_reads_an_uncomputed_row():
     neighbour_only = blk.rows[blk.stencil:][:1]
     blk.at(neighbour_only, table)
     with pytest.raises(ValueError):
-        blk.at(neighbour_only, backend.gradient_table(1.0, 0.5))
+        blk.at(neighbour_only, at.gradient)
 
 
 @pytest.mark.parametrize("M", [64, 256, 512])
