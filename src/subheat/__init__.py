@@ -21,8 +21,9 @@ from .fracderiv import d_operator, frac_time_derivative
 from .estimates import (BoundCertificate, EstimateParams, build_backend, certify,
                         decay_exponent_fit, refinement_study)
 from .spaces import (Atom, BmoParams, SpaceTimeField, area_function, bmo_norm,
-                     carleson_norm, duality_pairing_check, equivalence_experiment,
-                     g_function, lipschitz_norm, make_atom, reproducing_check)
+                     carleson_boxes, carleson_norm, duality_pairing_check,
+                     equivalence_experiment, g_function, lipschitz_norm, make_atom,
+                     reproducing_check)
 from .cli import RunConfig, parse_config, run
 
 __version__ = "0.1.0"

@@ -72,6 +72,7 @@ class Ball:
     radius: float
     members: np.ndarray        # indices of grid points with dist < radius
     contained: bool            # fully inside the box (Euclidean sense)
+    center_index: int          # the grid point nearest the centre
 
 
 def build_grid(n: int, half_width: float, points_per_axis: int, bc: str = DIRICHLET) -> Grid:
@@ -118,7 +119,7 @@ def ball_points(grid: Grid, center, radius: float) -> Ball:
     contained = bool(
         np.all(np.abs(center) + radius <= grid.half_width + 1e-12)
     )
-    return Ball(center, float(radius), members, contained)
+    return Ball(center, float(radius), members, contained, int(np.argmin(dist)))
 
 
 def inner_box_mask(grid: Grid, fraction: float = 0.5) -> np.ndarray:
@@ -147,11 +148,10 @@ def gradient_values(grid: Grid, values: np.ndarray, axis: int | None = None) -> 
     if grid.bc == PERIODIC:
         plus, minus = np.roll(v, -1, axis=axis), np.roll(v, 1, axis=axis)
     else:
-        pad = [(0, 0)] * v.ndim
-        pad[axis] = (1, 1)
-        vp = np.pad(v, pad)
-        plus = vp[(slice(None),) * axis + (slice(2, None),)]
-        minus = vp[(slice(None),) * axis + (slice(None, -2),)]
+        lead = (slice(None),) * axis
+        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+        plus, minus = np.zeros_like(v), np.zeros_like(v)
+        plus[head], minus[tail] = v[tail], v[head]
     return ((plus - minus) / (2.0 * h)).reshape(values.shape)
 
 

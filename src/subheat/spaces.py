@@ -4,7 +4,8 @@ Everything here runs on the shared eigenbasis: the semigroup building block
 t^beta d_t^beta e^{-t L^alpha} acts as the multiplier (t lam^alpha)^beta
 e^{-t lam^alpha}, time integrals dt/t are log-trapezoid sums whose endpoint
 truncation is controlled per mode by incomplete-Gamma tails, and ball
-quantities use the discrete ball measure |B| = #members * h^n.
+quantities use the discrete ball measure |B| = #members * h^n. The cone index,
+ball centres and Carleson boxes are built once per command, not per function.
 """
 
 from dataclasses import dataclass, field
@@ -138,8 +139,7 @@ def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
     best = 0.0
     for ball in balls:
         vals = f.values[ball.members]
-        i_center = int(np.argmin(grid.distances_from(ball.center)))
-        rho_c = _rho_at(rho_values, i_center, "bmo_norm")
+        rho_c = _rho_at(rho_values, ball.center_index, "bmo_norm")
         reference = vals.mean() if ball.radius < rho_c else 0.0
         measure = _ball_measure(grid, ball)
         osc = np.sum(np.abs(vals - reference)) * w
@@ -220,8 +220,9 @@ def g_constant(beta: float) -> float:
 
 
 def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
-                  f: GridFunction, times: np.ndarray | None = None) -> GridFunction:
-    """Cone square function: aggregate |D f|^2 over |x - y| < t^(1/2 alpha).
+                  members: list[GridFunction],
+                  times: np.ndarray | None = None) -> list[GridFunction]:
+    """Cone square function of each member: aggregate |D f|^2 over |x - y| < t^(1/2 alpha).
 
     S(x)^2 = sum_j w_j h^n t_j^(-n/2 alpha) sum_{|x-y| < r_j} |D f(t_j, y)|^2
     with r_j = t_j^(1/2 alpha). At n=1 each slice is a sliding-window sum.
@@ -229,31 +230,36 @@ def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
     radius (the ladder may come in any order), the pair (x, y) lies inside
     the cones of exactly the slices j >= first(x, y), the index of the first
     sorted radius strictly above |x - y|. So S(x)^2 gathers suffix sums of the
-    weighted slices, one entry per y. Memory per call: one N x N distance
-    matrix (plus the N x N x n temporary that builds it), then one N x N
-    index array and one N x N gather.
+    weighted slices, one entry per y. Memory per call: the N x N distances
+    (and their N x N x n temporary) until the N x N index `first` is built,
+    shared by all members, each of which adds one N x N gather.
     """
     times = times if times is not None else default_time_grid(dec, alpha, beta)
-    fld = d_field(dec, alpha, beta, f, times)
     grid = dec.grid
     n, h, w = grid.dimension, grid.spacing, grid.cell_weight
+    out = []
     if n >= 2:
         radii = times ** (1.0 / (2.0 * alpha))
         order = np.argsort(radii, kind="stable")
-        scale = fld.weights * w / times ** (n / (2.0 * alpha))
-        slices = (scale[:, None] * fld.values ** 2)[order]
-        tail = np.zeros((times.size + 1, grid.size))
-        tail[:-1] = np.cumsum(slices[::-1], axis=0)[::-1]
         first = np.searchsorted(radii[order], grid.pair_distances(), side="right")
-        out = tail[first, np.arange(grid.size)].sum(axis=1)
-        return grid_function(grid, np.sqrt(out))
-    out = np.zeros(grid.size)
-    for t_j, w_j, row in zip(times, fld.weights, fld.values):
-        radius = t_j ** (1.0 / (2.0 * alpha))
-        half = int(np.floor(radius / h - 0.5)) if radius >= h else 0
-        window = _sliding_window_sum(row ** 2, half)
-        out += w_j * window * w / t_j ** (n / (2.0 * alpha))
-    return grid_function(grid, np.sqrt(out))
+        for f in members:
+            fld = d_field(dec, alpha, beta, f, times)
+            scale = fld.weights * w / times ** (n / (2.0 * alpha))
+            slices = (scale[:, None] * fld.values ** 2)[order]
+            tail = np.zeros((times.size + 1, grid.size))
+            tail[:-1] = np.cumsum(slices[::-1], axis=0)[::-1]
+            out.append(grid_function(grid, np.sqrt(tail[first, np.arange(grid.size)].sum(axis=1))))
+        return out
+    halves = [int(np.floor(r / h - 0.5)) if r >= h else 0
+              for r in (t_j ** (1.0 / (2.0 * alpha)) for t_j in times)]
+    for f in members:
+        fld = d_field(dec, alpha, beta, f, times)
+        total = np.zeros(grid.size)
+        for t_j, w_j, row, half in zip(times, fld.weights, fld.values, halves):
+            window = _sliding_window_sum(row ** 2, half)
+            total += w_j * window * w / t_j ** (n / (2.0 * alpha))
+        out.append(grid_function(grid, np.sqrt(total)))
+    return out
 
 
 def _sliding_window_sum(values: np.ndarray, half: int) -> np.ndarray:
@@ -271,22 +277,26 @@ def quasi_norm(f: GridFunction, p: float) -> float:
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_weight) ** (1.0 / p))
 
 
-def carleson_norm(fld: SpaceTimeField, kappa: float, balls: list[Ball],
-                  box_exponent: float = 1.0) -> float:
+def carleson_boxes(balls: list[Ball], times: np.ndarray, box_exponent: float) -> list:
+    """The Carleson boxes B x (0, r_B^e) that hold a slice of the ladder `times`,
+    as (ball, slice mask, `np.ix_` gather index); fields on that ladder share them."""
+    if not balls:
+        raise ValueError("no admissible ball")
+    boxes = []
+    for ball in balls:
+        sel = times <= ball.radius ** box_exponent
+        if np.any(sel):
+            boxes.append((ball, sel, np.ix_(sel, ball.members)))
+    return boxes
+
+
+def carleson_norm(fld: SpaceTimeField, kappa: float, boxes: list) -> float:
     """sup_B nu(B x (0, r_B^e)) / |B|^kappa for the squared-density field."""
     grid = fld.grid
-    w = grid.cell_weight
     best = 0.0
-    for ball in balls:
-        cut = ball.radius ** box_exponent
-        sel = fld.times <= cut
-        if not np.any(sel):
-            continue
-        mass = float(fld.weights[sel] @ np.sum(fld.values[np.ix_(sel, ball.members)],
-                                               axis=1)) * w
+    for ball, sel, gather in boxes:
+        mass = float(fld.weights[sel] @ np.sum(fld.values[gather], axis=1)) * grid.cell_weight
         best = max(best, mass / _ball_measure(grid, ball) ** kappa)
-    if best == 0.0 and not balls:
-        raise ValueError("no admissible ball")
     return best
 
 
@@ -328,41 +338,30 @@ def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecompositio
     return pairing / (c * inner)
 
 
-def nabla_alpha_field(dec: SpectralDecomposition, alpha: float, f: GridFunction,
-                      times: np.ndarray):
-    """|t^(1/2a) grad_x u|, |t^(1/2a) d_t^(1/2a) u| magnitudes per time, (J, N) each."""
-    coeff = dec.coefficients(f.values)
-    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
-    grads = np.empty((times.size, dec.grid.size))
-    timeparts = np.empty_like(grads)
-    for j, t in enumerate(times):
-        u = dec.synthesize(decay[j] * coeff)
-        t_sc = t ** (1.0 / (2.0 * alpha))
-        grads[j] = t_sc * np.sqrt(np.sum(gradient_values(dec.grid, u) ** 2, axis=1))
-        timeparts[j] = t_sc * np.abs(
-            dec.synthesize(np.sqrt(dec.eigenvalues) * decay[j] * coeff))
-    return grads, timeparts
-
-
-def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
-                            f: GridFunction, times: np.ndarray) -> SpaceTimeField:
-    """Squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in semigroup time.
-
+def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
+                    times: np.ndarray):
+    """N4's and N5's fields of u(t) = e^{-t L^alpha} f, from one synthesis of u
+    and one stencil per time, (J, N) each: `grads` and `timeparts`, the
+    magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|, and `nu`, the
+    squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in semigroup time.
     With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha) |grad_x v(s)|^2 and
     |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while dt/t = ds/(2 alpha s); the
-    1/(2 alpha) substitution factor is folded into the stored values.
+    1/(2 alpha) substitution factor is folded into `nu`.
     """
     coeff = dec.coefficients(f.values)
-    la = dec.eigenvalues ** alpha
     decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
-    vals = np.empty((times.size, dec.grid.size))
-    for j, s in enumerate(times):
-        v = dec.synthesize(decay[j] * coeff)
-        gsq = s ** (1.0 / alpha) * np.sqrt(np.sum(gradient_values(dec.grid, v) ** 2,
-                                                  axis=1)) ** 2
-        dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * decay[j] * coeff)) ** 2
-        vals[j] = (gsq + dsq) / (2.0 * alpha)
-    return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
+    root, la = np.sqrt(dec.eigenvalues), dec.eigenvalues ** alpha
+    grads, timeparts, nu = np.empty((3, times.size, dec.grid.size))
+    for j, t in enumerate(times):
+        u = dec.synthesize(decay[j] * coeff)
+        slope = np.sqrt(np.sum(gradient_values(dec.grid, u) ** 2, axis=1))
+        t_sc = t ** (1.0 / (2.0 * alpha))
+        grads[j] = t_sc * slope
+        timeparts[j] = t_sc * np.abs(dec.synthesize(root * decay[j] * coeff))
+        gsq = t ** (1.0 / alpha) * slope ** 2
+        dsq = 4.0 * alpha ** 2 * (t * dec.synthesize(la * decay[j] * coeff)) ** 2
+        nu[j] = (gsq + dsq) / (2.0 * alpha)
+    return grads, timeparts, nu
 
 
 #: (centre coordinate on every axis, radius) of the atoms in the equivalence suite
@@ -423,6 +422,7 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     quantity of the D-field; N4 sup_t t^(-g/2a) |t^(1/2a) nabla_alpha u|_inf;
     N5 the Carleson norm of the gradient measure. Desk-scale reading of the
     equivalence theorems: all ratios against N1 in one bounded interval.
+    `rows[i]` is `suite[i]`'s; a member with N1 = 0 keeps only N1, out of the ratios.
     """
     if not gamma < min(2.0 * alpha, 2.0 * alpha * beta):
         raise ValueError("need gamma < min(2 alpha, 2 alpha beta)")
@@ -432,30 +432,30 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     times = times if times is not None else default_time_grid(dec, alpha, beta)
     params = BmoParams(gamma)
     balls = ball_family(grid, rho_values)
+    boxes = carleson_boxes(balls, times, 2.0 * alpha)
     kappa = 1.0 + 2.0 * gamma / grid.dimension
     g_over_a = gamma / (2.0 * alpha)
     interior = inner_box_mask(grid, 0.75) & ~boundary_layer_mask(grid)
     rows = []
     for f in suite:
         n1 = bmo_norm(f, params, rho_values, balls)
+        rows.append({"N1": n1})
         if n1 == 0.0:
             continue
         fld = d_field(dec, alpha, beta, f, times)
         sup_d = np.max(np.abs(fld.values[:, interior]), axis=1)
         n2 = float(np.max(times ** (-g_over_a) * sup_d))
-        n3 = np.sqrt(carleson_norm(
-            SpaceTimeField(grid, times, fld.values ** 2, fld.weights),
-            kappa, balls, box_exponent=2.0 * alpha))
-        grads, timeparts = nabla_alpha_field(dec, alpha, f, times)
+        n3 = np.sqrt(carleson_norm(SpaceTimeField(grid, times, fld.values ** 2, fld.weights),
+                                   kappa, boxes))
+        grads, timeparts, nu = gradient_fields(dec, alpha, f, times)
         mags = np.sqrt(grads ** 2 + timeparts ** 2)
         n4 = float(np.max(times ** (-g_over_a) * np.max(mags[:, interior], axis=1)))
-        nu = carleson_field_nu_alpha(dec, alpha, f, times)
-        n5 = np.sqrt(carleson_norm(nu, kappa, balls, box_exponent=2.0 * alpha))
-        rows.append({"N1": n1, "N2": n2, "N3": n3, "N4": n4, "N5": n5})
-    if not rows:
-        raise ValueError("every suite member had vanishing Campanato norm")
+        n5 = np.sqrt(carleson_norm(SpaceTimeField(grid, times, nu, fld.weights), kappa, boxes))
+        rows[-1].update({"N2": n2, "N3": n3, "N4": n4, "N5": n5})
     ratios = np.array([[row[k] / row["N1"] for k in ("N2", "N3", "N4", "N5")]
-                       for row in rows])
+                       for row in rows if row["N1"] != 0.0])
+    if ratios.size == 0:
+        raise ValueError("every suite member had vanishing Campanato norm")
     c_star = float(max(ratios.max(), 1.0 / ratios.min()))
     return {"rows": rows, "ratio_min": float(ratios.min()),
             "ratio_max": float(ratios.max()), "c_star": c_star}

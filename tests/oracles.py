@@ -8,7 +8,10 @@ sum of the free Gaussian. The second are Shen's lemma diagnostics for the
 critical radius: the reverse-Holder constant, the Gaussian average of V and
 the doubling, two-scale and comparability constants, and the per-point
 critical-radius bisection, which the blocked one must reproduce bit for bit.
-`certify_on` certifies one estimate on its own, as the scans before
+The third are the function-space gradients as they were before one pass
+served N4 and N5: the `np.pad` stencil and one synthesis per field, which
+`grid.gradient_values` and `spaces.gradient_fields` must reproduce bit for
+bit. `certify_on` certifies one estimate on its own, as the scans before
 `scan_estimate` took a list of jobs did.
 """
 
@@ -21,12 +24,14 @@ from subheat.closedform import gaussian_heat_value
 from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams, certify,
                                scan_estimate)
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
-from subheat.grid import Ball, Grid
+from subheat.grid import PERIODIC, Ball, Grid, GridFunction
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
                                 _radial_profile_about, _rho_functional_at,
                                 _simpson_weights, ball_integral, compute_rho,
                                 eval_on_grid, eval_potential, is_zero)
-from subheat.spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
+from subheat.spaces import SpaceTimeField, _log_trapezoid_weights
+from subheat.spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
+                              semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
 
 _BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
@@ -119,6 +124,59 @@ def wrapped_gaussian_table(grid: Grid, t: float, images: int) -> np.ndarray:
         table = table + gaussian_heat_value(
             np.linalg.norm(diff + combo[None, None, :], axis=-1), t, grid.dimension)
     return table
+
+
+# --- function-space gradients, one synthesis per field -----------------------
+
+def padded_gradient_values(grid: Grid, values: np.ndarray,
+                           axis: int | None = None) -> np.ndarray:
+    """`grid.gradient_values` with the Dirichlet zero extension made by `np.pad`."""
+    if axis is None:
+        return np.stack([padded_gradient_values(grid, values, d)
+                         for d in range(grid.dimension)], axis=-1)
+    M, h = grid.points_per_axis, grid.spacing
+    v = values.reshape((M,) * grid.dimension + values.shape[1:])
+    if grid.bc == PERIODIC:
+        plus, minus = np.roll(v, -1, axis=axis), np.roll(v, 1, axis=axis)
+    else:
+        pad = [(0, 0)] * v.ndim
+        pad[axis] = (1, 1)
+        vp = np.pad(v, pad)
+        plus = vp[(slice(None),) * axis + (slice(2, None),)]
+        minus = vp[(slice(None),) * axis + (slice(None, -2),)]
+    return ((plus - minus) / (2.0 * h)).reshape(values.shape)
+
+
+def nabla_alpha_field(dec: SpectralDecomposition, alpha: float, f: GridFunction,
+                      times: np.ndarray):
+    """|t^(1/2a) grad_x u|, |t^(1/2a) d_t^(1/2a) u| magnitudes per time, (J, N) each."""
+    coeff = dec.coefficients(f.values)
+    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
+    grads = np.empty((times.size, dec.grid.size))
+    timeparts = np.empty_like(grads)
+    for j, t in enumerate(times):
+        u = dec.synthesize(decay[j] * coeff)
+        t_sc = t ** (1.0 / (2.0 * alpha))
+        grads[j] = t_sc * np.sqrt(np.sum(padded_gradient_values(dec.grid, u) ** 2, axis=1))
+        timeparts[j] = t_sc * np.abs(
+            dec.synthesize(np.sqrt(dec.eigenvalues) * decay[j] * coeff))
+    return grads, timeparts
+
+
+def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
+                            f: GridFunction, times: np.ndarray) -> SpaceTimeField:
+    """Squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in semigroup time."""
+    coeff = dec.coefficients(f.values)
+    la = dec.eigenvalues ** alpha
+    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
+    vals = np.empty((times.size, dec.grid.size))
+    for j, s in enumerate(times):
+        v = dec.synthesize(decay[j] * coeff)
+        gsq = s ** (1.0 / alpha) * np.sqrt(np.sum(padded_gradient_values(dec.grid, v) ** 2,
+                                                  axis=1)) ** 2
+        dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * decay[j] * coeff)) ** 2
+        vals[j] = (gsq + dsq) / (2.0 * alpha)
+    return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
 
 
 # --- Shen's lemma diagnostics for the critical radius ------------------------

@@ -228,8 +228,7 @@ def test_criterion_11_duality_pairing(dec_flat):
 def test_criterion_12_area_function(dec_flat):
     rho = np.full(dec_flat.grid.size, RHO_FLAT)
     suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=45)
-    for f in suite:
-        S = area_function(dec_flat, 0.5, 1.0, f)
+    for f, S in zip(suite, area_function(dec_flat, 0.5, 1.0, suite)):
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
     rng = np.random.default_rng(46)
     from subheat.grid import ball_points
@@ -239,7 +238,7 @@ def test_criterion_12_area_function(dec_flat):
         radius = rng.uniform(0.3, 0.95 * RHO_FLAT)
         atom = make_atom(dec_flat.grid, ball_points(dec_flat.grid, [center], radius),
                          0.25, RHO_FLAT)
-        S = area_function(dec_flat, 0.5, 1.0, atom.function)
+        S, = area_function(dec_flat, 0.5, 1.0, [atom.function])
         atom_norms.append(quasi_norm(S, atom.p))
     assert np.all(np.isfinite(atom_norms))
     print(f"  criterion 12 log: max atom area quasi-norm = {max(atom_norms):.4f}")

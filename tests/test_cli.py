@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from subheat import estimates
-from subheat.cli import ConfigError, main, parse_config, run
+from subheat.cli import ConfigError, _fmt, _kernel_lines, main, parse_config, run
 from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
 from subheat.grid import build_grid
 from subheat.spectral import multiplier_kernel
@@ -293,6 +293,8 @@ PINNED_N2_VERIFY = PINNED.replace("n = 1", "n = 2").replace("M = 128", "M = 16")
 PINNED_N1_KERNELS = "[grid]\nn = 1\nL = 16\nM = 16\n"
 PINNED_N1_NORMS = PINNED.replace("M = 128", "M = 64").format(kind="power\nsigma = 2")
 PINNED_N2_NORMS = "[grid]\nn = 2\nL = 16\nM = 16\n"
+PINNED_N2_NORMS_PERIODIC = PINNED_N2_VERIFY.replace("M = 16", "M = 16\nbc = periodic").format(
+    kind="power\nsigma = 2")
 EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
 
 
@@ -311,10 +313,15 @@ EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
     ("equiv", PINNED_N1_NORMS, {name: f"norms_n1_m64_power2/{name}" for name in EQUIV_FILES}),
     ("spaces", PINNED_N2_NORMS, {"space_norms.csv": "norms_n2_m16_constant/space_norms.csv"}),
     ("equiv", PINNED_N2_NORMS, {name: f"norms_n2_m16_constant/{name}" for name in EQUIV_FILES}),
+    ("spaces", PINNED_N2_NORMS_PERIODIC,
+     {"space_norms.csv": "norms_n2_m16_power2_periodic/space_norms.csv"}),
+    ("equiv", PINNED_N2_NORMS_PERIODIC,
+     {name: f"norms_n2_m16_power2_periodic/{name}" for name in EQUIV_FILES}),
 ], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "verify-n2-m32-power2",
         "kernels-n1-m16",
         "spaces-n1-m64-power2", "equiv-n1-m64-power2", "spaces-n2-m16-constant",
-        "equiv-n2-m16-constant"])
+        "equiv-n2-m16-constant", "spaces-n2-m16-power2-periodic",
+        "equiv-n2-m16-power2-periodic"])
 def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     """Outputs equal the files recorded before the code they pin changed, byte for byte.
 
@@ -328,8 +335,13 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     certificates, written by `python -m subheat verify` at commit 65262e7
     (the benchmark's certify-n2 config), scan the shift L/16 of one cell.
     `kernels` writes the six default tables. The `spaces` and `equiv`
-    tables were written by `python -m subheat` at commit 1f80921; their N4
-    and N5 columns read the gradient stencil of `grid.gradient_values`.
+    tables were written by `python -m subheat` at commit 1f80921, and the
+    periodic n=2 |x|^2 ones at commit d6dfdef, before the cone index, the
+    ball centre indices and the N4/N5 gradient pass were shared across suite
+    members. The N4 and N5 columns read the gradient stencil of
+    `grid.gradient_values`, whose Dirichlet zero extension was then made by
+    `np.pad`; the periodic tables pin its wrapped branch and the periodic
+    cone distances of `area_function`.
     """
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
@@ -380,3 +392,30 @@ def test_verify_fails_when_a_certificate_cannot_be_computed(tmp_path):
               if ln.endswith("failed: multiplier not finite on the spectrum")]
     assert failed == ["E9", "E10", "E11"]
     assert not any("skipped" in ln for ln in lines)
+
+
+def test_equiv_labels_members_after_a_vanishing_one(tmp_path):
+    """A member whose N1 vanishes keeps its row, so later rows keep their labels."""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[grid]\nn = 1\nL = 7\nM = 64\n[potential]\nkind = constant\n"
+                        "c = 0.01\n")
+    for command in ("spaces", "equiv"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+    def table(name):
+        lines = (tmp_path / "o" / name).read_text().splitlines()[2:]
+        return [line.split(",") for line in lines]
+
+    norms, equiv = table("space_norms.csv"), table("equivalence.csv")
+    assert [row[0] for row in equiv] == [row[0] for row in norms] == [str(i) for i in range(10)]
+    assert [row[1] for row in equiv] == [row[1] for row in norms]    # N1 is the bmo column
+    assert equiv[5] == ["5", "0", "", "", "", ""]
+    assert all(all(cell != "" for cell in row) for i, row in enumerate(equiv) if i != 5)
+
+
+def test_kernel_lines_format_like_fmt():
+    values = [0.0, -0.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 1e22]
+    table = np.array([values, values[::-1]])
+    want = "".join(f"{i},{j},{_fmt(v)}\n" for i, row in enumerate(table)
+                   for j, v in enumerate(row))
+    assert "".join(_kernel_lines(table)) == want

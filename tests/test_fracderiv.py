@@ -8,7 +8,7 @@ from subheat.fracderiv import (d_operator, frac_multiplier_quadrature,
                                frac_time_derivative, integer_order)
 from subheat.grid import boundary_layer_mask, build_grid, gradient_values, grid_function
 from subheat.potentials import constant, zero
-from subheat.spaces import nabla_alpha_field
+from subheat.spaces import gradient_fields
 from subheat.spectral import apply_kernel, assemble, eigendecompose, multiplier_kernel
 
 
@@ -151,7 +151,7 @@ def test_nabla_alpha_constant_function():
     g = build_grid(1, 16.0, 128, "periodic")
     dec = eigendecompose(assemble(g, zero()))
     ones = grid_function(g, np.ones(g.size))
-    grad, timepart = nabla_alpha_field(dec, 0.5, ones, np.array([1.0]))
+    grad, timepart, _ = gradient_fields(dec, 0.5, ones, np.array([1.0]))
     assert np.max(grad) < 1e-10
     assert np.max(timepart) < 1e-10
 
@@ -159,7 +159,7 @@ def test_nabla_alpha_constant_function():
 def test_nabla_alpha_eigenfunction(dec):
     alpha, t, k = 0.5, 0.8, 4
     phi = grid_function(dec.grid, dec.basis[:, k])
-    _, timepart = nabla_alpha_field(dec, alpha, phi, np.array([t]))
+    _, timepart, _ = gradient_fields(dec, alpha, phi, np.array([t]))
     lam = dec.eigenvalues[k]
     # magnitudes scaled by t^(1/2 alpha)
     expect = t ** (1.0 / (2.0 * alpha)) * np.sqrt(lam) * np.exp(-t * lam ** alpha)
@@ -171,7 +171,7 @@ def test_nabla_alpha_time_component_consistent_with_d_operator(dec):
     beta = 1.0 / (2.0 * alpha)
     rng = np.random.default_rng(7)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
-    _, timepart = nabla_alpha_field(dec, alpha, f, np.array([t]))
+    _, timepart, _ = gradient_fields(dec, alpha, f, np.array([t]))
     K = d_operator(dec, alpha, beta, t)
     via_d = apply_kernel(K, f)
     # t^beta with beta = 1/(2 alpha) is the field's own scaling

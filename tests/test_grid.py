@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from subheat.grid import (ball_points, build_grid, from_callable, grid_function,
-                          grid_integrate, inner_box_mask)
+from oracles import padded_gradient_values
+from subheat.grid import (ball_points, build_grid, from_callable, gradient_values,
+                          grid_function, grid_integrate, inner_box_mask)
 
 
 def test_build_grid_spacing():
@@ -121,3 +122,28 @@ def test_inner_box_mask():
     mask = inner_box_mask(g)
     assert np.all(np.abs(g.points[mask, 0]) <= 8.0 + 1e-12)
     assert mask.sum() == 128
+
+
+@pytest.mark.parametrize("n, M", [(1, 16), (2, 8), (3, 8)])
+def test_ball_center_index_is_the_nearest_point_off_grid(n, M):
+    g = build_grid(n, 4.0, M, "dirichlet")
+    center = np.array([0.37, -1.21, 0.9][:n])
+    ball = ball_points(g, center, 1.3)
+    assert ball.center_index == int(np.argmin(g.distances_from(center)))
+    assert ball.center_index in ball.members
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n, M", [(1, 16), (2, 8), (3, 8)])
+def test_gradient_values_equal_the_padded_stencil(n, M, bc):
+    """Zero-filled shifted copies give the bits of the `np.pad` stencil."""
+    g = build_grid(n, 4.0, M, bc)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(g.size)
+    assert np.array_equal(gradient_values(g, values), padded_gradient_values(g, values))
+    columns = rng.standard_normal((g.size, 3))   # trailing columns: three grid functions
+    for axis in range(n):
+        assert np.array_equal(gradient_values(g, values, axis),
+                              padded_gradient_values(g, values, axis))
+        assert np.array_equal(gradient_values(g, columns, axis),
+                              padded_gradient_values(g, columns, axis))

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from subheat.grid import ball_points, build_grid, from_callable, grid_function
+from oracles import carleson_field_nu_alpha, nabla_alpha_field
+from subheat import cli
+from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import constant, zero
 from subheat.spaces import (BmoParams, SpaceTimeField, _squared_distances,
-                            area_function, ball_centers, ball_family, bmo_norm, carleson_field_nu_alpha,
-                            carleson_norm, d_field, default_time_grid,
+                            area_function, ball_centers, ball_family, bmo_norm,
+                            carleson_boxes, carleson_norm, d_field, default_time_grid,
                             duality_pairing_check, equivalence_experiment,
                             equivalence_rho_indices,
-                            g_constant, g_function, lipschitz_norm,
+                            g_constant, g_function, gradient_fields, lipschitz_norm,
                             make_atom, make_equivalence_suite, quasi_norm,
                             reproducing_check, _log_trapezoid_weights)
 from subheat.spectral import assemble, eigendecompose
@@ -161,19 +163,18 @@ def test_g_function_l2_identity_mean_zero(periodic_free):
 
 def test_area_function_zero(dec):
     f = grid_function(dec.grid, np.zeros(dec.grid.size))
-    S = area_function(dec, 0.5, 1.0, f)
+    S, = area_function(dec, 0.5, 1.0, [f])
     assert np.all(S.values == 0.0)
 
 
 def test_area_function_l2_bound(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=6)
-    for f in suite:
-        S = area_function(dec, 0.5, 1.0, f)
+    for f, S in zip(suite, area_function(dec, 0.5, 1.0, suite)):
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
     # at beta = 1/2 the sub-grid cone columns inflate S on spectrally rough
     # members (atoms), so the measured constant is asserted on the smooth ones
-    for f in suite[:3] + suite[6:]:
-        S = area_function(dec, 0.5, 0.5, f)
+    smooth = suite[:3] + suite[6:]
+    for f, S in zip(smooth, area_function(dec, 0.5, 0.5, smooth)):
         assert S.l2_norm() <= 4.0 * g_constant(0.5) * f.l2_norm()
 
 
@@ -185,7 +186,7 @@ def test_area_function_on_atoms(dec, rho):
         r = rng.uniform(0.3, RHO_FLAT * 0.95)
         ball = ball_points(dec.grid, [c], r)
         atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT)
-        S = area_function(dec, 0.5, 1.0, atom.function)
+        S, = area_function(dec, 0.5, 1.0, [atom.function])
         vals.append(quasi_norm(S, atom.p))
     assert np.all(np.isfinite(vals))
     assert max(vals) < 50.0
@@ -231,23 +232,30 @@ def _ladder(dec, alpha, beta, kind):
     (0.5, 1.0, "sorted"), (0.3, 0.5, "sorted"), (0.5, 1.0, "shuffled"),
     (0.5, 1.0, "radius-on-pair-distance")])
 def test_area_function_2d_matches_per_slice_oracle(dec_2d, alpha, beta, kind):
-    f = _random_member(dec_2d, 11)
+    # two members share the cone index of one call
+    members = [_random_member(dec_2d, 11), _random_member(dec_2d, 12)]
     times = _ladder(dec_2d, alpha, beta, kind)
-    got = area_function(dec_2d, alpha, beta, f, times).values
-    ref = _area_function_per_slice(dec_2d, alpha, beta, f, times)
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    got = area_function(dec_2d, alpha, beta, members, times)
+    assert len(got) == len(members)
+    for f, S in zip(members, got):
+        ref = _area_function_per_slice(dec_2d, alpha, beta, f, times)
+        np.testing.assert_allclose(S.values, ref, rtol=1e-12, atol=0.0)
 
 
-def test_area_function_2d_one_pair_distances_call(dec_2d, monkeypatch):
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_spaces_n2_run_makes_one_pair_distances_call(tmp_path, monkeypatch, bc):
+    """The cone index is built once per `spaces` run, not once per suite member."""
     calls = []
-    original = type(dec_2d.grid).pair_distances
+    original = Grid.pair_distances
 
     def counted(grid):
         calls.append(1)
         return original(grid)
 
-    monkeypatch.setattr(type(dec_2d.grid), "pair_distances", counted)
-    area_function(dec_2d, 0.5, 1.0, _random_member(dec_2d, 14))
+    monkeypatch.setattr(Grid, "pair_distances", counted)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(f"[grid]\nn = 2\nL = 8\nM = 16\nbc = {bc}\n")
+    assert cli.main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
 
@@ -256,10 +264,12 @@ def _assert_ladder_order_free(dec):
     f = _random_member(dec, 5)
     times = default_time_grid(dec, 0.5, 1.0, n_times=20)
     shuffled = np.random.default_rng(4).permutation(times)
-    for functional in (g_function, area_function):
-        np.testing.assert_allclose(functional(dec, 0.5, 1.0, f, shuffled).values,
-                                   functional(dec, 0.5, 1.0, f, times).values,
-                                   rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(g_function(dec, 0.5, 1.0, f, shuffled).values,
+                               g_function(dec, 0.5, 1.0, f, times).values,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(area_function(dec, 0.5, 1.0, [f], shuffled)[0].values,
+                               area_function(dec, 0.5, 1.0, [f], times)[0].values,
+                               rtol=1e-12, atol=0.0)
     assert reproducing_check(dec, 0.5, 1.0, f, shuffled) == pytest.approx(
         reproducing_check(dec, 0.5, 1.0, f, times), rel=1e-12)
 
@@ -286,7 +296,7 @@ def test_carleson_unit_field_hand_quadrature(dec):
     w = _log_trapezoid_weights(times)
     fld = SpaceTimeField(g, times, np.ones((times.size, g.size)), w)
     ball = ball_points(g, [0.0], 1.0)
-    got = carleson_norm(fld, 1.0, [ball], box_exponent=1.0)
+    got = carleson_norm(fld, 1.0, carleson_boxes([ball], times, 1.0))
     hand = float(np.sum(w[times <= ball.radius]))
     assert got == pytest.approx(hand, abs=1e-10)
 
@@ -295,9 +305,10 @@ def test_carleson_constant_function_periodic(periodic_free):
     dec = periodic_free
     ones = grid_function(dec.grid, np.ones(dec.grid.size))
     times = default_time_grid(dec, 0.5, 1.0, n_times=24)
-    fld = carleson_field_nu_alpha(dec, 0.5, ones, times)
+    nu = gradient_fields(dec, 0.5, ones, times)[2]
+    fld = SpaceTimeField(dec.grid, times, nu, _log_trapezoid_weights(times))
     balls = [ball_points(dec.grid, [0.0], 1.0)]
-    assert carleson_norm(fld, 1.0, balls) <= 1e-18
+    assert carleson_norm(fld, 1.0, carleson_boxes(balls, times, 1.0)) <= 1e-18
 
 
 def test_carleson_bmo_variant_finite(dec, rho):
@@ -308,7 +319,7 @@ def test_carleson_bmo_variant_finite(dec, rho):
     sq = SpaceTimeField(dec.grid, times, fld.values ** 2, fld.weights)
     balls = ball_family(dec.grid, rho)
     kappa = 1.0 + 2.0 * gamma
-    val = carleson_norm(sq, kappa, balls, box_exponent=1.0)
+    val = carleson_norm(sq, kappa, carleson_boxes(balls, times, 1.0))
     assert np.isfinite(val) and val > 0
 
 
@@ -463,3 +474,18 @@ def test_lipschitz_norm_matches_masked_tensor_expression(n, M, gamma):
     f = grid_function(grid, rng.standard_normal(grid.size))
     rho = np.full(grid.size, 1e6)      # the Holder part decides the norm
     assert lipschitz_norm(f, gamma, rho) == _masked_lipschitz(f, gamma, rho)
+
+
+@pytest.mark.parametrize("n, M, bc", [(1, 32, "dirichlet"), (1, 32, "periodic"),
+                                      (2, 12, "dirichlet"), (2, 12, "periodic"),
+                                      (3, 8, "dirichlet"), (3, 8, "periodic")])
+def test_gradient_fields_equal_the_per_field_oracles(n, M, bc):
+    """One synthesis and one stencil per time give both fields' bits."""
+    dec = eigendecompose(assemble(build_grid(n, 4.0, M, bc), constant(1.0)))
+    f = _random_member(dec, 20 + n)
+    times = default_time_grid(dec, 0.7, 0.5, n_times=16)
+    grads, timeparts, nu = gradient_fields(dec, 0.7, f, times)
+    want_grads, want_timeparts = nabla_alpha_field(dec, 0.7, f, times)
+    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(timeparts, want_timeparts)
+    assert np.array_equal(nu, carleson_field_nu_alpha(dec, 0.7, f, times).values)
