@@ -20,10 +20,10 @@ from .subordinator import (density, density_selftest, laplace_transform,
 from .fracderiv import d_operator, frac_time_derivative
 from .estimates import (BoundCertificate, EstimateParams, build_backend, certify,
                         decay_exponent_fit, refinement_study)
-from .spaces import (Atom, BmoParams, SpaceTimeField, area_function, bmo_norm,
-                     carleson_boxes, carleson_norm, duality_pairing_check,
-                     equivalence_experiment, g_function, lipschitz_norm, make_atom,
-                     reproducing_check)
+from .spaces import (Atom, SpaceTimeField, area_function, ball_family, bmo_norm,
+                     carleson_boxes, carleson_norm, default_time_grid,
+                     duality_pairing_check, equivalence_experiment, g_function,
+                     lipschitz_norm, make_atom, reproducing_check)
 from .cli import RunConfig, parse_config, run
 
 __version__ = "0.1.0"

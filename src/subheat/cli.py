@@ -26,7 +26,7 @@ from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateNotApplicable,
                         scan_estimate)
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
-from .spaces import (BmoParams, area_function, ball_family, bmo_norm,
+from .spaces import (area_function, ball_family, bmo_norm, default_time_grid,
                      equivalence_experiment, equivalence_rho_indices, g_constant,
                      g_function, lipschitz_norm, make_equivalence_suite,
                      reproducing_check)
@@ -306,14 +306,14 @@ def _space_context(cfg: RunConfig, rho_indices=None):
 def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
     grid, dec, rho = _space_context(cfg)
     suite = make_equivalence_suite(dec, rho, cfg.gamma, seed=cfg.seed)
-    params = BmoParams(cfg.gamma)
+    times = default_time_grid(dec, cfg.alpha, cfg.beta)
     balls = ball_family(grid, rho)
-    areas = area_function(dec, cfg.alpha, cfg.beta, suite)
+    areas = area_function(dec, cfg.alpha, cfg.beta, suite, times)
+    lipschitz = lipschitz_norm(suite, cfg.gamma, rho)
     rows = []
-    for i, (f, area) in enumerate(zip(suite, areas)):
-        nb = bmo_norm(f, params, rho, balls)
-        nl = lipschitz_norm(f, cfg.gamma, rho)
-        ng = g_function(dec, cfg.alpha, cfg.beta, f).l2_norm()
+    for i, (f, area, nl) in enumerate(zip(suite, areas, lipschitz)):
+        nb = bmo_norm(f, cfg.gamma, rho, balls)
+        ng = g_function(dec, cfg.alpha, cfg.beta, f, times).l2_norm()
         rows.append((i, nb, nl, ng, area.l2_norm(), f.l2_norm()))
     path = out / "space_norms.csv"
     _write_csv(path, cfg, ["member", "bmo", "lipschitz", "g_l2", "area_l2", "l2"],
@@ -324,7 +324,8 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
 def _cmd_equiv(cfg: RunConfig, out: Path) -> dict:
     grid, dec, rho = _space_context(cfg, equivalence_rho_indices)
     suite = make_equivalence_suite(dec, rho, cfg.gamma, seed=cfg.seed)
-    report = equivalence_experiment(suite, dec, cfg.alpha, cfg.beta, cfg.gamma, rho)
+    times = default_time_grid(dec, cfg.alpha, cfg.beta)
+    report = equivalence_experiment(suite, dec, cfg.alpha, cfg.beta, cfg.gamma, rho, times)
     rows = [(i, *(row.get(k, "") for k in ("N1", "N2", "N3", "N4", "N5")))
             for i, row in enumerate(report["rows"])]
     path = out / "equivalence.csv"
@@ -372,9 +373,10 @@ def _cmd_selftest(cfg: RunConfig, out: Path) -> dict:
     if dec.has_zero_mode:
         vals -= vals.mean()
     f = grid_function(grid, vals)
+    times = default_time_grid(dec, cfg.alpha, cfg.beta)
     check("reproducing formula",
-          reproducing_check(dec, cfg.alpha, cfg.beta, f) <= 1e-4)
-    gv = g_function(dec, cfg.alpha, cfg.beta, f)
+          reproducing_check(dec, cfg.alpha, cfg.beta, f, times) <= 1e-4)
+    gv = g_function(dec, cfg.alpha, cfg.beta, f, times)
     target = g_constant(cfg.beta)
     if not dec.has_zero_mode:
         check("g-function isometry",

@@ -103,7 +103,6 @@ class BoundCertificate:
     argmax: tuple                    # (x, y, t)
     refine_ratio: float
     passed: bool
-    exclusions: int = 0
 
 
 def lattice_indices(grid: Grid) -> np.ndarray:
@@ -557,7 +556,7 @@ def certify(estimate_id: str, scans: list) -> BoundCertificate:
                   and fine.c_meas <= CEILING
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
     return BoundCertificate(estimate_id, resolved, fine.c_meas, fine.argmax, float(ratio),
-                            passed, fine.excluded)
+                            passed)
 
 
 def refinement_study(estimate_id: str, params: EstimateParams | None,

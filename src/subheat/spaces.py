@@ -4,8 +4,10 @@ Everything here runs on the shared eigenbasis: the semigroup building block
 t^beta d_t^beta e^{-t L^alpha} acts as the multiplier (t lam^alpha)^beta
 e^{-t lam^alpha}, time integrals dt/t are log-trapezoid sums whose endpoint
 truncation is controlled per mode by incomplete-Gamma tails, and ball
-quantities use the discrete ball measure |B| = #members * h^n. The cone index,
-ball centres and Carleson boxes are built once per command, not per function.
+quantities use the discrete ball measure |B| = #members * h^n. The time
+ladder and the balls are built once per command and passed in; the cone
+index, the Carleson boxes and the Lipschitz sample distances are built once
+per call for the whole suite.
 """
 
 from dataclasses import dataclass, field
@@ -20,15 +22,6 @@ from .spectral import SpectralDecomposition, semigroup_multiplier
 MIN_TIME_NODES = 16
 TIME_TAIL_TOL = 1e-8     # per-mode Gamma-integral tail left outside the default ladder
 SUITE_SIZE = 10          # members of the equivalence suite
-
-
-@dataclass(frozen=True)
-class BmoParams:
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("exponent gamma must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -128,13 +121,14 @@ def _ball_measure(grid: Grid, ball: Ball) -> float:
     return ball.members.size * grid.cell_weight
 
 
-def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
-             balls: list[Ball] | None = None) -> float:
+def bmo_norm(f: GridFunction, gamma: float, rho_values: np.ndarray,
+             balls: list[Ball]) -> float:
     """sup_B |B|^(-1-gamma/n) int_B |f - f(B, V)|: mean on small balls, raw size above rho."""
     grid = f.grid
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("exponent gamma must lie in (0, 1]")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("bmo_norm requires finite values")
-    balls = balls if balls is not None else ball_family(grid, rho_values)
     n, w = grid.dimension, grid.cell_weight
     best = 0.0
     for ball in balls:
@@ -143,7 +137,7 @@ def bmo_norm(f: GridFunction, params: BmoParams, rho_values: np.ndarray,
         reference = vals.mean() if ball.radius < rho_c else 0.0
         measure = _ball_measure(grid, ball)
         osc = np.sum(np.abs(vals - reference)) * w
-        best = max(best, osc / measure ** (1.0 + params.gamma / n))
+        best = max(best, osc / measure ** (1.0 + gamma / n))
     return best
 
 
@@ -156,26 +150,32 @@ def _squared_distances(pts: np.ndarray) -> np.ndarray:
     return sq
 
 
-def lipschitz_norm(f: GridFunction, gamma: float, rho_values: np.ndarray) -> float:
-    """max of the Holder seminorm and sup |f| / rho^gamma over sampled points
-    (every max(1, M // 128)-th grid point in flat order)."""
-    grid = f.grid
+def lipschitz_norm(members: list[GridFunction], gamma: float,
+                   rho_values: np.ndarray) -> list[float]:
+    """Per member, the max of the Holder seminorm and sup |f| / rho^gamma over
+    sampled points (every max(1, M // 128)-th grid point in flat order). The
+    sample distances and rho^gamma are computed once for all members."""
+    grid = members[0].grid
     if np.any(np.isnan(rho_values)):
         raise ValueError("lipschitz_norm reads rho at every grid point; some were not computed")
     idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
-    pts, vals = grid.points[idx], f.values[idx]
-    dist = np.sqrt(_squared_distances(pts))
+    dist = np.sqrt(_squared_distances(grid.points[idx]))
     mask = dist > 0
     dist **= gamma
-    # the pairs left out (i = j) keep |f_i - f_i| = 0, below every other ratio
-    ratio = np.abs(vals[:, None] - vals[None, :])
-    np.divide(ratio, dist, out=ratio, where=mask)
-    holder = float(np.max(ratio))
-    # adjacent pairs capture the local seminorm missed by the coarse sample
-    fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
-    holder = max(holder, float(np.max(fine)))
-    size = float(np.max(np.abs(f.values) / rho_values ** gamma))
-    return max(holder, size)
+    rho_gamma = rho_values ** gamma
+    norms = []
+    for f in members:
+        vals = f.values[idx]
+        # the pairs left out (i = j) keep |f_i - f_i| = 0, below every other ratio
+        ratio = np.abs(vals[:, None] - vals[None, :])
+        np.divide(ratio, dist, out=ratio, where=mask)
+        holder = float(np.max(ratio))
+        # adjacent pairs capture the local seminorm missed by the coarse sample
+        fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
+        holder = max(holder, float(np.max(fine)))
+        size = float(np.max(np.abs(f.values) / rho_gamma))
+        norms.append(max(holder, size))
+    return norms
 
 
 def make_atom(grid: Grid, ball: Ball, gamma: float, rho_at_center: float,
@@ -206,9 +206,8 @@ def make_atom(grid: Grid, ball: Ball, gamma: float, rho_at_center: float,
 
 
 def g_function(dec: SpectralDecomposition, alpha: float, beta: float,
-               f: GridFunction, times: np.ndarray | None = None) -> GridFunction:
+               f: GridFunction, times: np.ndarray) -> GridFunction:
     """Vertical square function (int |t^b d_t^b e^{-tL^a} f|^2 dt/t)^(1/2)."""
-    times = times if times is not None else default_time_grid(dec, alpha, beta)
     fld = d_field(dec, alpha, beta, f, times)
     g2 = fld.weights @ fld.values ** 2
     return grid_function(dec.grid, np.sqrt(g2))
@@ -220,8 +219,7 @@ def g_constant(beta: float) -> float:
 
 
 def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
-                  members: list[GridFunction],
-                  times: np.ndarray | None = None) -> list[GridFunction]:
+                  members: list[GridFunction], times: np.ndarray) -> list[GridFunction]:
     """Cone square function of each member: aggregate |D f|^2 over |x - y| < t^(1/2 alpha).
 
     S(x)^2 = sum_j w_j h^n t_j^(-n/2 alpha) sum_{|x-y| < r_j} |D f(t_j, y)|^2
@@ -234,7 +232,6 @@ def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
     (and their N x N x n temporary) until the N x N index `first` is built,
     shared by all members, each of which adds one N x N gather.
     """
-    times = times if times is not None else default_time_grid(dec, alpha, beta)
     grid = dec.grid
     n, h, w = grid.dimension, grid.spacing, grid.cell_weight
     out = []
@@ -300,42 +297,42 @@ def carleson_norm(fld: SpaceTimeField, kappa: float, boxes: list) -> float:
     return best
 
 
+def _reproducing_multiplier(dec: SpectralDecomposition, alpha: float, beta: float,
+                            times: np.ndarray) -> np.ndarray:
+    """Per eigenvalue, int (t^b d_t^b e^{-tL^a})^2 dt/t on the ladder over its
+    exact value g_constant(beta)^2 = Gamma(2b)/2^(2b): 1 on every positive mode
+    the ladder resolves, 0 on a zero mode."""
+    integral = _log_trapezoid_weights(times) @ semigroup_multiplier(times, alpha, beta)(
+        dec.eigenvalues) ** 2
+    return integral / g_constant(beta) ** 2
+
+
 def reproducing_check(dec: SpectralDecomposition, alpha: float, beta: float,
-                      f: GridFunction, times: np.ndarray | None = None) -> float:
+                      f: GridFunction, times: np.ndarray) -> float:
     """Relative L^2 residual of c * int (t^b d_t^b e^{-tL^a})^2 f dt/t = f."""
-    times = times if times is not None else default_time_grid(dec, alpha, beta)
     coeff = dec.coefficients(f.values)
     if dec.has_zero_mode and abs(coeff[0]) > 1e-10 * max(np.linalg.norm(coeff), 1e-300):
         raise ValueError("zero-mode contamination: project the mean out of f first")
-    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) ** 2
-    weights = _log_trapezoid_weights(times)
-    integral = weights @ mult                     # per eigenvalue
-    c = 2.0 ** (2.0 * beta) / _gamma(2.0 * beta)
-    recon = dec.synthesize(c * integral * coeff)
+    recon = dec.synthesize(_reproducing_multiplier(dec, alpha, beta, times) * coeff)
     num = np.sqrt(np.sum((recon - f.values) ** 2))
     den = np.sqrt(np.sum(f.values ** 2))
     return float(num / den)
 
 
 def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecomposition,
-                          alpha: float, beta: float,
-                          times: np.ndarray | None = None):
+                          alpha: float, beta: float, times: np.ndarray):
     """Upper-half-space pairing over C_{a,b} <f, a>; 1.0 when the identity holds.
 
     Returns None for (numerically) orthogonal pairs.
     """
-    times = times if times is not None else default_time_grid(dec, alpha, beta)
     w = dec.grid.cell_weight
     inner = float(np.sum(f.values * atom.function.values) * w)
     if abs(inner) < 1e-12:
         return None
     cf = dec.coefficients(f.values)
     ca = dec.coefficients(atom.function.values)
-    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) ** 2
-    weights = _log_trapezoid_weights(times)
-    pairing = float(np.sum((weights @ mult) * cf * ca))
-    c = _gamma(2.0 * beta) / 2.0 ** (2.0 * beta)
-    return pairing / (c * inner)
+    mult = _reproducing_multiplier(dec, alpha, beta, times)
+    return float(np.sum(mult * cf * ca)) / inner
 
 
 def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
@@ -414,8 +411,7 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
 
 def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition,
                            alpha: float, beta: float, gamma: float,
-                           rho_values: np.ndarray,
-                           times: np.ndarray | None = None) -> dict:
+                           rho_values: np.ndarray, times: np.ndarray) -> dict:
     """The five Campanato-type functionals per suite member, with ratio ranges.
 
     N1 Campanato norm; N2 sup_t t^(-g/2a) |D f|_inf; N3 the Carleson-box
@@ -429,8 +425,6 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     if len(suite) < 1:
         raise ValueError("empty suite")
     grid = dec.grid
-    times = times if times is not None else default_time_grid(dec, alpha, beta)
-    params = BmoParams(gamma)
     balls = ball_family(grid, rho_values)
     boxes = carleson_boxes(balls, times, 2.0 * alpha)
     kappa = 1.0 + 2.0 * gamma / grid.dimension
@@ -438,7 +432,7 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     interior = inner_box_mask(grid, 0.75) & ~boundary_layer_mask(grid)
     rows = []
     for f in suite:
-        n1 = bmo_norm(f, params, rho_values, balls)
+        n1 = bmo_norm(f, gamma, rho_values, balls)
         rows.append({"N1": n1})
         if n1 == 0.0:
             continue

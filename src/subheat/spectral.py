@@ -20,7 +20,6 @@ SIZE_CAPS = {1: 512, 2: 48, 3: 16}
 class DiscreteOperator:
     grid: Grid
     matrix: np.ndarray = field(repr=False)
-    potential: PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class SpectralDecomposition:
     grid: Grid
     eigenvalues: np.ndarray = field(repr=False)   # ascending, clipped at 0
     basis: np.ndarray = field(repr=False)         # columns orthonormal wrt h^n inner product
-    potential: PotentialSpec
     has_zero_mode: bool
 
     @property
@@ -90,7 +88,7 @@ def assemble(grid: Grid, spec: PotentialSpec) -> DiscreteOperator:
                + np.kron(np.kron(eye, A1), eye)
                + np.kron(np.kron(eye, eye), A1))
     matrix = lap + np.diag(eval_on_grid(spec, grid))
-    return DiscreteOperator(grid, matrix, spec)
+    return DiscreteOperator(grid, matrix)
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -106,7 +104,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     # eigh returns l2-orthonormal columns; rescale to the h^n-weighted inner product
     basis = vec / np.sqrt(op.grid.cell_weight)
     has_zero = bool(lam[0] <= 1e-10 * max(lam[-1], 1.0))
-    return SpectralDecomposition(op.grid, lam, basis, op.potential, has_zero)
+    return SpectralDecomposition(op.grid, lam, basis, has_zero)
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,

@@ -21,7 +21,7 @@ from subheat.grid import build_grid, grid_function, inner_box_mask
 from subheat.potentials import constant, power, zero
 from subheat.spectral import (assemble, compose, eigendecompose,
                               fractional_heat_kernel, heat_kernel)
-from subheat.spaces import (area_function, g_constant, g_function,
+from subheat.spaces import (area_function, default_time_grid, g_constant, g_function,
                             duality_pairing_check, make_atom,
                             make_equivalence_suite, equivalence_experiment,
                             quasi_norm, reproducing_check)
@@ -185,7 +185,7 @@ def test_criterion_8_decay_exponents(backend_pair_zero):
 def test_criterion_9_g_function(dec_flat, dec_periodic_zero):
     for beta in (0.5, 1.0):
         phi = grid_function(dec_flat.grid, dec_flat.basis[:, 5])
-        gv = g_function(dec_flat, 0.5, beta, phi)
+        gv = g_function(dec_flat, 0.5, beta, phi, default_time_grid(dec_flat, 0.5, beta))
         target = g_constant(beta)
         assert np.max(np.abs(gv.values - target * np.abs(phi.values))) <= \
             1e-6 * np.max(np.abs(phi.values))
@@ -193,7 +193,8 @@ def test_criterion_9_g_function(dec_flat, dec_periodic_zero):
     vals = rng.standard_normal(dec_periodic_zero.grid.size)
     vals -= vals.mean()
     f = grid_function(dec_periodic_zero.grid, vals)
-    gv = g_function(dec_periodic_zero, 0.5, 1.0, f)
+    gv = g_function(dec_periodic_zero, 0.5, 1.0, f,
+                    default_time_grid(dec_periodic_zero, 0.5, 1.0))
     assert abs(gv.l2_norm() / f.l2_norm() - g_constant(1.0)) <= 1e-6
     _report(9, "g-function isometry")
 
@@ -201,14 +202,16 @@ def test_criterion_9_g_function(dec_flat, dec_periodic_zero):
 def test_criterion_10_reproducing_formula(dec_flat):
     assert 2.0 ** 2 / gamma_fn(2.0) == pytest.approx(4.0)
     rng = np.random.default_rng(43)
+    times = default_time_grid(dec_flat, 0.5, 1.0)
     for _ in range(3):
         f = grid_function(dec_flat.grid, rng.standard_normal(dec_flat.grid.size))
-        assert reproducing_check(dec_flat, 0.5, 1.0, f) <= 1e-4
+        assert reproducing_check(dec_flat, 0.5, 1.0, f, times) <= 1e-4
     _report(10, "reproducing formula")
 
 
 def test_criterion_11_duality_pairing(dec_flat):
     rng = np.random.default_rng(44)
+    times = default_time_grid(dec_flat, 0.5, 1.0)
     done = 0
     while done < 10:
         f = grid_function(dec_flat.grid, rng.standard_normal(dec_flat.grid.size))
@@ -217,7 +220,7 @@ def test_criterion_11_duality_pairing(dec_flat):
         from subheat.grid import ball_points
         atom = make_atom(dec_flat.grid, ball_points(dec_flat.grid, [center], radius),
                          0.25, RHO_FLAT)
-        ratio = duality_pairing_check(f, atom, dec_flat, 0.5, 1.0)
+        ratio = duality_pairing_check(f, atom, dec_flat, 0.5, 1.0, times)
         if ratio is None:
             continue
         assert ratio == pytest.approx(1.0, abs=1e-3)
@@ -228,7 +231,8 @@ def test_criterion_11_duality_pairing(dec_flat):
 def test_criterion_12_area_function(dec_flat):
     rho = np.full(dec_flat.grid.size, RHO_FLAT)
     suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=45)
-    for f, S in zip(suite, area_function(dec_flat, 0.5, 1.0, suite)):
+    times = default_time_grid(dec_flat, 0.5, 1.0)
+    for f, S in zip(suite, area_function(dec_flat, 0.5, 1.0, suite, times)):
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
     rng = np.random.default_rng(46)
     from subheat.grid import ball_points
@@ -238,7 +242,7 @@ def test_criterion_12_area_function(dec_flat):
         radius = rng.uniform(0.3, 0.95 * RHO_FLAT)
         atom = make_atom(dec_flat.grid, ball_points(dec_flat.grid, [center], radius),
                          0.25, RHO_FLAT)
-        S, = area_function(dec_flat, 0.5, 1.0, [atom.function])
+        S, = area_function(dec_flat, 0.5, 1.0, [atom.function], times)
         atom_norms.append(quasi_norm(S, atom.p))
     assert np.all(np.isfinite(atom_norms))
     print(f"  criterion 12 log: max atom area quasi-norm = {max(atom_norms):.4f}")
@@ -248,10 +252,11 @@ def test_criterion_12_area_function(dec_flat):
 def test_criterion_13_equivalence(dec_flat):
     rho = np.full(dec_flat.grid.size, RHO_FLAT)
     suite = make_equivalence_suite(dec_flat, rho, 0.25, seed=47)
-    rep = equivalence_experiment(suite, dec_flat, 0.5, 1.0, 0.25, rho)
+    times = default_time_grid(dec_flat, 0.5, 1.0)
+    rep = equivalence_experiment(suite, dec_flat, 0.5, 1.0, 0.25, rho, times)
     assert rep["c_star"] <= 100.0
     doubled = [grid_function(dec_flat.grid, 2.0 * f.values) for f in suite[:3]]
-    rep2 = equivalence_experiment(doubled, dec_flat, 0.5, 1.0, 0.25, rho)
+    rep2 = equivalence_experiment(doubled, dec_flat, 0.5, 1.0, 0.25, rho, times)
     for r1, r2 in zip(rep["rows"][:3], rep2["rows"]):
         for key in r1:
             assert r2[key] == pytest.approx(2.0 * r1[key], rel=1e-10)

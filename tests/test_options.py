@@ -23,11 +23,6 @@ PACKAGE = Path(__file__).parents[1] / "src" / "subheat"
 #: options no package call sets, each kept for the reason given
 ALLOWED = {
     "spaces.default_time_grid.n_times": "tests run short ladders",
-    "spaces.g_function.times": "tests run short and shuffled time ladders",
-    "spaces.area_function.times": "tests run short and shuffled time ladders",
-    "spaces.reproducing_check.times": "tests run short and shuffled time ladders",
-    "spaces.duality_pairing_check.times": "tests run short and shuffled time ladders",
-    "spaces.equivalence_experiment.times": "tests run short and shuffled time ladders",
     "estimates.decay_exponent_fit.points": "sample count of the tail-exponent leg, "
                                            "to be chosen when verify runs it",
     "potentials.ball_integral.q": "the reverse-Holder oracle in tests/oracles.py "

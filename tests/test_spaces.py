@@ -3,10 +3,10 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from oracles import carleson_field_nu_alpha, nabla_alpha_field
-from subheat import cli
+from subheat import cli, spaces
 from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import constant, zero
-from subheat.spaces import (BmoParams, SpaceTimeField, _squared_distances,
+from subheat.spaces import (SpaceTimeField, _squared_distances,
                             area_function, ball_centers, ball_family, bmo_norm,
                             carleson_boxes, carleson_norm, d_field, default_time_grid,
                             duality_pairing_check, equivalence_experiment,
@@ -38,24 +38,30 @@ def periodic_free():
 
 def test_bmo_constant_attains_critical_radius(dec, rho):
     f = grid_function(dec.grid, np.full(dec.grid.size, 3.0))
-    got = bmo_norm(f, BmoParams(0.5), rho)
+    got = bmo_norm(f, 0.5, rho, ball_family(dec.grid, rho))
     expect = 3.0 * (2.0 * RHO_FLAT) ** -0.5
     assert got == pytest.approx(expect, rel=0.02)
 
 
 def test_bmo_zero(dec, rho):
     f = grid_function(dec.grid, np.zeros(dec.grid.size))
-    assert bmo_norm(f, BmoParams(0.5), rho) == 0.0
+    assert bmo_norm(f, 0.5, rho, ball_family(dec.grid, rho)) == 0.0
 
 
 def test_bmo_homogeneous(dec, rho):
     rng = np.random.default_rng(0)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
-    params = BmoParams(0.25)
     balls = ball_family(dec.grid, rho)
-    a = bmo_norm(f, params, rho, balls)
-    b = bmo_norm(grid_function(dec.grid, 2.0 * f.values), params, rho, balls)
+    a = bmo_norm(f, 0.25, rho, balls)
+    b = bmo_norm(grid_function(dec.grid, 2.0 * f.values), 0.25, rho, balls)
     assert b == pytest.approx(2.0 * a, rel=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, np.nan])
+def test_bmo_rejects_gamma_outside_unit_interval(dec, rho, gamma):
+    f = grid_function(dec.grid, np.cos(dec.grid.points[:, 0]))
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        bmo_norm(f, gamma, rho, ball_family(dec.grid, rho))
 
 
 def test_bmo_holder_profile_stable_under_refinement(rho):
@@ -63,37 +69,37 @@ def test_bmo_holder_profile_stable_under_refinement(rho):
     for M in (256, 512):
         g = build_grid(1, 16.0, M, "dirichlet")
         f = from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]), 4.0) ** 0.25)
-        vals[M] = bmo_norm(f, BmoParams(0.25), np.full(g.size, RHO_FLAT))
+        rho_g = np.full(g.size, RHO_FLAT)
+        vals[M] = bmo_norm(f, 0.25, rho_g, ball_family(g, rho_g))
     assert abs(vals[512] - vals[256]) / vals[256] < 0.10
 
 
 def test_bmo_small_ball_part_constant_invariant(dec, rho):
     # oscillation on sub-critical balls is exactly unchanged by adding a constant
-    params = BmoParams(0.25)
     balls = [b for b in ball_family(dec.grid, rho) if b.radius < RHO_FLAT]
     rng = np.random.default_rng(1)
     f = rng.standard_normal(dec.grid.size)
-    a = bmo_norm(grid_function(dec.grid, f), params, rho, balls)
-    b = bmo_norm(grid_function(dec.grid, f + 7.0), params, rho, balls)
+    a = bmo_norm(grid_function(dec.grid, f), 0.25, rho, balls)
+    b = bmo_norm(grid_function(dec.grid, f + 7.0), 0.25, rho, balls)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_lipschitz_constant_value(dec, rho):
     f = grid_function(dec.grid, np.full(dec.grid.size, 3.0))
-    got = lipschitz_norm(f, 0.5, rho)
+    got, = lipschitz_norm([f], 0.5, rho)
     assert got == pytest.approx(3.0 / RHO_FLAT ** 0.5, rel=1e-12)
 
 
 def test_lipschitz_linear_holder_sup(dec, rho):
     f = grid_function(dec.grid, dec.grid.points[:, 0].copy())
-    got = lipschitz_norm(f, 1.0, rho)
+    got, = lipschitz_norm([f], 1.0, rho)
     # Holder-1 seminorm of x is 1; the size term sup |x|/rho dominates
     x_max = 16.0 - dec.grid.spacing / 2
     assert got == pytest.approx(max(1.0, x_max / RHO_FLAT), rel=1e-6)
     # the seminorm alone is exactly 1
     rho_huge = np.full(dec.grid.size, np.inf)
     vals = np.where(np.isinf(rho_huge), 0.0, 1.0)  # guard: inf rho kills size term
-    got2 = lipschitz_norm(f, 1.0, np.full(dec.grid.size, 1e12))
+    got2, = lipschitz_norm([f], 1.0, np.full(dec.grid.size, 1e12))
     assert got2 == pytest.approx(1.0, rel=1e-9)
 
 
@@ -103,8 +109,8 @@ def test_bmo_lipschitz_equivalence_band(dec, rho):
         coeff = np.zeros(dec.grid.size)
         coeff[:10] = rng.standard_normal(10)
         f = grid_function(dec.grid, dec.synthesize(coeff))
-        nb = bmo_norm(f, BmoParams(0.25), rho)
-        nl = lipschitz_norm(f, 0.25, rho)
+        nb = bmo_norm(f, 0.25, rho, ball_family(dec.grid, rho))
+        nl, = lipschitz_norm([f], 0.25, rho)
         assert 1.0 / 50.0 <= nb / nl <= 50.0
 
 
@@ -141,7 +147,7 @@ def test_g_function_eigen_identity(dec):
     for beta in (0.5, 1.0):
         k = 6
         phi = grid_function(dec.grid, dec.basis[:, k])
-        gv = g_function(dec, 0.5, beta, phi)
+        gv = g_function(dec, 0.5, beta, phi, default_time_grid(dec, 0.5, beta))
         target = g_constant(beta)
         err = np.max(np.abs(gv.values - target * np.abs(phi.values)))
         assert err <= 1e-6 * max(1.0, np.max(np.abs(phi.values)))
@@ -157,36 +163,39 @@ def test_g_function_l2_identity_mean_zero(periodic_free):
     vals = rng.standard_normal(dec.grid.size)
     vals -= vals.mean()
     f = grid_function(dec.grid, vals)
-    gv = g_function(dec, 0.5, 1.0, f)
+    gv = g_function(dec, 0.5, 1.0, f, default_time_grid(dec, 0.5, 1.0))
     assert gv.l2_norm() / f.l2_norm() == pytest.approx(g_constant(1.0), abs=1e-6)
 
 
 def test_area_function_zero(dec):
     f = grid_function(dec.grid, np.zeros(dec.grid.size))
-    S, = area_function(dec, 0.5, 1.0, [f])
+    S, = area_function(dec, 0.5, 1.0, [f], default_time_grid(dec, 0.5, 1.0))
     assert np.all(S.values == 0.0)
 
 
 def test_area_function_l2_bound(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=6)
-    for f, S in zip(suite, area_function(dec, 0.5, 1.0, suite)):
+    for f, S in zip(suite, area_function(dec, 0.5, 1.0, suite,
+                                         default_time_grid(dec, 0.5, 1.0))):
         assert S.l2_norm() <= 4.0 * g_constant(1.0) * f.l2_norm()
     # at beta = 1/2 the sub-grid cone columns inflate S on spectrally rough
     # members (atoms), so the measured constant is asserted on the smooth ones
     smooth = suite[:3] + suite[6:]
-    for f, S in zip(smooth, area_function(dec, 0.5, 0.5, smooth)):
+    for f, S in zip(smooth, area_function(dec, 0.5, 0.5, smooth,
+                                          default_time_grid(dec, 0.5, 0.5))):
         assert S.l2_norm() <= 4.0 * g_constant(0.5) * f.l2_norm()
 
 
 def test_area_function_on_atoms(dec, rho):
     rng = np.random.default_rng(7)
+    times = default_time_grid(dec, 0.5, 1.0)
     vals = []
     for _ in range(20):
         c = rng.uniform(-6.0, 6.0)
         r = rng.uniform(0.3, RHO_FLAT * 0.95)
         ball = ball_points(dec.grid, [c], r)
         atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT)
-        S, = area_function(dec, 0.5, 1.0, [atom.function])
+        S, = area_function(dec, 0.5, 1.0, [atom.function], times)
         vals.append(quasi_norm(S, atom.p))
     assert np.all(np.isfinite(vals))
     assert max(vals) < 50.0
@@ -259,6 +268,35 @@ def test_spaces_n2_run_makes_one_pair_distances_call(tmp_path, monkeypatch, bc):
     assert len(calls) == 1
 
 
+def _counted(monkeypatch, name):
+    """Count the calls of `spaces.<name>` made through the package's bindings of it."""
+    original = getattr(spaces, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (spaces, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["spaces", "equiv", "selftest"])
+def test_each_command_builds_its_ladder_and_sample_distances_once(tmp_path, monkeypatch,
+                                                                   command):
+    """The command builds the time ladder once and passes it to every functional;
+    `spaces` builds the Lipschitz sample distances once for the whole suite."""
+    ladders = _counted(monkeypatch, "default_time_grid")
+    distances = _counted(monkeypatch, "_squared_distances")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[grid]\nn = 2\nL = 8\nM = 16\n")
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert len(ladders) == 1
+    assert len(distances) == (1 if command == "spaces" else 0)
+
+
 def _assert_ladder_order_free(dec):
     # the dt/t weights follow their times, so a shuffled ladder is the same ladder
     f = _random_member(dec, 5)
@@ -325,13 +363,13 @@ def test_carleson_bmo_variant_finite(dec, rho):
 
 def test_reproducing_eigenfunction(dec):
     phi = grid_function(dec.grid, dec.basis[:, 3])
-    assert reproducing_check(dec, 0.5, 1.0, phi) <= 1e-6
+    assert reproducing_check(dec, 0.5, 1.0, phi, default_time_grid(dec, 0.5, 1.0)) <= 1e-6
 
 
 def test_reproducing_random(dec):
     rng = np.random.default_rng(8)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
-    assert reproducing_check(dec, 0.5, 1.0, f) <= 1e-4
+    assert reproducing_check(dec, 0.5, 1.0, f, default_time_grid(dec, 0.5, 1.0)) <= 1e-4
 
 
 def test_reproducing_constant_value():
@@ -352,14 +390,14 @@ def test_reproducing_zero_mode_guard(periodic_free):
     dec = periodic_free
     ones = grid_function(dec.grid, np.ones(dec.grid.size))
     with pytest.raises(ValueError):
-        reproducing_check(dec, 0.5, 1.0, ones)
+        reproducing_check(dec, 0.5, 1.0, ones, default_time_grid(dec, 0.5, 1.0))
 
 
 def test_duality_eigen_pair(dec):
     ball = ball_points(dec.grid, [0.5], 0.4)
     atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT)
     phi = grid_function(dec.grid, dec.basis[:, 2])
-    ratio = duality_pairing_check(phi, atom, dec, 0.5, 1.0)
+    ratio = duality_pairing_check(phi, atom, dec, 0.5, 1.0, default_time_grid(dec, 0.5, 1.0))
     assert ratio == pytest.approx(1.0, abs=1e-4)
 
 
@@ -371,7 +409,8 @@ def test_duality_orthogonal_pair(dec):
     f = rng.standard_normal(dec.grid.size)
     a = atom.function.values
     f -= (f @ a) / (a @ a) * a
-    assert duality_pairing_check(grid_function(dec.grid, f), atom, dec, 0.5, 1.0) is None
+    assert duality_pairing_check(grid_function(dec.grid, f), atom, dec, 0.5, 1.0,
+                                 default_time_grid(dec, 0.5, 1.0)) is None
 
 
 def test_duality_constant_beta_one():
@@ -381,15 +420,17 @@ def test_duality_constant_beta_one():
 def test_equivalence_experiment(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=11)
     assert len(suite) >= 10
-    rep = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho)
+    rep = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho,
+                                 default_time_grid(dec, 0.5, 1.0))
     assert rep["c_star"] <= 100.0
 
 
 def test_equivalence_scaling_exact(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=12)[:2]
-    rep1 = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho)
+    times = default_time_grid(dec, 0.5, 1.0)
+    rep1 = equivalence_experiment(suite, dec, 0.5, 1.0, 0.25, rho, times)
     doubled = [grid_function(dec.grid, 2.0 * f.values) for f in suite]
-    rep2 = equivalence_experiment(doubled, dec, 0.5, 1.0, 0.25, rho)
+    rep2 = equivalence_experiment(doubled, dec, 0.5, 1.0, 0.25, rho, times)
     for r1, r2 in zip(rep1["rows"], rep2["rows"]):
         for key in r1:
             assert r2[key] == pytest.approx(2.0 * r1[key], rel=1e-10)
@@ -398,7 +439,7 @@ def test_equivalence_scaling_exact(dec, rho):
 def test_equivalence_gamma_hypothesis(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=13)[:1]
     with pytest.raises(ValueError):
-        equivalence_experiment(suite, dec, 0.2, 1.0, 0.6, rho)
+        equivalence_experiment(suite, dec, 0.2, 1.0, 0.6, rho, default_time_grid(dec, 0.2, 1.0))
 
 
 def test_field_needs_sixteen_slices(dec):
@@ -422,13 +463,13 @@ def test_rho_readers_reject_uncomputed_points(dec, rho):
         ball_family(grid, _planted_nan(rho, center))
     balls = ball_family(grid, rho)
     with pytest.raises(ValueError, match="bmo_norm reads rho"):
-        bmo_norm(f, BmoParams(0.25), _planted_nan(rho, center), balls)
+        bmo_norm(f, 0.25, _planted_nan(rho, center), balls)
     atom = int(np.argmin(grid.distances_from([1.0])))
     with pytest.raises(ValueError, match="make_equivalence_suite reads rho"):
         make_equivalence_suite(dec, _planted_nan(rho, atom), 0.25)
     outside = int(np.setdiff1d(np.arange(grid.size), equivalence_rho_indices(grid))[0])
     with pytest.raises(ValueError, match="lipschitz_norm reads rho"):
-        lipschitz_norm(f, 0.25, _planted_nan(rho, outside))
+        lipschitz_norm([f], 0.25, _planted_nan(rho, outside))
 
 
 def test_equivalence_reads_rho_only_at_its_indices(dec, rho):
@@ -473,7 +514,19 @@ def test_lipschitz_norm_matches_masked_tensor_expression(n, M, gamma):
     rng = np.random.default_rng(n)
     f = grid_function(grid, rng.standard_normal(grid.size))
     rho = np.full(grid.size, 1e6)      # the Holder part decides the norm
-    assert lipschitz_norm(f, gamma, rho) == _masked_lipschitz(f, gamma, rho)
+    assert lipschitz_norm([f], gamma, rho)[0] == _masked_lipschitz(f, gamma, rho)
+
+
+@pytest.mark.parametrize("n, M", [(1, 256), (2, 16)])
+def test_lipschitz_norm_of_a_suite_equals_each_member_alone(n, M):
+    """The shared sample distances give every member the bits of its own call."""
+    grid = build_grid(n, 4.0, M)
+    rng = np.random.default_rng(30 + n)
+    members = [grid_function(grid, rng.standard_normal(grid.size)) for _ in range(3)]
+    rho = np.full(grid.size, 0.7)
+    alone = [lipschitz_norm([f], 0.25, rho)[0] for f in members]
+    assert lipschitz_norm(members, 0.25, rho) == alone
+    assert alone == [_masked_lipschitz(f, 0.25, rho) for f in members]
 
 
 @pytest.mark.parametrize("n, M, bc", [(1, 32, "dirichlet"), (1, 32, "periodic"),
