@@ -19,7 +19,7 @@ from .subordinator import (density, density_selftest, laplace_transform,
                            subordinate_kernel)
 from .fracderiv import d_operator, frac_time_derivative
 from .estimates import (BoundCertificate, EstimateParams, build_backend, certify,
-                        decay_exponent_fit, refinement_study)
+                        decay_exponent_fit)
 from .spaces import (Atom, SpaceTimeField, area_function, ball_family, bmo_norm,
                      carleson_boxes, carleson_norm, default_time_grid,
                      duality_pairing_check, equivalence_experiment, g_function,

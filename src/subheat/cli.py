@@ -267,10 +267,9 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
                 for M in (cfg.points_per_axis // 2, cfg.points_per_axis)]
     jobs = []
     for eid in ESTIMATE_IDS:
-        base = DEFAULT_PARAMS[eid]
-        alpha = base.alpha if eid == "E8" else cfg.alpha
-        jobs += [(eid, EstimateParams(alpha=alpha, beta=cfg.beta, m=base.m, N=N, q=cfg.q,
-                                      delta_prime=cfg.delta_prime, member=base.member))
+        alpha = DEFAULT_PARAMS[eid].alpha if eid == "E8" else cfg.alpha
+        jobs += [(eid, EstimateParams(alpha=alpha, beta=cfg.beta, N=N, q=cfg.q,
+                                      delta_prime=cfg.delta_prime))
                  for N in cfg.n_list]
     scans = [scan_estimate(jobs, backend) for backend in backends]
     rows, all_pass = [], True

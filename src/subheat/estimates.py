@@ -1,16 +1,17 @@
 """Registry of pointwise kernel estimates as executable majorants.
 
-The table `_REGISTRY` is the list of estimates. Each (id, member) entry names
-an object, its time ladder, its lattice, its majorant and whether it needs
-V != 0. Every object is the semigroup multiplier (t lam^a)^b e^{-t lam^a} of
+The table `_REGISTRY` is the list of estimates. Each id's entry names an
+object, its time ladder, its lattice and its majorant. Every object is the
+semigroup multiplier (t lam^a)^b e^{-t lam^a} of
 `spectral.semigroup_multiplier`, as a kernel table or its x-gradient. One
 pass per table family (heat ladder or not, a, b) walks the time ladder once
 and hands each time's tables to a step per entry and lattice shape: pairs of
 lattice points, shifted pairs (increments over the fixed Holder shifts k L/64,
 k in HOLDER_SHIFTS, that are whole cells, as a shift rule allows), mass rows.
 
-The scan geometry is fixed per grid, so each grid has one row block: the
-lattice, its shifted rows and their axis-0 stencil neighbours. Every kernel
+The scan geometry is fixed per grid and built with its backend: the lattice,
+its pair distances, rho there, the represented shifts and one row block (the
+lattice, its shifted rows and their axis-0 stencil neighbours). Every kernel
 and gradient table of a scan is computed on those rows only. No row of
 the block leaves the box: the lattice lies in |x|_inf <= L/2, and the largest
 shift plus one stencil cell reaches L/2 + L/16 + h, within the outermost cell
@@ -44,7 +45,7 @@ from .spectral import (SpectralDecomposition, assemble, eigendecompose,
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
 CEILING = 1e8                # a certificate fails above this measured constant
-HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64 (refinement-stable)
+HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64; a grid scans the whole-cell ones
 
 ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
                 "E7", "E8", "E9", "E10", "E11", "E12"]
@@ -66,11 +67,9 @@ def holder_delta0(n: int, q: float | None) -> float:
 class EstimateParams:
     alpha: float = 0.5
     beta: float = 1.0
-    m: int = 1
     N: float = 0.0
     q: float | None = None          # reverse-Holder exponent; default 2n
     delta_prime: float | None = None
-    member: str = "size"            # sub-estimate for family ids (E3, E7, E12)
 
     def resolved(self, eid: str, n: int) -> "EstimateParams":
         q = self.q if self.q is not None else 2.0 * n
@@ -88,9 +87,8 @@ class EstimateParams:
         return replace(self, q=q, delta_prime=dp)
 
 
-#: E7 defaults to its fractional member and E8 to alpha = 0.3; the rest to EstimateParams()
+#: E8 defaults to alpha = 0.3; the rest to EstimateParams()
 DEFAULT_PARAMS = {eid: EstimateParams() for eid in ESTIMATE_IDS} | {
-    "E7": EstimateParams(member="frac"),
     "E8": EstimateParams(alpha=0.3),
 }
 
@@ -109,8 +107,11 @@ def lattice_indices(grid: Grid) -> np.ndarray:
     """Flat indices of the scan lattice, ascending: the inner half-box points,
     every max(1, M // 64)-th along each axis.
 
-    The physical spacing is then about L/32 on every axis (every 4th point at
-    M = 256), so refinements scan the same pair geometry.
+    The spacing is max(1, M // 64) h with h = 2L/M: L/32 when 64 divides M
+    (every 4th point at M = 256), but h > L/32 below M = 64. So the two grids
+    of a refinement pair (M/2, M) scan the same lattice only when 64 divides
+    M/2; every n >= 2 pair within the dense caps scans a coarse lattice twice
+    as sparse as the fine one.
     """
     M = grid.points_per_axis
     inner = np.nonzero(inner_box_mask(grid, 0.5))[0]
@@ -137,56 +138,32 @@ class _RowBlock:
 
 
 class VerifierBackend:
-    """Grid + potential + decomposition bundle with the scan geometry and rho."""
+    """Grid + decomposition bundle with the scan geometry of its grid.
+
+    `lattice` holds the `lattice_indices` points, `xs` their first
+    coordinates, `r` |x - y| per lattice pair and `rho` rho at the lattice
+    points (+inf for V = 0). `shifts` are the Holder shifts the grid
+    represents, and `block` holds the rows the scans read: the lattice, the
+    lattice moved by each shift, and the stencil neighbours of both.
+    """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
         self.grid = grid
-        self.potential = potential
+        self.zero_potential = is_zero(potential)
         self.dec: SpectralDecomposition = eigendecompose(assemble(grid, potential))
-        self._block: _RowBlock | None = None
-        self._geometry: tuple | None = None
-        self._rho: np.ndarray | None = None
-
-    @property
-    def zero_potential(self) -> bool:
-        return is_zero(self.potential)
-
-    def rho(self) -> np.ndarray:
-        """rho at the `lattice_indices()` points, in that order; +inf for V = 0."""
-        if self._rho is None:
-            lat = self.lattice_indices()
-            if self.zero_potential:
-                self._rho = np.full(lat.size, np.inf)
-            else:
-                self._rho = potentials.compute_aux_function(self.potential, self.grid,
-                                                            indices=lat).rho[lat]
-        return self._rho
-
-    def lattice_indices(self) -> np.ndarray:
-        return lattice_indices(self.grid)
-
-    def pair_geometry(self) -> tuple:
-        """(lattice indices, their first coordinates, |x - y| per lattice pair)."""
-        if self._geometry is None:
-            idx = self.lattice_indices()
-            pts = self.grid.points[idx]
-            diff = pts[:, None, :] - pts[None, :, :]
-            self._geometry = idx, pts[:, 0], np.sqrt(np.sum(diff * diff, axis=-1))
-        return self._geometry
-
-    def row_block(self) -> _RowBlock:
-        """Rows the scans read: the lattice, the lattice moved by each
-        representable Holder shift, and the stencil neighbours of both."""
-        if self._block is None:
-            grid, lat = self.grid, self.lattice_indices()
-            moved = [_shift_indices(grid, lat, steps) for steps, _ in _physical_shifts(grid)]
-            base = np.unique(np.concatenate([lat] + moved))
-            near = [_shift_indices(grid, base, step) for step in (1, -1)]
-            rows = np.concatenate([base, np.setdiff1d(np.concatenate(near), base)])
-            pos = np.full(grid.size, -1)
-            pos[rows] = np.arange(rows.size)
-            self._block = _RowBlock(rows, pos, base.size)
-        return self._block
+        self.lattice = lat = lattice_indices(grid)
+        pts = grid.points[lat]
+        diff = pts[:, None, :] - pts[None, :, :]
+        self.xs, self.r = pts[:, 0], np.sqrt(np.sum(diff * diff, axis=-1))
+        self.rho = potentials.compute_aux_function(potential, grid, indices=lat).rho[lat]
+        self.shifts = _physical_shifts(grid)
+        moved = [_shift_indices(grid, lat, steps) for steps, _ in self.shifts]
+        base = np.unique(np.concatenate([lat] + moved))
+        near = [_shift_indices(grid, base, step) for step in (1, -1)]
+        rows = np.concatenate([base, np.setdiff1d(np.concatenate(near), base)])
+        pos = np.full(grid.size, -1)
+        pos[rows] = np.arange(rows.size)
+        self.block = _RowBlock(rows, pos, base.size)
 
     def kernel_rows(self, t: float, alpha: float, power, rows) -> np.ndarray:
         """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to sign).
@@ -214,11 +191,11 @@ class _Tables:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        return self.backend.kernel_rows(self.t, *self.family, self.backend.row_block().rows)
+        return self.backend.kernel_rows(self.t, *self.family, self.backend.block.rows)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        blk = self.backend.row_block()
+        blk = self.backend.block
         return _axis0_gradient(self.backend.grid, blk, self.kernel, blk.rows[:blk.stencil])
 
 
@@ -228,14 +205,14 @@ def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 2
     return VerifierBackend(build_grid(n, half_width, points_per_axis, bc), pot)
 
 
-def time_grid(backend: VerifierBackend, alpha: float, heat_scaling: bool) -> np.ndarray:
+def time_grid(grid: Grid, alpha: float, heat_scaling: bool) -> np.ndarray:
     """Times from h^2 up to the box-safe maximum on a sqrt(2) ladder.
 
     The ladder is anchored at the top value, so a refined grid extends the
     same time set downward instead of re-placing every node; certificates
     then compare like against like across grids.
     """
-    h, L = backend.grid.spacing, backend.grid.half_width
+    h, L = grid.spacing, grid.half_width
     upper = (L / 4.0) ** 2 if heat_scaling else (L / 4.0) ** (2.0 * alpha)
     depth = int(np.ceil(2.0 * np.log2(upper / (h * h))))
     ts = upper * 2.0 ** (-0.5 * np.arange(depth + 1))
@@ -285,9 +262,11 @@ class _ScanAccumulator:
 def _physical_shifts(grid: Grid):
     """(steps, length) for each of the HOLDER_SHIFTS representable on this grid.
 
-    Shifts are fixed physical lengths (multiples of L/64), so coarse and fine
-    scans increment by the same displacements and certificates stay comparable
-    under refinement.
+    Shifts are fixed physical lengths k L/64, and a grid represents those that
+    are whole cells, k M / 128 of them. So the two grids of a refinement pair
+    can scan different shift sets: M = 64 represents k in {2, 4}, and M = 128,
+    256 and 512 all of {1, 2, 4}. At n = 2 only M = 32 represents one, k = 4,
+    and no n = 3 grid within the dense caps represents any.
     """
     h = grid.spacing
     unit = grid.half_width / 64.0
@@ -336,23 +315,21 @@ class _Point:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One (id, member) of the registry."""
+    """One estimate of the registry."""
 
     lattice: Callable               # _pairs, _shifted_pairs or _mass_rows: one time's step
     majorant: Callable              # _Point -> majorant, shaped like the object
     heat: bool = False              # alpha = 1 object on the heat ladder
-    power: str | None = None        # EstimateParams field holding the order b
+    power: int | None = 0           # the order b; None reads EstimateParams.beta
     gradient: bool = False          # x-gradient of the object
     scaled: bool = False            # object multiplied by t_sc
     shift_rule: Callable | None = None   # _Point -> allowed: a bool, or one per pair
-    needs_potential: bool = False
 
 
 def _pairs(entry, p, backend, at, acc):
-    idx, xs, r = backend.pair_geometry()
-    rho = backend.rho()
+    idx, xs, r, rho = backend.lattice, backend.xs, backend.r, backend.rho
     table = at.gradient if entry.gradient else at.kernel
-    obj = table[np.ix_(backend.row_block().at(idx, table), idx)]
+    obj = table[np.ix_(backend.block.at(idx, table), idx)]
     if entry.scaled:
         obj = at.t_sc * obj
     point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :], r)
@@ -361,11 +338,10 @@ def _pairs(entry, p, backend, at, acc):
 
 def _shifted_pairs(entry, p, backend, at, acc):
     """A scalar shift rule drops a whole shift; a per-pair rule masks pairs."""
-    idx, xs, r = backend.pair_geometry()
-    rho = backend.rho()
-    blk = backend.row_block()
+    idx, xs, r, rho = backend.lattice, backend.xs, backend.r, backend.rho
+    blk = backend.block
     table = at.gradient if entry.gradient else at.kernel
-    for steps, shift in _physical_shifts(backend.grid):
+    for steps, shift in backend.shifts:
         point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
                        r, shift)
         allowed = entry.shift_rule(point)
@@ -380,16 +356,15 @@ def _shifted_pairs(entry, p, backend, at, acc):
 def _mass_rows(entry, p, backend, at, acc):
     """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one),
     from the full-width sums of the lattice's neighbour rows."""
-    idx, xs, _ = backend.pair_geometry()
-    blk, w = backend.row_block(), backend.grid.cell_weight
+    idx, blk, w = backend.lattice, backend.block, backend.grid.cell_weight
     if entry.gradient:
         obj = _axis0_gradient(backend.grid, blk, np.sum(at.kernel, axis=1) * w, idx)
     else:
         obj = np.sum(at.kernel[blk.at(idx, at.kernel)], axis=1) * w
     if entry.scaled:
         obj = at.t_sc * obj
-    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, backend.rho())
-    acc.update(obj, entry.majorant(point), xs, xs, at.t)
+    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, backend.rho)
+    acc.update(obj, entry.majorant(point), backend.xs, backend.xs, at.t)
 
 
 def _holder_lead(s: _Point):
@@ -419,12 +394,6 @@ def _gradient_majorant(s: _Point, far_lead, near_lead, near_r):
     return np.where(s.t_sc <= s.r, far, near)
 
 
-def _e7_heat_majorant(s: _Point):
-    r_pos = np.where(s.r > 0, s.r, np.inf)
-    near_lead = (s.shift / r_pos) ** s.p.delta_prime
-    return _gradient_majorant(s, _holder_lead(s), near_lead, r_pos)
-
-
 def _mass_majorant(s: _Point):
     ratio = s.t_sc / s.rho_x
     return ratio ** s.p.delta_prime * (1.0 + ratio) ** (-s.p.N)
@@ -435,63 +404,37 @@ def _e8_majorant(s: _Point):
     return np.minimum(ratio ** (1.0 + 2.0 * s.p.alpha), ratio ** (-s.p.N))
 
 
-#: estimate id -> member -> entry; member None serves every other member name.
-#: Two pairs of default rows agree by construction: E3 size at m=1 and E9 at
-#: beta=1 scan one object against one majorant, and E7's fractional member
-#: carries no rho penalty, so its N=0 and N=1 rows are the same.
+#: estimate id -> entry. Two pairs of default rows agree by construction: E3
+#: and E9 at beta=1 scan one object against one majorant, and E7 carries no
+#: rho penalty, so its N=0 and N=1 rows are the same.
 _REGISTRY = {
-    "E1": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1))},
-    "E2": {None: _Entry(_shifted_pairs, lambda s: _power_majorant(s, 1, _holder_lead(s)),
-                        shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha))},
-    "E3": {
-        "size": _Entry(_pairs, lambda s: _power_majorant(s, s.p.m), power="m"),
-        "holder": _Entry(_shifted_pairs,
-                         lambda s: _power_majorant(s, s.p.m, _holder_lead(s)), power="m",
-                         shift_rule=lambda s: s.shift <= s.t_sc),
-        "mass": _Entry(_mass_rows, _mass_majorant, power="m", needs_potential=True),
-    },
-    "E4": {None: _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
-                        heat=True, gradient=True)},
-    "E5": {None: _Entry(_pairs,
-                        lambda s: (s.t ** (-(s.n + 1) / 2.0)
-                                   * _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)),
-                        heat=True, gradient=True)},
-    "E6": {None: _Entry(_pairs, lambda s: _power_majorant(s, 1, penalty=_prod_penalty),
-                        gradient=True, scaled=True)},
-    "E7": {
-        "frac": _Entry(_shifted_pairs,
-                       lambda s: (_holder_lead(s) / s.t_sc * s.t
-                                  * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha))),
-                       gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
-        None: _Entry(_shifted_pairs, _e7_heat_majorant, heat=True, gradient=True,
-                     shift_rule=lambda s: s.shift < s.r / 4.0),
-    },
-    "E8": {None: _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True,
-                        needs_potential=True)},
-    "E9": {None: _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), power="beta")},
-    "E10": {None: _Entry(_shifted_pairs,
-                         lambda s: _power_majorant(s, s.p.beta, _holder_lead(s)),
-                         power="beta", shift_rule=lambda s: s.shift <= s.t_sc)},
-    "E11": {None: _Entry(_mass_rows, _mass_majorant, power="beta", needs_potential=True)},
-    "E12": {
-        # size carries the Feynman-Kac normalization (4 pi t)^(-n/2), making
-        # the potential-free closed form the exact equality case
-        "size": _Entry(_pairs,
-                       lambda s: _gauss_majorant(s, (4.0 * np.pi) ** (-s.n / 2.0)
-                                                 * s.t ** (-s.n / 2.0)),
-                       heat=True),
-        "q_size": _Entry(_pairs, lambda s: _gauss_majorant(s, s.t ** (-s.n / 2.0)),
-                         heat=True, power="m"),
-        "holder": _Entry(_shifted_pairs,
-                         lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
-                         heat=True, shift_rule=lambda s: s.shift < np.sqrt(s.t)),
-        "q_holder": _Entry(_shifted_pairs,
-                           lambda s: _gauss_majorant(s, _holder_lead(s) * s.t ** (-s.n / 2.0)),
-                           heat=True, power="m",
-                           shift_rule=lambda s: s.shift < np.sqrt(s.t)),
-        "q_mass": _Entry(_mass_rows, _mass_majorant, heat=True, power="m",
-                         needs_potential=True),
-    },
+    "E1": _Entry(_pairs, lambda s: _power_majorant(s, 1)),
+    "E2": _Entry(_shifted_pairs, lambda s: _power_majorant(s, 1, _holder_lead(s)),
+                 shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha)),
+    "E3": _Entry(_pairs, lambda s: _power_majorant(s, 1), power=1),
+    "E4": _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
+                 heat=True, gradient=True),
+    "E5": _Entry(_pairs,
+                 lambda s: (s.t ** (-(s.n + 1) / 2.0)
+                            * _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)),
+                 heat=True, gradient=True),
+    "E6": _Entry(_pairs, lambda s: _power_majorant(s, 1, penalty=_prod_penalty),
+                 gradient=True, scaled=True),
+    "E7": _Entry(_shifted_pairs,
+                 lambda s: (_holder_lead(s) / s.t_sc * s.t
+                            * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha))),
+                 gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
+    "E8": _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True),
+    "E9": _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), power=None),
+    "E10": _Entry(_shifted_pairs, lambda s: _power_majorant(s, s.p.beta, _holder_lead(s)),
+                  power=None, shift_rule=lambda s: s.shift <= s.t_sc),
+    "E11": _Entry(_mass_rows, _mass_majorant, power=None),
+    # the Feynman-Kac normalization (4 pi t)^(-n/2) makes the potential-free
+    # closed form the exact equality case
+    "E12": _Entry(_pairs,
+                  lambda s: _gauss_majorant(s, (4.0 * np.pi) ** (-s.n / 2.0)
+                                            * s.t ** (-s.n / 2.0)),
+                  heat=True),
 }
 
 
@@ -508,23 +451,20 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     outcomes, families = [], {}
     for eid, params in jobs:
         p = params.resolved(eid, backend.grid.dimension)
-        entry = _REGISTRY[eid].get(p.member, _REGISTRY[eid].get(None))
-        if entry is None:
-            outcomes.append(ValueError(f"unknown {eid} member {p.member!r}"))
-        elif entry.needs_potential and backend.zero_potential:
+        entry = _REGISTRY[eid]
+        if eid in RHO_ONLY_IDS and backend.zero_potential:
             outcomes.append(EstimateNotApplicable(
-                f"{eid}: majorant degenerates (rho undefined) for the zero potential"
-                if eid in RHO_ONLY_IDS else f"{eid} {p.member} member needs a nonzero potential"))
+                f"{eid}: majorant degenerates (rho undefined) for the zero potential"))
         else:
             family = (entry.heat, 1.0 if entry.heat else p.alpha,
-                      getattr(p, entry.power) if entry.power else 0)
+                      p.beta if entry.power is None else entry.power)
             families.setdefault(family, []).append((len(outcomes), entry))
             outcomes.append((_ScanAccumulator(), p))
-    for (heat, alpha, power), members in families.items():
-        for t in time_grid(backend, alpha, heat_scaling=heat):
+    for (heat, alpha, power), entries in families.items():
+        for t in time_grid(backend.grid, alpha, heat_scaling=heat):
             at = _Tables(backend, t, np.sqrt(t) if heat else _scaling_time(t, alpha),
                          alpha, power)
-            for k, entry in members:
+            for k, entry in entries:
                 if isinstance(outcomes[k], tuple):
                     try:
                         entry.lattice(entry, outcomes[k][1], backend, at, outcomes[k][0])
@@ -557,33 +497,6 @@ def certify(estimate_id: str, scans: list) -> BoundCertificate:
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
     return BoundCertificate(estimate_id, resolved, fine.c_meas, fine.argmax, float(ratio),
                             passed)
-
-
-def refinement_study(estimate_id: str, params: EstimateParams | None,
-                     backends: list) -> dict:
-    """Certificates across a nested grid sequence with stability ratios."""
-    if len(backends) < 2:
-        raise ValueError("refinement study needs at least two grids")
-    for coarse, fine in zip(backends[:-1], backends[1:]):
-        gc, gf = coarse.grid, fine.grid
-        same_box = (gc.half_width == gf.half_width and gc.bc == gf.bc
-                    and gc.dimension == gf.dimension)
-        if not same_box or gf.points_per_axis % gc.points_per_axis != 0:
-            raise ValueError("grids are not nested refinements of the same box")
-    params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    scans = [scan_estimate([(estimate_id, params)], b)[0] for b in backends]
-    cert = certify(estimate_id, scans)
-    c_by_grid = [acc.c_meas for acc, _ in scans]
-    ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
-              for i in range(len(c_by_grid) - 1)]
-    return {
-        "estimate": estimate_id,
-        "grids": [b.grid.points_per_axis for b in backends],
-        "c_meas": c_by_grid,
-        "ratios": ratios,
-        "pass": cert.passed and all(0.8 <= r <= 1.25 for r in ratios if np.isfinite(r)),
-        "certificate": cert,
-    }
 
 
 def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: str,
@@ -627,8 +540,7 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         slope, r2 = _loglog_fit(ts, np.sum(mult * backend.dec.basis[i0] ** 2, axis=1))
         return {"axis": "temporal", "slope": slope, "expected": beta, "r2": r2}
     if axis == "rho":
-        rho = backend.rho()
-        idx = backend.lattice_indices()
+        rho, idx = backend.rho, backend.lattice
         if backend.zero_potential or np.ptp(rho) < 1e-9 * np.max(rho):
             return {"axis": "rho", "skipped": "axis constant"}
         # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal

@@ -4,12 +4,11 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from subheat import estimates
+from subheat import estimates, potentials
 from subheat.cli import ConfigError, _fmt, _kernel_lines, main, parse_config, run
 from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
 from subheat.grid import build_grid
@@ -257,15 +256,35 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
     tables = set()
     for M in (64, 128):
-        grid_only = SimpleNamespace(grid=build_grid(1, 16.0, M))
+        grid = build_grid(1, 16.0, M)
         for eid in ESTIMATE_IDS:
-            p = DEFAULT_PARAMS[eid]
-            entry = estimates._REGISTRY[eid].get(p.member, estimates._REGISTRY[eid].get(None))
+            p, entry = DEFAULT_PARAMS[eid], estimates._REGISTRY[eid]
             alpha = 1.0 if entry.heat else p.alpha
-            b = getattr(p, entry.power) if entry.power else 0
-            tables |= {(M, t, alpha, b)
-                       for t in estimates.time_grid(grid_only, p.alpha, entry.heat)}
+            b = p.beta if entry.power is None else entry.power
+            tables |= {(M, t, alpha, b) for t in estimates.time_grid(grid, p.alpha, entry.heat)}
     assert len(calls) == len(tables) == 92
+
+
+def test_verify_builds_each_grids_scan_geometry_once(tmp_path, monkeypatch):
+    """The shifts and rho of each grid are computed once per `verify`: 2 calls
+    each at n=1 M=128 V=|x|^2, where the shifts were recomputed for every time
+    of every shifted row (134 calls)."""
+    calls = {"shifts": 0, "rho": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(estimates, "_physical_shifts",
+                        counted("shifts", estimates._physical_shifts))
+    monkeypatch.setattr(potentials, "compute_aux_function",
+                        counted("rho", potentials.compute_aux_function))
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+    assert calls == {"shifts": 2, "rho": 2}
 
 
 def test_verify_isolates_a_failing_row(tmp_path, monkeypatch):
@@ -274,8 +293,8 @@ def test_verify_isolates_a_failing_row(tmp_path, monkeypatch):
     def failing(point):
         raise ValueError("planted majorant failure")
 
-    e2 = estimates._REGISTRY["E2"]
-    monkeypatch.setitem(e2, None, replace(e2[None], majorant=failing))
+    monkeypatch.setitem(estimates._REGISTRY, "E2",
+                        replace(estimates._REGISTRY["E2"], majorant=failing))
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 1

@@ -7,8 +7,7 @@ from oracles import certify_on
 from subheat import estimates
 from subheat.closedform import gaussian_heat_table, poisson_table
 from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
-                               build_backend, decay_exponent_fit, refinement_study,
-                               scan_estimate)
+                               build_backend, decay_exponent_fit, scan_estimate)
 from subheat.grid import build_grid, gradient_values, inner_box_mask
 from subheat.potentials import compute_aux_function, power, zero
 from subheat.spectral import semigroup_multiplier
@@ -104,33 +103,14 @@ def test_symmetry_under_xy_swap(flat_pair):
     assert cert.c_meas > 0
 
 
+def test_registry_has_one_entry_per_id():
+    assert list(estimates._REGISTRY) == ESTIMATE_IDS
+    assert all(isinstance(entry, estimates._Entry) for entry in estimates._REGISTRY.values())
+
+
 def test_unknown_estimate_rejected(flat_pair):
     with pytest.raises(KeyError):
         certify_on("E13", None, flat_pair[0])
-
-
-def test_refinement_study_requires_two_grids(flat_pair):
-    with pytest.raises(ValueError):
-        refinement_study("E5", None, [flat_pair[0]])
-
-
-def test_refinement_study_rejects_non_nested():
-    a = build_backend(points_per_axis=128)
-    b = build_backend(points_per_axis=192)
-    with pytest.raises(ValueError):
-        refinement_study("E5", None, [a, b])
-
-
-def test_refinement_study_e5(flat_pair):
-    rep = refinement_study("E5", None, flat_pair)
-    assert rep["pass"]
-    assert all(0.8 <= r <= 1.25 for r in rep["ratios"])
-
-
-def test_refinement_study_e12_zero(zero_pair):
-    rep = refinement_study("E12", EstimateParams(N=0.0), zero_pair)
-    assert rep["c_meas"][0] <= 1.0 + 1e-6
-    assert rep["c_meas"][1] <= 1.0 + 1e-6
 
 
 def test_decay_fit_spatial_poisson(zero_pair):
@@ -161,26 +141,6 @@ def test_decay_fit_needs_points(flat_pair):
         decay_exponent_fit("E1", None, "spatial", flat_pair[1], points=4)
 
 
-def test_family_members_e3(flat_pair):
-    fine = flat_pair[1]
-    for member in ("size", "holder", "mass"):
-        acc, _ = _scan("E3", EstimateParams(m=1, member=member), fine)
-        assert np.isfinite(acc.c_meas) and acc.c_meas > 0
-
-
-def test_family_members_e12(flat_pair):
-    fine = flat_pair[1]
-    for member in ("size", "holder", "q_size", "q_holder", "q_mass"):
-        for m in (1, 2):
-            acc, _ = _scan("E12", EstimateParams(m=m, member=member), fine)
-            assert np.isfinite(acc.c_meas)
-
-
-def test_e7_heat_member(flat_pair):
-    acc, _ = _scan("E7", EstimateParams(member="heat"), flat_pair[1])
-    assert np.isfinite(acc.c_meas) and acc.c_meas > 0
-
-
 def test_params_resolution_defaults():
     p = DEFAULT_PARAMS["E7"].resolved("E7", 1)
     assert p.q == 2.0
@@ -200,10 +160,9 @@ def test_e9_within_factor_two_of_e1_at_zero_potential(zero_pair):
 def test_empty_scan_fails_its_certificate():
     # at n=2 M=16 the spacing is 2 and no shift in (1, 2, 4) L/64 is a whole
     # number of cells, so the E2 Holder scan visits no lattice point
-    pair = [build_backend(n=2, points_per_axis=M, potential=power(2.0)) for M in (8, 16)]
-    cert = certify_on("E2", None, pair[1])
+    backend = build_backend(n=2, points_per_axis=16, potential=power(2.0))
+    cert = certify_on("E2", None, backend)
     assert cert.c_meas == 0.0 and cert.passed is False
-    assert refinement_study("E2", None, pair)["pass"] is False
 
 
 def test_overflowing_ratio_fails_its_certificate():
@@ -223,46 +182,13 @@ def test_overflowing_ratio_fails_its_certificate():
     assert estimates.certify("E1", [(clean, resolved)]).passed is True
 
 
-def _refinement_study_rescanning(estimate_id, params, backends):
-    """`refinement_study` as of commit d2efde8: it scanned the last two grids twice."""
-    params = params if params is not None else DEFAULT_PARAMS[estimate_id]
-    c_by_grid = [_scan(estimate_id, params, b)[0].c_meas for b in backends]
-    ratios = [c_by_grid[i] / c_by_grid[i + 1] if c_by_grid[i + 1] > 0 else np.nan
-              for i in range(len(c_by_grid) - 1)]
-    cert = certify_on(estimate_id, params, backends[-2:])
-    return {
-        "estimate": estimate_id,
-        "grids": [b.grid.points_per_axis for b in backends],
-        "c_meas": c_by_grid,
-        "ratios": ratios,
-        "pass": cert.passed and all(0.8 <= r <= 1.25 for r in ratios if np.isfinite(r)),
-        "certificate": cert,
-    }
-
-
-@pytest.mark.parametrize("eid, params, pair", [("E5", None, "flat_pair"),
-                                               ("E12", EstimateParams(N=0.0), "zero_pair")])
-def test_refinement_study_scans_each_grid_once(monkeypatch, request, eid, params, pair):
-    backends = request.getfixturevalue(pair)
-    expected = _refinement_study_rescanning(eid, params, backends)
-    calls = []
-
-    def counting(jobs, backend):
-        calls.append([job[0] for job in jobs])
-        return scan_estimate(jobs, backend)
-
-    monkeypatch.setattr(estimates, "scan_estimate", counting)
-    assert refinement_study(eid, params, backends) == expected
-    assert calls == [[eid], [eid]]
-
-
 def test_backend_rho_is_aligned_with_the_lattice():
     backend = build_backend(n=2, points_per_axis=16, potential=power(2.0))
-    lat = backend.lattice_indices()
+    lat = backend.lattice
     aux = compute_aux_function(power(2.0), backend.grid, indices=lat)
-    assert np.array_equal(backend.rho(), aux.rho[lat])
+    assert np.array_equal(backend.rho, aux.rho[lat])
     zero_backend = build_backend(n=2, points_per_axis=16, potential=zero())
-    assert zero_backend.rho().shape == lat.shape and np.all(np.isinf(zero_backend.rho()))
+    assert zero_backend.rho.shape == lat.shape and np.all(np.isinf(zero_backend.rho))
 
 
 class _FullTables:
@@ -272,8 +198,8 @@ class _FullTables:
     def __init__(self, backend):
         self.grid, self.dec = backend.grid, backend.dec
         self.zero_potential = backend.zero_potential
-        self.rho, self.lattice_indices = backend.rho, backend.lattice_indices
-        self.pair_geometry = backend.pair_geometry
+        self.lattice, self.xs, self.r, self.rho = (backend.lattice, backend.xs, backend.r,
+                                                   backend.rho)
         self._tables = {}
 
     def kernel_table(self, t, alpha=1.0, power=0):
@@ -297,9 +223,9 @@ class _FullTables:
 
 def _full_ladder(entry, p, full, gradient):
     alpha = 1.0 if entry.heat else p.alpha
-    power = getattr(p, entry.power) if entry.power else 0
+    power = p.beta if entry.power is None else entry.power
     table = full.gradient_table if gradient else full.kernel_table
-    for t in estimates.time_grid(full, p.alpha, heat_scaling=entry.heat):
+    for t in estimates.time_grid(full.grid, p.alpha, heat_scaling=entry.heat):
         t_sc = np.sqrt(t) if entry.heat else estimates._scaling_time(t, p.alpha)
         yield t, t_sc, table(t, alpha, power)
 
@@ -312,8 +238,7 @@ def _full_shift_indices(full, idx, steps):
 
 
 def _full_pairs(entry, p, full, acc):
-    idx, xs, r = full.pair_geometry()
-    rho = full.rho()
+    idx, xs, r, rho = full.lattice, full.xs, full.r, full.rho
     for t, t_sc, table in _full_ladder(entry, p, full, entry.gradient):
         obj = table[np.ix_(idx, idx)]
         if entry.scaled:
@@ -323,8 +248,7 @@ def _full_pairs(entry, p, full, acc):
 
 
 def _full_shifted_pairs(entry, p, full, acc):
-    idx, xs, r = full.pair_geometry()
-    rho = full.rho()
+    idx, xs, r, rho = full.lattice, full.xs, full.r, full.rho
     h, unit = full.grid.spacing, full.grid.half_width / 64.0
     shifts = [(int(round(k * unit / h)), k * unit) for k in estimates.HOLDER_SHIFTS
               if int(round(k * unit / h)) >= 1
@@ -344,8 +268,7 @@ def _full_shifted_pairs(entry, p, full, acc):
 
 def _full_mass_rows(entry, p, full, acc):
     w = full.grid.cell_weight
-    idx, xs, _ = full.pair_geometry()
-    rho = full.rho()
+    idx, xs, rho = full.lattice, full.xs, full.rho
     for t, t_sc, table in _full_ladder(entry, p, full, False):
         if entry.gradient:
             obj = gradient_values(full.grid, np.sum(table, axis=1) * w, axis=0)[idx]
@@ -372,7 +295,7 @@ def _outcome(outcome):
 def _full_scan(eid, params, full):
     """One job on the full tables, with its own time ladder: its outcome."""
     p = params.resolved(eid, full.grid.dimension)
-    entry = estimates._REGISTRY[eid].get(p.member, estimates._REGISTRY[eid].get(None))
+    entry = estimates._REGISTRY[eid]
     acc = estimates._ScanAccumulator()
     try:
         _FULL_LOOPS[entry.lattice](entry, p, full, acc)
@@ -397,27 +320,25 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     shift L/16 is one cell, so the shifted loops read shifted rows and the
     block gradient reads their stencil neighbours; on the periodic grid the
     full-table gradient wraps, and the block's interior stencil must agree.
+    With beta = 2, E9-E11 scan a family of order 2 beside E3's order 1.
     """
     spec = power(2.0) if potential == "power2" else zero()
     backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=spec)
     full = _FullTables(backend)
-    blk = backend.row_block()
+    blk = backend.block
     for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
         at = estimates._Tables(backend, t, 1.0, alpha, power_)
         assert np.array_equal(at.kernel, full.kernel_table(t, alpha, power_)[blk.rows])
         assert np.array_equal(at.gradient,
                               full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
-    jobs = [(eid, replace(DEFAULT_PARAMS[eid], member=member or "other", N=1.0, m=2))
-            for eid, members in estimates._REGISTRY.items() for member in members]
+    jobs = [(eid, replace(DEFAULT_PARAMS[eid], N=1.0, beta=2.0)) for eid in estimates._REGISTRY]
     for (eid, params), outcome in zip(jobs, scan_estimate(jobs, backend), strict=True):
-        entry = estimates._REGISTRY[eid].get(params.member,
-                                             estimates._REGISTRY[eid].get(None))
-        if entry.needs_potential and backend.zero_potential:
-            assert isinstance(outcome, estimates.EstimateNotApplicable), (eid, params.member)
+        if eid in estimates.RHO_ONLY_IDS and backend.zero_potential:
+            assert isinstance(outcome, estimates.EstimateNotApplicable), eid
             continue
         expected = _outcome(_full_scan(eid, params, full))
-        assert _outcome(outcome) == expected, (eid, params.member)
-    assert backend.row_block() is blk
+        assert _outcome(outcome) == expected, eid
+    assert backend.block is blk
 
 
 def test_shifted_row_outside_the_box_is_an_error():
@@ -434,7 +355,7 @@ def test_shifted_row_outside_the_box_is_an_error():
 
 def test_row_block_never_reads_an_uncomputed_row():
     backend = build_backend(n=1, points_per_axis=64, potential=power(2.0))
-    blk = backend.row_block()
+    blk = backend.block
     at = estimates._Tables(backend, 1.0, 1.0, 0.5, 0)
     table = at.kernel
     assert table.shape == (blk.rows.size, backend.grid.size) and blk.rows.size < backend.grid.size

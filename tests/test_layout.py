@@ -28,7 +28,6 @@ ALLOWED = {
     ("spaces", "duality_pairing_check"): "public duality functional (README)",
     ("estimates", "decay_exponent_fit"): "tail-exponent leg of a certificate, to be "
                                          "wired into verify",
-    ("estimates", "refinement_study"): "certificates across more than two grids",
     ("fracderiv", "frac_multiplier_quadrature"): "time-quadrature route",
     ("fracderiv", "frac_time_derivative"): "time-quadrature route",
 }

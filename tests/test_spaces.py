@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
 
 from oracles import carleson_field_nu_alpha, nabla_alpha_field
 from subheat import cli, spaces
@@ -372,9 +371,16 @@ def test_reproducing_random(dec):
     assert reproducing_check(dec, 0.5, 1.0, f, default_time_grid(dec, 0.5, 1.0)) <= 1e-4
 
 
-def test_reproducing_constant_value():
-    c = 2.0 ** 2 / gamma_fn(2.0)
-    assert c == pytest.approx(4.0)
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.5, 0.5), (0.3, 2.0), (0.8, 1.5)])
+@pytest.mark.parametrize("basis", ["dec", "periodic_free"])
+def test_reproducing_multiplier_is_one_on_positive_modes(request, basis, alpha, beta):
+    """The ladder integral of (t^b d_t^b e^{-tL^a})^2 dt/t over its exact value
+    is 1 on every positive mode and exactly 0 on the zero mode of V = 0."""
+    d = request.getfixturevalue(basis)
+    mult = spaces._reproducing_multiplier(d, alpha, beta, default_time_grid(d, alpha, beta))
+    positive = d.eigenvalues > 0
+    assert np.max(np.abs(mult[positive] - 1.0)) <= 1e-7
+    assert np.all(mult[~positive] == 0.0) and np.count_nonzero(~positive) == d.has_zero_mode
 
 
 def test_reproducing_monotone_in_time_resolution(dec):
@@ -411,10 +417,6 @@ def test_duality_orthogonal_pair(dec):
     f -= (f @ a) / (a @ a) * a
     assert duality_pairing_check(grid_function(dec.grid, f), atom, dec, 0.5, 1.0,
                                  default_time_grid(dec, 0.5, 1.0)) is None
-
-
-def test_duality_constant_beta_one():
-    assert gamma_fn(2.0) / 2.0 ** 2 == pytest.approx(0.25)
 
 
 def test_equivalence_experiment(dec, rho):
