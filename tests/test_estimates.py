@@ -78,6 +78,19 @@ def test_e12_gaussian_equality_case(zero_pair):
     assert cert.refine_ratio == pytest.approx(1.0, abs=1e-9)
 
 
+def test_refinement_study_e5(flat_pair):
+    # the two-grid study: each grid's sup and the coarse/fine ratio of them
+    c_by_grid = [_scan("E5", DEFAULT_PARAMS["E5"], b)[0].c_meas for b in flat_pair]
+    assert certify_on("E5", None, flat_pair).passed
+    assert 0.8 <= c_by_grid[0] / c_by_grid[1] <= 1.25
+
+
+def test_refinement_study_e12_zero(zero_pair):
+    c_by_grid = [_scan("E12", EstimateParams(N=0.0), b)[0].c_meas for b in zero_pair]
+    assert c_by_grid[0] <= 1.0 + 1e-6
+    assert c_by_grid[1] <= 1.0 + 1e-6
+
+
 def test_monotone_in_penalty_exponent(flat_pair):
     fine = flat_pair[1]
     values = [certify_on("E1", EstimateParams(N=N), fine).c_meas for N in (0.0, 1.0, 2.0)]
