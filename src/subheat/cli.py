@@ -193,6 +193,10 @@ def _read_config(text: str) -> RunConfig:
         raise ConfigError(f"beta must be positive, got {beta}")
     if not all(t > 0.0 for t in times):
         raise ConfigError(f"times must be positive, got {list(times)}")
+    names = [f"{t:g}" for t in times]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"times must name distinct kernel files (heat_t<t:g>.csv), "
+                          f"got t:g = {names}")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0,1], got {gamma}")
     try:
@@ -309,9 +313,9 @@ def _cmd_spaces(cfg: RunConfig, out: Path) -> dict:
     balls = ball_family(grid, rho)
     areas = area_function(dec, cfg.alpha, cfg.beta, suite, times)
     lipschitz = lipschitz_norm(suite, cfg.gamma, rho)
+    bmo = bmo_norm(suite, cfg.gamma, rho, balls)
     rows = []
-    for i, (f, area, nl) in enumerate(zip(suite, areas, lipschitz)):
-        nb = bmo_norm(f, cfg.gamma, rho, balls)
+    for i, (f, area, nl, nb) in enumerate(zip(suite, areas, lipschitz, bmo)):
         ng = g_function(dec, cfg.alpha, cfg.beta, f, times).l2_norm()
         rows.append((i, nb, nl, ng, area.l2_norm(), f.l2_norm()))
     path = out / "space_norms.csv"

@@ -135,10 +135,11 @@ def gradient_values(grid: Grid, values: np.ndarray, axis: int | None = None) -> 
     zero exterior values); periodic grids wrap. With `axis` given, only that
     partial derivative is returned, shaped like `values`; trailing columns
     are then independent grid functions (a kernel table K(x, y) is
-    differentiated in x for every y). The package differentiates one grid
-    function at a time (`spaces`); the verifier's row-block gradient
-    `estimates._axis0_gradient` is the interior case of this stencil, and the
-    trailing-column mode is its test reference.
+    differentiated in x for every y, u(t, x) in x for every time t).
+    `spaces.gradient_fields` differentiates all times of a member at once in
+    this mode; the verifier's row-block gradient `estimates._axis0_gradient`
+    is the interior case of this stencil, and the trailing-column mode is its
+    test reference.
     """
     if axis is None:
         return np.stack([gradient_values(grid, values, d) for d in range(grid.dimension)],

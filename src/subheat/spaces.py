@@ -7,7 +7,9 @@ truncation is controlled per mode by incomplete-Gamma tails, and ball
 quantities use the discrete ball measure |B| = #members * h^n. The time
 ladder and the balls are built once per command and passed in; the cone
 index, the Carleson boxes and the Lipschitz sample distances are built once
-per call for the whole suite.
+per call for the whole suite. The ball and box scans are ball-major: one
+pass over the balls gives every member's Campanato norm, and one pass over
+the boxes gives the Carleson norms of every field of a stack.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ class Atom:
 class SpaceTimeField:
     grid: Grid
     times: np.ndarray                 # (J,), any order
-    values: np.ndarray = field(repr=False)   # (J, N)
+    values: np.ndarray = field(repr=False)   # (J, N), or a stack (..., J, N) on one ladder
     weights: np.ndarray = field(repr=False)  # (J,), trapezoid weights for dt/t
 
     def __post_init__(self):
@@ -121,24 +123,27 @@ def _ball_measure(grid: Grid, ball: Ball) -> float:
     return ball.members.size * grid.cell_weight
 
 
-def bmo_norm(f: GridFunction, gamma: float, rho_values: np.ndarray,
-             balls: list[Ball]) -> float:
-    """sup_B |B|^(-1-gamma/n) int_B |f - f(B, V)|: mean on small balls, raw size above rho."""
-    grid = f.grid
+def bmo_norm(members: list[GridFunction], gamma: float, rho_values: np.ndarray,
+             balls: list[Ball]) -> list[float]:
+    """Per member, sup_B |B|^(-1-gamma/n) int_B |f - f(B, V)|: mean on small
+    balls, raw size above rho. One pass over the balls serves every member:
+    per ball one (F, m) gather and one rho read."""
+    grid = members[0].grid
     if not 0.0 < gamma <= 1.0:
         raise ValueError("exponent gamma must lie in (0, 1]")
-    if not np.all(np.isfinite(f.values)):
+    values = np.stack([f.values for f in members])
+    if not np.all(np.isfinite(values)):
         raise ValueError("bmo_norm requires finite values")
     n, w = grid.dimension, grid.cell_weight
-    best = 0.0
+    best = np.zeros(len(members))
     for ball in balls:
-        vals = f.values[ball.members]
+        vals = np.take(values, ball.members, axis=1)
         rho_c = _rho_at(rho_values, ball.center_index, "bmo_norm")
-        reference = vals.mean() if ball.radius < rho_c else 0.0
+        reference = vals.mean(axis=1, keepdims=True) if ball.radius < rho_c else 0.0
         measure = _ball_measure(grid, ball)
-        osc = np.sum(np.abs(vals - reference)) * w
-        best = max(best, osc / measure ** (1.0 + gamma / n))
-    return best
+        osc = np.sum(np.abs(vals - reference), axis=1) * w
+        np.maximum(best, osc / measure ** (1.0 + gamma / n), out=best)
+    return best.tolist()
 
 
 def _squared_distances(pts: np.ndarray) -> np.ndarray:
@@ -276,25 +281,33 @@ def quasi_norm(f: GridFunction, p: float) -> float:
 
 def carleson_boxes(balls: list[Ball], times: np.ndarray, box_exponent: float) -> list:
     """The Carleson boxes B x (0, r_B^e) that hold a slice of the ladder `times`,
-    as (ball, slice mask, `np.ix_` gather index); fields on that ladder share them."""
+    as (ball, indices of those slices); fields on that ladder share them."""
     if not balls:
         raise ValueError("no admissible ball")
     boxes = []
     for ball in balls:
-        sel = times <= ball.radius ** box_exponent
-        if np.any(sel):
-            boxes.append((ball, sel, np.ix_(sel, ball.members)))
+        slices = np.flatnonzero(times <= ball.radius ** box_exponent)
+        if slices.size:
+            boxes.append((ball, slices))
     return boxes
 
 
-def carleson_norm(fld: SpaceTimeField, kappa: float, boxes: list) -> float:
-    """sup_B nu(B x (0, r_B^e)) / |B|^kappa for the squared-density field."""
+def carleson_norm(fld: SpaceTimeField, kappa: float, boxes: list) -> list[float]:
+    """Per squared-density field of the stack `fld.values` (..., J, N),
+    sup_B nu(B x (0, r_B^e)) / |B|^kappa. One pass over the boxes serves every
+    field: per box one (F, J_B, m) gather, summed along the ball's members,
+    then one dot with the slice weights per field."""
     grid = fld.grid
-    best = 0.0
-    for ball, sel, gather in boxes:
-        mass = float(fld.weights[sel] @ np.sum(fld.values[gather], axis=1)) * grid.cell_weight
-        best = max(best, mass / _ball_measure(grid, ball) ** kappa)
-    return best
+    J, N = fld.values.shape[-2:]
+    values = fld.values.reshape(-1, J * N)
+    best = np.zeros(values.shape[0])
+    for ball, slices in boxes:
+        gather = np.take(values, (slices[:, None] * N + ball.members).ravel(), axis=1)
+        sums = np.sum(gather.reshape(values.shape[0], slices.size, -1), axis=2)
+        weights = fld.weights[slices]
+        mass = np.array([weights @ row for row in sums]) * grid.cell_weight
+        np.maximum(best, mass / _ball_measure(grid, ball) ** kappa, out=best)
+    return best.tolist()
 
 
 def _reproducing_multiplier(dec: SpectralDecomposition, alpha: float, beta: float,
@@ -338,42 +351,50 @@ def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecompositio
 def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
                     times: np.ndarray):
     """N4's and N5's fields of u(t) = e^{-t L^alpha} f, from one synthesis of u
-    and one stencil per time, (J, N) each: `grads` and `timeparts`, the
-    magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|, and `nu`, the
-    squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in semigroup time.
-    With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha) |grad_x v(s)|^2 and
-    |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while dt/t = ds/(2 alpha s); the
-    1/(2 alpha) substitution factor is folded into `nu`.
+    per time and one stencil over all times, (J, N) each: `grads` and
+    `timeparts`, the magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|,
+    and `nu`, the squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in
+    semigroup time. With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha)
+    |grad_x v(s)|^2 and |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while
+    dt/t = ds/(2 alpha s); the 1/(2 alpha) substitution factor is folded into `nu`.
     """
     coeff = dec.coefficients(f.values)
     decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
     root, la = np.sqrt(dec.eigenvalues), dec.eigenvalues ** alpha
-    grads, timeparts, nu = np.empty((3, times.size, dec.grid.size))
+    u = np.empty((dec.grid.size, times.size))
+    timeparts, dsq = np.empty((2, times.size, dec.grid.size))
     for j, t in enumerate(times):
-        u = dec.synthesize(decay[j] * coeff)
-        slope = np.sqrt(np.sum(gradient_values(dec.grid, u) ** 2, axis=1))
-        t_sc = t ** (1.0 / (2.0 * alpha))
-        grads[j] = t_sc * slope
-        timeparts[j] = t_sc * np.abs(dec.synthesize(root * decay[j] * coeff))
-        gsq = t ** (1.0 / alpha) * slope ** 2
-        dsq = 4.0 * alpha ** 2 * (t * dec.synthesize(la * decay[j] * coeff)) ** 2
-        nu[j] = (gsq + dsq) / (2.0 * alpha)
-    return grads, timeparts, nu
+        u[:, j] = dec.synthesize(decay[j] * coeff)
+        timeparts[j] = np.abs(dec.synthesize(root * decay[j] * coeff))
+        dsq[j] = 4.0 * alpha ** 2 * (t * dec.synthesize(la * decay[j] * coeff)) ** 2
+    grad = gradient_values(dec.grid, u)      # (N, J, n): the stencil for every time
+    slope = np.ascontiguousarray(np.sqrt(np.sum(grad ** 2, axis=-1)).T)
+    # scalar powers per time: an array power may round the last bit differently
+    t_sc = np.array([t ** (1.0 / (2.0 * alpha)) for t in times])[:, None]
+    t_sq = np.array([t ** (1.0 / alpha) for t in times])[:, None]
+    timeparts *= t_sc
+    return t_sc * slope, timeparts, (t_sq * slope ** 2 + dsq) / (2.0 * alpha)
 
 
-#: (centre coordinate on every axis, radius) of the atoms in the equivalence suite
+#: (centre coordinate on every axis at L = 16, radius) of the equivalence suite's atoms
 _SUITE_ATOMS = ((-3.0, 0.5), (1.0, 0.35), (5.0, 0.6))
 
 
-def _atom_center_index(grid: Grid, center: float) -> int:
-    return int(np.argmin(grid.distances_from(np.full(grid.dimension, center))))
+def _suite_atoms(grid: Grid) -> list[tuple[np.ndarray, int, float]]:
+    """(centre, nearest grid index, radius) of each suite atom. The centres
+    scale with the box, c * L / 16, so they stay inside the ball family's
+    half-box on every L; at L = 16 they are the coordinates themselves."""
+    atoms = []
+    for c, radius in _SUITE_ATOMS:
+        center = np.full(grid.dimension, c * grid.half_width / 16.0)
+        atoms.append((center, int(np.argmin(grid.distances_from(center))), radius))
+    return atoms
 
 
 def equivalence_rho_indices(grid: Grid) -> np.ndarray:
     """The grid points where `make_equivalence_suite` and `equivalence_experiment`
     read rho: the `ball_centers` (`bmo_norm` reads the same) and the atom centres."""
-    atoms = [_atom_center_index(grid, center) for center, _ in _SUITE_ATOMS]
-    return np.union1d(ball_centers(grid), atoms)
+    return np.union1d(ball_centers(grid), [i for _, i, _ in _suite_atoms(grid)])
 
 
 def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
@@ -389,15 +410,13 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
     for c in (0.0, -2.5, 4.0):
         prof = np.minimum(np.linalg.norm(x - c, axis=1), 6.0) ** gamma
         suite.append(grid_function(grid, prof * window))
-    for center, radius in _SUITE_ATOMS:
+    for center, i_c, radius in _suite_atoms(grid):
         radius = max(radius, 2.2 * grid.spacing)
-        ctr = np.full(grid.dimension, center)
-        i_c = _atom_center_index(grid, center)
         r_at = _rho_at(rho_values, i_c, "make_equivalence_suite")
         r_at = r_at if np.isfinite(r_at) else radius * 4
         if radius > r_at:
             continue    # coarse grids cannot host sub-critical atoms
-        ball = ball_points(grid, ctr, radius)
+        ball = ball_points(grid, center, radius)
         atom = make_atom(grid, ball, gamma, r_at, kind="oscillating")
         suite.append(atom.function)
     k_low = min(12, grid.size - 1)
@@ -430,24 +449,23 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     kappa = 1.0 + 2.0 * gamma / grid.dimension
     g_over_a = gamma / (2.0 * alpha)
     interior = inner_box_mask(grid, 0.75) & ~boundary_layer_mask(grid)
-    rows = []
-    for f in suite:
-        n1 = bmo_norm(f, gamma, rho_values, balls)
-        rows.append({"N1": n1})
-        if n1 == 0.0:
-            continue
-        fld = d_field(dec, alpha, beta, f, times)
-        sup_d = np.max(np.abs(fld.values[:, interior]), axis=1)
-        n2 = float(np.max(times ** (-g_over_a) * sup_d))
-        n3 = np.sqrt(carleson_norm(SpaceTimeField(grid, times, fld.values ** 2, fld.weights),
-                                   kappa, boxes))
-        grads, timeparts, nu = gradient_fields(dec, alpha, f, times)
+    rows = [{"N1": n1} for n1 in bmo_norm(suite, gamma, rho_values, balls)]
+    live = [(f, row) for f, row in zip(suite, rows) if row["N1"] != 0.0]
+    # |D f|^2 and nu of every live member: one Carleson pass serves N3 and N5
+    fields = np.empty((2, len(live), times.size, grid.size))
+    for k, (f, row) in enumerate(live):
+        d = d_field(dec, alpha, beta, f, times).values
+        np.square(d, out=fields[0, k])
+        grads, timeparts, fields[1, k] = gradient_fields(dec, alpha, f, times)
         mags = np.sqrt(grads ** 2 + timeparts ** 2)
-        n4 = float(np.max(times ** (-g_over_a) * np.max(mags[:, interior], axis=1)))
-        n5 = np.sqrt(carleson_norm(SpaceTimeField(grid, times, nu, fld.weights), kappa, boxes))
-        rows[-1].update({"N2": n2, "N3": n3, "N4": n4, "N5": n5})
+        row["N2"] = float(np.max(times ** (-g_over_a) * np.max(np.abs(d[:, interior]), axis=1)))
+        row["N4"] = float(np.max(times ** (-g_over_a) * np.max(mags[:, interior], axis=1)))
+    carleson = carleson_norm(SpaceTimeField(grid, times, fields, _log_trapezoid_weights(times)),
+                             kappa, boxes)
+    for (_, row), n3, n5 in zip(live, carleson[:len(live)], carleson[len(live):]):
+        row["N3"], row["N5"] = np.sqrt(n3), np.sqrt(n5)
     ratios = np.array([[row[k] / row["N1"] for k in ("N2", "N3", "N4", "N5")]
-                       for row in rows if row["N1"] != 0.0])
+                       for _, row in live])
     if ratios.size == 0:
         raise ValueError("every suite member had vanishing Campanato norm")
     c_star = float(max(ratios.max(), 1.0 / ratios.min()))

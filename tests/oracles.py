@@ -1,18 +1,21 @@
 """Test references that the package's commands do not run.
 
-Two groups live here. The first are literal routes that equal the one
+Four groups live here. The first are literal routes that equal the one
 multiplier route `spectral.multiplier_kernel` by linearity: table-space
 subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
-sum of the free Gaussian. The second are Shen's lemma diagnostics for the
-critical radius: the reverse-Holder constant, the Gaussian average of V and
-the doubling, two-scale and comparability constants, and the per-point
-critical-radius bisection, which the blocked one must reproduce bit for bit.
-The third are the function-space gradients as they were before one pass
-served N4 and N5: the `np.pad` stencil and one synthesis per field, which
-`grid.gradient_values` and `spaces.gradient_fields` must reproduce bit for
-bit. `certify_on` certifies one estimate on its own, as the scans before
-`scan_estimate` took a list of jobs did.
+sum of the free Gaussian. The second are the function-space gradients as they
+were before one pass served N4 and N5: the `np.pad` stencil and one synthesis
+per field, which `grid.gradient_values` and `spaces.gradient_fields` must
+reproduce bit for bit. The third are the ball and box scans as they were
+before one pass served the whole suite: the Campanato norm of one member and
+the Carleson norm of one field, which `spaces.bmo_norm` and
+`spaces.carleson_norm` must reproduce bit for bit. The fourth are Shen's lemma
+diagnostics for the critical radius: the reverse-Holder constant, the
+Gaussian average of V and the doubling, two-scale and comparability
+constants, and the per-point critical-radius bisection, which the blocked one
+must reproduce bit for bit. `certify_on` certifies one estimate on its own,
+as the scans before `scan_estimate` took a list of jobs did.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpe
                                 _radial_profile_about, _rho_functional_at,
                                 _simpson_weights, ball_integral, compute_rho,
                                 eval_on_grid, eval_potential, is_zero)
-from subheat.spaces import SpaceTimeField, _log_trapezoid_weights
+from subheat.spaces import SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at
 from subheat.spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
                               semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
@@ -177,6 +180,35 @@ def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
         dsq = 4.0 * alpha ** 2 * (s * dec.synthesize(la * decay[j] * coeff)) ** 2
         vals[j] = (gsq + dsq) / (2.0 * alpha)
     return SpaceTimeField(dec.grid, times, vals, _log_trapezoid_weights(times))
+
+
+# --- ball and box scans, one member or field per pass ------------------------
+
+def bmo_norm_one(f: GridFunction, gamma: float, rho_values: np.ndarray,
+                 balls: list[Ball]) -> float:
+    """`spaces.bmo_norm` of the one member f, one ball at a time."""
+    grid = f.grid
+    n, w = grid.dimension, grid.cell_weight
+    best = 0.0
+    for ball in balls:
+        vals = f.values[ball.members]
+        rho_c = _rho_at(rho_values, ball.center_index, "bmo_norm")
+        reference = vals.mean() if ball.radius < rho_c else 0.0
+        measure = _ball_measure(grid, ball)
+        osc = np.sum(np.abs(vals - reference)) * w
+        best = max(best, osc / measure ** (1.0 + gamma / n))
+    return best
+
+
+def carleson_norm_one(fld: SpaceTimeField, kappa: float, boxes: list) -> float:
+    """`spaces.carleson_norm` of the one (J, N) field, one box at a time."""
+    grid = fld.grid
+    best = 0.0
+    for ball, sel in boxes:
+        gather = np.ix_(sel, ball.members)
+        mass = float(fld.weights[sel] @ np.sum(fld.values[gather], axis=1)) * grid.cell_weight
+        best = max(best, mass / _ball_measure(grid, ball) ** kappa)
+    return best
 
 
 # --- Shen's lemma diagnostics for the critical radius ------------------------

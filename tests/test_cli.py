@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subheat import estimates, potentials
+from subheat import cli, estimates, potentials
 from subheat.cli import ConfigError, _fmt, _kernel_lines, main, parse_config, run
 from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
-from subheat.grid import build_grid
+from subheat.grid import build_grid, grid_function
+from subheat.spaces import make_equivalence_suite
 from subheat.spectral import multiplier_kernel
 
 MINIMAL = """
@@ -155,9 +156,12 @@ def test_main_exit_codes(tmp_path):
     ("verify", "n_list = 0", "n_list = 0\ndelta = 0"),
     ("verify", "n_list = 0", "n_list = 0\ndelta = 1.5"),
     ("verify", "n_list = 0", "n_list = 0,-1"),
+    ("kernels", "seed = 7", "seed = 7\ntimes = 1, 1"),
+    ("kernels", "seed = 7", "seed = 7\ntimes = 0.25, 1, 1.0000001"),
 ], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative",
         "M-above-cap", "coarse-M-odd", "coarse-M-below-8", "seed-negative", "q-zero",
-        "q-negative", "delta-zero", "delta-above-delta0", "n_list-negative"])
+        "q-negative", "delta-zero", "delta-above-delta0", "n_list-negative",
+        "times-repeated", "times-same-file-name"])
 def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     text = FULL.replace("M = 128", "M = 64")
     assert line in text
@@ -314,6 +318,7 @@ PINNED_N1_NORMS = PINNED.replace("M = 128", "M = 64").format(kind="power\nsigma 
 PINNED_N2_NORMS = "[grid]\nn = 2\nL = 16\nM = 16\n"
 PINNED_N2_NORMS_PERIODIC = PINNED_N2_VERIFY.replace("M = 16", "M = 16\nbc = periodic").format(
     kind="power\nsigma = 2")
+PINNED_N3_NORMS = "[grid]\nn = 3\nL = 16\nM = 10\n"
 EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
 
 
@@ -336,11 +341,13 @@ EQUIV_FILES = ("equivalence.csv", "equivalence_summary.csv")
      {"space_norms.csv": "norms_n2_m16_power2_periodic/space_norms.csv"}),
     ("equiv", PINNED_N2_NORMS_PERIODIC,
      {name: f"norms_n2_m16_power2_periodic/{name}" for name in EQUIV_FILES}),
+    ("spaces", PINNED_N3_NORMS, {"space_norms.csv": "norms_n3_m10_constant/space_norms.csv"}),
+    ("equiv", PINNED_N3_NORMS, {name: f"norms_n3_m10_constant/{name}" for name in EQUIV_FILES}),
 ], ids=["verify-n2-m16-power2", "verify-n2-m16-power2-periodic", "verify-n2-m32-power2",
         "kernels-n1-m16",
         "spaces-n1-m64-power2", "equiv-n1-m64-power2", "spaces-n2-m16-constant",
         "equiv-n2-m16-constant", "spaces-n2-m16-power2-periodic",
-        "equiv-n2-m16-power2-periodic"])
+        "equiv-n2-m16-power2-periodic", "spaces-n3-m10-constant", "equiv-n3-m10-constant"])
 def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     """Outputs equal the files recorded before the code they pin changed, byte for byte.
 
@@ -360,7 +367,9 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     members. The N4 and N5 columns read the gradient stencil of
     `grid.gradient_values`, whose Dirichlet zero extension was then made by
     `np.pad`; the periodic tables pin its wrapped branch and the periodic
-    cone distances of `area_function`.
+    cone distances of `area_function`. The n=3 V=1 tables were written by
+    `python -m subheat` at commit ea6e093, before one pass over the balls and
+    boxes served the whole suite; they pin the three-axis stencil and ball sums.
     """
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
@@ -413,8 +422,14 @@ def test_verify_fails_when_a_certificate_cannot_be_computed(tmp_path):
     assert not any("skipped" in ln for ln in lines)
 
 
-def test_equiv_labels_members_after_a_vanishing_one(tmp_path):
+def test_equiv_labels_members_after_a_vanishing_one(tmp_path, monkeypatch):
     """A member whose N1 vanishes keeps its row, so later rows keep their labels."""
+    def suite_with_a_zero_member(dec, rho, gamma, seed=0):
+        suite = make_equivalence_suite(dec, rho, gamma, seed)
+        suite[5] = grid_function(dec.grid, np.zeros(dec.grid.size))
+        return suite
+
+    monkeypatch.setattr(cli, "make_equivalence_suite", suite_with_a_zero_member)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text("[grid]\nn = 1\nL = 7\nM = 64\n[potential]\nkind = constant\n"
                         "c = 0.01\n")

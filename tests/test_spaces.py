@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import carleson_field_nu_alpha, nabla_alpha_field
+from oracles import bmo_norm_one, carleson_field_nu_alpha, carleson_norm_one, nabla_alpha_field
 from subheat import cli, spaces
 from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
-from subheat.potentials import constant, zero
+from subheat.potentials import compute_aux_function, constant, well, zero
 from subheat.spaces import (SpaceTimeField, _squared_distances,
                             area_function, ball_centers, ball_family, bmo_norm,
                             carleson_boxes, carleson_norm, d_field, default_time_grid,
@@ -37,22 +37,21 @@ def periodic_free():
 
 def test_bmo_constant_attains_critical_radius(dec, rho):
     f = grid_function(dec.grid, np.full(dec.grid.size, 3.0))
-    got = bmo_norm(f, 0.5, rho, ball_family(dec.grid, rho))
+    got, = bmo_norm([f], 0.5, rho, ball_family(dec.grid, rho))
     expect = 3.0 * (2.0 * RHO_FLAT) ** -0.5
     assert got == pytest.approx(expect, rel=0.02)
 
 
 def test_bmo_zero(dec, rho):
     f = grid_function(dec.grid, np.zeros(dec.grid.size))
-    assert bmo_norm(f, 0.5, rho, ball_family(dec.grid, rho)) == 0.0
+    assert bmo_norm([f], 0.5, rho, ball_family(dec.grid, rho)) == [0.0]
 
 
 def test_bmo_homogeneous(dec, rho):
     rng = np.random.default_rng(0)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
     balls = ball_family(dec.grid, rho)
-    a = bmo_norm(f, 0.25, rho, balls)
-    b = bmo_norm(grid_function(dec.grid, 2.0 * f.values), 0.25, rho, balls)
+    a, b = bmo_norm([f, grid_function(dec.grid, 2.0 * f.values)], 0.25, rho, balls)
     assert b == pytest.approx(2.0 * a, rel=1e-10)
 
 
@@ -60,7 +59,7 @@ def test_bmo_homogeneous(dec, rho):
 def test_bmo_rejects_gamma_outside_unit_interval(dec, rho, gamma):
     f = grid_function(dec.grid, np.cos(dec.grid.points[:, 0]))
     with pytest.raises(ValueError, match="gamma must lie in"):
-        bmo_norm(f, gamma, rho, ball_family(dec.grid, rho))
+        bmo_norm([f], gamma, rho, ball_family(dec.grid, rho))
 
 
 def test_bmo_holder_profile_stable_under_refinement(rho):
@@ -69,7 +68,7 @@ def test_bmo_holder_profile_stable_under_refinement(rho):
         g = build_grid(1, 16.0, M, "dirichlet")
         f = from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]), 4.0) ** 0.25)
         rho_g = np.full(g.size, RHO_FLAT)
-        vals[M] = bmo_norm(f, 0.25, rho_g, ball_family(g, rho_g))
+        vals[M], = bmo_norm([f], 0.25, rho_g, ball_family(g, rho_g))
     assert abs(vals[512] - vals[256]) / vals[256] < 0.10
 
 
@@ -78,8 +77,8 @@ def test_bmo_small_ball_part_constant_invariant(dec, rho):
     balls = [b for b in ball_family(dec.grid, rho) if b.radius < RHO_FLAT]
     rng = np.random.default_rng(1)
     f = rng.standard_normal(dec.grid.size)
-    a = bmo_norm(grid_function(dec.grid, f), 0.25, rho, balls)
-    b = bmo_norm(grid_function(dec.grid, f + 7.0), 0.25, rho, balls)
+    a, b = bmo_norm([grid_function(dec.grid, f), grid_function(dec.grid, f + 7.0)], 0.25,
+                    rho, balls)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -108,7 +107,7 @@ def test_bmo_lipschitz_equivalence_band(dec, rho):
         coeff = np.zeros(dec.grid.size)
         coeff[:10] = rng.standard_normal(10)
         f = grid_function(dec.grid, dec.synthesize(coeff))
-        nb = bmo_norm(f, 0.25, rho, ball_family(dec.grid, rho))
+        nb, = bmo_norm([f], 0.25, rho, ball_family(dec.grid, rho))
         nl, = lipschitz_norm([f], 0.25, rho)
         assert 1.0 / 50.0 <= nb / nl <= 50.0
 
@@ -333,7 +332,7 @@ def test_carleson_unit_field_hand_quadrature(dec):
     w = _log_trapezoid_weights(times)
     fld = SpaceTimeField(g, times, np.ones((times.size, g.size)), w)
     ball = ball_points(g, [0.0], 1.0)
-    got = carleson_norm(fld, 1.0, carleson_boxes([ball], times, 1.0))
+    got, = carleson_norm(fld, 1.0, carleson_boxes([ball], times, 1.0))
     hand = float(np.sum(w[times <= ball.radius]))
     assert got == pytest.approx(hand, abs=1e-10)
 
@@ -345,7 +344,7 @@ def test_carleson_constant_function_periodic(periodic_free):
     nu = gradient_fields(dec, 0.5, ones, times)[2]
     fld = SpaceTimeField(dec.grid, times, nu, _log_trapezoid_weights(times))
     balls = [ball_points(dec.grid, [0.0], 1.0)]
-    assert carleson_norm(fld, 1.0, carleson_boxes(balls, times, 1.0)) <= 1e-18
+    assert carleson_norm(fld, 1.0, carleson_boxes(balls, times, 1.0))[0] <= 1e-18
 
 
 def test_carleson_bmo_variant_finite(dec, rho):
@@ -356,7 +355,7 @@ def test_carleson_bmo_variant_finite(dec, rho):
     sq = SpaceTimeField(dec.grid, times, fld.values ** 2, fld.weights)
     balls = ball_family(dec.grid, rho)
     kappa = 1.0 + 2.0 * gamma
-    val = carleson_norm(sq, kappa, carleson_boxes(balls, times, 1.0))
+    val, = carleson_norm(sq, kappa, carleson_boxes(balls, times, 1.0))
     assert np.isfinite(val) and val > 0
 
 
@@ -465,7 +464,7 @@ def test_rho_readers_reject_uncomputed_points(dec, rho):
         ball_family(grid, _planted_nan(rho, center))
     balls = ball_family(grid, rho)
     with pytest.raises(ValueError, match="bmo_norm reads rho"):
-        bmo_norm(f, 0.25, _planted_nan(rho, center), balls)
+        bmo_norm([f], 0.25, _planted_nan(rho, center), balls)
     atom = int(np.argmin(grid.distances_from([1.0])))
     with pytest.raises(ValueError, match="make_equivalence_suite reads rho"):
         make_equivalence_suite(dec, _planted_nan(rho, atom), 0.25)
@@ -544,3 +543,91 @@ def test_gradient_fields_equal_the_per_field_oracles(n, M, bc):
     assert np.array_equal(grads, want_grads)
     assert np.array_equal(timeparts, want_timeparts)
     assert np.array_equal(nu, carleson_field_nu_alpha(dec, 0.7, f, times).values)
+
+
+SCAN_GRIDS = [(1, 64, "dirichlet"), (1, 64, "periodic"), (2, 16, "dirichlet"),
+              (2, 16, "periodic"), (3, 12, "dirichlet"), (3, 12, "periodic")]
+
+
+def _scan_setup(n, M, bc):
+    """A grid, a rho that some balls of `ball_family` stay below and some
+    exceed, those balls and five members with rough and smooth values."""
+    grid = build_grid(n, 8.0, M, bc)
+    rng = np.random.default_rng(40 + n)
+    rho = rng.uniform(grid.spacing, 0.5 * grid.half_width, grid.size)
+    balls = ball_family(grid, rho)
+    below = [ball.radius < rho[ball.center_index] for ball in balls]
+    assert any(below) and not all(below)
+    x = grid.points[:, 0]
+    members = [grid_function(grid, v) for v in
+               (*rng.standard_normal((3, grid.size)), np.cos(x), np.abs(x) ** 0.25 + 3.0)]
+    return grid, rho, balls, members
+
+
+@pytest.mark.parametrize("n, M, bc", SCAN_GRIDS)
+def test_bmo_norm_equals_the_per_member_oracle(n, M, bc):
+    """One pass over the balls gives every member the bits of its own pass."""
+    grid, rho, balls, members = _scan_setup(n, M, bc)
+    assert bmo_norm(members, 0.25, rho, balls) == [bmo_norm_one(f, 0.25, rho, balls)
+                                                   for f in members]
+
+
+@pytest.mark.parametrize("n, M, bc", SCAN_GRIDS)
+def test_carleson_norm_equals_the_per_field_oracle(n, M, bc):
+    """One pass over the boxes gives every field of a (2, F, J, N) stack the
+    bits of its own pass."""
+    grid, rho, balls, members = _scan_setup(n, M, bc)
+    rng = np.random.default_rng(50 + n)
+    times = np.geomspace(1e-2, 20.0, 24)
+    stack = rng.random((2, len(members), times.size, grid.size)) ** 4
+    weights = _log_trapezoid_weights(times)
+    boxes = carleson_boxes(balls, times, 1.4)
+    assert len({sel.size for _, sel in boxes}) > 1      # boxes of several heights
+    want = [carleson_norm_one(SpaceTimeField(grid, times, fld, weights), 1.3, boxes)
+            for fld in stack.reshape(-1, times.size, grid.size)]
+    assert carleson_norm(SpaceTimeField(grid, times, stack, weights), 1.3, boxes) == want
+
+
+def test_bmo_norm_reads_rho_once_per_ball(monkeypatch):
+    grid, rho, balls, members = _scan_setup(2, 16, "dirichlet")
+    reads = []
+
+    def counted(rho_values, i, reader):
+        reads.append(i)
+        return spaces_rho_at(rho_values, i, reader)
+
+    spaces_rho_at = spaces._rho_at
+    monkeypatch.setattr(spaces, "_rho_at", counted)
+    bmo_norm(members, 0.25, rho, balls)
+    assert reads == [ball.center_index for ball in balls]
+
+
+def test_carleson_norm_checks_the_stack_it_scans():
+    grid = build_grid(2, 8.0, 16)
+    times = np.geomspace(1e-2, 20.0, 16)
+    stack = np.ones((2, 3, times.size, grid.size))
+    stack[1, 2, 4, 7] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        SpaceTimeField(grid, times, stack, _log_trapezoid_weights(times))
+    with pytest.raises(ValueError, match="at least 16"):
+        SpaceTimeField(grid, times[:8], stack[:, :, :8], _log_trapezoid_weights(times[:8]))
+
+
+@pytest.mark.parametrize("n, L, M, potential", [(1, 7.0, 64, constant(0.01)),
+                                                (2, 8.0, 16, well(1.0, 1.0, 0.0))])
+def test_every_suite_atom_has_a_positive_campanato_norm(monkeypatch, n, L, M, potential):
+    """The atom centres scale with L, so every atom meets the ball family."""
+    grid = build_grid(n, L, M)
+    dec = eigendecompose(assemble(grid, potential))
+    rho = compute_aux_function(potential, grid).rho
+    atoms = []
+
+    def recorded(*args, **kwargs):
+        atoms.append(make_atom(*args, **kwargs))
+        return atoms[-1]
+
+    monkeypatch.setattr(spaces, "make_atom", recorded)
+    make_equivalence_suite(dec, rho, 0.25)
+    assert len(atoms) >= 2
+    assert all(bn > 0.0 for bn in bmo_norm([a.function for a in atoms], 0.25, rho,
+                                           ball_family(grid, rho)))
