@@ -2,7 +2,7 @@
 
 Commands
 --------
-kernels   write heat_t*.csv / frac_t*.csv kernel tables
+kernels   write heat_t*.csv / frac_t*.csv kernel tables, each in a forked writer
 verify    run the estimate registry, write certificates.csv
 spaces    norm table (Campanato, Lipschitz, g, area) for the standard suite
 equiv     the five-functional equivalence table
@@ -14,7 +14,9 @@ config and seed the CSV outputs are byte-identical.
 
 import argparse
 import configparser
+import os
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -251,18 +253,63 @@ def _kernel_lines(table: np.ndarray):
         yield template.replace("\0", str(i)) % tuple(row.tolist())
 
 
+def _fork_writer(path: Path, config: RunConfig, table: np.ndarray) -> int:
+    """Write one kernel table in a forked child; return the child's pid.
+
+    The child runs no BLAS and never returns: it exits 0 once the file is
+    closed, or prints its traceback and exits 1.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _write_csv(path, config, ["x_index", "y_index", "value"], _kernel_lines(table))
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _reap_oldest(writers: dict) -> None:
+    """Wait for the oldest writer in `writers` (pid -> path); raise, naming its
+    file, if it failed."""
+    pid = next(iter(writers))
+    _, status = os.waitpid(pid, 0)
+    path = writers.pop(pid)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"the writer of {path} failed (wait status {status})")
+
+
 def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
+    """Each table is formatted in a forked writer while the next one is computed.
+
+    At most one writer per CPU is alive; every writer is reaped, also when
+    this raises part way.
+    """
     grid = build_grid(cfg.n, cfg.half_width, cfg.points_per_axis, cfg.bc)
     dec = eigendecompose(assemble(grid, cfg.potential))
-    paths = []
-    for t in cfg.times:
-        heat = heat_kernel(dec, t)
-        frac = fractional_heat_kernel(dec, cfg.alpha, t)
-        for tag, K in (("heat", heat), ("frac", frac)):
-            path = out / f"{tag}_t{t:g}.csv"
-            _write_csv(path, cfg, ["x_index", "y_index", "value"],
-                       _kernel_lines(K.table))
-            paths.append(str(path))
+    slots = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())           # macOS has no affinity mask
+    writers, paths = {}, []
+    try:
+        for t in cfg.times:
+            for tag in ("heat", "frac"):
+                table = (heat_kernel(dec, t) if tag == "heat"
+                         else fractional_heat_kernel(dec, cfg.alpha, t)).table
+                if len(writers) == slots:
+                    _reap_oldest(writers)
+                path = out / f"{tag}_t{t:g}.csv"
+                writers[_fork_writer(path, cfg, table)] = path
+                del table
+                paths.append(str(path))
+        while writers:
+            _reap_oldest(writers)
+    finally:
+        for pid in writers:
+            os.waitpid(pid, 0)
     return {"pass": True, "outputs": paths}
 
 

@@ -106,13 +106,16 @@ def grid_integrate(f: GridFunction) -> float:
     return float(np.sum(f.values) * f.grid.cell_weight)
 
 
-def ball_points(grid: Grid, center, radius: float) -> Ball:
+def ball_points(grid: Grid, center, radius: float, dist: np.ndarray | None = None) -> Ball:
+    """The grid points within `radius` of `center`; `dist`, when given, holds
+    `grid.distances_from(center)`, so that balls about one centre share it."""
     center = np.asarray(center, dtype=float).reshape(grid.dimension)
     if radius <= grid.spacing:
         raise ValueError(
             f"radius {radius} must exceed the grid spacing {grid.spacing}"
         )
-    dist = grid.distances_from(center)
+    if dist is None:
+        dist = grid.distances_from(center)
     members = np.nonzero(dist < radius)[0]
     if members.size == 0:
         raise ValueError("empty ball: radius too small for this grid")

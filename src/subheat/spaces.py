@@ -101,7 +101,8 @@ def ball_centers(grid: Grid) -> np.ndarray:
 
 def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
     """Grid-centered balls inside the centered half-box: 12 log-spaced radii
-    plus the critical radius about every `ball_centers` point."""
+    plus the critical radius about every `ball_centers` point. The distances
+    from each centre are computed once and shared by its balls."""
     limit = 0.5 * grid.half_width
     radii = np.geomspace(2.0 * grid.spacing, limit, 12)
     balls = []
@@ -111,9 +112,10 @@ def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
         rho_c = _rho_at(rho_values, i, "ball_family")
         if np.isfinite(rho_c) and 2.0 * grid.spacing < rho_c < limit:
             rset.append(rho_c)
-        for r in rset:
-            if np.max(np.abs(center)) + r <= limit:
-                balls.append(ball_points(grid, center, r))
+        rset = [r for r in rset if np.max(np.abs(center)) + r <= limit]
+        if rset:
+            dist = grid.distances_from(center)
+            balls += [ball_points(grid, center, r, dist) for r in rset]
     if not balls:
         raise ValueError("no admissible balls in the inner box")
     return balls

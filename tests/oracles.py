@@ -8,8 +8,9 @@ sum of the free Gaussian. The second are the function-space gradients as they
 were before one pass served N4 and N5: the `np.pad` stencil and one synthesis
 per field, which `grid.gradient_values` and `spaces.gradient_fields` must
 reproduce bit for bit. The third are the ball and box scans as they were
-before one pass served the whole suite: the Campanato norm of one member and
-the Carleson norm of one field, which `spaces.bmo_norm` and
+before one pass served the whole suite: the ball family with one distance
+computation per ball, the Campanato norm of one member and the Carleson norm
+of one field, which `spaces.ball_family`, `spaces.bmo_norm` and
 `spaces.carleson_norm` must reproduce bit for bit. The fourth are Shen's lemma
 diagnostics for the critical radius: the reverse-Holder constant, the
 Gaussian average of V and the doubling, two-scale and comparability
@@ -27,12 +28,13 @@ from subheat.closedform import gaussian_heat_value
 from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams, certify,
                                scan_estimate)
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
-from subheat.grid import PERIODIC, Ball, Grid, GridFunction
+from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
                                 _radial_profile_about, _rho_functional_at,
                                 _simpson_weights, ball_integral, compute_rho,
                                 eval_on_grid, eval_potential, is_zero)
-from subheat.spaces import SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at
+from subheat.spaces import (SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at,
+                            ball_centers)
 from subheat.spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
                               semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
@@ -183,6 +185,24 @@ def carleson_field_nu_alpha(dec: SpectralDecomposition, alpha: float,
 
 
 # --- ball and box scans, one member or field per pass ------------------------
+
+def ball_family_per_ball(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
+    """`spaces.ball_family` with one `ball_points` call, and so one distance
+    computation, per (centre, radius)."""
+    limit = 0.5 * grid.half_width
+    radii = np.geomspace(2.0 * grid.spacing, limit, 12)
+    balls = []
+    for i in ball_centers(grid):
+        center = grid.points[i]
+        rset = list(radii)
+        rho_c = _rho_at(rho_values, i, "ball_family")
+        if np.isfinite(rho_c) and 2.0 * grid.spacing < rho_c < limit:
+            rset.append(rho_c)
+        for r in rset:
+            if np.max(np.abs(center)) + r <= limit:
+                balls.append(ball_points(grid, center, r))
+    return balls
+
 
 def bmo_norm_one(f: GridFunction, gamma: float, rho_values: np.ndarray,
                  balls: list[Ball]) -> float:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from subheat import cli, estimates, potentials
-from subheat.cli import ConfigError, _fmt, _kernel_lines, main, parse_config, run
+from subheat.cli import (ConfigError, _fmt, _kernel_lines, _write_csv, main, parse_config,
+                         run)
 from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
 from subheat.grid import build_grid, grid_function
 from subheat.spaces import make_equivalence_suite
-from subheat.spectral import multiplier_kernel
+from subheat.spectral import (assemble, eigendecompose, fractional_heat_kernel, heat_kernel,
+                              multiplier_kernel)
 
 MINIMAL = """
 [grid]
@@ -453,3 +455,88 @@ def test_kernel_lines_format_like_fmt():
     want = "".join(f"{i},{j},{_fmt(v)}\n" for i, row in enumerate(table)
                    for j, v in enumerate(row))
     assert "".join(_kernel_lines(table)) == want
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_kernels_failed_writer_exits_1_and_every_writer_is_reaped(tmp_path, capsys):
+    """A writer that cannot open its file fails the command, which names the file."""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED_N1_KERNELS)
+    out = tmp_path / "o"
+    (out / "heat_t1.csv").mkdir(parents=True)
+    assert main(["kernels", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in kernels:") and str(out / "heat_t1.csv") in err
+    _no_child_left()
+
+
+def test_kernels_parent_error_is_reported_and_every_writer_is_reaped(tmp_path, capsys,
+                                                                     monkeypatch):
+    """The parent raising after a writer has started reports its own error."""
+    def planted(*args):
+        raise FloatingPointError("planted fractional kernel failure")
+
+    monkeypatch.setattr(cli, "fractional_heat_kernel", planted)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED_N1_KERNELS)
+    assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert len(forked) == 1                           # the heat_t0.25 writer
+    assert capsys.readouterr().err == \
+        "numerical failure in kernels: planted fractional kernel failure\n"
+    _no_child_left()
+
+
+def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
+    """Eight files through two writer slots equal the in-process writes."""
+    live, most = set(), [0]
+    fork, waitpid = os.fork, os.waitpid
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            live.add(pid)
+            most[0] = max(most[0], len(live))
+        return pid
+
+    def counting_waitpid(pid, options):
+        done = waitpid(pid, options)
+        live.discard(done[0])
+        return done
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
+    text = ("[grid]\nn = 2\nL = 16\nM = 8\nbc = periodic\n"
+            "[run]\ncommand = kernels\ntimes = 0.25, 1, 4, 16\n")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert most[0] == 2 and not live
+    cfg = parse_config(text)
+    dec = eigendecompose(assemble(build_grid(2, 16.0, 8, "periodic"), cfg.potential))
+    (tmp_path / "want").mkdir()
+    names = []
+    for t in cfg.times:
+        for tag, kernel in (("heat", heat_kernel(dec, t)),
+                            ("frac", fractional_heat_kernel(dec, cfg.alpha, t))):
+            name = f"{tag}_t{t:g}.csv"
+            _write_csv(tmp_path / "want" / name, cfg, ["x_index", "y_index", "value"],
+                       _kernel_lines(kernel.table))
+            names.append(name)
+    assert len(names) == 8 and sorted(names) == sorted(p.name for p in (tmp_path / "o").iterdir())
+    for name in names:
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    _no_child_left()

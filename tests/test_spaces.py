@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import bmo_norm_one, carleson_field_nu_alpha, carleson_norm_one, nabla_alpha_field
+from oracles import (ball_family_per_ball, bmo_norm_one, carleson_field_nu_alpha,
+                     carleson_norm_one, nabla_alpha_field)
 from subheat import cli, spaces
 from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import compute_aux_function, constant, well, zero
@@ -562,6 +563,23 @@ def _scan_setup(n, M, bc):
     members = [grid_function(grid, v) for v in
                (*rng.standard_normal((3, grid.size)), np.cos(x), np.abs(x) ** 0.25 + 3.0)]
     return grid, rho, balls, members
+
+
+@pytest.mark.parametrize("n, M, bc", SCAN_GRIDS)
+def test_ball_family_equals_the_per_ball_oracle(n, M, bc):
+    """Balls that share their centre's distances equal `ball_points` balls,
+    field by field, with and without a critical radius among the radii."""
+    grid, rho, _, _ = _scan_setup(n, M, bc)
+    centers = ball_centers(grid)
+    rho[centers[::2]], rho[centers[1::4]] = 2.2 * grid.spacing, np.inf
+    got, want = ball_family(grid, rho), ball_family_per_ball(grid, rho)
+    assert len(got) == len(want) > len({b.center_index for b in got})  # shared centres
+    assert {b.radius for b in got} - set(np.geomspace(2.0 * grid.spacing,
+                                                      0.5 * grid.half_width, 12))
+    for a, b in zip(got, want):
+        assert np.array_equal(a.center, b.center) and np.array_equal(a.members, b.members)
+        assert (a.radius, a.contained, a.center_index) == (b.radius, b.contained,
+                                                           b.center_index)
 
 
 @pytest.mark.parametrize("n, M, bc", SCAN_GRIDS)
