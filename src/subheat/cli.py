@@ -243,14 +243,15 @@ def _csv_lines(rows):
 
 
 def _kernel_lines(table: np.ndarray):
-    """One chunk per table row, one `%` call each; `%.17g` is `_fmt` of a float64.
+    """The `x_index,y_index,value` text of a kernel table, one chunk per block
+    of rows, each value as `_fmt` writes it.
 
-    Rows go to Python floats one at a time: the whole table at once leaves
-    its floats' memory behind for the next command's peak.
+    `fmt17` formats a block in numpy and hands `_fmt` the values whose
+    digits it cannot settle (see its docstring). It is imported here, so
+    `import subheat` neither compiles nor loads it.
     """
-    template = "".join([f"\0,{j},%.17g\n" for j in range(table.shape[1])])
-    for i, row in enumerate(table):
-        yield template.replace("\0", str(i)) % tuple(row.tolist())
+    from . import fmt17
+    return fmt17.table_chunks(table, _fmt)
 
 
 def _fork_writer(path: Path, config: RunConfig, table: np.ndarray) -> int:
@@ -289,6 +290,8 @@ def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
     At most one writer per CPU is alive; every writer is reaped, also when
     this raises part way.
     """
+    from . import fmt17
+    fmt17.powers_of_ten()               # built once here, so every writer inherits it
     grid = build_grid(cfg.n, cfg.half_width, cfg.points_per_axis, cfg.bc)
     dec = eigendecompose(assemble(grid, cfg.potential))
     slots = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

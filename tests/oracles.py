@@ -1,6 +1,6 @@
 """Test references that the package's commands do not run.
 
-Four groups live here. The first are literal routes that equal the one
+Five groups live here. The first are literal routes that equal the one
 multiplier route `spectral.multiplier_kernel` by linearity: table-space
 subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
@@ -15,8 +15,11 @@ of one field, which `spaces.ball_family`, `spaces.bmo_norm` and
 diagnostics for the critical radius: the reverse-Holder constant, the
 Gaussian average of V and the doubling, two-scale and comparability
 constants, and the per-point critical-radius bisection, which the blocked one
-must reproduce bit for bit. `certify_on` certifies one estimate on its own,
-as the scans before `scan_estimate` took a list of jobs did.
+must reproduce bit for bit. The fifth is the kernel table writer as it was
+before block formatting, one `%.17g` template per table row, whose text
+`cli._kernel_lines` must reproduce byte for byte. `certify_on` certifies one
+estimate on its own, as the scans before `scan_estimate` took a list of jobs
+did.
 """
 
 from dataclasses import dataclass
@@ -394,3 +397,13 @@ def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
         "comparability_constant": comparability,
         "gaussian_average_constant": gauss_const,
     }
+
+
+# --- kernel table text, one row at a time ----------------------------------
+
+def kernel_lines_per_row(table: np.ndarray):
+    """`cli._kernel_lines` as one `%` call per table row; `%.17g` is `cli._fmt`
+    of a float64."""
+    template = "".join([f"\0,{j},%.17g\n" for j in range(table.shape[1])])
+    for i, row in enumerate(table):
+        yield template.replace("\0", str(i)) % tuple(row.tolist())

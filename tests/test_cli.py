@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import kernel_lines_per_row
 from subheat import cli, estimates, potentials
 from subheat.cli import (ConfigError, _fmt, _kernel_lines, _write_csv, main, parse_config,
                          run)
@@ -454,6 +455,7 @@ def test_kernel_lines_format_like_fmt():
     table = np.array([values, values[::-1]])
     want = "".join(f"{i},{j},{_fmt(v)}\n" for i, row in enumerate(table)
                    for j, v in enumerate(row))
+    assert "".join(kernel_lines_per_row(table)) == want
     assert "".join(_kernel_lines(table)) == want
 
 
@@ -500,7 +502,7 @@ def test_kernels_parent_error_is_reported_and_every_writer_is_reaped(tmp_path, c
 
 
 def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
-    """Eight files through two writer slots equal the in-process writes."""
+    """Eight files through two writer slots equal the per-row oracle's writes."""
     live, most = set(), [0]
     fork, waitpid = os.fork, os.waitpid
 
@@ -534,7 +536,7 @@ def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
                             ("frac", fractional_heat_kernel(dec, cfg.alpha, t))):
             name = f"{tag}_t{t:g}.csv"
             _write_csv(tmp_path / "want" / name, cfg, ["x_index", "y_index", "value"],
-                       _kernel_lines(kernel.table))
+                       kernel_lines_per_row(kernel.table))
             names.append(name)
     assert len(names) == 8 and sorted(names) == sorted(p.name for p in (tmp_path / "o").iterdir())
     for name in names:

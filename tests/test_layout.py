@@ -54,9 +54,10 @@ def _definitions(tree: ast.Module) -> dict:
 
 def _imports(tree: ast.Module) -> tuple[dict, dict]:
     """(local name -> (module, name)) for `from .mod import name`, and
-    (local name -> module) for `from . import mod`."""
+    (local name -> module) for `from . import mod`, also where a function
+    imports them."""
     names, modules = {}, {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 local = alias.asname or alias.name
