@@ -28,12 +28,12 @@ def poisson_value(r, t: float, n: int) -> np.ndarray:
 def gaussian_heat_table(grid: Grid, t: float) -> KernelSlice:
     """Free heat kernel on grid points (Euclidean distances, no periodic images)."""
     dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    return KernelSlice(grid, float(t), gaussian_heat_value(dist, t, grid.dimension))
+    return KernelSlice(grid, gaussian_heat_value(dist, t, grid.dimension))
 
 
 def poisson_table(grid: Grid, t: float) -> KernelSlice:
     dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    return KernelSlice(grid, float(t), poisson_value(dist, t, grid.dimension))
+    return KernelSlice(grid, poisson_value(dist, t, grid.dimension))
 
 
 def fourier_fractional_value(r: float, t: float, alpha: float) -> float:
@@ -66,7 +66,7 @@ def oscillator_heat_table(grid: Grid, t: float) -> KernelSlice:
     if grid.dimension != 1:
         raise ValueError("oscillator closed form implemented for n=1 only")
     x = grid.points[:, 0]
-    return KernelSlice(grid, float(t), oscillator_heat_value(x[:, None], x[None, :], t))
+    return KernelSlice(grid, oscillator_heat_value(x[:, None], x[None, :], t))
 
 
 def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
@@ -77,4 +77,4 @@ def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
     dist = np.abs(x[:, None] - x[None, :])
     uniq, inv = np.unique(np.round(dist / grid.spacing).astype(int), return_inverse=True)
     vals = np.array([fourier_fractional_value(u * grid.spacing, t, alpha) for u in uniq])
-    return KernelSlice(grid, float(t), vals[inv].reshape(dist.shape))
+    return KernelSlice(grid, vals[inv].reshape(dist.shape))

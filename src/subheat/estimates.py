@@ -177,7 +177,7 @@ class VerifierBackend:
                 return closedform.gaussian_heat_table(self.grid, t).table[rows]
             if abs(alpha - 0.5) < 1e-14:
                 return closedform.poisson_table(self.grid, t).table[rows]
-        return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), t,
+        return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power),
                                  rows=rows).table
 
 

@@ -7,16 +7,15 @@ formed as a double-double: Dekker's error-free product of |x| with hi, where
 hi + lo is 10^(16-k) to about 2^-106, plus |x| lo. Its error is below 2^-45,
 so rounding y to nearest is exact unless the fraction of y lies within 2^-30
 of 1/2 (exact decimal ties land there), and k is exact unless y lies within
-2^-30 of 10^16 or 10^17. Those values, zeros, non-finite values and |x|
-outside [1e-280, 1e280], where the products could leave the normal range,
-are formatted by the caller's scalar `fallback` instead.
+2^-30 of 10^16 or 10^17. Those values, the positional ones (exponent 1 to 16
+after rounding), zeros, non-finite values and |x| outside [1e-280, 1e280],
+where the products could leave the normal range, go through `_scalar`.
 
-Importing this module builds nothing; `powers_of_ten` builds its table on
-first call, which the kernels command makes before it forks its writers.
+The powers-of-ten table is built on import, so a process that forks after
+importing this module hands every child the built table.
 """
 
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -28,14 +27,21 @@ _BLOCK_VALUES = 1 << 15             # values per block: 64 rows of a 512-column 
 _WIDTH = 29                         # the value slots of `_value_text`
 
 
-@cache
-def powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo), float64 arrays over e = _E_MIN.._E_MAX: hi is 10^e correctly
     rounded and lo is 10^e - hi correctly rounded, both from exact rationals."""
     exact = [Fraction(10) ** e for e in range(_E_MIN, _E_MAX + 1)]
     hi = [float(p) for p in exact]
     lo = [float(p - Fraction(h)) for p, h in zip(exact, hi)]
     return np.array(hi), np.array(lo)
+
+
+_HI, _LO = _powers_of_ten()
+
+
+def _scalar(value: float) -> str:
+    """The text of one value the block path leaves out."""
+    return format(value, ".17g")
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,8 +53,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(y) as int64 and the fraction of y, for y = a 10^(16-k)."""
-    hi, lo = powers_of_ten()
-    hi, lo = hi[16 - k - _E_MIN], lo[16 - k - _E_MIN]
+    hi, lo = _HI[16 - k - _E_MIN], _LO[16 - k - _E_MIN]
     p = a * hi
     ah, al = _split(a)
     hh, hl = _split(hi)
@@ -90,17 +95,17 @@ def _decimal_chars(n: np.ndarray) -> np.ndarray:
     return digits.T
 
 
-def _value_text(x: np.ndarray, fallback) -> np.ndarray:
+def _value_text(x: np.ndarray) -> np.ndarray:
     """(len(x), _WIDTH) uint8 slots whose non-NUL bytes spell `.17g` of each
-    value: `_fast_text` where it can settle the digits, else `fallback(v)`."""
+    value: `_fast_text` where it can settle the text, else `_scalar(v)`."""
     a = np.abs(x)
     fast = (a >= _X_MIN) & (a <= _X_MAX)
     text = np.zeros((len(x), _WIDTH), dtype=np.uint8)
-    text[fast], ambiguous = _fast_text(x[fast])
-    slow = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[ambiguous]])
+    text[fast], unsettled = _fast_text(x[fast])
+    slow = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[unsettled]])
     if slow.size:                       # each bit pattern once: a table may be all zeros
         bits, which = np.unique(x[slow].view(np.int64), return_inverse=True)
-        chars = np.array([fallback(v).encode() for v in bits.view(np.float64).tolist()],
+        chars = np.array([_scalar(v).encode() for v in bits.view(np.float64).tolist()],
                          dtype=f"S{_WIDTH}")
         text[slow] = chars.view(np.uint8).reshape(bits.size, _WIDTH)[which]
     return text
@@ -108,11 +113,10 @@ def _value_text(x: np.ndarray, fallback) -> np.ndarray:
 
 def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The `_value_text` slots of values 1e-280 <= |x| <= 1e280, and where
-    their digits are ambiguous.
+    they are unsettled: ambiguous digits or a positional exponent 1..16.
 
     Slots: the sign; "0." and up to three zeros, for the exponents -4..-1;
-    the 17 digits, with the point in the slot after the first (after the
-    X-th, shifting the rest, for the positional exponents X >= 1); "e", the
+    the 17 digits, with the point in the slot after the first; "e", the
     exponent's sign and its two or three digits.
     """
     n, exp, ambiguous = _digits(np.abs(x))
@@ -121,9 +125,7 @@ def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exp = exp.astype(np.int16)
     scientific = (exp < -4) | (exp > 16)
     small = ~scientific & (exp < 0)
-    point = np.where(scientific | small, 0, exp)    # the last digit before the point
-    dotted = ~small & (kept > point + 1)
-    shown = np.maximum(kept, point + 1)
+    dotted = ~small & (kept > 1)
     text = np.zeros((len(n), _WIDTH), dtype=np.uint8)
     text[:, 0] = (x < 0) * np.uint8(ord("-"))
     text[:, 1] = small * np.uint8(ord("0"))
@@ -132,23 +134,14 @@ def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text[:, 3 + zero] = (small & (exp < -1 - zero)) * np.uint8(ord("0"))
     text[:, 6] = chars[:, 0]
     text[:, 7] = dotted * np.uint8(ord("."))
-    text[:, 8:24] = chars[:, 1:] * (np.arange(1, 17) < shown[:, None])
-    wide = np.flatnonzero(dotted & (point > 0))
-    if wide.size:                                   # positional, the point after digit X
-        at, j = point[wide, None], np.arange(18)
-        before = np.zeros((wide.size, 18), dtype=np.uint8)
-        after = np.zeros((wide.size, 18), dtype=np.uint8)
-        before[:, :17] = after[:, 1:] = chars[wide]
-        body = np.where(j <= at, before, after)
-        body[j == at + 1] = ord(".")
-        text[wide, 6:24] = body * (j <= kept[wide, None])
+    text[:, 8:24] = chars[:, 1:] * (np.arange(1, 17) < kept[:, None])
     e = np.abs(exp)
     text[:, 24] = scientific * np.uint8(ord("e"))
     text[:, 25] = scientific * np.where(exp < 0, np.uint8(ord("-")), np.uint8(ord("+")))
     text[:, 26] = (scientific & (e >= 100)) * (e // 100 + ord("0")).astype(np.uint8)
     text[:, 27] = scientific * (e // 10 % 10 + ord("0")).astype(np.uint8)
     text[:, 28] = scientific * (e % 10 + ord("0")).astype(np.uint8)
-    return text, ambiguous
+    return text, ambiguous | ((exp >= 1) & (exp <= 16))
 
 
 def _index_text(indices) -> np.ndarray:
@@ -157,11 +150,9 @@ def _index_text(indices) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
-def table_chunks(table: np.ndarray, fallback):
+def table_chunks(table: np.ndarray):
     """Yield the `x_index,y_index,value` text of a 2-D float64 table, one
-    chunk per block of about _BLOCK_VALUES values; `fallback(float)` formats
-    the values the fast path leaves out and must agree with
-    `format(v, ".17g")`."""
+    chunk per block of about _BLOCK_VALUES values."""
     rows, cols = table.shape
     step = max(1, _BLOCK_VALUES // cols)
     y_text = _index_text(range(cols))
@@ -172,8 +163,7 @@ def table_chunks(table: np.ndarray, fallback):
         lines = np.empty((len(block), cols, wx + wy + _WIDTH + 1), dtype=np.uint8)
         lines[:, :, :wx] = x_text[:, None, :]
         lines[:, :, wx:wx + wy] = y_text
-        lines[:, :, wx + wy:-1] = _value_text(block.ravel(), fallback).reshape(
-            len(block), cols, _WIDTH)
+        lines[:, :, wx + wy:-1] = _value_text(block.ravel()).reshape(len(block), cols, _WIDTH)
         lines[:, :, -1] = ord("\n")
         flat = lines.ravel()
         yield flat[flat != 0].tobytes().decode("ascii")

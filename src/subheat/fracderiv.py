@@ -73,7 +73,7 @@ def frac_time_derivative(dec: SpectralDecomposition, alpha: float,
     multiplier, so the quadrature runs per eigenvalue before one sandwich.
     """
     weights = frac_multiplier_quadrature(dec, alpha, beta, t)
-    return multiplier_kernel(dec, lambda lam: weights, t)
+    return multiplier_kernel(dec, lambda lam: weights)
 
 
 def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
@@ -83,5 +83,5 @@ def d_operator(dec: SpectralDecomposition, alpha: float, beta: float,
         raise ValueError("operator order beta must be positive")
     if t <= 0:
         raise ValueError("time must be positive")
-    return multiplier_kernel(dec, semigroup_multiplier(t, alpha, beta), t)
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha, beta))
 

@@ -49,7 +49,6 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class KernelSlice:
     grid: Grid
-    time: float
     table: np.ndarray = field(repr=False)   # (len(rows), N), 1/volume units
     rows: np.ndarray | None = field(default=None, repr=False)   # None: all N rows
 
@@ -107,7 +106,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     return SpectralDecomposition(op.grid, lam, basis, has_zero)
 
 
-def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
+def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float | None = None,
                       rows=None) -> KernelSlice:
     """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m.
 
@@ -119,6 +118,7 @@ def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
     last place. Multiplier entries below 1e-300 in magnitude are set to 0
     first: their terms lie below the rounding of the table's entries, and
     subnormal products would make the matrix product up to 3x slower.
+    `t` is not read; it keeps its place for callers that pass a time.
     """
     m = np.asarray(multiplier(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(m)):
@@ -126,8 +126,7 @@ def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float,
     m = np.where(np.abs(m) < 1e-300, 0.0, m)
     left = dec.basis if rows is None else dec.basis[rows]
     table = (left * m[None, :]) @ dec.basis.T
-    return KernelSlice(dec.grid, float(t), table,
-                       None if rows is None else np.asarray(rows))
+    return KernelSlice(dec.grid, table, None if rows is None else np.asarray(rows))
 
 
 def semigroup_multiplier(t, alpha: float = 1.0, power=0):
@@ -148,15 +147,15 @@ def semigroup_multiplier(t, alpha: float = 1.0, power=0):
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t), t)
+    return multiplier_kernel(dec, semigroup_multiplier(t))
 
 
 def fractional_heat_kernel(dec: SpectralDecomposition, alpha: float, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t, alpha), t)
+    return multiplier_kernel(dec, semigroup_multiplier(t, alpha))
 
 
 def poisson_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5), t)
+    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5))
 
 
 def _require_full(K: KernelSlice, operation: str) -> None:
@@ -176,4 +175,4 @@ def compose(K1: KernelSlice, K2: KernelSlice) -> KernelSlice:
     _require_full(K1, "compose")
     _require_full(K2, "compose")
     table = K1.table @ K2.table * K1.grid.cell_weight
-    return KernelSlice(K1.grid, K1.time + K2.time, table)
+    return KernelSlice(K1.grid, table)

@@ -184,7 +184,7 @@ def subordinate_kernel(dec: SpectralDecomposition, alpha: float, t: float) -> Ke
     eigenvalue before one basis sandwich.
     """
     weights = subordination_multiplier(alpha, t, dec.eigenvalues)
-    return multiplier_kernel(dec, lambda lam: weights, t)
+    return multiplier_kernel(dec, lambda lam: weights)
 
 
 def tail_exponent_fit(alpha: float):

@@ -17,7 +17,7 @@ Gaussian average of V and the doubling, two-scale and comparability
 constants, and the per-point critical-radius bisection, which the blocked one
 must reproduce bit for bit. The fifth is the kernel table writer as it was
 before block formatting, one `%.17g` template per table row, whose text
-`cli._kernel_lines` must reproduce byte for byte. `certify_on` certifies one
+`fmt17.table_chunks` must reproduce byte for byte. `certify_on` certifies one
 estimate on its own, as the scans before `scan_estimate` took a list of jobs
 did.
 """
@@ -85,7 +85,7 @@ def subordinate_tables(table_provider, grid, alpha: float, t: float,
         if ev == 0.0:
             continue
         acc += (wq * ev) * table_provider(sq)
-    return KernelSlice(grid, float(t), acc)
+    return KernelSlice(grid, acc)
 
 
 def frac_time_derivative_tables(dec: SpectralDecomposition, alpha: float,
@@ -97,7 +97,7 @@ def frac_time_derivative_tables(dec: SpectralDecomposition, alpha: float,
     for wq, mult in zip(w, values):
         acc += wq * ((dec.basis * mult[None, :]) @ dec.basis.T)
     acc *= (-1.0) ** m / _gamma(m - beta)
-    return KernelSlice(dec.grid, float(t), acc)
+    return KernelSlice(dec.grid, acc)
 
 
 def frac_derivative_scalar(a: float, beta: float, t: float) -> float:
@@ -117,7 +117,7 @@ def mth_time_derivative_kernel(dec: SpectralDecomposition, alpha: float, m: int,
     def mult(lam):
         la = lam ** alpha
         return (-la) ** m * np.exp(-t * la)
-    return multiplier_kernel(dec, mult, t)
+    return multiplier_kernel(dec, mult)
 
 
 def wrapped_gaussian_table(grid: Grid, t: float, images: int) -> np.ndarray:
@@ -402,7 +402,7 @@ def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
 # --- kernel table text, one row at a time ----------------------------------
 
 def kernel_lines_per_row(table: np.ndarray):
-    """`cli._kernel_lines` as one `%` call per table row; `%.17g` is `cli._fmt`
+    """`fmt17.table_chunks` as one `%` call per table row; `%.17g` is `cli._fmt`
     of a float64."""
     template = "".join([f"\0,{j},%.17g\n" for j in range(table.shape[1])])
     for i, row in enumerate(table):

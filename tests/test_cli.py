@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import kernel_lines_per_row
-from subheat import cli, estimates, potentials
-from subheat.cli import (ConfigError, _fmt, _kernel_lines, _write_csv, main, parse_config,
-                         run)
+from subheat import cli, estimates, fmt17, potentials
+from subheat.cli import ConfigError, _fmt, _write_csv, main, parse_config, run
 from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
 from subheat.grid import build_grid, grid_function
 from subheat.spaces import make_equivalence_suite
@@ -94,6 +93,15 @@ def test_selftest_runs(tmp_path):
     assert "PASS" in text and "FAIL" not in text
 
 
+def test_selftest_runs_every_check_on_a_periodic_grid_with_a_zero_mode(tmp_path):
+    text = ("[grid]\nn = 1\nL = 16\nM = 64\nbc = periodic\n[potential]\nkind = zero\n"
+            f"[run]\ncommand = selftest\nout = {tmp_path}/st\n")
+    report = run(parse_config(text))
+    lines = Path(report["outputs"][0]).read_text().splitlines()[1:]
+    assert report["pass"] and len(lines) == 9 and all(ln.endswith(": PASS") for ln in lines)
+    assert "mass bound: PASS" in lines and "g-function isometry: PASS" in lines
+
+
 def test_kernels_outputs_format(tmp_path):
     text = FULL.replace("command = selftest", f"command = kernels\nout = {tmp_path}/k")
     text = text.replace("M = 128", "M = 64")
@@ -141,6 +149,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["selftest", "--config", str(bad)]) == 2
     missing = tmp_path / "nope.ini"
     assert main(["selftest", "--config", str(missing)]) == 2
+
+
+def test_main_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("M = 128", "M = 64"))
+    (tmp_path / "afile").write_text("")
+    assert main(["verify", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "afile" / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [Errno 20] Not a directory")
 
 
 @pytest.mark.parametrize("command, line, bad_line", [
@@ -253,9 +270,9 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
     and a 64-entry cache that cleared on overflow made 150."""
     calls = []
 
-    def counting(dec, multiplier, t, rows=None):
-        calls.append(t)
-        return multiplier_kernel(dec, multiplier, t, rows=rows)
+    def counting(dec, multiplier, rows=None):
+        calls.append(multiplier)
+        return multiplier_kernel(dec, multiplier, rows=rows)
 
     monkeypatch.setattr(estimates, "multiplier_kernel", counting)
     cfg_path = tmp_path / "c.ini"
@@ -456,7 +473,7 @@ def test_kernel_lines_format_like_fmt():
     want = "".join(f"{i},{j},{_fmt(v)}\n" for i, row in enumerate(table)
                    for j, v in enumerate(row))
     assert "".join(kernel_lines_per_row(table)) == want
-    assert "".join(_kernel_lines(table)) == want
+    assert "".join(fmt17.table_chunks(table)) == want
 
 
 def _no_child_left():

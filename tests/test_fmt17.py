@@ -1,10 +1,10 @@
-"""`cli._kernel_lines` writes every float64 as `cli._fmt` does, byte for byte.
+"""`fmt17.table_chunks` writes every float64 as `cli._fmt` does, byte for byte.
 
-`fmt17` forms the 17 digits from a double-double product and hands `_fmt`
-the values it cannot settle; these tests compare its text with `_fmt` (and,
-for whole kernel tables, with the per-row writer in `oracles`) on random bit
-patterns, powers of ten and two, exact decimal ties and the `%g` switch
-points.
+`fmt17` forms the 17 digits from a double-double product and formats the
+values it cannot settle with its scalar `_scalar`; these tests compare its
+text with `_fmt` (and, for whole kernel tables, with the per-row writer in
+`oracles`) on random bit patterns, powers of ten and two, exact decimal ties,
+the `%g` switch points and a table with many positional values.
 """
 
 import os
@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subheat
 from oracles import kernel_lines_per_row
 from subheat import cli, fmt17, potentials
-from subheat.cli import _fmt, _kernel_lines, main
+from subheat.cli import _fmt, _write_csv, main
+from subheat.fmt17 import table_chunks
 from subheat.grid import build_grid
 from subheat.spectral import assemble, eigendecompose, fractional_heat_kernel, heat_kernel
 
@@ -27,7 +29,7 @@ from subheat.spectral import assemble, eigendecompose, fractional_heat_kernel, h
 def assert_formats_like_fmt(values):
     """The values as one table row: each line must be `0,j,_fmt(v)`."""
     row = np.asarray(values, dtype=np.float64).ravel()
-    got = "".join(_kernel_lines(row[None, :])).splitlines()
+    got = "".join(table_chunks(row[None, :])).splitlines()
     want = [f"0,{j},{_fmt(v)}" for j, v in enumerate(row.tolist())]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and bad == [], f"{len(bad)} mismatches, first {bad[:5]}"
@@ -62,7 +64,7 @@ def test_powers_of_ten_and_their_neighbours_format_like_fmt():
 def test_powers_of_two_and_exact_decimal_ties_format_like_fmt():
     twos = np.ldexp(1.0, -np.arange(0, 1075))
     assert_formats_like_fmt(np.concatenate([odd * twos for odd in (1, 3, 5, 7, 9, 11, 13)]))
-    tie = "".join(_kernel_lines(np.array([[2.0 ** -25]])))
+    tie = "".join(table_chunks(np.array([[2.0 ** -25]])))
     assert tie == "0,0,2.9802322387695312e-08\n"
 
 
@@ -86,7 +88,7 @@ def test_n1_m256_tables_equal_the_per_row_writer(n1_tables, rows):
     """A block holds 128 rows of 256 values, so 250 rows end in a short block."""
     for table in n1_tables:
         part = table[:rows]
-        assert "".join(_kernel_lines(part)) == "".join(kernel_lines_per_row(part))
+        assert "".join(table_chunks(part)) == "".join(kernel_lines_per_row(part))
 
 
 def test_n2_table_with_four_digit_indices_equals_the_per_row_writer():
@@ -94,38 +96,57 @@ def test_n2_table_with_four_digit_indices_equals_the_per_row_writer():
                                   potentials.power(2.0)))
     table = fractional_heat_kernel(dec, 0.5, 0.25).table
     assert table.shape == (1024, 1024)
-    assert "".join(_kernel_lines(table)) == "".join(kernel_lines_per_row(table))
+    assert "".join(table_chunks(table)) == "".join(kernel_lines_per_row(table))
 
 
 def test_values_the_product_cannot_settle_go_through_fmt(monkeypatch):
-    """An exact decimal tie lies in the ambiguous band; 1/3 does not. `_fmt`
-    sees each distinct value once, and tells -0.0 from 0.0."""
+    """An exact decimal tie lies in the ambiguous band; 1/3 does not. Exponents
+    1 to 16 take the scalar route too. `_scalar` sees each distinct value once,
+    and tells -0.0 from 0.0."""
     seen = []
 
-    def recording_fmt(value):
+    def recording_scalar(value):
         seen.append(value)
-        return _fmt(value)
+        return format(value, ".17g")
 
-    monkeypatch.setattr(cli, "_fmt", recording_fmt)
+    monkeypatch.setattr(fmt17, "_scalar", recording_scalar)
     tie, plain = 2.0 ** -25, 1.0 / 3.0
     _, _, ambiguous = fmt17._digits(np.array([tie, plain]))
     assert ambiguous.tolist() == [True, False]
-    values = [tie, plain, 0.0, -0.0, np.inf, np.nan, 1e-300]
+    positional = [10.0, -30.7, 99999.5, 1e16 - 2.0, 1e16]
+    values = [tie, plain, 0.0, -0.0, np.inf, np.nan, 1e-300,
+              np.nextafter(10.0, 0.0), 2.5e17] + positional
     assert_formats_like_fmt(values)
-    assert sorted(map(repr, seen)) == sorted(map(repr, values[:1] + values[2:]))
+    assert sorted(map(repr, seen)) == sorted(map(repr, values[:1] + values[2:7] + positional))
     seen.clear()                                    # each distinct value once
     assert_formats_like_fmt([0.0, -0.0, 0.0, tie, -0.0, tie, 0.0])
     assert sorted(map(repr, seen)) == sorted(map(repr, [0.0, -0.0, tie]))
 
 
+def test_kernels_positional_values_at_table_scale_equal_the_per_row_writer(tmp_path):
+    """At t = 0.001 on n=1 L=1 M=64 the frac table's near-diagonal entries
+    reach 30.7, so whole rows mix the scalar route and the block path."""
+    text = "[grid]\nn = 1\nL = 1\nM = 64\n[run]\ntimes = 0.001\n"
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    cfg = cli.parse_config(text + "command = kernels\n")
+    dec = eigendecompose(assemble(build_grid(1, 1.0, 64, "dirichlet"), cfg.potential))
+    table = fractional_heat_kernel(dec, cfg.alpha, 0.001).table
+    wide = np.abs(table) >= 10
+    assert 0.01 < wide.mean() < 0.02 and np.abs(table).max() > 30
+    _write_csv(tmp_path / "want.csv", cfg, ["x_index", "y_index", "value"],
+               kernel_lines_per_row(table))
+    assert (tmp_path / "o" / "frac_t0.001.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
 def test_import_subheat_builds_no_powers_of_ten():
-    """The formatter and `fractions` stay off `import subheat`; importing the
-    formatter builds no table."""
+    """The formatter, its powers-of-ten table and `fractions` stay off
+    `import subheat`."""
     code = ("import sys, subheat\n"
             "print(sorted(m for m in sys.modules if m.startswith('subheat')))\n"
-            "print('fractions' in sys.modules)\n"
-            "from subheat import fmt17\n"
-            "print(fmt17.powers_of_ten.cache_info().currsize)\n")
+            "print('fractions' in sys.modules)\n")
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -134,19 +155,21 @@ def test_import_subheat_builds_no_powers_of_ten():
     modules = ["subheat"] + [f"subheat.{name}" for name in (
         "cli", "closedform", "estimates", "fracderiv", "grid", "potentials", "spaces",
         "spectral", "subordinator")]
-    assert out == [repr(sorted(modules)), "False", "0"]
+    assert out == [repr(sorted(modules)), "False"]
 
 
 def test_kernels_builds_the_powers_of_ten_before_the_first_fork(tmp_path, monkeypatch):
-    fmt17.powers_of_ten.cache_clear()
-    built, fork = [], os.fork
+    """The powers-of-ten table is built on import, so each writer inherits it."""
+    monkeypatch.delitem(sys.modules, "subheat.fmt17")
+    monkeypatch.delattr(subheat, "fmt17")
+    imported, fork = [], os.fork
 
     def recording_fork():
-        built.append(fmt17.powers_of_ten.cache_info().currsize)
+        imported.append("subheat.fmt17" in sys.modules)
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text("[grid]\nn = 1\nL = 16\nM = 16\n[run]\ntimes = 1\n")
     assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert built == [1, 1]
+    assert imported == [True, True]

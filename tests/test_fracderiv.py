@@ -94,10 +94,9 @@ def test_frac_derivative_commutes_with_semigroup(dec):
     alpha, beta, s, t = 0.5, 0.5, 0.5, 1.0
     lam = dec.eigenvalues
     first = multiplier_kernel(
-        dec, lambda l: (l ** alpha) ** beta * np.exp(-(t + s) * l ** alpha), t + s
-    )
+        dec, lambda l: (l ** alpha) ** beta * np.exp(-(t + s) * l ** alpha))
     q = frac_multiplier_quadrature(dec, alpha, beta, t) * np.exp(-s * lam ** alpha)
-    second = multiplier_kernel(dec, lambda l: q, t + s)
+    second = multiplier_kernel(dec, lambda l: q)
     assert np.max(np.abs(first.table - second.table)) <= 1e-8 * np.max(np.abs(first.table))
 
 

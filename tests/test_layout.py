@@ -5,6 +5,9 @@ follows every name a reached definition mentions: names of its own module,
 names imported with `from .mod import name`, and `mod.name` through
 `from . import mod`. A class counts as one definition with all its methods.
 The allowlist's entries are walked too, so their helpers need no entry.
+
+A second inventory lists every `functools` cache in the package with the
+reason its memory stays bounded by the problem.
 """
 
 import ast
@@ -39,7 +42,8 @@ def _modules() -> dict:
 
 
 def _definitions(tree: ast.Module) -> dict:
-    """Top-level functions, classes and assigned names -> their defining node."""
+    """Top-level functions, classes and assigned names (also unpacked ones)
+    -> their defining node."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -47,8 +51,9 @@ def _definitions(tree: ast.Module) -> dict:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = node
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
     return out
 
 
@@ -104,3 +109,49 @@ def test_allowlist_names_live_unreached_definitions():
     stale = sorted(key for key in ALLOWED
                    if key[1] not in defs.get(key[0], {}) or key in seen)
     assert stale == [], f"allowlist entries that are missing or reached: {stale}"
+
+
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
+
+#: every cache in the package -> (its decorator, why its memory stays bounded)
+CACHES = {
+    ("subordinator", "_descent_nodes"): (
+        "lru_cache(maxsize=32)", "quadrature nodes of at most 32 alphas, ~1 KB each"),
+    ("estimates", "_Tables.kernel"): (
+        "cached_property", "one time's row block, dropped with its _Tables after that time"),
+    ("estimates", "_Tables.gradient"): (
+        "cached_property", "one time's gradient, dropped with its _Tables after that time"),
+}
+
+
+def _cache_name(node) -> str | None:
+    """`cache`, `lru_cache` or `cached_property` where `node` names one (also
+    as `functools.x` or called), else None."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in CACHE_NAMES else None
+
+
+def _caches(tree: ast.Module, prefix: str = "") -> dict:
+    """Qualified name -> decorator text of each cache-decorated definition."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            out.update({name: ast.unparse(dec) for dec in node.decorator_list
+                        if _cache_name(dec)})
+            out.update(_caches(node, name + "."))
+    return out
+
+
+def test_every_cache_is_listed_with_its_bound():
+    found, stray = {}, []
+    for mod, tree in _modules().items():
+        caches = _caches(tree)
+        found.update({(mod, name): text for name, text in caches.items()})
+        uses = sum(1 for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and _cache_name(node))
+        if uses != len(caches):                     # e.g. `f = cache(g)`, not a decorator
+            stray.append(mod)
+    assert stray == [], f"caches made other than as a decorator in: {stray}"
+    assert found == {key: text for key, (text, _) in CACHES.items()}

@@ -74,7 +74,7 @@ def test_orthonormality_and_residual(dirichlet_flat):
 
 def test_identity_multiplier_is_discrete_delta(dirichlet_flat):
     dec = dirichlet_flat
-    K = multiplier_kernel(dec, lambda lam: np.ones_like(lam), 0.0)
+    K = multiplier_kernel(dec, lambda lam: np.ones_like(lam))
     expect = np.eye(dec.grid.size) / dec.grid.cell_weight
     assert np.max(np.abs(K.table - expect)) < 1e-6
 
@@ -105,7 +105,7 @@ def test_apply_kernel_eigenrelation(dirichlet_flat):
 
 def test_delta_applied_returns_function(dirichlet_flat):
     dec = dirichlet_flat
-    K = multiplier_kernel(dec, lambda lam: np.ones_like(lam), 0.0)
+    K = multiplier_kernel(dec, lambda lam: np.ones_like(lam))
     f = from_callable(dec.grid, lambda p: np.exp(-p[:, 0] ** 2) * np.sin(p[:, 0]))
     out = apply_kernel(K, f)
     assert np.max(np.abs(out.values - f.values)) < 1e-8
@@ -196,11 +196,11 @@ def test_size_cap_enforced():
 def test_row_block_equals_the_full_tables_rows(n, M, bc, t, alpha, power_):
     dec = eigendecompose(assemble(build_grid(n, 16.0, M, bc), power(2.0)))
     mult = semigroup_multiplier(t, alpha, power_)
-    full = multiplier_kernel(dec, mult, t).table
+    full = multiplier_kernel(dec, mult).table
     rng = np.random.default_rng(0)
     for rows in (np.arange(4), np.sort(rng.choice(dec.grid.size, 37, replace=False)),
                  rng.permutation(dec.grid.size)[: dec.grid.size // 3]):
-        K = multiplier_kernel(dec, mult, t, rows=rows)
+        K = multiplier_kernel(dec, mult, rows=rows)
         assert K.table.shape == (rows.size, dec.grid.size)
         assert np.array_equal(K.rows, rows)
         assert np.array_equal(K.table, full[rows])
@@ -212,13 +212,13 @@ def test_subnormal_flush_leaves_the_table_unchanged():
     m = semigroup_multiplier(64.0, 0.5)(dec.eigenvalues)
     assert np.count_nonzero((m > 0.0) & (m < np.finfo(float).tiny)) >= 5   # subnormal-heavy
     unflushed = (dec.basis * m[None, :]) @ dec.basis.T
-    assert np.array_equal(multiplier_kernel(dec, semigroup_multiplier(64.0, 0.5), 64.0).table,
+    assert np.array_equal(multiplier_kernel(dec, semigroup_multiplier(64.0, 0.5)).table,
                           unflushed)
 
 
 def test_row_block_refuses_full_table_operations(dirichlet_flat):
     dec = dirichlet_flat
-    part = multiplier_kernel(dec, semigroup_multiplier(1.0), 1.0, rows=np.arange(8))
+    part = multiplier_kernel(dec, semigroup_multiplier(1.0), rows=np.arange(8))
     f = grid_function(dec.grid, np.ones(dec.grid.size))
     with pytest.raises(ValueError):
         apply_kernel(part, f)
