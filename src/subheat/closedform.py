@@ -9,7 +9,7 @@ and the harmonic-oscillator kernel for V = |x|^2 in one dimension.
 import numpy as np
 from scipy.special import gamma
 
-from .grid import Grid, gauss_legendre_panels
+from .grid import Grid, gauss_legendre_panels, point_distances
 from .spectral import KernelSlice
 
 
@@ -25,15 +25,19 @@ def poisson_value(r, t: float, n: int) -> np.ndarray:
     return c_n * t / (t * t + r * r) ** ((n + 1) / 2.0)
 
 
-def gaussian_heat_table(grid: Grid, t: float) -> KernelSlice:
-    """Free heat kernel on grid points (Euclidean distances, no periodic images)."""
-    dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    return KernelSlice(grid, gaussian_heat_value(dist, t, grid.dimension))
+def _distances(grid: Grid, rows) -> np.ndarray:
+    """Euclidean |x - y| (no periodic image) for x in `rows` (all when None) and every y."""
+    left = grid.points if rows is None else grid.points[rows]
+    return point_distances(left[:, None, :], grid.points[None, :, :])
 
 
-def poisson_table(grid: Grid, t: float) -> KernelSlice:
-    dist = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
-    return KernelSlice(grid, poisson_value(dist, t, grid.dimension))
+def gaussian_heat_table(grid: Grid, t: float, rows=None) -> KernelSlice:
+    """Free heat kernel on grid points, at the rows `rows` only when given."""
+    return KernelSlice(grid, gaussian_heat_value(_distances(grid, rows), t, grid.dimension), rows)
+
+
+def poisson_table(grid: Grid, t: float, rows=None) -> KernelSlice:
+    return KernelSlice(grid, poisson_value(_distances(grid, rows), t, grid.dimension), rows)
 
 
 def fourier_fractional_value(r: float, t: float, alpha: float) -> float:
@@ -73,8 +77,7 @@ def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
     """Fractional heat kernel table from the n=1 Fourier oracle (slow; oracle use)."""
     if grid.dimension != 1:
         raise ValueError("Fourier oracle implemented for n=1 only")
-    x = grid.points[:, 0]
-    dist = np.abs(x[:, None] - x[None, :])
+    dist = _distances(grid, None)
     uniq, inv = np.unique(np.round(dist / grid.spacing).astype(int), return_inverse=True)
     vals = np.array([fourier_fractional_value(u * grid.spacing, t, alpha) for u in uniq])
     return KernelSlice(grid, vals[inv].reshape(dist.shape))

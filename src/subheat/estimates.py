@@ -141,10 +141,10 @@ class VerifierBackend:
     """Grid + decomposition bundle with the scan geometry of its grid.
 
     `lattice` holds the `lattice_indices` points, `xs` their first
-    coordinates, `r` |x - y| per lattice pair and `rho` rho at the lattice
-    points (+inf for V = 0). `shifts` are the Holder shifts the grid
-    represents, and `block` holds the rows the scans read: the lattice, the
-    lattice moved by each shift, and the stencil neighbours of both.
+    coordinates, `r` |x - y| per lattice pair (in the half-box no pair wraps)
+    and `rho` rho at the lattice points (+inf for V = 0). `shifts` are the
+    Holder shifts the grid represents, and `block` holds the rows the scans
+    read: the lattice, its shifts and the stencil neighbours of both.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -152,9 +152,7 @@ class VerifierBackend:
         self.zero_potential = is_zero(potential)
         self.dec: SpectralDecomposition = eigendecompose(assemble(grid, potential))
         self.lattice = lat = lattice_indices(grid)
-        pts = grid.points[lat]
-        diff = pts[:, None, :] - pts[None, :, :]
-        self.xs, self.r = pts[:, 0], np.sqrt(np.sum(diff * diff, axis=-1))
+        self.xs, self.r = grid.points[lat, 0], grid.pair_distances(lat)
         self.rho = potentials.compute_aux_function(potential, grid, indices=lat).rho[lat]
         self.shifts = _physical_shifts(grid)
         moved = [_shift_indices(grid, lat, steps) for steps, _ in self.shifts]
@@ -169,14 +167,14 @@ class VerifierBackend:
         """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to sign).
 
         For V = 0 the semigroup itself (power 0) comes from the closed forms,
-        sliced to the rows: the Gaussian at alpha = 1 and the Poisson kernel
-        at alpha = 1/2. Everything else is one row-restricted sandwich.
+        computed at the rows only: the Gaussian at alpha = 1 and the Poisson
+        kernel at alpha = 1/2. Everything else is one row-restricted sandwich.
         """
         if power == 0 and self.zero_potential:
             if alpha == 1:
-                return closedform.gaussian_heat_table(self.grid, t).table[rows]
+                return closedform.gaussian_heat_table(self.grid, t, rows).table
             if abs(alpha - 0.5) < 1e-14:
-                return closedform.poisson_table(self.grid, t).table[rows]
+                return closedform.poisson_table(self.grid, t, rows).table
         return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power),
                                  rows=rows).table
 

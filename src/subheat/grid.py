@@ -34,21 +34,32 @@ class Grid:
     def size(self) -> int:
         return self.points_per_axis ** self.dimension
 
-    def pair_distances(self) -> np.ndarray:
-        """(N, N) matrix of distances in the grid's metric."""
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return self._metric(diff)
+    def pair_distances(self, index=None) -> np.ndarray:
+        """(k, k) distances in the grid's metric among `index` (all points when None)."""
+        pts = self.points if index is None else self.points[index]
+        return point_distances(pts[:, None, :], pts[None, :, :], self._period)
 
     def distances_from(self, center) -> np.ndarray:
-        diff = self.points - np.asarray(center, dtype=float)[None, :]
-        return self._metric(diff)
+        return point_distances(self.points, np.asarray(center, dtype=float), self._period)
 
-    def _metric(self, diff: np.ndarray) -> np.ndarray:
-        if self.bc == PERIODIC:
-            period = 2.0 * self.half_width
-            diff = np.abs(diff)
-            diff = np.minimum(diff, period - diff)
-        return np.sqrt(np.sum(diff * diff, axis=-1))
+    @property
+    def _period(self) -> float | None:
+        return 2.0 * self.half_width if self.bc == PERIODIC else None
+
+
+def point_distances(a: np.ndarray, b: np.ndarray, period: float | None = None) -> np.ndarray:
+    """Distances between the broadcast point arrays `a` and `b`, (..., n), with
+    squared gaps summed one axis at a time, so that no (..., n) difference
+    tensor is built. With `period` each gap wraps to the nearest image."""
+    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for axis in range(a.shape[-1]):
+        d = a[..., axis] - b[..., axis]
+        if period is not None:
+            np.abs(d, out=d)
+            np.minimum(d, period - d, out=d)
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,15 @@ def _log_trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _synthesis(dec: SpectralDecomposition, alpha: float, beta, coeff, times) -> np.ndarray:
+    """(J, N) values of t^b d_t^b e^{-t L^a} f from f's coefficients, for any ladder."""
+    return (semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) * coeff) @ dec.basis.T
+
+
 def d_field(dec: SpectralDecomposition, alpha: float, beta: float,
             f: GridFunction, times: np.ndarray) -> SpaceTimeField:
     """t^beta d_t^beta e^{-t L^alpha} f on the time ladder, with dt/t weights."""
-    coeff = dec.coefficients(f.values)
-    mult = semigroup_multiplier(times, alpha, beta)(dec.eigenvalues)
-    values = (mult * coeff[None, :]) @ dec.basis.T
+    values = _synthesis(dec, alpha, beta, dec.coefficients(f.values), times)
     return SpaceTimeField(dec.grid, times, values, _log_trapezoid_weights(times))
 
 
@@ -148,25 +151,16 @@ def bmo_norm(members: list[GridFunction], gamma: float, rho_values: np.ndarray,
     return best.tolist()
 
 
-def _squared_distances(pts: np.ndarray) -> np.ndarray:
-    """(k, k) squared Euclidean distances, summed one axis at a time."""
-    sq = np.zeros((pts.shape[0], pts.shape[0]))
-    for axis in range(pts.shape[1]):
-        d = pts[:, None, axis] - pts[None, :, axis]
-        sq += d * d
-    return sq
-
-
 def lipschitz_norm(members: list[GridFunction], gamma: float,
                    rho_values: np.ndarray) -> list[float]:
     """Per member, the max of the Holder seminorm and sup |f| / rho^gamma over
-    sampled points (every max(1, M // 128)-th grid point in flat order). The
-    sample distances and rho^gamma are computed once for all members."""
+    sampled points (every max(1, M // 128)-th grid point in flat order), in the
+    grid's metric. The sample distances and rho^gamma are computed once."""
     grid = members[0].grid
     if np.any(np.isnan(rho_values)):
         raise ValueError("lipschitz_norm reads rho at every grid point; some were not computed")
     idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
-    dist = np.sqrt(_squared_distances(grid.points[idx]))
+    dist = grid.pair_distances(idx)
     mask = dist > 0
     dist **= gamma
     rho_gamma = rho_values ** gamma
@@ -236,7 +230,7 @@ def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
     the cones of exactly the slices j >= first(x, y), the index of the first
     sorted radius strictly above |x - y|. So S(x)^2 gathers suffix sums of the
     weighted slices, one entry per y. Memory per call: the N x N distances
-    (and their N x N x n temporary) until the N x N index `first` is built,
+    (and two N x N temporaries) until the N x N index `first` is built,
     shared by all members, each of which adds one N x N gather.
     """
     grid = dec.grid
@@ -352,8 +346,8 @@ def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecompositio
 
 def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
                     times: np.ndarray):
-    """N4's and N5's fields of u(t) = e^{-t L^alpha} f, from one synthesis of u
-    per time and one stencil over all times, (J, N) each: `grads` and
+    """N4's and N5's fields of u(t) = e^{-t L^alpha} f, (J, N) each, from f's
+    d-fields of orders 0 (u), 1/(2a) and 1, one synthesis each: `grads` and
     `timeparts`, the magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|,
     and `nu`, the squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in
     semigroup time. With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha)
@@ -361,20 +355,13 @@ def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
     dt/t = ds/(2 alpha s); the 1/(2 alpha) substitution factor is folded into `nu`.
     """
     coeff = dec.coefficients(f.values)
-    decay = semigroup_multiplier(times, alpha)(dec.eigenvalues)
-    root, la = np.sqrt(dec.eigenvalues), dec.eigenvalues ** alpha
-    u = np.empty((dec.grid.size, times.size))
-    timeparts, dsq = np.empty((2, times.size, dec.grid.size))
-    for j, t in enumerate(times):
-        u[:, j] = dec.synthesize(decay[j] * coeff)
-        timeparts[j] = np.abs(dec.synthesize(root * decay[j] * coeff))
-        dsq[j] = 4.0 * alpha ** 2 * (t * dec.synthesize(la * decay[j] * coeff)) ** 2
-    grad = gradient_values(dec.grid, u)      # (N, J, n): the stencil for every time
+    grad = gradient_values(dec.grid, _synthesis(dec, alpha, 0, coeff, times).T)  # (N, J, n)
     slope = np.ascontiguousarray(np.sqrt(np.sum(grad ** 2, axis=-1)).T)
     # scalar powers per time: an array power may round the last bit differently
     t_sc = np.array([t ** (1.0 / (2.0 * alpha)) for t in times])[:, None]
     t_sq = np.array([t ** (1.0 / alpha) for t in times])[:, None]
-    timeparts *= t_sc
+    timeparts = np.abs(_synthesis(dec, alpha, 1.0 / (2.0 * alpha), coeff, times))
+    dsq = 4.0 * alpha ** 2 * _synthesis(dec, alpha, 1, coeff, times) ** 2
     return t_sc * slope, timeparts, (t_sq * slope ** 2 + dsq) / (2.0 * alpha)
 
 

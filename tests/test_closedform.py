@@ -4,7 +4,7 @@ import pytest
 from oracles import wrapped_gaussian_table
 from subheat.closedform import (fourier_fractional_value, fourier_table,
                                 gaussian_heat_table, gaussian_heat_value,
-                                oscillator_heat_value, poisson_value)
+                                oscillator_heat_value, poisson_table, poisson_value)
 from subheat.grid import build_grid
 
 
@@ -61,3 +61,22 @@ def test_oscillator_trace_identity():
     diag = oscillator_heat_value(x, x, t)
     trace = np.sum(diag) * g.spacing
     assert trace == pytest.approx(1.0 / (2.0 * np.sinh(t)), rel=1e-8)
+
+
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_closed_form_rows_equal_the_full_difference_tensor_table_rows(n, M, bc):
+    """Tables computed at a few rows give the bits of those rows of the table
+    built from the (N, N, n) difference tensor, Euclidean on both boundary
+    conditions."""
+    g = build_grid(n, 8.0, M, bc)
+    rows = np.random.default_rng(n).choice(g.size, 13, replace=False)
+    dist = np.linalg.norm(g.points[:, None, :] - g.points[None, :, :], axis=-1)
+    for table, value in ((gaussian_heat_table, gaussian_heat_value),
+                         (poisson_table, poisson_value)):
+        for t in (0.1, 2.0):
+            want = value(dist, t, n)
+            got = table(g, t, rows)
+            assert np.array_equal(got.table, want[rows])
+            assert np.array_equal(got.rows, rows)
+            assert np.array_equal(table(g, t).table, want)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,20 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
         expected = _outcome(_full_scan(eid, params, full))
         assert _outcome(outcome) == expected, eid
     assert backend.block is blk
+
+
+def test_closed_form_kernel_rows_are_computed_at_the_block_rows_only():
+    """At V = 0 the Gaussian (alpha = 1) and Poisson (alpha = 1/2) blocks, 304
+    of 1,024 rows at n=2 M=32, each peak below two full 1,024 x 1,024 tables."""
+    backend = build_backend(n=2, points_per_axis=32, potential=zero())
+    for alpha in (1.0, 0.5):
+        tracemalloc.start()
+        try:
+            backend.kernel_rows(1.0, alpha, 0, backend.block.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, alpha
 
 
 def test_shifted_row_outside_the_box_is_an_error():

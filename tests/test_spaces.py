@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,7 @@ from oracles import (ball_family_per_ball, bmo_norm_one, carleson_field_nu_alpha
 from subheat import cli, spaces
 from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import compute_aux_function, constant, well, zero
-from subheat.spaces import (SpaceTimeField, _squared_distances,
-                            area_function, ball_centers, ball_family, bmo_norm,
+from subheat.spaces import (SpaceTimeField, area_function, ball_centers, ball_family, bmo_norm,
                             carleson_boxes, carleson_norm, d_field, default_time_grid,
                             duality_pairing_check, equivalence_experiment,
                             equivalence_rho_indices,
@@ -253,18 +255,26 @@ def test_area_function_2d_matches_per_slice_oracle(dec_2d, alpha, beta, kind):
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
 def test_spaces_n2_run_makes_one_pair_distances_call(tmp_path, monkeypatch, bc):
     """The cone index is built once per `spaces` run, not once per suite member."""
-    calls = []
-    original = Grid.pair_distances
-
-    def counted(grid):
-        calls.append(1)
-        return original(grid)
-
-    monkeypatch.setattr(Grid, "pair_distances", counted)
+    cone = _counted_pair_distances(monkeypatch, full=True)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(f"[grid]\nn = 2\nL = 8\nM = 16\nbc = {bc}\n")
     assert cli.main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 1
+    assert len(cone) == 1
+
+
+def _counted_pair_distances(monkeypatch, full: bool):
+    """Count the `Grid.pair_distances` calls over all points (`full`) or over
+    an index of sample points."""
+    original = Grid.pair_distances
+    calls = []
+
+    def counting(grid, index=None):
+        if (index is None) == full:
+            calls.append(1)
+        return original(grid, index)
+
+    monkeypatch.setattr(Grid, "pair_distances", counting)
+    return calls
 
 
 def _counted(monkeypatch, name):
@@ -288,7 +298,7 @@ def test_each_command_builds_its_ladder_and_sample_distances_once(tmp_path, monk
     """The command builds the time ladder once and passes it to every functional;
     `spaces` builds the Lipschitz sample distances once for the whole suite."""
     ladders = _counted(monkeypatch, "default_time_grid")
-    distances = _counted(monkeypatch, "_squared_distances")
+    distances = _counted_pair_distances(monkeypatch, full=False)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text("[grid]\nn = 2\nL = 8\nM = 16\n")
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
@@ -488,11 +498,32 @@ def test_equivalence_reads_rho_only_at_its_indices(dec, rho):
     assert got == want
 
 
-@pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
-def test_squared_distances_match_the_full_difference_tensor(n, M):
-    pts = build_grid(n, 4.0, M).points * np.array([1.0, 1e-3, 1e3][:n])
-    old = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    assert np.array_equal(_squared_distances(pts), old)
+@pytest.mark.parametrize("n, M, bc", [(2, 16, "dirichlet"), (3, 8, "dirichlet"),
+                                      (2, 16, "periodic"), (3, 8, "periodic")])
+def test_pair_distances_match_the_full_difference_tensor(n, M, bc):
+    """Squared gaps summed one axis at a time give the bits of the (N, N, n)
+    difference tensor, wrapped on periodic grids, also on an index."""
+    grid = build_grid(n, 4.0, M, bc)
+    grid = dataclasses.replace(grid, points=grid.points * np.array([1.0, 1e-3, 1e3][:n]))
+    diff = np.abs(grid.points[:, None, :] - grid.points[None, :, :])
+    if bc == "periodic":
+        diff = np.minimum(diff, 2.0 * grid.half_width - diff)
+    old = np.sqrt(np.sum(diff ** 2, axis=-1))
+    assert np.array_equal(grid.pair_distances(), old)
+    idx = np.arange(grid.size)[::3]
+    assert np.array_equal(grid.pair_distances(idx), old[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_pair_distances_peak_stays_below_five_results(bc):
+    grid = build_grid(3, 8.0, 10, bc)
+    tracemalloc.start()
+    try:
+        dist = grid.pair_distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * dist.nbytes
 
 
 def _masked_lipschitz(f, gamma, rho_values):
@@ -519,6 +550,36 @@ def test_lipschitz_norm_matches_masked_tensor_expression(n, M, gamma):
     assert lipschitz_norm([f], gamma, rho)[0] == _masked_lipschitz(f, gamma, rho)
 
 
+def _torus_lipschitz(f, gamma, rho_values):
+    """`lipschitz_norm` on a periodic grid, one sample point at a time, at
+    torus distances."""
+    grid = f.grid
+    idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
+    period = 2.0 * grid.half_width
+    holder = 0.0
+    for i in idx:
+        gap = np.abs(grid.points[i] - grid.points[idx])
+        dist = np.sqrt(np.sum(np.minimum(gap, period - gap) ** 2, axis=1))
+        far = dist > 0
+        ratio = np.abs(f.values[i] - f.values[idx][far]) / dist[far] ** gamma
+        holder = max(holder, float(np.max(ratio)))
+    fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
+    holder = max(holder, float(np.max(fine)))
+    return max(holder, float(np.max(np.abs(f.values) / rho_values ** gamma)))
+
+
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 12), (3, 8)])
+def test_lipschitz_norm_on_a_periodic_grid_reads_torus_distances(n, M):
+    """A ramp along the first axis jumps across the seam, between points one
+    cell apart on the torus: that pair sets the Holder seminorm."""
+    grid = build_grid(n, 4.0, M, "periodic")
+    rng = np.random.default_rng(50 + n)
+    f = grid_function(grid, grid.points[:, 0] + 0.01 * rng.standard_normal(grid.size))
+    rho = np.full(grid.size, 1e6)
+    assert lipschitz_norm([f], 0.5, rho)[0] == pytest.approx(_torus_lipschitz(f, 0.5, rho),
+                                                             rel=1e-14)
+
+
 @pytest.mark.parametrize("n, M", [(1, 256), (2, 16)])
 def test_lipschitz_norm_of_a_suite_equals_each_member_alone(n, M):
     """The shared sample distances give every member the bits of its own call."""
@@ -535,15 +596,29 @@ def test_lipschitz_norm_of_a_suite_equals_each_member_alone(n, M):
                                       (2, 12, "dirichlet"), (2, 12, "periodic"),
                                       (3, 8, "dirichlet"), (3, 8, "periodic")])
 def test_gradient_fields_equal_the_per_field_oracles(n, M, bc):
-    """One synthesis and one stencil per time give both fields' bits."""
+    """The d-field syntheses give the per-time oracles' fields up to the
+    rounding of one matrix product against one product per time."""
     dec = eigendecompose(assemble(build_grid(n, 4.0, M, bc), constant(1.0)))
     f = _random_member(dec, 20 + n)
     times = default_time_grid(dec, 0.7, 0.5, n_times=16)
-    grads, timeparts, nu = gradient_fields(dec, 0.7, f, times)
-    want_grads, want_timeparts = nabla_alpha_field(dec, 0.7, f, times)
-    assert np.array_equal(grads, want_grads)
-    assert np.array_equal(timeparts, want_timeparts)
-    assert np.array_equal(nu, carleson_field_nu_alpha(dec, 0.7, f, times).values)
+    got = gradient_fields(dec, 0.7, f, times)
+    want = (*nabla_alpha_field(dec, 0.7, f, times),
+            carleson_field_nu_alpha(dec, 0.7, f, times).values)
+    for field_got, field_want in zip(got, want):
+        assert np.max(np.abs(field_got - field_want)) <= 1e-13 * np.max(np.abs(field_want))
+
+
+@pytest.mark.parametrize("n, M, bc", [(1, 32, "periodic"), (2, 12, "dirichlet"),
+                                      (3, 8, "periodic")])
+@pytest.mark.parametrize("alpha", [0.5, 0.7])
+def test_gradient_fields_timeparts_are_the_d_field_of_order_one_over_two_alpha(n, M, bc,
+                                                                              alpha):
+    dec = eigendecompose(assemble(build_grid(n, 4.0, M, bc), constant(1.0)))
+    f = _random_member(dec, 30 + n)
+    times = default_time_grid(dec, alpha, 0.5, n_times=16)
+    timeparts = gradient_fields(dec, alpha, f, times)[1]
+    assert np.array_equal(timeparts,
+                          np.abs(d_field(dec, alpha, 1.0 / (2.0 * alpha), f, times).values))
 
 
 SCAN_GRIDS = [(1, 64, "dirichlet"), (1, 64, "periodic"), (2, 16, "dirichlet"),
