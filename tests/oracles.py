@@ -5,9 +5,10 @@ multiplier route `spectral.multiplier_kernel` by linearity: table-space
 subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
 sum of the free Gaussian. The second are the function-space gradients as they
-were before one pass served N4 and N5: the `np.pad` stencil and one synthesis
-per field, which `grid.gradient_values` and `spaces.gradient_fields` must
-reproduce bit for bit. The third are the ball and box scans as they were
+were before one pass served N4 and N5: the `np.pad` stencil, which
+`grid.gradient_values` must reproduce bit for bit, and one synthesis per
+field and time, which `spaces.gradient_fields` (one matrix product per
+d-field) must reproduce within 1e-13 of the field's largest value. The third are the ball and box scans as they were
 before one pass served the whole suite: the ball family with one distance
 computation per ball, the Campanato norm of one member and the Carleson norm
 of one field, which `spaces.ball_family`, `spaces.bmo_norm` and

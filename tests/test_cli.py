@@ -390,6 +390,11 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     cone distances of `area_function`. The n=3 V=1 tables were written by
     `python -m subheat` at commit ea6e093, before one pass over the balls and
     boxes served the whole suite; they pin the three-axis stencil and ball sums.
+    The four `equiv` tables were re-recorded by `python -m subheat` at commit
+    16aa543, when N4 and N5 came to be built from d-fields (one matrix product
+    per order over the ladder, not one product per time): only `N4_gradient`,
+    `N5_nu_carleson` and the summary's `ratio_max` and `c_star` moved, by at
+    most 2.6e-15 relative; the `spaces` tables stayed byte-identical.
     """
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
