@@ -46,6 +46,8 @@ class PotentialSpec:
             raise ValueError("constant potential must be strictly positive (use zero)")
         if self.kind == "power" and self.params["sigma"] <= 0:
             raise ValueError("power potential needs sigma > 0")
+        if self.kind == "well" and not (self.params["v"] > 0 and self.params["w"] > 0):
+            raise ValueError("well potential needs height > 0 and width > 0 (use zero)")
 
 
 def zero() -> PotentialSpec:

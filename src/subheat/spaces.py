@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .grid import (Ball, Grid, GridFunction, ball_points, boundary_layer_mask,
+from .grid import (PERIODIC, Ball, Grid, GridFunction, ball_points, boundary_layer_mask,
                    gradient_values, grid_function, inner_box_mask)
 from .spectral import SpectralDecomposition, semigroup_multiplier
 
@@ -171,8 +171,12 @@ def lipschitz_norm(members: list[GridFunction], gamma: float,
         ratio = np.abs(vals[:, None] - vals[None, :])
         np.divide(ratio, dist, out=ratio, where=mask)
         holder = float(np.max(ratio))
-        # adjacent pairs capture the local seminorm missed by the coarse sample
-        fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
+        # adjacent pairs capture the local seminorm missed by the coarse sample;
+        # on a periodic grid the seam pair is adjacent too
+        fine = [0.0]
+        if grid.dimension == 1:
+            line = np.append(f.values, f.values[0]) if grid.bc == PERIODIC else f.values
+            fine = np.abs(np.diff(line)) / grid.spacing ** gamma
         holder = max(holder, float(np.max(fine)))
         size = float(np.max(np.abs(f.values) / rho_gamma))
         norms.append(max(holder, size))

@@ -178,10 +178,12 @@ def test_main_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     ("verify", "n_list = 0", "n_list = 0,-1"),
     ("kernels", "seed = 7", "seed = 7\ntimes = 1, 1"),
     ("kernels", "seed = 7", "seed = 7\ntimes = 0.25, 1, 1.0000001"),
+    ("spaces", "kind = constant", "kind = well\nheight = 0"),
+    ("spaces", "kind = constant", "kind = well\nwidth = 0"),
 ], ids=["alpha-abc", "n_list-x", "L-nan", "beta-nan", "delta-nan", "times-negative",
         "M-above-cap", "coarse-M-odd", "coarse-M-below-8", "seed-negative", "q-zero",
         "q-negative", "delta-zero", "delta-above-delta0", "n_list-negative",
-        "times-repeated", "times-same-file-name"])
+        "times-repeated", "times-same-file-name", "well-height-zero", "well-width-zero"])
 def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     text = FULL.replace("M = 128", "M = 64")
     assert line in text
@@ -189,6 +191,20 @@ def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
     cfg_path.write_text(text.replace(line, bad_line))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["n = 1\nM = 64\nbc = dirichlet", "n = 1\nM = 64\nbc = periodic",
+                                  "n = 2\nM = 16\nbc = dirichlet"],
+                         ids=["n1-dirichlet", "n1-periodic", "n2"])
+def test_main_overflowing_potential_exits_1_naming_it(tmp_path, capsys, grid):
+    """|x|^400 overflows at L = 16; every command names the non-finite operator."""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(f"[grid]\n{grid}\nL = 16\n[potential]\nkind = power\nsigma = 400\n")
+    for command in cli.COMMANDS:
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"numerical failure in {command}: operator has non-finite entries: "
+            "the potential overflows on this grid\n")
 
 
 def test_main_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):

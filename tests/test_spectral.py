@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 oscillator_heat_value, poisson_value)
 from subheat.grid import build_grid, from_callable, grid_function
-from subheat.potentials import constant, power, zero
+from subheat.potentials import constant, power, sum_of, well, zero
 from subheat.spectral import (apply_kernel, assemble, compose, eigendecompose,
                               fractional_heat_kernel, heat_kernel, multiplier_kernel,
                               poisson_kernel, semigroup_multiplier)
@@ -226,3 +227,63 @@ def test_row_block_refuses_full_table_operations(dirichlet_flat):
         compose(part, heat_kernel(dec, 1.0))
     with pytest.raises(ValueError):
         compose(heat_kernel(dec, 1.0), part)
+
+
+CATALOG = {"zero": zero(), "constant": constant(1.0), "power": power(2.0),
+           "well": well(3.0, 2.0, 1.5), "sum": sum_of(power(0.5), well(2.0, 4.0))}
+
+
+def _dense_reference(op):
+    """`eigendecompose` with every operator on dense `scipy.linalg.eigh`."""
+    lam, vec = scipy.linalg.eigh(op.matrix)
+    lam = np.clip(lam, 0.0, None)
+    lam[lam <= 1e-12 * max(lam[-1], 1.0)] = 0.0
+    return lam, vec / np.sqrt(op.grid.cell_weight)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(scipy.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("M", [8, 64, 512])
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_tridiagonal_route_gives_the_dense_bits(monkeypatch, kind, M):
+    """n = 1 Dirichlet is solved on its diagonals, to the bits of dense eigh."""
+    op = assemble(build_grid(1, 16.0, M, "dirichlet"), CATALOG[kind])
+    calls = _count_calls(monkeypatch, "eigh_tridiagonal")
+    dec = eigendecompose(op)
+    assert calls == ["eigh_tridiagonal"]
+    lam, basis = _dense_reference(op)
+    assert np.array_equal(dec.eigenvalues, lam)
+    assert np.array_equal(dec.basis, basis)
+
+
+@pytest.mark.parametrize("n, M, bc", [(1, 64, "periodic"), (2, 12, "dirichlet"),
+                                      (2, 12, "periodic"), (3, 8, "dirichlet"),
+                                      (3, 8, "periodic")])
+def test_operators_off_three_diagonals_stay_dense(monkeypatch, n, M, bc):
+    """Periodic corners and the n >= 2 stencil keep the dense solver."""
+    op = assemble(build_grid(n, 4.0, M, bc), power(2.0))
+    tridiagonal = _count_calls(monkeypatch, "eigh_tridiagonal")
+    dense = _count_calls(monkeypatch, "eigh")
+    eigendecompose(op)
+    assert tridiagonal == [] and dense == ["eigh"]
+
+
+def test_failed_tridiagonal_solve_falls_back_to_the_dense_bits(monkeypatch):
+    op = assemble(build_grid(1, 16.0, 128, "dirichlet"), power(2.0))
+
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("stemr (eigh_tridiagonal) failed")
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+    dec = eigendecompose(op)
+    lam, basis = _dense_reference(op)
+    assert np.array_equal(dec.eigenvalues, lam)
+    assert np.array_equal(dec.basis, basis)
