@@ -535,10 +535,8 @@ def _masked_lipschitz(f, gamma, rho_values):
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     mask = dist > 0
     holder = float(np.max(diff[mask] / dist[mask] ** gamma))
-    if grid.dimension == 1:
-        seam = np.abs(f.values[0] - f.values[-1])
-        fine = np.append(np.abs(np.diff(f.values)), seam) / grid.spacing ** gamma
-        holder = max(holder, float(np.max(fine)))
+    fine = np.abs(np.diff(f.values)) / grid.spacing ** gamma if grid.dimension == 1 else [0.0]
+    holder = max(holder, float(np.max(fine)))
     return max(holder, float(np.max(np.abs(f.values) / rho_values ** gamma)))
 
 
