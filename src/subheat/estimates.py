@@ -39,7 +39,7 @@ import numpy as np
 from . import closedform, potentials
 from .grid import Grid, build_grid, inner_box_mask
 from .potentials import PotentialSpec, is_zero
-from .spectral import (SpectralDecomposition, assemble, eigendecompose,
+from .spectral import (SpectralDecomposition, assemble, eigendecompose, matmul,
                        multiplier_kernel, semigroup_multiplier)
 
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
@@ -555,7 +555,7 @@ def _loglog_fit(x, y):
         return np.nan, 0.0
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fit = A @ coef
+    fit = matmul(A, coef)
     ss_res = float(np.sum((ly - fit) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, roots_jacobi
 
 from .grid import gauss_legendre_panels
-from .spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
+from .spectral import (KernelSlice, SpectralDecomposition, matmul, multiplier_kernel,
                        semigroup_multiplier)
 
 HEAD_NODES = 48          # Gauss-Jacobi nodes on [0, min(t, u_max)]
@@ -62,7 +62,7 @@ def frac_multiplier_quadrature(dec: SpectralDecomposition, alpha: float,
         raise ValueError("time must be positive")
     m = integer_order(beta)
     w, values = _node_multipliers(dec, alpha, beta, t)
-    return (-1.0) ** m * (w @ values) / _gamma(m - beta)
+    return (-1.0) ** m * matmul(w, values) / _gamma(m - beta)
 
 
 def frac_time_derivative(dec: SpectralDecomposition, alpha: float,

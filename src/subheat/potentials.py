@@ -86,7 +86,9 @@ def eval_potential(spec: PotentialSpec, x) -> np.ndarray:
     elif spec.kind == "constant":
         out = np.full(pts.shape[0], spec.params["c"])
     elif spec.kind == "power":
-        out = np.linalg.norm(pts, axis=1) ** spec.params["sigma"]
+        # an overflow gives inf, which the operator's finiteness check names
+        with np.errstate(over="ignore"):
+            out = np.linalg.norm(pts, axis=1) ** spec.params["sigma"]
     elif spec.kind == "well":
         center = np.broadcast_to(np.asarray(spec.params["center"], float), pts.shape[1:])
         inside = np.all(np.abs(pts - center) <= spec.params["w"], axis=1)

@@ -19,7 +19,7 @@ from scipy.special import gamma as _gamma
 
 from .grid import (PERIODIC, Ball, Grid, GridFunction, ball_points, boundary_layer_mask,
                    gradient_values, grid_function, inner_box_mask)
-from .spectral import SpectralDecomposition, semigroup_multiplier
+from .spectral import SpectralDecomposition, matmul, semigroup_multiplier
 
 MIN_TIME_NODES = 16
 TIME_TAIL_TOL = 1e-8     # per-mode Gamma-integral tail left outside the default ladder
@@ -76,7 +76,7 @@ def _log_trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def _synthesis(dec: SpectralDecomposition, alpha: float, beta, coeff, times) -> np.ndarray:
     """(J, N) values of t^b d_t^b e^{-t L^a} f from f's coefficients, for any ladder."""
-    return (semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) * coeff) @ dec.basis.T
+    return matmul(semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) * coeff, dec.basis.T)
 
 
 def d_field(dec: SpectralDecomposition, alpha: float, beta: float,
@@ -214,7 +214,7 @@ def g_function(dec: SpectralDecomposition, alpha: float, beta: float,
                f: GridFunction, times: np.ndarray) -> GridFunction:
     """Vertical square function (int |t^b d_t^b e^{-tL^a} f|^2 dt/t)^(1/2)."""
     fld = d_field(dec, alpha, beta, f, times)
-    g2 = fld.weights @ fld.values ** 2
+    g2 = matmul(fld.weights, fld.values ** 2)
     return grid_function(dec.grid, np.sqrt(g2))
 
 
@@ -305,7 +305,7 @@ def carleson_norm(fld: SpaceTimeField, kappa: float, boxes: list) -> list[float]
         gather = np.take(values, (slices[:, None] * N + ball.members).ravel(), axis=1)
         sums = np.sum(gather.reshape(values.shape[0], slices.size, -1), axis=2)
         weights = fld.weights[slices]
-        mass = np.array([weights @ row for row in sums]) * grid.cell_weight
+        mass = np.array([matmul(weights, row) for row in sums]) * grid.cell_weight
         np.maximum(best, mass / _ball_measure(grid, ball) ** kappa, out=best)
     return best.tolist()
 
@@ -315,8 +315,8 @@ def _reproducing_multiplier(dec: SpectralDecomposition, alpha: float, beta: floa
     """Per eigenvalue, int (t^b d_t^b e^{-tL^a})^2 dt/t on the ladder over its
     exact value g_constant(beta)^2 = Gamma(2b)/2^(2b): 1 on every positive mode
     the ladder resolves, 0 on a zero mode."""
-    integral = _log_trapezoid_weights(times) @ semigroup_multiplier(times, alpha, beta)(
-        dec.eigenvalues) ** 2
+    integral = matmul(_log_trapezoid_weights(times),
+                      semigroup_multiplier(times, alpha, beta)(dec.eigenvalues) ** 2)
     return integral / g_constant(beta) ** 2
 
 
@@ -348,23 +348,25 @@ def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecompositio
     return float(np.sum(mult * cf * ca)) / inner
 
 
-def gradient_fields(dec: SpectralDecomposition, alpha: float, f: GridFunction,
-                    times: np.ndarray):
+def gradient_fields(dec: SpectralDecomposition, alpha: float, coeff: np.ndarray,
+                    times: np.ndarray, half: np.ndarray | None = None):
     """N4's and N5's fields of u(t) = e^{-t L^alpha} f, (J, N) each, from f's
-    d-fields of orders 0 (u), 1/(2a) and 1, one synthesis each: `grads` and
-    `timeparts`, the magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|,
-    and `nu`, the squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in
+    coefficients `coeff` and f's d-fields of orders 0 (u), 1/(2a) and 1, one
+    synthesis each (`half`, the order-1/(2a) field on `times`, is used as
+    given when the caller has it): `grads` and `timeparts`, the magnitudes
+    |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|, and `nu`, the squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in
     semigroup time. With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha)
     |grad_x v(s)|^2 and |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while
     dt/t = ds/(2 alpha s); the 1/(2 alpha) substitution factor is folded into `nu`.
     """
-    coeff = dec.coefficients(f.values)
+    if half is None:
+        half = _synthesis(dec, alpha, 1.0 / (2.0 * alpha), coeff, times)
     grad = gradient_values(dec.grid, _synthesis(dec, alpha, 0, coeff, times).T)  # (N, J, n)
     slope = np.ascontiguousarray(np.sqrt(np.sum(grad ** 2, axis=-1)).T)
     # scalar powers per time: an array power may round the last bit differently
     t_sc = np.array([t ** (1.0 / (2.0 * alpha)) for t in times])[:, None]
     t_sq = np.array([t ** (1.0 / alpha) for t in times])[:, None]
-    timeparts = np.abs(_synthesis(dec, alpha, 1.0 / (2.0 * alpha), coeff, times))
+    timeparts = np.abs(half)
     dsq = 4.0 * alpha ** 2 * _synthesis(dec, alpha, 1, coeff, times) ** 2
     return t_sc * slope, timeparts, (t_sq * slope ** 2 + dsq) / (2.0 * alpha)
 
@@ -444,12 +446,15 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     interior = inner_box_mask(grid, 0.75) & ~boundary_layer_mask(grid)
     rows = [{"N1": n1} for n1 in bmo_norm(suite, gamma, rho_values, balls)]
     live = [(f, row) for f, row in zip(suite, rows) if row["N1"] != 0.0]
-    # |D f|^2 and nu of every live member: one Carleson pass serves N3 and N5
+    # |D f|^2 and nu of every live member: one Carleson pass serves N3 and N5;
+    # at beta = 1/(2 alpha) the d-field is also the time part of N4's gradient
     fields = np.empty((2, len(live), times.size, grid.size))
     for k, (f, row) in enumerate(live):
-        d = d_field(dec, alpha, beta, f, times).values
+        coeff = dec.coefficients(f.values)
+        d = _synthesis(dec, alpha, beta, coeff, times)
         np.square(d, out=fields[0, k])
-        grads, timeparts, fields[1, k] = gradient_fields(dec, alpha, f, times)
+        half = d if beta == 1.0 / (2.0 * alpha) else None
+        grads, timeparts, fields[1, k] = gradient_fields(dec, alpha, coeff, times, half)
         mags = np.sqrt(grads ** 2 + timeparts ** 2)
         row["N2"] = float(np.max(times ** (-g_over_a) * np.max(np.abs(d[:, interior]), axis=1)))
         row["N4"] = float(np.max(times ** (-g_over_a) * np.max(mags[:, interior], axis=1)))

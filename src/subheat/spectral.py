@@ -8,6 +8,14 @@ Dirichlet walls) is solved on its two diagonals by LAPACK's MRRR driver
 the matrix to tridiagonal form, which leaves a tridiagonal matrix as it is
 with an identity back-transform, and then runs the same `stemr` on the same
 diagonals: both routes give the same bits.
+
+Every dense product of the package is `matmul`, which calls scipy's BLAS,
+the library (and thread pool) `eigh` runs in. numpy and scipy each ship
+their own OpenBLAS with its own worker threads, and a pool that has just
+worked spins before it sleeps: on a box with few cores, numpy's `@` right
+after `eigh` (or `eigh` right after a `@`) competes with the other pool's
+spinning workers. `matmul` makes numpy's BLAS calls in scipy's library, so
+its results are numpy's bits and the process runs one pool.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +27,45 @@ from .grid import Grid, GridFunction, grid_function
 from .potentials import PotentialSpec, eval_on_grid
 
 SIZE_CAPS = {1: 512, 2: 48, 3: 16}
+CHECK_BLOCK = 1 << 20    # entries per row block of the operator checks (8 MB)
+
+
+def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a 2-D a and a 1-D x, as numpy's gemv call makes it."""
+    if a.T.flags.f_contiguous:
+        return scipy.linalg.blas.dgemv(1.0, a.T, x, trans=1)
+    return scipy.linalg.blas.dgemv(1.0, a, x)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for float64 arrays of one or two dimensions, in scipy's BLAS,
+    bit for bit numpy's result.
+
+    numpy's dispatch is mirrored call for call. One row in a (or a 1-D a)
+    and one column in b (or a 1-D b) is a `ddot`, added to 0.0 as numpy
+    adds it; one row in a alone, or one column in b alone, is a `dgemv`;
+    everything else is one column-major `dgemm` for C^T = B^T A^T. Each
+    matrix goes in as its transpose view when that view is F-contiguous
+    (no transpose flag), else as itself (transpose flag), which f2py copies
+    to Fortran order if it is not already. The result is the .T of dgemm's
+    Fortran-ordered output, C-contiguous as numpy's is. Not mirrored, and
+    passed by no caller: numpy's `syrk` for `x @ x.T`, and the stride of a
+    strided vector (f2py copies it, and `ddot` sums a strided pair in
+    another order; `GridFunction` values are contiguous).
+    """
+    shape = a.shape[:-1] + b.shape[1:]
+    one_row = a.ndim == 1 or a.shape[0] == 1
+    one_col = b.ndim == 1 or b.shape[1] == 1
+    if one_row and one_col:
+        dot = np.float64(0.0 + scipy.linalg.blas.ddot(a.ravel(), b.ravel()))
+        return dot.reshape(shape) if shape else dot
+    if one_row:
+        return _gemv(b.T, a.ravel()).reshape(shape)
+    if one_col:
+        return _gemv(a, b.ravel()).reshape(shape)
+    trans_b, left = (0, b.T) if b.T.flags.f_contiguous else (1, b)
+    trans_a, right = (0, a.T) if a.T.flags.f_contiguous else (1, a)
+    return scipy.linalg.blas.dgemm(1.0, left, right, trans_a=trans_b, trans_b=trans_a).T
 
 
 @dataclass(frozen=True)
@@ -45,10 +92,10 @@ class SpectralDecomposition:
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Expansion coefficients <f, phi_k> under the weighted inner product."""
-        return (self.basis.T @ values) * self.grid.cell_weight
+        return matmul(self.basis.T, values) * self.grid.cell_weight
 
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
-        return self.basis @ coeff
+        return matmul(self.basis, coeff)
 
 
 @dataclass(frozen=True)
@@ -77,21 +124,28 @@ def _laplacian_1d(M: int, h: float, periodic: bool) -> np.ndarray:
 
 
 def assemble(grid: Grid, spec: PotentialSpec) -> DiscreteOperator:
-    """Stencil Laplacian plus diagonal potential on the grid's point ordering."""
+    """Stencil Laplacian plus diagonal potential on the grid's point ordering.
+
+    The Kronecker sum of the 1-D stencil over the axes is written straight
+    into the one N x N array: an off-diagonal entry belongs to exactly one
+    axis and is that axis's stencil entry, and the diagonal adds the axes'
+    diagonal entries in axis order and then V, the order of the sum
+    kron(A1, I) + kron(I, A1) + ... + diag(V), so every entry has its bits.
+    """
     n, M, h = grid.dimension, grid.points_per_axis, grid.spacing
     if M > SIZE_CAPS[n]:
         raise ValueError(f"points_per_axis {M} exceeds the dense-solver cap {SIZE_CAPS[n]} for n={n}")
     A1 = _laplacian_1d(M, h, grid.bc == "periodic")
-    eye = np.eye(M)
-    if n == 1:
-        lap = A1
-    elif n == 2:
-        lap = np.kron(A1, eye) + np.kron(eye, A1)
-    else:
-        lap = (np.kron(np.kron(A1, eye), eye)
-               + np.kron(np.kron(eye, A1), eye)
-               + np.kron(np.kron(eye, eye), A1))
-    matrix = lap + np.diag(eval_on_grid(spec, grid))
+    src, dst = np.nonzero(~np.eye(M, dtype=bool) & (A1 != 0.0))
+    index = np.arange(grid.size).reshape((M,) * n)
+    matrix = np.zeros((grid.size, grid.size))
+    diagonal = np.zeros((M,) * n)
+    for axis in range(n):
+        others = [k for k in range(n) if k != axis]
+        diagonal = diagonal + np.expand_dims(np.diagonal(A1), others)
+        rows, cols = np.take(index, src, axis=axis), np.take(index, dst, axis=axis)
+        matrix[rows, cols] = np.expand_dims(A1[src, dst], others)
+    np.fill_diagonal(matrix, diagonal.ravel() + eval_on_grid(spec, grid))
     return DiscreteOperator(grid, matrix)
 
 
@@ -109,12 +163,17 @@ def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
-    if not np.all(np.isfinite(op.matrix)):
-        raise ValueError("operator has non-finite entries: the potential overflows on this grid")
-    sym_defect = np.max(np.abs(op.matrix - op.matrix.T))
+    A = op.matrix
+    sym_defect = 0.0
+    step = max(1, CHECK_BLOCK // A.shape[0])
+    for i in range(0, A.shape[0], step):    # row blocks: no N x N temporary
+        block = A[i:i + step]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("operator has non-finite entries: the potential overflows on this grid")
+        sym_defect = max(sym_defect, float(np.max(np.abs(block - A[:, i:i + step].T))))
     if sym_defect > 1e-12:
         raise ValueError(f"operator not symmetric (defect {sym_defect:.2e})")
-    lam, vec = _eigh(op.matrix)
+    lam, vec = _eigh(A)
     if lam[0] < -1e-10:
         raise RuntimeError(f"negative eigenvalue {lam[0]:.3e} from the eigensolver")
     lam = np.clip(lam, 0.0, None)
@@ -145,7 +204,7 @@ def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float | None = 
         raise ValueError("multiplier not finite on the spectrum")
     m = np.where(np.abs(m) < 1e-300, 0.0, m)
     left = dec.basis if rows is None else dec.basis[rows]
-    table = (left * m[None, :]) @ dec.basis.T
+    table = matmul(left * m[None, :], dec.basis.T)
     return KernelSlice(dec.grid, table, None if rows is None else np.asarray(rows))
 
 
@@ -187,12 +246,12 @@ def apply_kernel(K: KernelSlice, f: GridFunction) -> GridFunction:
     _require_full(K, "apply_kernel")
     if f.grid.size != K.grid.size:
         raise ValueError("kernel and function live on different grids")
-    return grid_function(K.grid, (K.table @ f.values) * K.grid.cell_weight)
+    return grid_function(K.grid, matmul(K.table, f.values) * K.grid.cell_weight)
 
 
 def compose(K1: KernelSlice, K2: KernelSlice) -> KernelSlice:
     """Chapman-Kolmogorov composition (K1 o K2)(x, y) = int K1(x,z) K2(z,y) dz."""
     _require_full(K1, "compose")
     _require_full(K2, "compose")
-    table = K1.table @ K2.table * K1.grid.cell_weight
+    table = matmul(K1.table, K2.table) * K1.grid.cell_weight
     return KernelSlice(K1.grid, table)

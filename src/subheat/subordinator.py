@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .grid import gauss_legendre_panels
-from .spectral import KernelSlice, SpectralDecomposition, multiplier_kernel
+from .spectral import KernelSlice, SpectralDecomposition, matmul, multiplier_kernel
 
 SERIES_CROSSOVER = 1.0
 SERIES_KMAX = 400
@@ -85,7 +85,7 @@ def density_descent(alpha: float, s) -> np.ndarray:
     expo = log_u[None, :] - z * np.exp(log_u)[None, :]
     integ = np.exp(np.clip(expo, -745.0, 50.0))
     pref = (alpha / (1.0 - alpha)) * s ** (1.0 / (alpha - 1.0)) / np.pi
-    return pref * (integ @ w)
+    return pref * matmul(integ, w)
 
 
 def density_half(s) -> np.ndarray:
@@ -151,7 +151,7 @@ def subordination_multiplier(alpha: float, t: float, lams) -> np.ndarray:
     mus = lams * ta
     u, w = _log_gl(HEAD_START, TAIL_START, QUAD_NODES)
     eta_vals = density(alpha, u)
-    main = (eta_vals * w) @ np.exp(-np.outer(u, mus))
+    main = matmul(eta_vals * w, np.exp(-np.outer(u, mus)))
     tail = _series_tail_integral(alpha, mus)
     return main + tail
 

@@ -1,6 +1,6 @@
 """Test references that the package's commands do not run.
 
-Five groups live here. The first are literal routes that equal the one
+Six groups live here. The first are literal routes that equal the one
 multiplier route `spectral.multiplier_kernel` by linearity: table-space
 subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
@@ -18,9 +18,10 @@ Gaussian average of V and the doubling, two-scale and comparability
 constants, and the per-point critical-radius bisection, which the blocked one
 must reproduce bit for bit. The fifth is the kernel table writer as it was
 before block formatting, one `%.17g` template per table row, whose text
-`fmt17.table_chunks` must reproduce byte for byte. `certify_on` certifies one
-estimate on its own, as the scans before `scan_estimate` took a list of jobs
-did.
+`fmt17.table_chunks` must reproduce byte for byte. The sixth is the operator
+as chained `np.kron` products built it, which `spectral.assemble` must
+reproduce bit for bit. `certify_on` certifies one estimate on its own, as the
+scans before `scan_estimate` took a list of jobs did.
 """
 
 from dataclasses import dataclass
@@ -39,8 +40,8 @@ from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpe
                                 eval_on_grid, eval_potential, is_zero)
 from subheat.spaces import (SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at,
                             ball_centers)
-from subheat.spectral import (KernelSlice, SpectralDecomposition, multiplier_kernel,
-                              semigroup_multiplier)
+from subheat.spectral import (KernelSlice, SpectralDecomposition, _laplacian_1d,
+                              multiplier_kernel, semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
 
 _BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
@@ -408,3 +409,21 @@ def kernel_lines_per_row(table: np.ndarray):
     template = "".join([f"\0,{j},%.17g\n" for j in range(table.shape[1])])
     for i, row in enumerate(table):
         yield template.replace("\0", str(i)) % tuple(row.tolist())
+
+
+# --- the operator as Kronecker products -------------------------------------
+
+def kron_operator(grid: Grid, spec: PotentialSpec) -> np.ndarray:
+    """-Delta_h + V as kron(A1, I) + kron(I, A1) (+ the third axis) + diag(V)."""
+    n, M = grid.dimension, grid.points_per_axis
+    A1 = _laplacian_1d(M, grid.spacing, grid.bc == PERIODIC)
+    eye = np.eye(M)
+    if n == 1:
+        lap = A1
+    elif n == 2:
+        lap = np.kron(A1, eye) + np.kron(eye, A1)
+    else:
+        lap = (np.kron(np.kron(A1, eye), eye)
+               + np.kron(np.kron(eye, A1), eye)
+               + np.kron(np.kron(eye, eye), A1))
+    return lap + np.diag(eval_on_grid(spec, grid))

@@ -2,6 +2,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,14 +198,18 @@ def test_main_bad_value_exits_2(tmp_path, capsys, command, line, bad_line):
                                   "n = 2\nM = 16\nbc = dirichlet"],
                          ids=["n1-dirichlet", "n1-periodic", "n2"])
 def test_main_overflowing_potential_exits_1_naming_it(tmp_path, capsys, grid):
-    """|x|^400 overflows at L = 16; every command names the non-finite operator."""
+    """|x|^400 overflows at L = 16; every command names the non-finite operator,
+    and no numpy warning comes before it."""
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(f"[grid]\n{grid}\nL = 16\n[potential]\nkind = power\nsigma = 400\n")
-    for command in cli.COMMANDS:
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            f"numerical failure in {command}: operator has non-finite entries: "
-            "the potential overflows on this grid\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in cli.COMMANDS:
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == (
+                f"numerical failure in {command}: operator has non-finite entries: "
+                "the potential overflows on this grid\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_main_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_nabla_alpha_constant_function():
     g = build_grid(1, 16.0, 128, "periodic")
     dec = eigendecompose(assemble(g, zero()))
     ones = grid_function(g, np.ones(g.size))
-    grad, timepart, _ = gradient_fields(dec, 0.5, ones, np.array([1.0]))
+    grad, timepart, _ = gradient_fields(dec, 0.5, dec.coefficients(ones.values), np.array([1.0]))
     assert np.max(grad) < 1e-10
     assert np.max(timepart) < 1e-10
 
@@ -158,7 +158,7 @@ def test_nabla_alpha_constant_function():
 def test_nabla_alpha_eigenfunction(dec):
     alpha, t, k = 0.5, 0.8, 4
     phi = grid_function(dec.grid, dec.basis[:, k])
-    _, timepart, _ = gradient_fields(dec, alpha, phi, np.array([t]))
+    _, timepart, _ = gradient_fields(dec, alpha, dec.coefficients(phi.values), np.array([t]))
     lam = dec.eigenvalues[k]
     # magnitudes scaled by t^(1/2 alpha)
     expect = t ** (1.0 / (2.0 * alpha)) * np.sqrt(lam) * np.exp(-t * lam ** alpha)
@@ -170,7 +170,7 @@ def test_nabla_alpha_time_component_consistent_with_d_operator(dec):
     beta = 1.0 / (2.0 * alpha)
     rng = np.random.default_rng(7)
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
-    _, timepart, _ = gradient_fields(dec, alpha, f, np.array([t]))
+    _, timepart, _ = gradient_fields(dec, alpha, dec.coefficients(f.values), np.array([t]))
     K = d_operator(dec, alpha, beta, t)
     via_d = apply_kernel(K, f)
     # t^beta with beta = 1/(2 alpha) is the field's own scaling

@@ -155,3 +155,38 @@ def test_every_cache_is_listed_with_its_bound():
             stray.append(mod)
     assert stray == [], f"caches made other than as a decorator in: {stray}"
     assert found == {key: text for key, (text, _) in CACHES.items()}
+
+
+#: numpy's own products; each runs in numpy's BLAS, outside `spectral.matmul`'s pool
+NUMPY_PRODUCTS = {"dot", "matmul", "einsum"}
+
+
+def _products(tree: ast.Module) -> list:
+    """(line, text) of each `@`, `@=` and `np.dot`/`np.matmul`/`np.einsum`
+    outside `spectral.matmul`."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "matmul":
+            skip = {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_every_product_is_spectral_matmul():
+    found = {mod: hits for mod, tree in _modules().items() if (hits := _products(tree))}
+    assert found == {}, f"matrix products outside spectral.matmul: {found}"
+
+
+def test_the_product_guard_sees_numpy_products():
+    tree = ast.parse("def f(a, b):\n    c = a @ b\n    c @= b\n"
+                     "    return np.dot(a, b) + numpy.einsum('ij,jk', a, b) + np.matmul(a, b)\n"
+                     "def matmul(a, b):\n    return a @ b\n")
+    assert sorted(line for line, _ in _products(tree)) == [2, 3, 4, 4, 4]

@@ -352,7 +352,7 @@ def test_carleson_constant_function_periodic(periodic_free):
     dec = periodic_free
     ones = grid_function(dec.grid, np.ones(dec.grid.size))
     times = default_time_grid(dec, 0.5, 1.0, n_times=24)
-    nu = gradient_fields(dec, 0.5, ones, times)[2]
+    nu = gradient_fields(dec, 0.5, dec.coefficients(ones.values), times)[2]
     fld = SpaceTimeField(dec.grid, times, nu, _log_trapezoid_weights(times))
     balls = [ball_points(dec.grid, [0.0], 1.0)]
     assert carleson_norm(fld, 1.0, carleson_boxes(balls, times, 1.0))[0] <= 1e-18
@@ -452,6 +452,23 @@ def test_equivalence_gamma_hypothesis(dec, rho):
     suite = make_equivalence_suite(dec, rho, 0.25, seed=13)[:1]
     with pytest.raises(ValueError):
         equivalence_experiment(suite, dec, 0.2, 1.0, 0.6, rho, default_time_grid(dec, 0.2, 1.0))
+
+
+@pytest.mark.parametrize("beta, per_member", [(1.0, 3), (0.75, 4)])
+def test_equivalence_synthesizes_each_d_field_once(monkeypatch, dec, rho, beta, per_member):
+    """Orders beta, 0 and 1 per live member, and 1/(2 alpha) unless it is beta."""
+    orders = []
+    synthesis = spaces._synthesis
+
+    def counted(dec, alpha, order, coeff, times):
+        orders.append(order)
+        return synthesis(dec, alpha, order, coeff, times)
+    monkeypatch.setattr(spaces, "_synthesis", counted)
+    times = default_time_grid(dec, 0.5, beta, n_times=16)
+    rep = equivalence_experiment(make_equivalence_suite(dec, rho, 0.25, seed=4), dec, 0.5,
+                                 beta, 0.25, rho, times)
+    live = sum("N2" in row for row in rep["rows"])
+    assert live > 0 and len(orders) == per_member * live
 
 
 def test_field_needs_sixteen_slices(dec):
@@ -603,7 +620,7 @@ def test_gradient_fields_equal_the_per_field_oracles(n, M, bc):
     dec = eigendecompose(assemble(build_grid(n, 4.0, M, bc), constant(1.0)))
     f = _random_member(dec, 20 + n)
     times = default_time_grid(dec, 0.7, 0.5, n_times=16)
-    got = gradient_fields(dec, 0.7, f, times)
+    got = gradient_fields(dec, 0.7, dec.coefficients(f.values), times)
     want = (*nabla_alpha_field(dec, 0.7, f, times),
             carleson_field_nu_alpha(dec, 0.7, f, times).values)
     for field_got, field_want in zip(got, want):
@@ -618,7 +635,7 @@ def test_gradient_fields_timeparts_are_the_d_field_of_order_one_over_two_alpha(n
     dec = eigendecompose(assemble(build_grid(n, 4.0, M, bc), constant(1.0)))
     f = _random_member(dec, 30 + n)
     times = default_time_grid(dec, alpha, 0.5, n_times=16)
-    timeparts = gradient_fields(dec, alpha, f, times)[1]
+    timeparts = gradient_fields(dec, alpha, dec.coefficients(f.values), times)[1]
     assert np.array_equal(timeparts,
                           np.abs(d_field(dec, alpha, 1.0 / (2.0 * alpha), f, times).values))
 

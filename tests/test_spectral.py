@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import kron_operator
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 oscillator_heat_value, poisson_value)
 from subheat.grid import build_grid, from_callable, grid_function
 from subheat.potentials import constant, power, sum_of, well, zero
-from subheat.spectral import (apply_kernel, assemble, compose, eigendecompose,
-                              fractional_heat_kernel, heat_kernel, multiplier_kernel,
-                              poisson_kernel, semigroup_multiplier)
+from subheat.spectral import (DiscreteOperator, apply_kernel, assemble, compose,
+                              eigendecompose, fractional_heat_kernel, heat_kernel, matmul,
+                              multiplier_kernel, poisson_kernel, semigroup_multiplier)
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +290,101 @@ def test_failed_tridiagonal_solve_falls_back_to_the_dense_bits(monkeypatch):
     lam, basis = _dense_reference(op)
     assert np.array_equal(dec.eigenvalues, lam)
     assert np.array_equal(dec.basis, basis)
+
+
+# --- the one matrix product ---------------------------------------------------
+
+@pytest.fixture(scope="module", params=[(1, 512, power(2.0)), (2, 24, constant(1.0)),
+                                        (2, 32, power(2.0))],
+                ids=["n1-M512-power2", "n2-M24-constant1", "n2-M32-power2"])
+def workload_dec(request):
+    n, M, spec = request.param
+    return eigendecompose(assemble(build_grid(n, 16.0, M, "dirichlet"), spec))
+
+
+def _same_as_numpy(a, b):
+    want, got = a @ b, matmul(a, b)
+    return (np.array_equal(got, want) and got.shape == want.shape
+            and got.flags.c_contiguous == want.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matmul_row_blocks_are_numpy_bit_for_bit(workload_dec, order):
+    """Row blocks of 1-5 rows (gemv for one, gemm above) and the full table."""
+    basis = workload_dec.basis
+    N = basis.shape[0]
+    rng = np.random.default_rng(N)
+    m = np.exp(-3.0 * rng.random(N))
+    for count in [1, 2, 3, 4, 5, N]:
+        rows = np.sort(rng.choice(N, count, replace=False))
+        left = np.asarray(basis[rows] * m, order=order)
+        assert _same_as_numpy(left, basis.T)
+        assert _same_as_numpy(left, np.asarray(basis.T, order=order))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matmul_vector_products_are_numpy_bit_for_bit(workload_dec, order):
+    """mat @ vec and vec @ mat (gemv) and vec @ vec (ddot), 1-D and 2-D vectors."""
+    basis = np.asarray(workload_dec.basis, order=order)
+    v = np.random.default_rng(1).standard_normal(basis.shape[0])
+    for a, b in [(basis, v), (basis.T, v), (v, basis), (v, basis.T), (v, basis[:, 5].copy()),
+                 (basis, v[:, None]), (v[None, :], basis), (v[None, :], v[:, None])]:
+        assert _same_as_numpy(a, b)
+
+
+def test_matmul_ladder_products_are_numpy_bit_for_bit(workload_dec):
+    """A (J, N) multiplier ladder against the basis, and the compose product."""
+    basis = workload_dec.basis
+    ladder = semigroup_multiplier(np.geomspace(1e-3, 10.0, 64), 0.5, 1)(workload_dec.eigenvalues)
+    assert _same_as_numpy(ladder * basis[7], basis.T)
+    assert _same_as_numpy(np.asfortranarray(ladder), basis.T)
+    assert _same_as_numpy(basis, np.ascontiguousarray(basis.T))
+
+
+def test_multiplier_kernel_runs_in_scipys_blas(monkeypatch, dirichlet_flat):
+    """The sandwich is one dgemm of scipy's BLAS, the library eigh runs in."""
+    calls = []
+    real = scipy.linalg.blas.dgemm
+
+    def counted(*args, **kwargs):
+        calls.append("dgemm")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg.blas, "dgemm", counted)
+    multiplier_kernel(dirichlet_flat, semigroup_multiplier(1.0))
+    multiplier_kernel(dirichlet_flat, semigroup_multiplier(1.0), rows=np.arange(8))
+    assert calls == ["dgemm", "dgemm"]
+
+
+# --- assembly and the operator checks -----------------------------------------
+
+@pytest.mark.parametrize("n, M", [(1, 64), (2, 12), (3, 8)])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("kind", ["power", "well"])
+def test_assemble_equals_the_kronecker_sum_bit_for_bit(n, M, bc, kind):
+    grid = build_grid(n, 4.0, M, bc)
+    matrix = assemble(grid, CATALOG[kind]).matrix
+    want = kron_operator(grid, CATALOG[kind])
+    assert np.array_equal(matrix, want)
+    assert matrix.tobytes() == want.tobytes()   # the signs of the zeros too
+
+
+def test_assemble_holds_one_operator_at_n3():
+    grid = build_grid(3, 4.0, 12, "dirichlet")
+    tracemalloc.start()
+    try:
+        matrix = assemble(grid, power(2.0)).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * matrix.nbytes
+
+
+@pytest.mark.parametrize("entry, message", [(np.inf, "non-finite"), (1.0, "not symmetric")])
+def test_operator_checks_read_every_row_block(entry, message):
+    """At n = 3 M = 12 the checks run in three row blocks; a fault in the
+    last row is caught."""
+    op = assemble(build_grid(3, 4.0, 12, "dirichlet"), power(2.0))
+    matrix = op.matrix.copy()
+    matrix[-1, 0] += entry
+    with pytest.raises(ValueError, match=message):
+        eigendecompose(DiscreteOperator(op.grid, matrix))
