@@ -80,8 +80,11 @@ class EstimateParams:
             dp = 0.9 * delta0
         elif eid in ("E7",):
             dp = 1.0 - n / q
-        elif eid in ("E3", "E10", "E11"):
+        elif eid in ("E3", "E10"):
             dp = min(2.0 * self.alpha, delta0)
+        elif eid == "E11":
+            # the signed mass of t^b d_t^b e^{-tL^a} behaves like (t_sc/rho)^(2ab) for small t
+            dp = min(2.0 * self.alpha, 2.0 * self.alpha * self.beta, delta0)
         else:
             dp = delta0
         return replace(self, q=q, delta_prime=dp)
@@ -143,8 +146,9 @@ class VerifierBackend:
     `lattice` holds the `lattice_indices` points, `xs` their first
     coordinates, `r` |x - y| per lattice pair (in the half-box no pair wraps)
     and `rho` rho at the lattice points (+inf for V = 0). `shifts` are the
-    Holder shifts the grid represents, and `block` holds the rows the scans
-    read: the lattice, its shifts and the stencil neighbours of both.
+    Holder shifts the grid represents and `moved` the lattice moved by each
+    of them. `block` holds the rows the scans read: the lattice, its shifts
+    and the stencil neighbours of both.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -155,8 +159,8 @@ class VerifierBackend:
         self.xs, self.r = grid.points[lat, 0], grid.pair_distances(lat)
         self.rho = potentials.compute_aux_function(potential, grid, indices=lat).rho[lat]
         self.shifts = _physical_shifts(grid)
-        moved = [_shift_indices(grid, lat, steps) for steps, _ in self.shifts]
-        base = np.unique(np.concatenate([lat] + moved))
+        self.moved = [_shift_indices(grid, lat, steps) for steps, _ in self.shifts]
+        base = np.unique(np.concatenate([lat] + self.moved))
         near = [_shift_indices(grid, base, step) for step in (1, -1)]
         rows = np.concatenate([base, np.setdiff1d(np.concatenate(near), base)])
         pos = np.full(grid.size, -1)
@@ -180,9 +184,17 @@ class VerifierBackend:
 
 
 class _Tables:
-    """One time of a table family: the row-block kernel (304 of 1,024 rows at n=2
-    M=32) and its axis-0 gradient at the block's first `stencil` rows, each
-    computed on first read. A table that raises is not kept: each reader raises."""
+    """One time of a table family, with the lattice views every job of the
+    family reads. Each is computed on first read:
+
+    - `kernel`: the row-block kernel (304 of 1,024 rows at n=2 M=32);
+    - `gradient`: its axis-0 gradient at the block's first `stencil` rows;
+    - `kernel_pairs`, `gradient_pairs`: the table at the lattice pairs;
+    - `kernel_increments`, `gradient_increments`: per represented shift, the
+      table at the shifted lattice rows minus its pair block.
+
+    A table that raises is not kept: each reader raises.
+    """
 
     def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power):
         self.backend, self.t, self.t_sc, self.family = backend, t, t_sc, (alpha, power)
@@ -195,6 +207,35 @@ class _Tables:
     def gradient(self) -> np.ndarray:
         blk = self.backend.block
         return _axis0_gradient(self.backend.grid, blk, self.kernel, blk.rows[:blk.stencil])
+
+    @cached_property
+    def kernel_pairs(self) -> np.ndarray:
+        return self._lattice_view(self.kernel, self.backend.lattice)
+
+    @cached_property
+    def gradient_pairs(self) -> np.ndarray:
+        return self._lattice_view(self.gradient, self.backend.lattice)
+
+    @cached_property
+    def kernel_increments(self) -> list:
+        return [self._lattice_view(self.kernel, moved) - self.kernel_pairs
+                for moved in self.backend.moved]
+
+    @cached_property
+    def gradient_increments(self) -> list:
+        return [self._lattice_view(self.gradient, moved) - self.gradient_pairs
+                for moved in self.backend.moved]
+
+    def pairs(self, gradient: bool) -> np.ndarray:
+        return self.gradient_pairs if gradient else self.kernel_pairs
+
+    def increments(self, gradient: bool) -> list:
+        return self.gradient_increments if gradient else self.kernel_increments
+
+    def _lattice_view(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """`table` at the grid rows `rows` and the lattice columns."""
+        blk = self.backend.block
+        return table[np.ix_(blk.at(rows, table), self.backend.lattice)]
 
 
 def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 256,
@@ -243,18 +284,25 @@ class _ScanAccumulator:
     nonfinite: int = 0              # pairs with |obj| > 0 < maj whose ratio overflowed
 
     def update(self, obj, maj, xs, ys, t):
-        ratio = np.abs(obj) / maj
-        zero_maj = (maj == 0.0) & (np.abs(obj) > 0.0)
-        self.excluded += int(np.count_nonzero(zero_maj))
+        """Fold one time's |obj| / maj into the supremum. A non-finite ratio
+        counts as 0; it is `excluded` where the majorant is zero under a
+        positive object and `nonfinite` where both are positive."""
+        mag = np.abs(obj)
+        ratio = mag / maj
         self.total += int(ratio.size)
-        overflow = (np.abs(obj) > 0.0) & (maj > 0.0) & ~np.isfinite(ratio)
-        self.nonfinite += int(np.count_nonzero(overflow))
-        ratio = np.where(np.isfinite(ratio), ratio, 0.0)
-        if ratio.size and np.max(ratio) > self.c_meas:
+        bad = ~np.isfinite(ratio)
+        if bad.any():
+            mag_bad = np.broadcast_to(mag, ratio.shape)[bad]
+            maj_bad = np.broadcast_to(maj, ratio.shape)[bad]
+            self.excluded += int(np.count_nonzero((maj_bad == 0.0) & (mag_bad > 0.0)))
+            self.nonfinite += int(np.count_nonzero((mag_bad > 0.0) & (maj_bad > 0.0)))
+            ratio[bad] = 0.0
+        if ratio.size:
             flat = int(np.argmax(ratio))
-            i, j = np.unravel_index(flat, ratio.shape) if ratio.ndim == 2 else (flat, flat)
-            self.c_meas = float(np.max(ratio))
-            self.argmax = (float(xs[i]), float(ys[j]), float(t))
+            if ratio.flat[flat] > self.c_meas:
+                i, j = np.unravel_index(flat, ratio.shape) if ratio.ndim == 2 else (flat, flat)
+                self.c_meas = float(ratio.flat[flat])
+                self.argmax = (float(xs[i]), float(ys[j]), float(t))
 
 
 def _physical_shifts(grid: Grid):
@@ -325,30 +373,26 @@ class _Entry:
 
 
 def _pairs(entry, p, backend, at, acc):
-    idx, xs, r, rho = backend.lattice, backend.xs, backend.r, backend.rho
-    table = at.gradient if entry.gradient else at.kernel
-    obj = table[np.ix_(backend.block.at(idx, table), idx)]
+    rho = backend.rho
+    obj = at.pairs(entry.gradient)
     if entry.scaled:
         obj = at.t_sc * obj
-    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :], r)
-    acc.update(obj, entry.majorant(point), xs, xs, at.t)
+    point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
+                   backend.r)
+    acc.update(obj, entry.majorant(point), backend.xs, backend.xs, at.t)
 
 
 def _shifted_pairs(entry, p, backend, at, acc):
     """A scalar shift rule drops a whole shift; a per-pair rule masks pairs."""
-    idx, xs, r, rho = backend.lattice, backend.xs, backend.r, backend.rho
-    blk = backend.block
-    table = at.gradient if entry.gradient else at.kernel
-    for steps, shift in backend.shifts:
+    rho = backend.rho
+    for k, (_, shift) in enumerate(backend.shifts):
         point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
-                       r, shift)
+                       backend.r, shift)
         allowed = entry.shift_rule(point)
         if np.ndim(allowed) == 0 and not allowed:
             continue
-        sh_idx = _shift_indices(backend.grid, idx, steps)
-        incr = table[blk.at(sh_idx, table)][:, idx] - table[blk.at(idx, table)][:, idx]
         maj = np.where(allowed, entry.majorant(point), np.inf)
-        acc.update(incr, maj, xs, xs, at.t)
+        acc.update(at.increments(entry.gradient)[k], maj, backend.xs, backend.xs, at.t)
 
 
 def _mass_rows(entry, p, backend, at, acc):

@@ -36,8 +36,14 @@ class Grid:
 
     def pair_distances(self, index=None) -> np.ndarray:
         """(k, k) distances in the grid's metric among `index` (all points when None)."""
-        pts = self.points if index is None else self.points[index]
-        return point_distances(pts[:, None, :], pts[None, :, :], self._period)
+        index = np.arange(self.size) if index is None else index
+        return self.block_distances(index, index)
+
+    def block_distances(self, rows, cols) -> np.ndarray:
+        """(len(rows), len(cols)) distances in the grid's metric from the points
+        `rows` to the points `cols`."""
+        return point_distances(self.points[rows][:, None, :], self.points[cols][None, :, :],
+                               self._period)
 
     def distances_from(self, center) -> np.ndarray:
         return point_distances(self.points, np.asarray(center, dtype=float), self._period)
@@ -50,10 +56,12 @@ class Grid:
 def point_distances(a: np.ndarray, b: np.ndarray, period: float | None = None) -> np.ndarray:
     """Distances between the broadcast point arrays `a` and `b`, (..., n), with
     squared gaps summed one axis at a time, so that no (..., n) difference
-    tensor is built. With `period` each gap wraps to the nearest image."""
-    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    tensor is built; every axis reuses one gap buffer, so the peak is twice the
+    result. With `period` each gap wraps to the nearest image."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    sq, d = np.zeros(shape), np.empty(shape)
     for axis in range(a.shape[-1]):
-        d = a[..., axis] - b[..., axis]
+        np.subtract(a[..., axis], b[..., axis], out=d)
         if period is not None:
             np.abs(d, out=d)
             np.minimum(d, period - d, out=d)

@@ -6,7 +6,11 @@ Ball integrals of the analytic catalog potentials are done with 1-D shell
 quadrature (composite Simpson) whenever the integrand reduces to shells about
 the ball center, and with grid sums otherwise. rho comes from one bisection
 loop that runs a block of points in lockstep; at n = 1 each step is a single
-Simpson sum over the whole block.
+Simpson sum over the whole block. At n >= 2 a block evaluates V and each
+point's distances once, and a step counts each point's members below its
+radius and reads the ball sum from a table indexed by that count: a grid ball
+sum only changes where the radius passes a distance, so each (point, member
+count) is summed once, however many of the ~70 steps of a point land on it.
 """
 
 from dataclasses import dataclass, field
@@ -81,8 +85,8 @@ def scaled(spec: PotentialSpec, c: float) -> PotentialSpec:
 def eval_potential(spec: PotentialSpec, x) -> np.ndarray:
     """Pointwise V(x); accepts (n,) or (N, n) arrays."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if spec.kind == "zero":
-        out = np.zeros(pts.shape[0])
+    if spec.kind == "zero" or spec.scale == 0.0:
+        out = np.zeros(pts.shape[0])       # 0 * V is zero even where V overflows
     elif spec.kind == "constant":
         out = np.full(pts.shape[0], spec.params["c"])
     elif spec.kind == "power":
@@ -163,41 +167,68 @@ def ball_integral(spec: PotentialSpec, n: int, center, radius: float,
         return float(_SPHERE_SURFACE[n] * np.sum(w * vals * s ** (n - 1)))
     if grid is None:
         raise ValueError("grid quadrature needed for a non-radial ball integral")
-    return _grid_ball_sum(spec, grid, center, q)(radius)
+    return float(_GridBallSums(spec, grid, center[None], q)([0], [radius])[0])
 
 
-def _grid_ball_sum(spec: PotentialSpec, grid: Grid, center, q: float = 1.0):
-    """radius -> sum of V^q * h^n over the grid points with |y - center| < radius.
+class _GridBallSums:
+    """(rows, radii) -> sum of V^q * h^n over the grid points y with
+    |y - centers[row]| < radius, row-wise.
 
-    V^q and the distances are computed once, so a bisection over the radius
-    pays one masked sum per step.
+    V^q is evaluated once and each centre's distances once. A ball sum is a
+    step function of the radius: it only changes where the radius passes a
+    distance. So the sums live in a (centres x N+1) table indexed by the
+    member count, and each (centre, count) entry is summed once, on first
+    read, as float(np.sum(vals[dist < radius]) * h^n) at the radius that asked
+    for it. Two radii with the same count select the same mask, so every sum
+    has the bits of a fresh one.
     """
-    vals = eval_on_grid(spec, grid) ** q
-    dist = grid.distances_from(center)
-    return lambda radius: float(np.sum(vals[dist < radius]) * grid.cell_weight)
 
+    def __init__(self, spec: PotentialSpec, grid: Grid, centers: np.ndarray, q: float):
+        self.vals = eval_on_grid(spec, grid) ** q
+        self.dist = np.stack([grid.distances_from(c) for c in centers])
+        self.weight = grid.cell_weight
+        self.sums = np.zeros((len(centers), grid.size + 1))
+        self.filled = np.zeros(self.sums.shape, dtype=bool)
 
-def _rho_functional_at(spec: PotentialSpec, grid: Grid, x):
-    """r -> r^(2-n) * integral of V over B(x, r) for one point x."""
-    n = grid.dimension
-    if n > 1 and _radial_profile_about(spec, x) is None:
-        integral = _grid_ball_sum(spec, grid, x)
-    else:
-        integral = lambda r: ball_integral(spec, n, x, r, grid)
-    return lambda r: r ** (2 - n) * integral(r)
+    def __call__(self, rows, radii) -> np.ndarray:
+        rows, radii = np.asarray(rows), np.asarray(radii, dtype=float)
+        counts = np.count_nonzero(self.dist[rows] < radii[:, None], axis=1)
+        for j in np.flatnonzero(~self.filled[rows, counts]):
+            i, k = rows[j], counts[j]
+            if not self.filled[i, k]:
+                self.sums[i, k], self.filled[i, k] = self._sum(i, radii[j]), True
+        return self.sums[rows, counts]
+
+    def _sum(self, row: int, radius: float) -> float:
+        return float(np.sum(self.vals[self.dist[row] < radius]) * self.weight)
 
 
 def _block_functional(spec: PotentialSpec, grid: Grid, points: np.ndarray):
     """(rows, radii) -> r^(2-n) * integral of V over B(points[row], r), row-wise.
 
-    At n = 1 one Simpson sum covers the whole block; at n >= 2 each point has
-    its own radial or grid-sum functional.
+    At n = 1 one Simpson sum covers the whole block. At n >= 2 a point that V
+    is radial about takes the shell quadrature of `ball_integral`, and every
+    other point reads the block's `_GridBallSums` table.
     """
-    if grid.dimension == 1:
+    n = grid.dimension
+    if n == 1:
         centers = points[:, 0]
         return lambda rows, radii: radii * _shell_integrals_1d(spec, centers[rows], radii)
-    per_point = [_rho_functional_at(spec, grid, x) for x in points]
-    return lambda rows, radii: np.array([per_point[i](r) for i, r in zip(rows, radii)])
+    radial = np.array([_radial_profile_about(spec, x) is not None for x in points])
+    sums = None if radial.all() else _GridBallSums(spec, grid, points, 1.0)
+
+    def functional(rows, radii):
+        rows, radii = np.asarray(rows), np.asarray(radii, dtype=float)
+        integral = np.empty(rows.size)
+        on_grid = ~radial[rows]
+        if on_grid.any():
+            integral[on_grid] = sums(rows[on_grid], radii[on_grid])
+        for j in np.flatnonzero(radial[rows]):
+            integral[j] = ball_integral(spec, n, points[rows[j]], radii[j], grid)
+        # a scalar power per radius: numpy's array power takes other fast paths
+        return np.array([r ** (2 - n) for r in radii]) * integral
+
+    return functional
 
 
 def _bisect_block(functional, count: int, grid: Grid):

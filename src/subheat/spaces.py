@@ -5,9 +5,10 @@ t^beta d_t^beta e^{-t L^alpha} acts as the multiplier (t lam^alpha)^beta
 e^{-t lam^alpha}, time integrals dt/t are log-trapezoid sums whose endpoint
 truncation is controlled per mode by incomplete-Gamma tails, and ball
 quantities use the discrete ball measure |B| = #members * h^n. The time
-ladder and the balls are built once per command and passed in; the cone
-index, the Carleson boxes and the Lipschitz sample distances are built once
-per call for the whole suite. The ball and box scans are ball-major: one
+ladder and the balls are built once per command and passed in; the Carleson
+boxes are built once per call for the whole suite, and the cone index and the
+Lipschitz sample distances once per block of ROW_BLOCK rows, shared by every
+member. The ball and box scans are ball-major: one
 pass over the balls gives every member's Campanato norm, and one pass over
 the boxes gives the Carleson norms of every field of a stack.
 """
@@ -24,6 +25,7 @@ from .spectral import SpectralDecomposition, matmul, semigroup_multiplier
 MIN_TIME_NODES = 16
 TIME_TAIL_TOL = 1e-8     # per-mode Gamma-integral tail left outside the default ladder
 SUITE_SIZE = 10          # members of the equivalence suite
+ROW_BLOCK = 256          # rows per block of the pair scans, so no N x N array is built
 
 
 @dataclass(frozen=True)
@@ -155,32 +157,47 @@ def lipschitz_norm(members: list[GridFunction], gamma: float,
                    rho_values: np.ndarray) -> list[float]:
     """Per member, the max of the Holder seminorm and sup |f| / rho^gamma over
     sampled points (every max(1, M // 128)-th grid point in flat order), in the
-    grid's metric. The sample distances and rho^gamma are computed once."""
+    grid's metric. The sample pairs are scanned ROW_BLOCK rows at a time, and
+    each block's distances are computed once for every member."""
     grid = members[0].grid
     if np.any(np.isnan(rho_values)):
         raise ValueError("lipschitz_norm reads rho at every grid point; some were not computed")
     idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
-    dist = grid.pair_distances(idx)
-    mask = dist > 0
-    dist **= gamma
+    samples = [f.values[idx] for f in members]
+    holder = np.zeros(len(members))
+    for start in range(0, idx.size, ROW_BLOCK):
+        np.maximum(holder, _holder_block(grid, idx, slice(start, start + ROW_BLOCK), samples,
+                                         gamma), out=holder)
     rho_gamma = rho_values ** gamma
     norms = []
-    for f in members:
-        vals = f.values[idx]
-        # the pairs left out (i = j) keep |f_i - f_i| = 0, below every other ratio
-        ratio = np.abs(vals[:, None] - vals[None, :])
-        np.divide(ratio, dist, out=ratio, where=mask)
-        holder = float(np.max(ratio))
+    for f, seminorm in zip(members, holder):
         # adjacent pairs capture the local seminorm missed by the coarse sample;
         # on a periodic grid the seam pair is adjacent too
         fine = [0.0]
         if grid.dimension == 1:
             line = np.append(f.values, f.values[0]) if grid.bc == PERIODIC else f.values
             fine = np.abs(np.diff(line)) / grid.spacing ** gamma
-        holder = max(holder, float(np.max(fine)))
+        seminorm = max(float(seminorm), float(np.max(fine)))
         size = float(np.max(np.abs(f.values) / rho_gamma))
-        norms.append(max(holder, size))
+        norms.append(max(seminorm, size))
     return norms
+
+
+def _holder_block(grid: Grid, idx: np.ndarray, block: slice, samples: list,
+                  gamma: float) -> np.ndarray:
+    """Per sample, max |f_i - f_j| / |x_i - x_j|^gamma over the pairs whose row
+    is in `block`; the block's arrays are freed on return."""
+    dist = grid.block_distances(idx[block], idx)
+    mask = dist > 0
+    dist **= gamma
+    out, ratio = np.empty(len(samples)), np.empty(dist.shape)
+    for k, vals in enumerate(samples):
+        # the pairs left out (i = j) keep |f_i - f_i| = 0, below every other ratio
+        np.subtract(vals[block, None], vals[None, :], out=ratio)
+        np.abs(ratio, out=ratio)
+        np.divide(ratio, dist, out=ratio, where=mask)
+        out[k] = np.max(ratio)
+    return out
 
 
 def make_atom(grid: Grid, ball: Ball, gamma: float, rho_at_center: float,
@@ -233,25 +250,33 @@ def area_function(dec: SpectralDecomposition, alpha: float, beta: float,
     radius (the ladder may come in any order), the pair (x, y) lies inside
     the cones of exactly the slices j >= first(x, y), the index of the first
     sorted radius strictly above |x - y|. So S(x)^2 gathers suffix sums of the
-    weighted slices, one entry per y. Memory per call: the N x N distances
-    (and two N x N temporaries) until the N x N index `first` is built,
-    shared by all members, each of which adds one N x N gather.
+    weighted slices, one entry per y. The index `first` is built ROW_BLOCK
+    rows at a time and read by every member, so memory per call is the
+    members' suffix sums, (J + 1) x N each, and a few ROW_BLOCK x N blocks.
     """
     grid = dec.grid
     n, h, w = grid.dimension, grid.spacing, grid.cell_weight
-    out = []
     if n >= 2:
         radii = times ** (1.0 / (2.0 * alpha))
         order = np.argsort(radii, kind="stable")
-        first = np.searchsorted(radii[order], grid.pair_distances(), side="right")
+        tails = []
         for f in members:
             fld = d_field(dec, alpha, beta, f, times)
             scale = fld.weights * w / times ** (n / (2.0 * alpha))
             slices = (scale[:, None] * fld.values ** 2)[order]
             tail = np.zeros((times.size + 1, grid.size))
             tail[:-1] = np.cumsum(slices[::-1], axis=0)[::-1]
-            out.append(grid_function(grid, np.sqrt(tail[first, np.arange(grid.size)].sum(axis=1))))
-        return out
+            tails.append(tail)
+        everything = np.arange(grid.size)
+        squares = np.empty((len(members), grid.size))
+        for start in range(0, grid.size, ROW_BLOCK):
+            rows = everything[start:start + ROW_BLOCK]
+            first = np.searchsorted(radii[order], grid.block_distances(rows, everything),
+                                    side="right")
+            for k, tail in enumerate(tails):
+                squares[k, rows] = tail[first, everything].sum(axis=1)
+        return [grid_function(grid, np.sqrt(sq)) for sq in squares]
+    out = []
     halves = [int(np.floor(r / h - 0.5)) if r >= h else 0
               for r in (t_j ** (1.0 / (2.0 * alpha)) for t_j in times)]
     for f in members:

@@ -1,6 +1,6 @@
 """Test references that the package's commands do not run.
 
-Six groups live here. The first are literal routes that equal the one
+Eight groups live here. The first are literal routes that equal the one
 multiplier route `spectral.multiplier_kernel` by linearity: table-space
 subordination, the time-derivative quadrature summed over kernel tables, the
 scalar fractional derivative, the m-th time derivative and the periodic image
@@ -20,8 +20,13 @@ must reproduce bit for bit. The fifth is the kernel table writer as it was
 before block formatting, one `%.17g` template per table row, whose text
 `fmt17.table_chunks` must reproduce byte for byte. The sixth is the operator
 as chained `np.kron` products built it, which `spectral.assemble` must
-reproduce bit for bit. `certify_on` certifies one estimate on its own, as the
-scans before `scan_estimate` took a list of jobs did.
+reproduce bit for bit. The seventh are the pair scans of `spaces` as they
+were before row blocks, over one N x N (or sample x sample) distance table,
+which `spaces.lipschitz_norm` and the n >= 2 `spaces.area_function` must
+reproduce bit for bit. The eighth is the scan accumulator's update as it was
+before one pass, which `_ScanAccumulator.update` must reproduce in every
+count, maximum and argmax. `certify_on` certifies one estimate on its own, as
+the scans before `scan_estimate` took a list of jobs did.
 """
 
 from dataclasses import dataclass
@@ -35,11 +40,11 @@ from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams,
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
 from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
-                                _radial_profile_about, _rho_functional_at,
+                                _block_functional, _radial_profile_about,
                                 _simpson_weights, ball_integral, compute_rho,
                                 eval_on_grid, eval_potential, is_zero)
 from subheat.spaces import (SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at,
-                            ball_centers)
+                            ball_centers, d_field)
 from subheat.spectral import (KernelSlice, SpectralDecomposition, _laplacian_1d,
                               multiplier_kernel, semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
@@ -268,7 +273,8 @@ def reverse_holder_constant(spec: PotentialSpec, q: float, ball_sample: list[Bal
 
 
 def _rho_functional(spec: PotentialSpec, grid: Grid, x, r: float) -> float:
-    return _rho_functional_at(spec, grid, x)(r)
+    x = np.asarray(x, dtype=float).reshape(1, grid.dimension)
+    return float(_block_functional(spec, grid, x)([0], [r])[0])
 
 
 def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
@@ -427,3 +433,68 @@ def kron_operator(grid: Grid, spec: PotentialSpec) -> np.ndarray:
                + np.kron(np.kron(eye, A1), eye)
                + np.kron(np.kron(eye, eye), A1))
     return lap + np.diag(eval_on_grid(spec, grid))
+
+
+# --- the spaces pair scans over whole distance tables -----------------------
+
+def lipschitz_norm_unblocked(members: list[GridFunction], gamma: float,
+                             rho_values: np.ndarray) -> list[float]:
+    """`spaces.lipschitz_norm` over one (sample x sample) distance table."""
+    grid = members[0].grid
+    idx = np.arange(grid.size)[::max(1, grid.points_per_axis // 128)]
+    dist = grid.pair_distances(idx)
+    mask = dist > 0
+    dist **= gamma
+    rho_gamma = rho_values ** gamma
+    norms = []
+    for f in members:
+        vals = f.values[idx]
+        ratio = np.abs(vals[:, None] - vals[None, :])
+        np.divide(ratio, dist, out=ratio, where=mask)
+        holder = float(np.max(ratio))
+        fine = [0.0]
+        if grid.dimension == 1:
+            line = np.append(f.values, f.values[0]) if grid.bc == PERIODIC else f.values
+            fine = np.abs(np.diff(line)) / grid.spacing ** gamma
+        holder = max(holder, float(np.max(fine)))
+        size = float(np.max(np.abs(f.values) / rho_gamma))
+        norms.append(max(holder, size))
+    return norms
+
+
+def area_function_unblocked(dec: SpectralDecomposition, alpha: float, beta: float,
+                            members: list[GridFunction], times: np.ndarray) -> list:
+    """The n >= 2 `spaces.area_function` over one N x N cone index."""
+    grid = dec.grid
+    n, w = grid.dimension, grid.cell_weight
+    radii = times ** (1.0 / (2.0 * alpha))
+    order = np.argsort(radii, kind="stable")
+    first = np.searchsorted(radii[order], grid.pair_distances(), side="right")
+    out = []
+    for f in members:
+        fld = d_field(dec, alpha, beta, f, times)
+        scale = fld.weights * w / times ** (n / (2.0 * alpha))
+        slices = (scale[:, None] * fld.values ** 2)[order]
+        tail = np.zeros((times.size + 1, grid.size))
+        tail[:-1] = np.cumsum(slices[::-1], axis=0)[::-1]
+        out.append(GridFunction(grid, np.sqrt(tail[first, np.arange(grid.size)].sum(axis=1))))
+    return out
+
+
+# --- the scan accumulator, one pass per quantity ----------------------------
+
+def multi_pass_update(acc, obj, maj, xs, ys, t):
+    """`_ScanAccumulator.update` as separate passes for |obj|, the finiteness
+    test and the maximum."""
+    ratio = np.abs(obj) / maj
+    zero_maj = (maj == 0.0) & (np.abs(obj) > 0.0)
+    acc.excluded += int(np.count_nonzero(zero_maj))
+    acc.total += int(ratio.size)
+    overflow = (np.abs(obj) > 0.0) & (maj > 0.0) & ~np.isfinite(ratio)
+    acc.nonfinite += int(np.count_nonzero(overflow))
+    ratio = np.where(np.isfinite(ratio), ratio, 0.0)
+    if ratio.size and np.max(ratio) > acc.c_meas:
+        flat = int(np.argmax(ratio))
+        i, j = np.unravel_index(flat, ratio.shape) if ratio.ndim == 2 else (flat, flat)
+        acc.c_meas = float(np.max(ratio))
+        acc.argmax = (float(xs[i]), float(ys[j]), float(t))

@@ -212,6 +212,24 @@ def test_main_overflowing_potential_exits_1_naming_it(tmp_path, capsys, grid):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_zero_scale_gives_the_zero_potential(tmp_path):
+    """0 * |x|^400 is V = 0, not 0 * inf: `verify` then exits as V = 0 does,
+    with the same certificate rows and no numpy warning."""
+    rows, codes = {}, {}
+    for name, kind in (("scaled", "power\nsigma = 400\nscale = 0"), ("zero", "zero")):
+        cfg_path = tmp_path / f"{name}.ini"
+        cfg_path.write_text(f"[grid]\nn = 1\nL = 16\nM = 64\n[potential]\nkind = {kind}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes[name] = main(["verify", "--config", str(cfg_path),
+                                "--out", str(tmp_path / name)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        # the first line is the config comment, which names the potential
+        rows[name] = (tmp_path / name / "certificates.csv").read_text().splitlines()[1:]
+    assert codes["scaled"] == codes["zero"]
+    assert rows["scaled"] == rows["zero"] and len(rows["zero"]) > 1
+
+
 def test_main_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(FULL.replace("M = 128", "M = 64"))

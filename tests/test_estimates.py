@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import certify_on
+from oracles import certify_on, multi_pass_update
 from subheat import estimates
 from subheat.closedform import gaussian_heat_table, poisson_table
 from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
@@ -163,6 +164,42 @@ def test_params_resolution_defaults():
     assert p10.delta_prime == pytest.approx(min(2 * 0.5, 1.0))
 
 
+@pytest.fixture(scope="module")
+def power_pair_128():
+    return [build_backend(points_per_axis=64, potential=power(2.0)),
+            build_backend(points_per_axis=128, potential=power(2.0))]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_e11_default_exponent_follows_two_alpha_beta(alpha, power_pair_128):
+    """At beta = 1/2 the signed mass of t^b d_t^b e^{-tL^a} decays like
+    (t_sc/rho)^(2ab), so E11's default delta' is min(2a, 2ab, delta_0). At
+    n=1 M=128 V=|x|^2 both rows pass with it; with the former default
+    min(2a, delta_0) the N=0 row fails, and so does the N=1 row below
+    alpha = 0.7 (refine_ratio 0.46, 0.52; at 0.7 it reads 0.84 and passes)."""
+    for N in (0.0, 1.0):
+        params = EstimateParams(alpha=alpha, beta=0.5, N=N)
+        cert = certify_on("E11", params, power_pair_128)
+        assert cert.params.delta_prime == pytest.approx(2.0 * alpha * 0.5)
+        assert cert.passed, (alpha, N, cert.refine_ratio)
+        former = certify_on("E11", replace(params, delta_prime=min(2.0 * alpha, 1.0)),
+                            power_pair_128)
+        assert former.passed is (alpha == 0.7 and N == 1.0), (alpha, N, former.refine_ratio)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_e11_default_at_beta_one_is_unchanged(alpha, power_pair_128):
+    """At beta >= 1, 2ab >= 2a, so E11's default and certificate keep their bits."""
+    for n in (1, 2, 3):
+        got = EstimateParams(alpha=alpha).resolved("E11", n).delta_prime
+        assert got == min(2.0 * alpha, estimates.holder_delta0(n, None))
+    params = EstimateParams(alpha=alpha, N=1.0)
+    former = replace(params, delta_prime=min(2.0 * alpha, 1.0))
+    assert (certify_on("E11", params, power_pair_128)
+            == replace(certify_on("E11", former, power_pair_128),
+                       params=params.resolved("E11", 1)))
+
+
 def test_e9_within_factor_two_of_e1_at_zero_potential(zero_pair):
     # both reduce to Poisson-type kernels at alpha = 1/2, beta = 1
     c1 = certify_on("E1", EstimateParams(alpha=0.5, N=0.0), zero_pair)
@@ -194,6 +231,44 @@ def test_overflowing_ratio_fails_its_certificate():
     clean = estimates._ScanAccumulator()
     clean.update(obj[:1], maj[:1], xs, xs, 1.0)
     assert estimates.certify("E1", [(clean, resolved)]).passed is True
+
+
+def _accumulator_state(acc):
+    return repr((acc.c_meas, acc.argmax, acc.excluded, acc.total, acc.nonfinite))
+
+
+def test_one_pass_update_equals_the_multi_pass_oracle():
+    """Planted NaN, inf, zero-majorant, subnormal-majorant and tied pairs give
+    the same counts, maximum, first argmax and warnings in one pass as in the
+    separate passes, update after update, on pair blocks and on mass rows."""
+    rng = np.random.default_rng(5)
+    xs, ys = np.arange(6.0), np.arange(6.0) + 0.5
+    updates = []
+    for t in (0.5, 1.0, 2.0, 4.0):
+        obj = rng.standard_normal((6, 6))
+        maj = rng.uniform(0.5, 2.0, (6, 6))
+        obj[0, 1], obj[1, 2], obj[2, 3] = np.nan, np.inf, -np.inf
+        maj[3, 4], maj[4, 5], maj[5, 0] = 0.0, 1e-310, np.nan
+        obj[5, 1], maj[5, 1] = 0.0, 0.0
+        maj[1, 1] = np.inf
+        obj[2, 2] = obj[4, 4] = 9.0 * t          # tied maxima: the first one wins
+        maj[2, 2] = maj[4, 4] = 1.0
+        updates.append((obj, maj, t))
+        updates.append((obj[0], np.broadcast_to(maj[0, :1], (6,)), t))
+    updates.append((np.zeros(0), np.zeros(0), 8.0))
+    one, multi = estimates._ScanAccumulator(), estimates._ScanAccumulator()
+    for obj, maj, t in updates:
+        caught = []
+        for update, acc in ((estimates._ScanAccumulator.update, one),
+                            (multi_pass_update, multi)):
+            with warnings.catch_warnings(record=True) as seen, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                update(acc, obj, maj, xs, ys, t)
+            caught.append(sorted({str(w.message) for w in seen}))
+        assert caught[0] == caught[1]
+        assert _accumulator_state(one) == _accumulator_state(multi)
+    assert (one.excluded, one.nonfinite) == (4, 12)
+    assert one.argmax == (2.0, 2.5, 4.0)
 
 
 def test_backend_rho_is_aligned_with_the_lattice():
@@ -340,11 +415,18 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=spec)
     full = _FullTables(backend)
     blk = backend.block
+    lat = backend.lattice
     for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
         at = estimates._Tables(backend, t, 1.0, alpha, power_)
         assert np.array_equal(at.kernel, full.kernel_table(t, alpha, power_)[blk.rows])
         assert np.array_equal(at.gradient,
                               full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
+        for gradient, table in ((False, full.kernel_table), (True, full.gradient_table)):
+            whole = table(t, alpha, power_)
+            assert np.array_equal(at.pairs(gradient), whole[np.ix_(lat, lat)])
+            assert len(at.increments(gradient)) == len(backend.shifts)
+            for incr, moved in zip(at.increments(gradient), backend.moved):
+                assert np.array_equal(incr, whole[moved][:, lat] - whole[lat][:, lat])
     jobs = [(eid, replace(DEFAULT_PARAMS[eid], N=1.0, beta=2.0)) for eid in estimates._REGISTRY]
     for (eid, params), outcome in zip(jobs, scan_estimate(jobs, backend), strict=True):
         if eid in estimates.RHO_ONLY_IDS and backend.zero_potential:

@@ -121,6 +121,18 @@ CACHES = {
         "cached_property", "one time's row block, dropped with its _Tables after that time"),
     ("estimates", "_Tables.gradient"): (
         "cached_property", "one time's gradient, dropped with its _Tables after that time"),
+    ("estimates", "_Tables.kernel_pairs"): (
+        "cached_property", "lattice x lattice, a view of one time's kernel, dropped with "
+                           "its _Tables"),
+    ("estimates", "_Tables.gradient_pairs"): (
+        "cached_property", "lattice x lattice, a view of one time's gradient, dropped with "
+                           "its _Tables"),
+    ("estimates", "_Tables.kernel_increments"): (
+        "cached_property", "one lattice x lattice array per represented shift (at most "
+                           "len(HOLDER_SHIFTS)), dropped with its _Tables"),
+    ("estimates", "_Tables.gradient_increments"): (
+        "cached_property", "one lattice x lattice array per represented shift (at most "
+                           "len(HOLDER_SHIFTS)), dropped with its _Tables"),
 }
 
 

@@ -5,6 +5,7 @@ from oracles import (_rho_functional, check_aux_lemmas, per_step_functional,
                      per_step_rho, reverse_holder_constant)
 from subheat import potentials
 from subheat.cli import main
+from subheat.estimates import lattice_indices
 from subheat.grid import Grid, ball_points, build_grid
 from subheat.potentials import (RHO_BLOCK, PotentialSpec, compute_aux_function,
                                 compute_rho, constant, eval_potential, is_zero, power,
@@ -172,23 +173,58 @@ def test_reverse_holder_reports_partial_exclusions():
 
 
 @pytest.mark.parametrize("n, M, bc", [(2, 16, "dirichlet"), (2, 16, "periodic"),
-                                      (3, 8, "dirichlet")],
-                         ids=["n2-dirichlet", "n2-periodic", "n3-dirichlet"])
+                                      (3, 8, "dirichlet"), (3, 8, "periodic")],
+                         ids=["n2-dirichlet", "n2-periodic", "n3-dirichlet", "n3-periodic"])
 @pytest.mark.parametrize("spec", [
     power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
     sum_of(constant(0.01), power(2.0)),
 ], ids=["power2", "well", "scaled-power1.5", "constant+power"])
 def test_aux_function_matches_per_step_bisection(n, M, bc, spec):
     # The midpoint grid holds no origin, so every point takes the grid-sum
-    # branch, whose V and distances are now computed once per point. The
-    # cases reach rho below the spacing (power2), mid-box values and, at n=3,
-    # the box-limited flag (scaled-power1.5).
+    # branch, read from its block's table of sums by member count. The cases
+    # reach rho below the spacing (power2), mid-box values and, at n=3, the
+    # box-limited flag (scaled-power1.5). The index sets are every fifth
+    # point and a block minus and plus one point, so a block is also cut
+    # short.
     grid = build_grid(n, 4.0 if n == 3 else 8.0, M, bc)
-    idx = np.arange(0, grid.size, 5)
-    aux = compute_aux_function(spec, grid, indices=idx)
-    expected = [per_step_rho(spec, grid, x) for x in grid.points[idx]]
-    assert np.array_equal(aux.rho[idx], [value for value, _ in expected])
-    assert np.array_equal(aux.box_limited[idx], [flag for _, flag in expected])
+    rng = np.random.default_rng(n)
+    sets = [np.arange(0, grid.size, 5)] + [
+        np.sort(rng.choice(grid.size, size, replace=False))
+        for size in (RHO_BLOCK - 1, RHO_BLOCK + 1)]
+    expected = {i: per_step_rho(spec, grid, grid.points[i])
+                for i in np.unique(np.concatenate(sets))}
+    for idx in sets:
+        aux = compute_aux_function(spec, grid, indices=idx)
+        assert np.array_equal(aux.rho[idx], [expected[i][0] for i in idx])
+        assert np.array_equal(aux.box_limited[idx], [expected[i][1] for i in idx])
+        assert np.all(np.isnan(np.delete(aux.rho, idx)))
+
+
+def test_each_ball_sum_is_taken_once_per_point_and_member_count(monkeypatch):
+    """At certify-n2's fine lattice (n=2 L=16 M=32, 256 points of V = |x|^2)
+    the bisection evaluates the functional 17,288 times but sums each
+    (point, member count) once: 1,796 grid sums."""
+    grid = build_grid(2, 16.0, 32)
+    lattice = lattice_indices(grid)
+    sums, evaluations, tables = [], [], []       # tables stay alive, so their ids differ
+    original_sum, original_call = potentials._GridBallSums._sum, potentials._GridBallSums.__call__
+
+    def counting_sum(self, row, radius):
+        tables.append(self)
+        sums.append((id(self), int(row), int(np.count_nonzero(self.dist[row] < radius))))
+        return original_sum(self, row, radius)
+
+    def counting_call(self, rows, radii):
+        evaluations.append(len(rows))
+        return original_call(self, rows, radii)
+
+    monkeypatch.setattr(potentials._GridBallSums, "_sum", counting_sum)
+    monkeypatch.setattr(potentials._GridBallSums, "__call__", counting_call)
+    aux = compute_aux_function(power(2.0), grid, indices=lattice)
+    assert len(set(sums)) == len(sums) == 1796
+    assert sum(evaluations) == 17288
+    expected = [per_step_rho(power(2.0), grid, grid.points[i]) for i in lattice[::37]]
+    assert np.array_equal(aux.rho[lattice[::37]], [value for value, _ in expected])
 
 
 N1_SPECS = [power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
@@ -226,6 +262,20 @@ def test_block_functional_matches_per_step_functional_n1(spec):
     points = grid.points[:RHO_BLOCK]
     rows = np.array([0, 5, 5, RHO_BLOCK - 1])
     radii = np.array([1e-9, 0.3, 2.0, 7.0])
+    got = potentials._block_functional(spec, grid, points)(rows, radii)
+    want = [per_step_functional(spec, grid, points[i])(r) for i, r in zip(rows, radii)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", N1_SPECS, ids=N1_IDS)
+def test_block_functional_matches_per_step_functional(spec, n):
+    # Radii 1.0, 1.0 + 1e-9 and 1.1 read one table entry where no distance
+    # lies between them; every value must still be a fresh sum's bits.
+    grid = build_grid(n, 4.0, 16 if n == 2 else 8)
+    points = grid.points[::7][:RHO_BLOCK]
+    rows = np.array([0, 5, 5, 5, 5, RHO_BLOCK - 1, 0, 0])
+    radii = np.array([1e-9, 1.0, 1.0 + 1e-9, 1.1, 3.0, 7.0, 1e-9, 2.5])
     got = potentials._block_functional(spec, grid, points)(rows, radii)
     want = [per_step_functional(spec, grid, points[i])(r) for i, r in zip(rows, radii)]
     assert np.array_equal(got, want)

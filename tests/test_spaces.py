@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (ball_family_per_ball, bmo_norm_one, carleson_field_nu_alpha,
-                     carleson_norm_one, nabla_alpha_field)
+from oracles import (area_function_unblocked, ball_family_per_ball, bmo_norm_one,
+                     carleson_field_nu_alpha, carleson_norm_one, lipschitz_norm_unblocked,
+                     nabla_alpha_field)
 from subheat import cli, spaces
 from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
 from subheat.potentials import compute_aux_function, constant, well, zero
@@ -253,27 +254,31 @@ def test_area_function_2d_matches_per_slice_oracle(dec_2d, alpha, beta, kind):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
-def test_spaces_n2_run_makes_one_pair_distances_call(tmp_path, monkeypatch, bc):
-    """The cone index is built once per `spaces` run, not once per suite member."""
-    cone = _counted_pair_distances(monkeypatch, full=True)
+def test_spaces_n2_run_builds_each_distance_block_once(tmp_path, monkeypatch, bc):
+    """The cone index and the Lipschitz sample distances are built once per row
+    block per `spaces` run, not once per suite member: at M = 24 (576 points,
+    every one sampled) each point heads a row of exactly two blocks."""
+    blocks = _counted_block_distances(monkeypatch)
     cfg_path = tmp_path / "c.ini"
-    cfg_path.write_text(f"[grid]\nn = 2\nL = 8\nM = 16\nbc = {bc}\n")
+    cfg_path.write_text(f"[grid]\nn = 2\nL = 8\nM = 24\nbc = {bc}\n")
     assert cli.main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert len(cone) == 1
+    per_run = -(-576 // spaces.ROW_BLOCK)
+    assert len(blocks) == 2 * per_run
+    assert all(cols == 576 for _, cols in blocks)
+    rows = np.concatenate([r for r, _ in blocks])
+    assert np.array_equal(np.bincount(rows, minlength=576), np.full(576, 2))
 
 
-def _counted_pair_distances(monkeypatch, full: bool):
-    """Count the `Grid.pair_distances` calls over all points (`full`) or over
-    an index of sample points."""
-    original = Grid.pair_distances
+def _counted_block_distances(monkeypatch):
+    """Record (rows, column count) of each `Grid.block_distances` call."""
+    original = Grid.block_distances
     calls = []
 
-    def counting(grid, index=None):
-        if (index is None) == full:
-            calls.append(1)
-        return original(grid, index)
+    def counting(grid, rows, cols):
+        calls.append((np.asarray(rows).copy(), len(cols)))
+        return original(grid, rows, cols)
 
-    monkeypatch.setattr(Grid, "pair_distances", counting)
+    monkeypatch.setattr(Grid, "block_distances", counting)
     return calls
 
 
@@ -296,14 +301,15 @@ def _counted(monkeypatch, name):
 def test_each_command_builds_its_ladder_and_sample_distances_once(tmp_path, monkeypatch,
                                                                    command):
     """The command builds the time ladder once and passes it to every functional;
-    `spaces` builds the Lipschitz sample distances once for the whole suite."""
+    `spaces` builds the cone index and the Lipschitz sample distances once for
+    the whole suite, one row block each at M = 16."""
     ladders = _counted(monkeypatch, "default_time_grid")
-    distances = _counted_pair_distances(monkeypatch, full=False)
+    distances = _counted_block_distances(monkeypatch)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text("[grid]\nn = 2\nL = 8\nM = 16\n")
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     assert len(ladders) == 1
-    assert len(distances) == (1 if command == "spaces" else 0)
+    assert len(distances) == (2 if command == "spaces" else 0)
 
 
 def _assert_ladder_order_free(dec):
@@ -743,3 +749,60 @@ def test_every_suite_atom_has_a_positive_campanato_norm(monkeypatch, n, L, M, po
     assert len(atoms) >= 2
     assert all(bn > 0.0 for bn in bmo_norm([a.function for a in atoms], 0.25, rho,
                                            ball_family(grid, rho)))
+
+
+@pytest.mark.parametrize("n, M, bc", SCAN_GRIDS + [(2, 24, "periodic")])
+def test_lipschitz_norm_equals_the_unblocked_oracle(n, M, bc):
+    """Row blocks of the sample pairs (7 blocks at n=3 M=12, 3 at n=2 M=24)
+    give the bits of one sample x sample table, for every member and gamma."""
+    grid, rho, _, members = _scan_setup(n, M, bc)
+    for gamma in (0.25, 0.5, 1.0):
+        assert lipschitz_norm(members, gamma, rho) == lipschitz_norm_unblocked(members, gamma,
+                                                                                rho)
+
+
+@pytest.fixture(scope="module")
+def dec_3d():
+    return eigendecompose(assemble(build_grid(3, 4.0, 12), constant(1.0)))
+
+
+@pytest.mark.parametrize("case", ["n2-dirichlet", "n2-periodic", "n3-dirichlet"])
+def test_area_function_equals_the_unblocked_oracle(case, dec_3d):
+    """Cone index blocks (3 at n=2 M=24, 7 at n=3 M=12) give the bits of one
+    N x N index, for every member, on a ladder in any order."""
+    if case == "n3-dirichlet":
+        dec = dec_3d
+    else:
+        dec = eigendecompose(assemble(build_grid(2, 8.0, 24, case[3:]), constant(1.0)))
+    members = [_random_member(dec, seed) for seed in (1, 2, 3)]
+    times = np.random.default_rng(9).permutation(default_time_grid(dec, 0.5, 1.0, n_times=16))
+    got = area_function(dec, 0.5, 1.0, members, times)
+    want = area_function_unblocked(dec, 0.5, 1.0, members, times)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.values, b.values)
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_scans_hold_no_n_by_n_array(dec_3d):
+    """At n=3 M=12 (N = 1,728, every point sampled) `area_function` peaks
+    below twice the largest array it receives, the N x N basis, and
+    `lipschitz_norm` below three ROW_BLOCK x N blocks; the unblocked oracles
+    each peak above both bounds."""
+    grid = dec_3d.grid
+    members = [_random_member(dec_3d, seed) for seed in (1, 2)]
+    rho = np.full(grid.size, 2.0)
+    times = default_time_grid(dec_3d, 0.5, 1.0, n_times=16)
+    area_bound = 2 * dec_3d.basis.nbytes
+    lipschitz_bound = 3 * spaces.ROW_BLOCK * grid.size * 8
+    assert _peak(area_function, dec_3d, 0.5, 1.0, members, times) < area_bound
+    assert _peak(area_function_unblocked, dec_3d, 0.5, 1.0, members, times) > area_bound
+    assert _peak(lipschitz_norm, members, 0.25, rho) < lipschitz_bound
+    assert _peak(lipschitz_norm_unblocked, members, 0.25, rho) > 2 * grid.size ** 2 * 8
