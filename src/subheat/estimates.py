@@ -30,7 +30,7 @@ kernel's large-deviation tail is heavier than any Gaussian and the ratio
 would only measure discretization, not the estimate.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -193,11 +193,15 @@ class _Tables:
     - `kernel_increments`, `gradient_increments`: per represented shift, the
       table at the shifted lattice rows minus its pair block.
 
-    A table that raises is not kept: each reader raises.
+    A table that raises is not kept: each reader raises. `factors` holds the
+    majorant factors of the lattice pairs at this time (see `_Point.factor`),
+    at most one lattice x lattice array per penalty (kind, N), decay exponent
+    and Gaussian factor the family's jobs read.
     """
 
     def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power):
         self.backend, self.t, self.t_sc, self.family = backend, t, t_sc, (alpha, power)
+        self.factors = {}
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -347,7 +351,9 @@ def _axis0_gradient(grid: Grid, blk: _RowBlock, values: np.ndarray, targets: np.
 
 @dataclass(frozen=True)
 class _Point:
-    """What a majorant sees at one time (and shift) of a scan."""
+    """What a majorant sees at one time (and shift) of a scan. `factors` is
+    shared by every point of one time on one pair lattice (the scan passes
+    its `_Tables.factors`), so each factor is computed once per time."""
 
     p: EstimateParams
     n: int
@@ -357,6 +363,29 @@ class _Point:
     rho_y: np.ndarray | None = None
     r: np.ndarray | None = None     # |x - y| per pair
     shift: float = 0.0
+    factors: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def factor(self, key, compute) -> np.ndarray:
+        """compute(), once per `factors`; read-only, as other jobs read it too."""
+        value = self.factors.get(key)
+        if value is None:
+            value = self.factors[key] = compute()
+            value.flags.writeable = False
+        return value
+
+    def penalty(self, kind) -> np.ndarray:
+        """kind(t_sc, rho_x, rho_y, N): `_sum_penalty` or `_prod_penalty`."""
+        return self.factor((kind, self.p.N),
+                           lambda: kind(self.t_sc, self.rho_x, self.rho_y, self.p.N))
+
+    def decay(self, exponent: float) -> np.ndarray:
+        """(t_sc + r)^exponent."""
+        return self.factor(("decay", exponent), lambda: (self.t_sc + self.r) ** exponent)
+
+    def gauss(self):
+        """(the window r <= GAUSS_WINDOW sqrt(t), e^(-c r^2/t))."""
+        return (self.factor("window", lambda: self.r <= GAUSS_WINDOW * np.sqrt(self.t)),
+                self.factor("gauss", lambda: np.exp(-GAUSS_DECAY * self.r * self.r / self.t)))
 
 
 @dataclass(frozen=True)
@@ -378,7 +407,7 @@ def _pairs(entry, p, backend, at, acc):
     if entry.scaled:
         obj = at.t_sc * obj
     point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
-                   backend.r)
+                   backend.r, factors=at.factors)
     acc.update(obj, entry.majorant(point), backend.xs, backend.xs, at.t)
 
 
@@ -387,7 +416,7 @@ def _shifted_pairs(entry, p, backend, at, acc):
     rho = backend.rho
     for k, (_, shift) in enumerate(backend.shifts):
         point = _Point(p, backend.grid.dimension, at.t, at.t_sc, rho[:, None], rho[None, :],
-                       backend.r, shift)
+                       backend.r, shift, at.factors)
         allowed = entry.shift_rule(point)
         if np.ndim(allowed) == 0 and not allowed:
             continue
@@ -415,15 +444,13 @@ def _holder_lead(s: _Point):
 
 def _power_majorant(s: _Point, b, lead=1.0, penalty=_sum_penalty):
     """lead * t^b (t_sc + r)^-(n + 2ab) * penalty: the size of t^b d_t^b K_{a,t}."""
-    return (lead * s.t ** b * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha * b))
-            * penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N))
+    return lead * s.t ** b * s.decay(-(s.n + 2.0 * s.p.alpha * b)) * s.penalty(penalty)
 
 
 def _gauss_majorant(s: _Point, prefactor):
     """prefactor e^(-c r^2/t) * penalty inside the parabolic window."""
-    inside = s.r <= GAUSS_WINDOW * np.sqrt(s.t)
-    pen = _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)
-    maj = prefactor * np.exp(-GAUSS_DECAY * s.r * s.r / s.t) * pen
+    inside, gauss = s.gauss()
+    maj = prefactor * gauss * s.penalty(_sum_penalty)
     return np.where(inside, maj, np.inf)   # outside the window: trivially satisfied
 
 
@@ -457,14 +484,12 @@ _REGISTRY = {
     "E4": _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
                  heat=True, gradient=True),
     "E5": _Entry(_pairs,
-                 lambda s: (s.t ** (-(s.n + 1) / 2.0)
-                            * _sum_penalty(s.t_sc, s.rho_x, s.rho_y, s.p.N)),
+                 lambda s: s.t ** (-(s.n + 1) / 2.0) * s.penalty(_sum_penalty),
                  heat=True, gradient=True),
     "E6": _Entry(_pairs, lambda s: _power_majorant(s, 1, penalty=_prod_penalty),
                  gradient=True, scaled=True),
     "E7": _Entry(_shifted_pairs,
-                 lambda s: (_holder_lead(s) / s.t_sc * s.t
-                            * (s.t_sc + s.r) ** (-(s.n + 2.0 * s.p.alpha))),
+                 lambda s: _holder_lead(s) / s.t_sc * s.t * s.decay(-(s.n + 2.0 * s.p.alpha)),
                  gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
     "E8": _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True),
     "E9": _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), power=None),

@@ -6,7 +6,9 @@ Ball integrals of the analytic catalog potentials are done with 1-D shell
 quadrature (composite Simpson) whenever the integrand reduces to shells about
 the ball center, and with grid sums otherwise. rho comes from one bisection
 loop that runs a block of points in lockstep; at n = 1 each step is a single
-Simpson sum over the whole block. At n >= 2 a block evaluates V and each
+Simpson sum over the whole block, built from fixed node and weight patterns
+scaled by each radius (the products np.linspace and `_simpson_weights` make)
+and summed in place. At n >= 2 a block evaluates V and each
 point's distances once, and a step counts each point's members below its
 radius and reads the ball sum from a table indexed by that count: a grid ball
 sum only changes where the radius passes a distance, so each (point, member
@@ -22,8 +24,13 @@ from .grid import Grid
 SIMPSON_INTERVALS = 512
 RHO_TOL = 1e-9           # rho bisection stops when its bracket is this narrow
 
-#: points bisected in lockstep; at n = 1 a block's 32 x 513 Simpson nodes
-#: (~16k doubles per evaluation) keep the temporaries in cache
+#: points bisected in lockstep. At n = 1 a step's temporaries are RHO_BLOCK x 513
+#: doubles, 131,328 bytes at 32: 256 bytes over glibc's default 128 KiB mmap
+#: threshold. On a 2-core Xeon (2 MiB L2 per core), 512 points of n = 1
+#: M = 512 V = |x|^2 took 70, 60 and 56 ms at blocks of 16, 32 and 64 once a
+#: larger free had raised that threshold; in fresh processes a block of 48
+#: page-faulted on every temporary (116 ms) and 32 did not. The bits do not
+#: depend on the block.
 RHO_BLOCK = 32
 
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -82,6 +89,24 @@ def scaled(spec: PotentialSpec, c: float) -> PotentialSpec:
     return PotentialSpec(spec.kind, spec.params, spec.terms, spec.scale * c)
 
 
+#: |x| >= _TINY keeps x * x normal and |x| < _HUGE keeps it finite
+_TINY, _HUGE = 2.0 ** -511, 2.0 ** 511
+
+
+def _norms(pts: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(pts, axis=1), bit for bit. For one column that norm is
+    sqrt(x * x), which equals |x| exactly in binary64 unless x * x underflows
+    or overflows (at x = 1e200 the norm reads inf); np.abs serves every column
+    that stays inside that range."""
+    if pts.shape[1] > 1:
+        return np.linalg.norm(pts, axis=1)
+    col = pts[:, 0]
+    out = np.abs(col)
+    if out.size and not (out.min() >= _TINY and out.max() < _HUGE):
+        out = np.sqrt(col * col)
+    return out
+
+
 def eval_potential(spec: PotentialSpec, x) -> np.ndarray:
     """Pointwise V(x); accepts (n,) or (N, n) arrays."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -92,14 +117,15 @@ def eval_potential(spec: PotentialSpec, x) -> np.ndarray:
     elif spec.kind == "power":
         # an overflow gives inf, which the operator's finiteness check names
         with np.errstate(over="ignore"):
-            out = np.linalg.norm(pts, axis=1) ** spec.params["sigma"]
+            out = _norms(pts) ** spec.params["sigma"]
     elif spec.kind == "well":
         center = np.broadcast_to(np.asarray(spec.params["center"], float), pts.shape[1:])
         inside = np.all(np.abs(pts - center) <= spec.params["w"], axis=1)
         out = np.where(inside, spec.params["v"], 0.0)
     else:
         out = np.sum([eval_potential(t, pts) for t in spec.terms], axis=0)
-    out = spec.scale * out
+    if spec.scale != 1.0:                  # 1.0 * v == v: skip a pass
+        out = spec.scale * out
     return out if np.asarray(x).ndim > 1 else float(out[0])
 
 
@@ -132,21 +158,39 @@ def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
     return None
 
 
-def _simpson_weights(m: int, width: float) -> np.ndarray:
+def _simpson_pattern(m: int) -> np.ndarray:
     w = np.ones(m + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w * (width / m / 3.0)
+    return w
+
+
+def _simpson_weights(m: int, width: float) -> np.ndarray:
+    return _simpson_pattern(m) * (width / m / 3.0)
+
+
+#: node indices and the 1-4-2-...-4-1 pattern: times r / SIMPSON_INTERVALS (the
+#: last node set to r) and r / SIMPSON_INTERVALS / 3 they are the nodes and
+#: weights np.linspace(0, r, .) and _simpson_weights(., r) make, bit for bit
+_NODE_INDEX = np.arange(SIMPSON_INTERVALS + 1, dtype=float)
+_WEIGHT_PATTERN = _simpson_pattern(SIMPSON_INTERVALS)
 
 
 def _shell_integrals_1d(spec: PotentialSpec, centers, radii, q: float = 1.0) -> np.ndarray:
     """Composite Simpson integral of V^q over [c - r, c + r], one per (c, r) row."""
     radii = np.asarray(radii, dtype=float)
-    s = np.linspace(0.0, radii, SIMPSON_INTERVALS + 1, axis=-1)
-    w = _simpson_weights(SIMPSON_INTERVALS, radii[:, None])
+    step = radii[:, None] / SIMPSON_INTERVALS
+    s = _NODE_INDEX * step
+    s[:, -1] = radii
     c = np.asarray(centers, dtype=float)[:, None]
-    vplus = eval_potential(spec, (c + s).reshape(-1, 1)).reshape(s.shape)
+    total = eval_potential(spec, (c + s).reshape(-1, 1)).reshape(s.shape)
     vminus = eval_potential(spec, (c - s).reshape(-1, 1)).reshape(s.shape)
-    return np.sum(w * (vplus ** q + vminus ** q), axis=1)
+    if q != 1.0:                           # v ** 1.0 == v
+        total **= q
+        vminus **= q
+    # w * (V+ + V-), folded into eval_potential's fresh output
+    total += vminus
+    total *= _WEIGHT_PATTERN * (step / 3.0)
+    return total.sum(axis=1)
 
 
 def ball_integral(spec: PotentialSpec, n: int, center, radius: float,

@@ -49,10 +49,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (no transpose flag), else as itself (transpose flag), which f2py copies
     to Fortran order if it is not already. The result is the .T of dgemm's
     Fortran-ordered output, C-contiguous as numpy's is. Not mirrored, and
-    passed by no caller: numpy's `syrk` for `x @ x.T`, and the stride of a
-    strided vector (f2py copies it, and `ddot` sums a strided pair in
-    another order; `GridFunction` values are contiguous).
+    passed by no caller: numpy's `syrk` for `x @ x.T`. A strided 1-D operand
+    raises ValueError: f2py would copy it, and numpy hands OpenBLAS the
+    stride, with which `ddot` sums in another order (a column of a 512 x 512
+    matrix differs in the last place, also with `offx`/`incx`).
     """
+    # one condition, no loop: spaces at n=2 M=24 makes ~7,000 calls
+    if (a.ndim == 1 and not a.flags.c_contiguous) or (b.ndim == 1 and not b.flags.c_contiguous):
+        name = "a" if a.ndim == 1 and not a.flags.c_contiguous else "b"
+        raise ValueError(f"matmul: operand {name} is a strided vector, whose numpy "
+                         "product no call here reproduces; pass a contiguous copy")
     shape = a.shape[:-1] + b.shape[1:]
     one_row = a.ndim == 1 or a.shape[0] == 1
     one_col = b.ndim == 1 or b.shape[1] == 1

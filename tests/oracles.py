@@ -16,8 +16,10 @@ of one field, which `spaces.ball_family`, `spaces.bmo_norm` and
 diagnostics for the critical radius: the reverse-Holder constant, the
 Gaussian average of V and the doubling, two-scale and comparability
 constants, and the per-point critical-radius bisection, which the blocked one
-must reproduce bit for bit. The fifth is the kernel table writer as it was
-before block formatting, one `%.17g` template per table row, whose text
+must reproduce bit for bit; at n = 1 its step is the Simpson sum with
+np.linspace nodes and V from np.linalg.norm, which the patterned step and
+`eval_potential` must reproduce bit for bit. The fifth is the kernel table
+writer as it was before block formatting, one `%.17g` template per table row, whose text
 `fmt17.table_chunks` must reproduce byte for byte. The sixth is the operator
 as chained `np.kron` products built it, which `spectral.assemble` must
 reproduce bit for bit. The seventh are the pair scans of `spaces` as they
@@ -299,25 +301,62 @@ def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
                  * np.sum(w * gauss * prof(s) * s ** (n - 1)))
 
 
+def norm_potential(spec: PotentialSpec, pts: np.ndarray) -> np.ndarray:
+    """V at (N, n) points as `eval_potential` computed it with np.linalg.norm
+    at every dimension, including n = 1, and one pass of the scale."""
+    if spec.kind == "zero" or spec.scale == 0.0:
+        out = np.zeros(pts.shape[0])
+    elif spec.kind == "constant":
+        out = np.full(pts.shape[0], spec.params["c"])
+    elif spec.kind == "power":
+        with np.errstate(over="ignore"):
+            out = np.linalg.norm(pts, axis=1) ** spec.params["sigma"]
+    elif spec.kind == "well":
+        center = np.broadcast_to(np.asarray(spec.params["center"], float), pts.shape[1:])
+        inside = np.all(np.abs(pts - center) <= spec.params["w"], axis=1)
+        out = np.where(inside, spec.params["v"], 0.0)
+    else:
+        out = np.sum([norm_potential(t, pts) for t in spec.terms], axis=0)
+    return spec.scale * out
+
+
+def shell_integrals_1d_linspace(spec: PotentialSpec, centers, radii,
+                                q: float = 1.0) -> np.ndarray:
+    """The n = 1 Simpson sums of V^q over [c - r, c + r] as the package wrote
+    them before fixed node and weight patterns: np.linspace nodes, explicit
+    1-4-2-...-4-1 weights times r / m / 3, V from `norm_potential` and ** q.
+    It calls neither `eval_potential` nor `_simpson_weights`, so it does not
+    follow them when they change."""
+    m = SIMPSON_INTERVALS
+    radii = np.asarray(radii, dtype=float)
+    s = np.linspace(0.0, radii, m + 1, axis=-1)
+    w = np.ones(m + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w = w * (radii[:, None] / m / 3.0)
+    c = np.asarray(centers, dtype=float)[:, None]
+    vplus = norm_potential(spec, (c + s).reshape(-1, 1)).reshape(s.shape)
+    vminus = norm_potential(spec, (c - s).reshape(-1, 1)).reshape(s.shape)
+    return np.sum(w * (vplus ** q + vminus ** q), axis=1)
+
+
 def per_step_functional(spec: PotentialSpec, grid: Grid, x):
     """r -> r^(2-n) * integral of V over B(x, r), with no reuse between calls.
 
-    The shell branch (n = 1, or V radial about x) runs one Simpson sum per
-    call; the grid-sum branch re-evaluates V on the whole grid and the
-    distances from x at every call, as the package did at commit d2efde8.
+    The shell branch runs one Simpson sum per call: at n = 1 the one row of
+    `shell_integrals_1d_linspace`, and for V radial about x the radial sum.
+    The grid-sum branch re-evaluates V on the whole grid and the distances
+    from x at every call, as the package did at commit d2efde8.
     """
     n = grid.dimension
     x = np.asarray(x, dtype=float).reshape(n)
     prof = None if n == 1 else _radial_profile_about(spec, x)
 
     def integral(r):
-        if n == 1 or prof is not None:
+        if n == 1:
+            return float(shell_integrals_1d_linspace(spec, x, [r])[0])
+        if prof is not None:
             s = np.linspace(0.0, r, SIMPSON_INTERVALS + 1)
             w = _simpson_weights(SIMPSON_INTERVALS, r)
-            if n == 1:
-                vplus = eval_potential(spec, (x[0] + s)[:, None])
-                vminus = eval_potential(spec, (x[0] - s)[:, None])
-                return float(np.sum(w * (vplus ** 1.0 + vminus ** 1.0)))
             return float(_SPHERE_SURFACE[n] * np.sum(w * prof(s) ** 1.0 * s ** (n - 1)))
         dist = grid.distances_from(x)
         vals = eval_potential(spec, grid.points)[dist < r] ** 1.0

@@ -491,3 +491,30 @@ def test_n2_lattice_is_strided_per_axis():
     assert pts.shape == (32 * 32, 2)
     assert np.unique(pts[:, 0]).size == 32 and np.unique(pts[:, 1]).size == 32
     assert set(map(tuple, pts)) == set(map(tuple, pts[:, ::-1]))
+
+
+def test_each_majorant_factor_is_computed_once_per_time(monkeypatch):
+    """The 24 default rows (N = 0, 1) share each time's penalties, decay power
+    and Gaussian: the heat ladder computes its window, Gaussian and two sum
+    penalties once per time, the (1/2, 0) family two sum and two product
+    penalties and one (t_sc + r)^-(n + 1) power, and the (1/2, 1) family two
+    sum penalties and that power. Every job used to recompute its own."""
+    backend = build_backend(n=1, points_per_axis=64, potential=power(2.0))
+    computed, reads, alive = [], [], []      # alive keeps each dict's id unique
+    real = estimates._Point.factor
+
+    def counting(self, key, compute):
+        reads.append(key)
+        if key not in self.factors:
+            alive.append(self.factors)
+            computed.append((id(self.factors), key))
+        return real(self, key, compute)
+
+    monkeypatch.setattr(estimates._Point, "factor", counting)
+    jobs = [(eid, replace(DEFAULT_PARAMS[eid], N=N)) for eid in ESTIMATE_IDS for N in (0.0, 1.0)]
+    outcomes = scan_estimate(jobs, backend)
+    assert all(isinstance(outcome, tuple) for outcome in outcomes)
+    heat = estimates.time_grid(backend.grid, 1.0, heat_scaling=True).size
+    frac = estimates.time_grid(backend.grid, 0.5, heat_scaling=False).size
+    assert len(set(computed)) == len(computed) == 4 * heat + 5 * frac + 3 * frac
+    assert len(reads) > 3 * len(computed)

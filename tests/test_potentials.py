@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import (_rho_functional, check_aux_lemmas, per_step_functional,
-                     per_step_rho, reverse_holder_constant)
+from oracles import (_rho_functional, check_aux_lemmas, norm_potential, per_step_functional,
+                     per_step_rho, reverse_holder_constant, shell_integrals_1d_linspace)
 from subheat import potentials
 from subheat.cli import main
 from subheat.estimates import lattice_indices
 from subheat.grid import Grid, ball_points, build_grid
-from subheat.potentials import (RHO_BLOCK, PotentialSpec, compute_aux_function,
+from subheat.potentials import (RHO_BLOCK, RHO_TOL, PotentialSpec, compute_aux_function,
                                 compute_rho, constant, eval_potential, is_zero, power,
                                 scaled, sum_of, well, zero)
 
@@ -265,6 +265,89 @@ def test_block_functional_matches_per_step_functional_n1(spec):
     got = potentials._block_functional(spec, grid, points)(rows, radii)
     want = [per_step_functional(spec, grid, points[i])(r) for i, r in zip(rows, radii)]
     assert np.array_equal(got, want)
+
+
+STEP_SPECS = [power(2.0), power(1.5), power(400.0), scaled(power(2.0), 3.0),
+              well(2.0, 1.0, center=0.25), constant(0.5),
+              sum_of(constant(0.01), power(2.0)), scaled(sum_of(well(1.0, 0.5), power(1.5)), 0.5)]
+STEP_IDS = ["power2", "power1.5", "power400-inf", "scaled-power2", "well", "constant",
+            "constant+power", "scaled-well+power1.5"]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
+def test_shell_step_matches_linspace_oracle(spec, q):
+    """The patterned n = 1 step gives the bits of np.linspace nodes, literal
+    Simpson weights and V from np.linalg.norm on 2,064 (centre, radius)
+    rows: every point of n = 1 L = 16 M = 512 four times, with radii spread
+    from 1e-9 h to 2L, and rows whose nodes land exactly on the well's walls
+    at -0.75 and 1.25. |x|^400 overflows to inf beyond |x| ~ 5.9."""
+    grid = build_grid(1, 16.0, 512)
+    h = grid.spacing
+    rng = np.random.default_rng(22)
+    centers = np.tile(grid.points[:, 0], 4)
+    radii = rng.permutation(np.geomspace(1e-9 * h, 2.0 * grid.half_width, centers.size))
+    walls = [(0.25, 1.0), (0.25, 2.0), (0.25, 4.0), (0.75, 0.5), (-0.25, 0.5), (0.5, 0.75),
+             (1.25, 2.0), (-0.75, 2.0), (0.25, 8.0), (2.25, 1.0), (1.0, 0.25), (-1.0, 0.25),
+             (-1.75, 1.0), (0.0, 1.25), (0.0, 0.75), (3.25, 2.0)]
+    centers = np.concatenate([centers, [c for c, _ in walls]])
+    radii = np.concatenate([radii, [r for _, r in walls]])
+    nodes = centers[-16:, None] + np.linspace(0.0, radii[-16:], 513, axis=-1)
+    assert np.any(nodes == 1.25, axis=1).sum() >= 8 and np.any(nodes == -0.75)
+    with np.errstate(over="ignore"):
+        got = potentials._shell_integrals_1d(spec, centers, radii, q)
+        want = shell_integrals_1d_linspace(spec, centers, radii, q)
+    assert got.shape == (2064,)
+    assert np.array_equal(got, want)
+    if spec.kind == "power" and spec.params["sigma"] == 400.0:
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, -1e-160,
+             np.nextafter(2.0 ** -511, 0.0), 2.0 ** -511, np.nextafter(2.0 ** -511, 1.0),
+             1.0, -3.5, 1e150, np.nextafter(2.0 ** 511, 0.0), 2.0 ** 511, 1.34e154,
+             1.35e154, 1e200, -1e200, 1.7e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("spec", [power(s) for s in (0.5, 1.0, 1.5, 2.0, 3.0, 400.0)]
+                         + [scaled(power(1.5), 3.0), sum_of(constant(1.0), power(2.0))],
+                         ids=["power0.5", "power1", "power1.5", "power2", "power3",
+                              "power400", "scaled-power1.5", "constant+power2"])
+def test_eval_potential_one_column_is_the_norm_bitwise(spec):
+    """On (k, 1) points np.abs stands in for np.linalg.norm, whose value is
+    sqrt(x * x). That is |x| exactly where x * x neither underflows nor
+    overflows; outside (-0.0, subnormals, 1e-160, 1e200, inf, NaN) the norm's
+    own value is kept, e.g. inf at 1e200 where |x|^1.5 would be 1e300."""
+    def same_bits(pts):
+        got, want = eval_potential(spec, pts), norm_potential(spec, pts)
+        return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                          want.view(np.uint64))
+    rng = np.random.default_rng(7)
+    inside = (rng.choice([-1.0, 1.0], 100_000) * rng.uniform(1.0, 2.0, 100_000)
+              * 2.0 ** rng.integers(-511, 511, 100_000))
+    wide = (rng.choice([-1.0, 1.0], 20_000) * rng.uniform(1.0, 2.0, 20_000)
+            * 2.0 ** rng.integers(-1074, 1024, 20_000))
+    columns = ([np.array([[x]]) for x in _EXTREMES]
+               + [np.array(_EXTREMES)[:, None], inside[:, None], wide[:, None],
+                  np.concatenate([inside[:50], [1e200]])[:, None], np.empty((0, 1))])
+    assert all(same_bits(pts) for pts in columns)
+    assert same_bits(rng.standard_normal((64, 2)))
+
+
+@pytest.mark.parametrize("M", [64, 512])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_rho_power2_n1_matches_closed_form(M, bc):
+    """For V = |x|^2 at n = 1, r * integral of y^2 over [c - r, c + r] is
+    2 c^2 r^2 + 2 r^4 / 3, which Simpson's rule integrates exactly, so
+    rho^2 = (-3 c^2 + sqrt(9 c^4 + 6)) / 2 = 3 / (3 c^2 + sqrt(9 c^4 + 6))
+    (Shen's critical radius, in closed form). The n = 1 functional does not
+    wrap, so both boundary conditions share it."""
+    grid = build_grid(1, 16.0, M, bc)
+    c = grid.points[:, 0]
+    closed = np.sqrt(3.0 / (3.0 * c ** 2 + np.sqrt(9.0 * c ** 4 + 6.0)))
+    aux = compute_aux_function(power(2.0), grid)
+    assert not aux.box_limited.any()
+    assert np.max(np.abs(aux.rho - closed)) <= RHO_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])

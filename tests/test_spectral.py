@@ -332,6 +332,20 @@ def test_matmul_vector_products_are_numpy_bit_for_bit(workload_dec, order):
         assert _same_as_numpy(a, b)
 
 
+def test_matmul_rejects_strided_vectors():
+    """A column view is a strided vector: numpy passes its stride to `ddot`,
+    which then sums in an order no contiguous call reproduces, so `matmul`
+    names the operand instead. Contiguous copies keep numpy's bits."""
+    B = np.random.default_rng(512).standard_normal((512, 512))
+    for a, b, name in ((B[:, 7], B[:, 9].copy(), "a"), (B[7], B[:, 9], "b"),
+                       (B[:, 7], B, "a"), (B, B[::-1, 9], "b")):
+        with pytest.raises(ValueError, match=f"operand {name} is a strided vector"):
+            matmul(a, b)
+    for a, b in ((B[:, 7].copy(), B[:, 9].copy()), (B[7], B[9]), (B[:, 7].copy(), B),
+                 (B, B[:, 9].copy())):
+        assert _same_as_numpy(a, b)
+
+
 def test_matmul_ladder_products_are_numpy_bit_for_bit(workload_dec):
     """A (J, N) multiplier ladder against the basis, and the compose product."""
     basis = workload_dec.basis
