@@ -6,13 +6,13 @@ Ball integrals of the analytic catalog potentials are done with 1-D shell
 quadrature (composite Simpson) whenever the integrand reduces to shells about
 the ball center, and with grid sums otherwise. rho comes from one bisection
 loop that runs a block of points in lockstep; at n = 1 each step is a single
-Simpson sum over the whole block, built from fixed node and weight patterns
-scaled by each radius (the products np.linspace and `_simpson_weights` make)
-and summed in place. At n >= 2 a block evaluates V and each
-point's distances once, and a step counts each point's members below its
-radius and reads the ball sum from a table indexed by that count: a grid ball
-sum only changes where the radius passes a distance, so each (point, member
-count) is summed once, however many of the ~70 steps of a point land on it.
+Simpson sum over the whole block, its nodes and weights fixed patterns scaled
+by each radius (the nodes are np.linspace's, bit for bit) and summed in place.
+At n >= 2 a block evaluates V and each point's distances once, and a step
+counts each point's members below its radius and reads the ball sum from a
+table indexed by that count: a grid ball sum only changes where the radius
+passes a distance, so each (point, member count) is summed once, however many
+of the ~70 steps of a point land on it.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +25,9 @@ SIMPSON_INTERVALS = 512
 RHO_TOL = 1e-9           # rho bisection stops when its bracket is this narrow
 
 #: points bisected in lockstep. At n = 1 a step's temporaries are RHO_BLOCK x 513
-#: doubles, 131,328 bytes at 32: 256 bytes over glibc's default 128 KiB mmap
-#: threshold. On a 2-core Xeon (2 MiB L2 per core), 512 points of n = 1
-#: M = 512 V = |x|^2 took 70, 60 and 56 ms at blocks of 16, 32 and 64 once a
-#: larger free had raised that threshold; in fresh processes a block of 48
-#: page-faulted on every temporary (116 ms) and 32 did not. The bits do not
-#: depend on the block.
+#: doubles: 131,328 bytes at 32, just over glibc's default 128 KiB mmap
+#: threshold. In fresh processes a block of 32 did not page-fault on them where
+#: 48 did. rho does not depend on the block.
 RHO_BLOCK = 32
 
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -96,8 +93,8 @@ _TINY, _HUGE = 2.0 ** -511, 2.0 ** 511
 def _norms(pts: np.ndarray) -> np.ndarray:
     """np.linalg.norm(pts, axis=1), bit for bit. For one column that norm is
     sqrt(x * x), which equals |x| exactly in binary64 unless x * x underflows
-    or overflows (at x = 1e200 the norm reads inf); np.abs serves every column
-    that stays inside that range."""
+    or overflows (at x = 1e200 the norm reads inf). np.abs serves a column
+    inside that range: it is cheaper than the square root (BENCH_rho.json)."""
     if pts.shape[1] > 1:
         return np.linalg.norm(pts, axis=1)
     col = pts[:, 0]
@@ -158,21 +155,15 @@ def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
     return None
 
 
-def _simpson_pattern(m: int) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w
-
-
-def _simpson_weights(m: int, width: float) -> np.ndarray:
-    return _simpson_pattern(m) * (width / m / 3.0)
-
-
-#: node indices and the 1-4-2-...-4-1 pattern: times r / SIMPSON_INTERVALS (the
-#: last node set to r) and r / SIMPSON_INTERVALS / 3 they are the nodes and
-#: weights np.linspace(0, r, .) and _simpson_weights(., r) make, bit for bit
+#: node indices and the 1-4-2-...-4-1 Simpson pattern: times r / SIMPSON_INTERVALS,
+#: with the last node set to r, the indices are np.linspace(0, r, .) bit for bit
 _NODE_INDEX = np.arange(SIMPSON_INTERVALS + 1, dtype=float)
-_WEIGHT_PATTERN = _simpson_pattern(SIMPSON_INTERVALS)
+_WEIGHT_PATTERN = np.ones(SIMPSON_INTERVALS + 1)
+_WEIGHT_PATTERN[1:-1:2], _WEIGHT_PATTERN[2:-1:2] = 4.0, 2.0
+
+
+def _simpson_weights(width: float) -> np.ndarray:
+    return _WEIGHT_PATTERN * (width / SIMPSON_INTERVALS / 3.0)
 
 
 def _shell_integrals_1d(spec: PotentialSpec, centers, radii, q: float = 1.0) -> np.ndarray:
@@ -189,7 +180,7 @@ def _shell_integrals_1d(spec: PotentialSpec, centers, radii, q: float = 1.0) -> 
         vminus **= q
     # w * (V+ + V-), folded into eval_potential's fresh output
     total += vminus
-    total *= _WEIGHT_PATTERN * (step / 3.0)
+    total *= _simpson_weights(radii[:, None])
     return total.sum(axis=1)
 
 
@@ -206,7 +197,7 @@ def ball_integral(spec: PotentialSpec, n: int, center, radius: float,
     prof = _radial_profile_about(spec, center)
     if prof is not None:
         s = np.linspace(0.0, radius, SIMPSON_INTERVALS + 1)
-        w = _simpson_weights(SIMPSON_INTERVALS, radius)
+        w = _simpson_weights(radius)
         vals = prof(s) ** q
         return float(_SPHERE_SURFACE[n] * np.sum(w * vals * s ** (n - 1)))
     if grid is None:

@@ -37,6 +37,11 @@ def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.dgemv(1.0, a, x)
 
 
+def _strided_vector(name: str, call: str) -> ValueError:
+    return ValueError(f"matmul: operand {name} is a strided vector, whose numpy product "
+                      f"no {call} call here reproduces; pass a contiguous copy")
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for float64 arrays of one or two dimensions, in scipy's BLAS,
     bit for bit numpy's result.
@@ -49,25 +54,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (no transpose flag), else as itself (transpose flag), which f2py copies
     to Fortran order if it is not already. The result is the .T of dgemm's
     Fortran-ordered output, C-contiguous as numpy's is. Not mirrored, and
-    passed by no caller: numpy's `syrk` for `x @ x.T`. A strided 1-D operand
-    raises ValueError: f2py would copy it, and numpy hands OpenBLAS the
-    stride, with which `ddot` sums in another order (a column of a 512 x 512
-    matrix differs in the last place, also with `offx`/`incx`).
+    passed by no caller: numpy's `syrk` for `x @ x.T`.
+
+    A vector numpy would not hand to this call raises ValueError naming the
+    operand: a non-unit stride in a `ddot` (numpy passes the stride, and
+    `ddot` then sums in another order; a column of a 512 x 512 matrix differs
+    in the last place) and a negative or zero stride in a `dgemv` (a reversed
+    column differs too). A positive stride in a `dgemv` keeps numpy's bits.
     """
-    # one condition, no loop: spaces at n=2 M=24 makes ~7,000 calls
-    if (a.ndim == 1 and not a.flags.c_contiguous) or (b.ndim == 1 and not b.flags.c_contiguous):
-        name = "a" if a.ndim == 1 and not a.flags.c_contiguous else "b"
-        raise ValueError(f"matmul: operand {name} is a strided vector, whose numpy "
-                         "product no call here reproduces; pass a contiguous copy")
     shape = a.shape[:-1] + b.shape[1:]
     one_row = a.ndim == 1 or a.shape[0] == 1
     one_col = b.ndim == 1 or b.shape[1] == 1
     if one_row and one_col:
+        if not (a.flags.c_contiguous and b.flags.c_contiguous):
+            raise _strided_vector("a" if not a.flags.c_contiguous else "b", "ddot")
         dot = np.float64(0.0 + scipy.linalg.blas.ddot(a.ravel(), b.ravel()))
         return dot.reshape(shape) if shape else dot
     if one_row:
+        if a.strides[-1] <= 0:
+            raise _strided_vector("a", "dgemv")
         return _gemv(b.T, a.ravel()).reshape(shape)
     if one_col:
+        if b.strides[0] <= 0:
+            raise _strided_vector("b", "dgemv")
         return _gemv(a, b.ravel()).reshape(shape)
     trans_b, left = (0, b.T) if b.T.flags.f_contiguous else (1, b)
     trans_a, right = (0, a.T) if a.T.flags.f_contiguous else (1, a)

@@ -285,7 +285,7 @@ def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
     x = np.asarray(x, dtype=float).reshape(n)
     r_max = min(2.0 * grid.half_width * np.sqrt(n), 12.0 * np.sqrt(t))
     s = np.linspace(0.0, r_max, SIMPSON_INTERVALS + 1)
-    w = _simpson_weights(SIMPSON_INTERVALS, r_max)
+    w = _simpson_weights(r_max)
     gauss = np.exp(-s * s / (4.0 * t))
     if n == 1:
         vplus = eval_potential(spec, (x[0] + s)[:, None])
@@ -356,7 +356,7 @@ def per_step_functional(spec: PotentialSpec, grid: Grid, x):
             return float(shell_integrals_1d_linspace(spec, x, [r])[0])
         if prof is not None:
             s = np.linspace(0.0, r, SIMPSON_INTERVALS + 1)
-            w = _simpson_weights(SIMPSON_INTERVALS, r)
+            w = _simpson_weights(r)
             return float(_SPHERE_SURFACE[n] * np.sum(w * prof(s) ** 1.0 * s ** (n - 1)))
         dist = grid.distances_from(x)
         vals = eval_potential(spec, grid.points)[dist < r] ** 1.0

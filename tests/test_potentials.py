@@ -316,8 +316,9 @@ _EXTREMES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, -1e-16
 def test_eval_potential_one_column_is_the_norm_bitwise(spec):
     """On (k, 1) points np.abs stands in for np.linalg.norm, whose value is
     sqrt(x * x). That is |x| exactly where x * x neither underflows nor
-    overflows; outside (-0.0, subnormals, 1e-160, 1e200, inf, NaN) the norm's
-    own value is kept, e.g. inf at 1e200 where |x|^1.5 would be 1e300."""
+    overflows; outside (-0.0, subnormals, 1e-160, the edges of 2^-511 and
+    2^511, 1e200, inf, NaN) the norm's own value is kept, e.g. inf at 1e200
+    where |x|^1.5 would be 1e300."""
     def same_bits(pts):
         got, want = eval_potential(spec, pts), norm_potential(spec, pts)
         return got.shape == want.shape and np.array_equal(got.view(np.uint64),

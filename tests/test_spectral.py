@@ -333,16 +333,21 @@ def test_matmul_vector_products_are_numpy_bit_for_bit(workload_dec, order):
 
 
 def test_matmul_rejects_strided_vectors():
-    """A column view is a strided vector: numpy passes its stride to `ddot`,
-    which then sums in an order no contiguous call reproduces, so `matmul`
-    names the operand instead. Contiguous copies keep numpy's bits."""
+    """numpy hands `ddot` each vector's stride, and `ddot` then sums a strided
+    pair in an order no contiguous call reproduces, so `matmul` names the
+    operand instead, in 1-D and in one-row or one-column 2-D form. `dgemv`
+    keeps numpy's bits on a positive stride; a reversed vector, whose numpy
+    product it does not reproduce, raises. Contiguous operands keep numpy's bits."""
     B = np.random.default_rng(512).standard_normal((512, 512))
     for a, b, name in ((B[:, 7], B[:, 9].copy(), "a"), (B[7], B[:, 9], "b"),
-                       (B[:, 7], B, "a"), (B, B[::-1, 9], "b")):
+                       (B[:, 7:8].T, B[:, 9:10], "a"), (B[7:8], B[:, 9:10], "b"),
+                       (B[::-1, 7], B, "a"), (B, B[::-1, 9], "b"),
+                       (B, B[::-1, 9:10], "b")):
         with pytest.raises(ValueError, match=f"operand {name} is a strided vector"):
             matmul(a, b)
-    for a, b in ((B[:, 7].copy(), B[:, 9].copy()), (B[7], B[9]), (B[:, 7].copy(), B),
-                 (B, B[:, 9].copy())):
+    for a, b in ((B[:, 7].copy(), B[:, 9].copy()), (B[7], B[9]), (B[7:8], B[9:10].T),
+                 (B[:, 7], B), (B, B[:, 9]), (B[:, 7:8].T, B), (B, B[:, 9:10]),
+                 (B[7, ::2], B[::2]), (B, B[7])):
         assert _same_as_numpy(a, b)
 
 
