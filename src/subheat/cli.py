@@ -229,17 +229,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, header: list[str], chunks) -> None:
-    """Write the config comment, the header and `chunks`, lazily formatted CSV text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {config.describe()}\n")
-        fh.write(",".join(header) + "\n")
+    """Write the config comment, the header and `chunks`, lazily formatted CSV
+    bytes."""
+    with open(path, "wb") as fh:
+        fh.write(f"# config: {config.describe()}\n{','.join(header)}\n".encode())
         for chunk in chunks:
             fh.write(chunk)
 
 
 def _csv_lines(rows):
     for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
+        yield (",".join(_fmt(v) for v in row) + "\n").encode()
 
 
 def _fork_writer(path: Path, config: RunConfig, table: np.ndarray) -> int:
@@ -265,44 +265,45 @@ def _fork_writer(path: Path, config: RunConfig, table: np.ndarray) -> int:
         os._exit(code)
 
 
-def _reap_oldest(writers: dict) -> None:
-    """Wait for the oldest writer in `writers` (pid -> path); raise, naming its
-    file, if it failed."""
-    pid = next(iter(writers))
-    _, status = os.waitpid(pid, 0)
-    path = writers.pop(pid)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"the writer of {path} failed (wait status {status})")
+def _reap_all(writers: dict) -> None:
+    """Wait for every writer in `writers` (pid -> path), oldest first; raise,
+    naming its file, at the first that failed."""
+    while writers:
+        pid = next(iter(writers))
+        _, status = os.waitpid(pid, 0)
+        path = writers.pop(pid)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"the writer of {path} failed (wait status {status})")
 
 
 def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
-    """Each table is formatted in a forked writer while the next one is computed.
+    """The tables are computed in batches of one per CPU, each batch while no
+    writer is alive, and each table is then formatted in a forked writer.
 
-    At most one writer per CPU is alive; every writer is reaped, also when
-    this raises part way.
+    So the sandwiches' BLAS threads never compete with the writers for the
+    cores. The parent holds at most one batch, and only while no writer is
+    alive; every writer is reaped, also when this raises part way.
     """
     grid = build_grid(cfg.n, cfg.half_width, cfg.points_per_axis, cfg.bc)
     dec = eigendecompose(assemble(grid, cfg.potential))
     slots = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())           # macOS has no affinity mask
-    writers, paths = {}, []
+    jobs = [(out / f"{tag}_t{t:g}.csv", tag, t) for t in cfg.times for tag in ("heat", "frac")]
+    writers = {}
     try:
-        for t in cfg.times:
-            for tag in ("heat", "frac"):
-                table = (heat_kernel(dec, t) if tag == "heat"
-                         else fractional_heat_kernel(dec, cfg.alpha, t)).table
-                if len(writers) == slots:
-                    _reap_oldest(writers)
-                path = out / f"{tag}_t{t:g}.csv"
-                writers[_fork_writer(path, cfg, table)] = path
-                del table
-                paths.append(str(path))
-        while writers:
-            _reap_oldest(writers)
+        for start in range(0, len(jobs), slots):
+            _reap_all(writers)
+            batch = {path: (heat_kernel(dec, t) if tag == "heat"
+                            else fractional_heat_kernel(dec, cfg.alpha, t)).table
+                     for path, tag, t in jobs[start:start + slots]}
+            for path in batch:
+                writers[_fork_writer(path, cfg, batch[path])] = path
+            del batch
+        _reap_all(writers)
     finally:
         for pid in writers:
             os.waitpid(pid, 0)
-    return {"pass": True, "outputs": paths}
+    return {"pass": True, "outputs": [str(path) for path, _, _ in jobs]}
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> dict:

@@ -95,25 +95,25 @@ def _decimal_chars(n: np.ndarray) -> np.ndarray:
     return digits.T
 
 
-def _value_text(x: np.ndarray) -> np.ndarray:
-    """(len(x), _WIDTH) uint8 slots whose non-NUL bytes spell `.17g` of each
-    value: `_fast_text` where it can settle the text, else `_scalar(v)`."""
+def _value_text(x: np.ndarray, text: np.ndarray) -> None:
+    """Fill `text`, (len(x), _WIDTH) uint8 slots, so that its non-NUL bytes
+    spell `.17g` of each value: `_fast_text` where it can settle the text,
+    else `_scalar(v)` (the values out of its range stand in as 1.0 there)."""
     a = np.abs(x)
     fast = (a >= _X_MIN) & (a <= _X_MAX)
-    text = np.zeros((len(x), _WIDTH), dtype=np.uint8)
-    text[fast], unsettled = _fast_text(x[fast])
-    slow = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[unsettled]])
+    unsettled = _fast_text(np.where(fast, x, 1.0), text)
+    slow = np.flatnonzero(~fast | unsettled)
     if slow.size:                       # each bit pattern once: a table may be all zeros
         bits, which = np.unique(x[slow].view(np.int64), return_inverse=True)
         chars = np.array([_scalar(v).encode() for v in bits.view(np.float64).tolist()],
                          dtype=f"S{_WIDTH}")
         text[slow] = chars.view(np.uint8).reshape(bits.size, _WIDTH)[which]
-    return text
 
 
-def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The `_value_text` slots of values 1e-280 <= |x| <= 1e280, and where
-    they are unsettled: ambiguous digits or a positional exponent 1..16.
+def _fast_text(x: np.ndarray, text: np.ndarray) -> np.ndarray:
+    """Fill `text` with the `_value_text` slots of values 1e-280 <= |x| <=
+    1e280; return where they are unsettled: ambiguous digits or a positional
+    exponent 1..16.
 
     Slots: the sign; "0." and up to three zeros, for the exponents -4..-1;
     the 17 digits, with the point in the slot after the first; "e", the
@@ -126,7 +126,6 @@ def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scientific = (exp < -4) | (exp > 16)
     small = ~scientific & (exp < 0)
     dotted = ~small & (kept > 1)
-    text = np.zeros((len(n), _WIDTH), dtype=np.uint8)
     text[:, 0] = (x < 0) * np.uint8(ord("-"))
     text[:, 1] = small * np.uint8(ord("0"))
     text[:, 2] = small * np.uint8(ord("."))
@@ -141,7 +140,7 @@ def _fast_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[:, 26] = (scientific & (e >= 100)) * (e // 100 + ord("0")).astype(np.uint8)
     text[:, 27] = scientific * (e // 10 % 10 + ord("0")).astype(np.uint8)
     text[:, 28] = scientific * (e % 10 + ord("0")).astype(np.uint8)
-    return text, ambiguous | ((exp >= 1) & (exp <= 16))
+    return ambiguous | ((exp >= 1) & (exp <= 16))
 
 
 def _index_text(indices) -> np.ndarray:
@@ -151,7 +150,7 @@ def _index_text(indices) -> np.ndarray:
 
 
 def table_chunks(table: np.ndarray):
-    """Yield the `x_index,y_index,value` text of a 2-D float64 table, one
+    """Yield the `x_index,y_index,value` bytes of a 2-D float64 table, one
     chunk per block of about _BLOCK_VALUES values."""
     rows, cols = table.shape
     step = max(1, _BLOCK_VALUES // cols)
@@ -160,10 +159,11 @@ def table_chunks(table: np.ndarray):
         block = table[start:start + step]
         x_text = _index_text(range(start, start + len(block)))
         wx, wy = x_text.shape[1], y_text.shape[1]
-        lines = np.empty((len(block), cols, wx + wy + _WIDTH + 1), dtype=np.uint8)
-        lines[:, :, :wx] = x_text[:, None, :]
-        lines[:, :, wx:wx + wy] = y_text
-        lines[:, :, wx + wy:-1] = _value_text(block.ravel()).reshape(len(block), cols, _WIDTH)
-        lines[:, :, -1] = ord("\n")
+        lines = np.empty((block.size, wx + wy + _WIDTH + 1), dtype=np.uint8)
+        by_row = lines.reshape(len(block), cols, -1)
+        by_row[:, :, :wx] = x_text[:, None, :]
+        by_row[:, :, wx:wx + wy] = y_text
+        _value_text(block.ravel(), lines[:, wx + wy:-1])
+        lines[:, -1] = ord("\n")
         flat = lines.ravel()
-        yield flat[flat != 0].tobytes().decode("ascii")
+        yield flat[flat != 0].tobytes()

@@ -449,11 +449,11 @@ def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
 # --- kernel table text, one row at a time ----------------------------------
 
 def kernel_lines_per_row(table: np.ndarray):
-    """`fmt17.table_chunks` as one `%` call per table row; `%.17g` is `cli._fmt`
-    of a float64."""
+    """`fmt17.table_chunks` as one `%` call per table row, encoded; `%.17g` is
+    `cli._fmt` of a float64."""
     template = "".join([f"\0,{j},%.17g\n" for j in range(table.shape[1])])
     for i, row in enumerate(table):
-        yield template.replace("\0", str(i)) % tuple(row.tolist())
+        yield (template.replace("\0", str(i)) % tuple(row.tolist())).encode()
 
 
 # --- the operator as Kronecker products -------------------------------------

@@ -516,8 +516,8 @@ def test_kernel_lines_format_like_fmt():
     table = np.array([values, values[::-1]])
     want = "".join(f"{i},{j},{_fmt(v)}\n" for i, row in enumerate(table)
                    for j, v in enumerate(row))
-    assert "".join(kernel_lines_per_row(table)) == want
-    assert "".join(fmt17.table_chunks(table)) == want
+    assert b"".join(kernel_lines_per_row(table)) == want.encode()
+    assert b"".join(fmt17.table_chunks(table)) == want.encode()
 
 
 def _no_child_left():
@@ -539,11 +539,15 @@ def test_kernels_failed_writer_exits_1_and_every_writer_is_reaped(tmp_path, caps
 
 def test_kernels_parent_error_is_reported_and_every_writer_is_reaped(tmp_path, capsys,
                                                                      monkeypatch):
-    """The parent raising after a writer has started reports its own error."""
+    """The parent raising after a writer has started reports its own error.
+
+    With one slot, the heat_t0.25 writer forks before frac_t0.25 is computed.
+    """
     def planted(*args):
         raise FloatingPointError("planted fractional kernel failure")
 
     monkeypatch.setattr(cli, "fractional_heat_kernel", planted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     forked = []
     fork = os.fork
 
@@ -562,9 +566,11 @@ def test_kernels_parent_error_is_reported_and_every_writer_is_reaped(tmp_path, c
     _no_child_left()
 
 
-def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
-    """Eight files through two writer slots equal the per-row oracle's writes."""
-    live, most = set(), [0]
+def _kernels_through_two_slots(tmp_path, monkeypatch, grid_text, grid):
+    """Run `kernels` at four times with two writer slots and check each of the
+    eight files against the per-row oracle's write. Returns the number of
+    writers alive as each sandwich starts and the most alive at once."""
+    live, most, at_sandwich = set(), [0], []
     fork, waitpid = os.fork, os.waitpid
 
     def counting_fork():
@@ -579,17 +585,24 @@ def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
         live.discard(done[0])
         return done
 
+    def watched(kernel):
+        def sandwich(*args):
+            at_sandwich.append(len(live))
+            return kernel(*args)
+        return sandwich
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "waitpid", counting_waitpid)
-    text = ("[grid]\nn = 2\nL = 16\nM = 8\nbc = periodic\n"
-            "[run]\ncommand = kernels\ntimes = 0.25, 1, 4, 16\n")
+    monkeypatch.setattr(cli, "heat_kernel", watched(heat_kernel))
+    monkeypatch.setattr(cli, "fractional_heat_kernel", watched(fractional_heat_kernel))
+    text = grid_text + "[run]\ncommand = kernels\ntimes = 0.25, 1, 4, 16\n"
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
     assert main(["kernels", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert most[0] == 2 and not live
+    assert not live
     cfg = parse_config(text)
-    dec = eigendecompose(assemble(build_grid(2, 16.0, 8, "periodic"), cfg.potential))
+    dec = eigendecompose(assemble(build_grid(*grid), cfg.potential))
     (tmp_path / "want").mkdir()
     names = []
     for t in cfg.times:
@@ -603,3 +616,48 @@ def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
     _no_child_left()
+    return at_sandwich, most[0]
+
+
+def test_kernels_writers_reuse_their_slots_byte_for_byte(tmp_path, monkeypatch):
+    """Eight files through two writer slots equal the per-row oracle's writes."""
+    _, most = _kernels_through_two_slots(
+        tmp_path, monkeypatch, "[grid]\nn = 2\nL = 16\nM = 8\nbc = periodic\n",
+        (2, 16.0, 8, "periodic"))
+    assert most == 2
+
+
+def test_kernels_compute_each_batch_while_no_writer_is_alive(tmp_path, monkeypatch):
+    """No sandwich starts while a writer is alive, and at most two writers live
+    at once."""
+    at_sandwich, most = _kernels_through_two_slots(
+        tmp_path, monkeypatch, "[grid]\nn = 1\nL = 16\nM = 16\n", (1, 16.0, 16, "dirichlet"))
+    assert at_sandwich == [0] * 8 and most == 2
+
+
+def test_n1_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`kernels`, `verify`, `spaces` and `equiv` at n=1 M=64 V=|x|^2 write the
+    same bytes with one OpenBLAS thread and with two; each thread count runs
+    all four commands in one interpreter. (n>=2 on the dense route is not
+    thread-invariant, so it is left out.)"""
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("[grid]\nn = 1\nL = 16\nM = 64\n[potential]\nkind = power\n"
+                        "sigma = 2\n")
+    code = ("import sys\nfrom subheat.cli import main\n"
+            "print([main([command, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "       for command in ('kernels', 'verify', 'spaces', 'equiv')])\n")
+    src = str(Path(__file__).parents[1] / "src")
+    exits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code, str(cfg_path),
+                               str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        exits.append(done.stdout.splitlines()[-1])
+    assert exits[0] == exits[1]                   # verify fails some rows at M=64
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 10 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -29,7 +29,7 @@ from subheat.spectral import assemble, eigendecompose, fractional_heat_kernel, h
 def assert_formats_like_fmt(values):
     """The values as one table row: each line must be `0,j,_fmt(v)`."""
     row = np.asarray(values, dtype=np.float64).ravel()
-    got = "".join(table_chunks(row[None, :])).splitlines()
+    got = b"".join(table_chunks(row[None, :])).decode().splitlines()
     want = [f"0,{j},{_fmt(v)}" for j, v in enumerate(row.tolist())]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and bad == [], f"{len(bad)} mismatches, first {bad[:5]}"
@@ -64,8 +64,8 @@ def test_powers_of_ten_and_their_neighbours_format_like_fmt():
 def test_powers_of_two_and_exact_decimal_ties_format_like_fmt():
     twos = np.ldexp(1.0, -np.arange(0, 1075))
     assert_formats_like_fmt(np.concatenate([odd * twos for odd in (1, 3, 5, 7, 9, 11, 13)]))
-    tie = "".join(table_chunks(np.array([[2.0 ** -25]])))
-    assert tie == "0,0,2.9802322387695312e-08\n"
+    tie = b"".join(table_chunks(np.array([[2.0 ** -25]])))
+    assert tie == b"0,0,2.9802322387695312e-08\n"
 
 
 def test_g_switch_points_three_digit_exponents_and_zeros_format_like_fmt():
@@ -88,7 +88,7 @@ def test_n1_m256_tables_equal_the_per_row_writer(n1_tables, rows):
     """A block holds 128 rows of 256 values, so 250 rows end in a short block."""
     for table in n1_tables:
         part = table[:rows]
-        assert "".join(table_chunks(part)) == "".join(kernel_lines_per_row(part))
+        assert b"".join(table_chunks(part)) == b"".join(kernel_lines_per_row(part))
 
 
 def test_n2_table_with_four_digit_indices_equals_the_per_row_writer():
@@ -96,7 +96,7 @@ def test_n2_table_with_four_digit_indices_equals_the_per_row_writer():
                                   potentials.power(2.0)))
     table = fractional_heat_kernel(dec, 0.5, 0.25).table
     assert table.shape == (1024, 1024)
-    assert "".join(table_chunks(table)) == "".join(kernel_lines_per_row(table))
+    assert b"".join(table_chunks(table)) == b"".join(kernel_lines_per_row(table))
 
 
 def test_values_the_product_cannot_settle_go_through_fmt(monkeypatch):
