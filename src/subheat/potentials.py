@@ -2,17 +2,14 @@
 
 The critical radius rho(x) is the largest r with r^(2-n) * integral of V over
 B(x, r) <= 1; it calibrates every decay penalty used by the bound certificates.
-Ball integrals of the analytic catalog potentials are done with 1-D shell
-quadrature (composite Simpson) whenever the integrand reduces to shells about
-the ball center, and with grid sums otherwise. rho comes from one bisection
-loop that runs a block of points in lockstep; at n = 1 each step is a single
-Simpson sum over the whole block, its nodes and weights fixed patterns scaled
-by each radius (the nodes are np.linspace's, bit for bit) and summed in place.
-At n >= 2 a block evaluates V and each point's distances once, and a step
-counts each point's members below its radius and reads the ball sum from a
-table indexed by that count: a grid ball sum only changes where the radius
-passes a distance, so each (point, member count) is summed once, however many
-of the ~70 steps of a point land on it.
+`_ball_integrals` is the one place the quadrature of the ball integral is
+chosen: a Simpson sum over [c - r, c + r] at n = 1, a Simpson sum over shells
+for the points V is radial about at n >= 2, and a grid sum for every other
+point. Both Simpson sums take their nodes and weights from `_simpson_nodes`
+(fixed patterns scaled by each radius) and cover a whole block of points in
+one numpy expression. A grid ball sum only changes where the radius passes a
+distance, so each (point, member count) is summed once. rho comes from one
+bisection loop that runs a block of points in lockstep.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +47,7 @@ class PotentialSpec:
         for key, value in self.params.items():
             if key != "center" and np.any(np.asarray(value) < 0):
                 raise ValueError(f"parameter {key} must be nonnegative")
-        if self.kind == "constant" and self.params["c"] * self.scale <= 0:
+        if self.kind == "constant" and self.params["c"] <= 0:
             raise ValueError("constant potential must be strictly positive (use zero)")
         if self.kind == "power" and self.params["sigma"] <= 0:
             raise ValueError("power potential needs sigma > 0")
@@ -139,7 +136,8 @@ def is_zero(spec: PotentialSpec) -> bool:
 
 
 def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
-    """Return s -> V on the shell of radius s about `center`, or None."""
+    """Return s -> V on the shell of radius s about `center`, or None. Where
+    it is not None it is the same function about every centre."""
     if spec.kind == "zero":
         return lambda s: np.zeros_like(np.asarray(s, float))
     if spec.kind == "constant":
@@ -155,61 +153,44 @@ def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
     return None
 
 
-#: node indices and the 1-4-2-...-4-1 Simpson pattern: times r / SIMPSON_INTERVALS,
-#: with the last node set to r, the indices are np.linspace(0, r, .) bit for bit
+#: node indices and the 1-4-2-...-4-1 Simpson pattern, read by `_simpson_nodes`
 _NODE_INDEX = np.arange(SIMPSON_INTERVALS + 1, dtype=float)
 _WEIGHT_PATTERN = np.ones(SIMPSON_INTERVALS + 1)
 _WEIGHT_PATTERN[1:-1:2], _WEIGHT_PATTERN[2:-1:2] = 4.0, 2.0
 
 
-def _simpson_weights(width: float) -> np.ndarray:
-    return _WEIGHT_PATTERN * (width / SIMPSON_INTERVALS / 3.0)
+def _simpson_nodes(radii: np.ndarray):
+    """Composite Simpson nodes and weights on [0, r], one row per radius.
 
-
-def _shell_integrals_1d(spec: PotentialSpec, centers, radii, q: float = 1.0) -> np.ndarray:
-    """Composite Simpson integral of V^q over [c - r, c + r], one per (c, r) row."""
-    radii = np.asarray(radii, dtype=float)
-    step = radii[:, None] / SIMPSON_INTERVALS
-    s = _NODE_INDEX * step
+    The nodes are index * (r / SIMPSON_INTERVALS) with the last set to r,
+    which is np.linspace(0, r, SIMPSON_INTERVALS + 1) bit for bit.
+    """
+    r = radii[:, None]
+    s = _NODE_INDEX * (r / SIMPSON_INTERVALS)
     s[:, -1] = radii
+    return s, _WEIGHT_PATTERN * (r / SIMPSON_INTERVALS / 3.0)
+
+
+def _shell_integrals_1d(spec: PotentialSpec, centers, radii) -> np.ndarray:
+    """Composite Simpson integral of V over [c - r, c + r], one per (c, r) row."""
+    s, w = _simpson_nodes(np.asarray(radii, dtype=float))
     c = np.asarray(centers, dtype=float)[:, None]
     total = eval_potential(spec, (c + s).reshape(-1, 1)).reshape(s.shape)
-    vminus = eval_potential(spec, (c - s).reshape(-1, 1)).reshape(s.shape)
-    if q != 1.0:                           # v ** 1.0 == v
-        total **= q
-        vminus **= q
+    # c - s goes into the nodes' buffer: with one more RHO_BLOCK x 513 array
+    # alive, some fresh processes gave the heap top back and faulted it in
+    # again at every step, which doubled the time of an n = 1 rho
+    minus = np.subtract(c, s, out=s)
     # w * (V+ + V-), folded into eval_potential's fresh output
-    total += vminus
-    total *= _simpson_weights(radii[:, None])
+    total += eval_potential(spec, minus.reshape(-1, 1)).reshape(s.shape)
+    total *= w
     return total.sum(axis=1)
 
 
-def ball_integral(spec: PotentialSpec, n: int, center, radius: float,
-                  grid: Grid | None = None, q: float = 1.0) -> float:
-    """Integral of V^q over B(center, radius).
-
-    Shell quadrature (continuous in radius) for n = 1 and for potentials
-    radial about the center; otherwise the grid sum over member points.
-    """
-    center = np.asarray(center, dtype=float).reshape(n)
-    if n == 1:
-        return float(_shell_integrals_1d(spec, center, [radius], q)[0])
-    prof = _radial_profile_about(spec, center)
-    if prof is not None:
-        s = np.linspace(0.0, radius, SIMPSON_INTERVALS + 1)
-        w = _simpson_weights(radius)
-        vals = prof(s) ** q
-        return float(_SPHERE_SURFACE[n] * np.sum(w * vals * s ** (n - 1)))
-    if grid is None:
-        raise ValueError("grid quadrature needed for a non-radial ball integral")
-    return float(_GridBallSums(spec, grid, center[None], q)([0], [radius])[0])
-
-
 class _GridBallSums:
-    """(rows, radii) -> sum of V^q * h^n over the grid points y with
+    """(rows, radii) -> sum of V * h^n over the grid points y with
     |y - centers[row]| < radius, row-wise.
 
-    V^q is evaluated once and each centre's distances once. A ball sum is a
+    V is evaluated once and each centre's distances once. A ball sum is a
     step function of the radius: it only changes where the radius passes a
     distance. So the sums live in a (centres x N+1) table indexed by the
     member count, and each (centre, count) entry is summed once, on first
@@ -218,15 +199,14 @@ class _GridBallSums:
     has the bits of a fresh one.
     """
 
-    def __init__(self, spec: PotentialSpec, grid: Grid, centers: np.ndarray, q: float):
-        self.vals = eval_on_grid(spec, grid) ** q
+    def __init__(self, spec: PotentialSpec, grid: Grid, centers: np.ndarray):
+        self.vals = eval_on_grid(spec, grid)
         self.dist = np.stack([grid.distances_from(c) for c in centers])
         self.weight = grid.cell_weight
         self.sums = np.zeros((len(centers), grid.size + 1))
         self.filled = np.zeros(self.sums.shape, dtype=bool)
 
     def __call__(self, rows, radii) -> np.ndarray:
-        rows, radii = np.asarray(rows), np.asarray(radii, dtype=float)
         counts = np.count_nonzero(self.dist[rows] < radii[:, None], axis=1)
         for j in np.flatnonzero(~self.filled[rows, counts]):
             i, k = rows[j], counts[j]
@@ -238,32 +218,44 @@ class _GridBallSums:
         return float(np.sum(self.vals[self.dist[row] < radius]) * self.weight)
 
 
-def _block_functional(spec: PotentialSpec, grid: Grid, points: np.ndarray):
-    """(rows, radii) -> r^(2-n) * integral of V over B(points[row], r), row-wise.
+def _ball_integrals(spec: PotentialSpec, grid: Grid, points: np.ndarray):
+    """(rows, radii) -> integral of V over B(points[row], r), row-wise.
 
-    At n = 1 one Simpson sum covers the whole block. At n >= 2 a point that V
-    is radial about takes the shell quadrature of `ball_integral`, and every
-    other point reads the block's `_GridBallSums` table.
+    This is where the quadrature is chosen. At n = 1 one Simpson sum covers
+    every row. At n >= 2 the rows that V is radial about share one profile
+    (it does not depend on the centre), and one Simpson shell sum covers them
+    all; every other row reads the block's `_GridBallSums` table.
     """
     n = grid.dimension
     if n == 1:
         centers = points[:, 0]
-        return lambda rows, radii: radii * _shell_integrals_1d(spec, centers[rows], radii)
-    radial = np.array([_radial_profile_about(spec, x) is not None for x in points])
-    sums = None if radial.all() else _GridBallSums(spec, grid, points, 1.0)
+        return lambda rows, radii: _shell_integrals_1d(spec, centers[rows], radii)
+    profiles = [_radial_profile_about(spec, x) for x in points]
+    radial = np.array([p is not None for p in profiles])
+    profile = next((p for p in profiles if p is not None), None)
+    sums = None if radial.all() else _GridBallSums(spec, grid, points)
 
-    def functional(rows, radii):
+    def integrals(rows, radii):
         rows, radii = np.asarray(rows), np.asarray(radii, dtype=float)
-        integral = np.empty(rows.size)
-        on_grid = ~radial[rows]
-        if on_grid.any():
-            integral[on_grid] = sums(rows[on_grid], radii[on_grid])
-        for j in np.flatnonzero(radial[rows]):
-            integral[j] = ball_integral(spec, n, points[rows[j]], radii[j], grid)
-        # a scalar power per radius: numpy's array power takes other fast paths
-        return np.array([r ** (2 - n) for r in radii]) * integral
+        out = np.empty(rows.size)
+        shell = radial[rows]
+        if shell.any():
+            s, w = _simpson_nodes(radii[shell])
+            out[shell] = _SPHERE_SURFACE[n] * np.sum(w * profile(s) * s ** (n - 1), axis=1)
+        if not shell.all():
+            out[~shell] = sums(rows[~shell], radii[~shell])
+        return out
 
-    return functional
+    return integrals
+
+
+def _block_functional(spec: PotentialSpec, grid: Grid, points: np.ndarray):
+    """(rows, radii) -> r^(2-n) * integral of V over B(points[row], r), row-wise."""
+    integrals = _ball_integrals(spec, grid, points)
+    # float_power calls libm's pow per element; the ** operator would take the
+    # reciprocal at n = 3, which differs from pow(r, -1) in the last bit
+    exponent = 2 - grid.dimension
+    return lambda rows, radii: np.float_power(radii, exponent) * integrals(rows, radii)
 
 
 def _bisect_block(functional, count: int, grid: Grid):

@@ -13,16 +13,17 @@ before one pass served the whole suite: the ball family with one distance
 computation per ball, the Campanato norm of one member and the Carleson norm
 of one field, which `spaces.ball_family`, `spaces.bmo_norm` and
 `spaces.carleson_norm` must reproduce bit for bit. The fourth are Shen's lemma
-diagnostics for the critical radius: the reverse-Holder constant, the
-Gaussian average of V and the doubling, two-scale and comparability
-constants, and the per-point critical-radius bisection, which the blocked one
-must reproduce bit for bit; at n = 1 its step is the Simpson sum with
-np.linspace nodes and V from np.linalg.norm, which the patterned step and
+diagnostics for the critical radius: the reverse-Holder constant (which
+integrates the catalog potential V^q, `power_of`, along the package's one
+ball-integral path), the Gaussian average of V and the doubling, two-scale and
+comparability constants, and the per-point critical-radius bisection, which
+the blocked one must reproduce bit for bit; its Simpson sums take np.linspace
+nodes and, at n = 1, V from np.linalg.norm, which the patterned nodes and
 `eval_potential` must reproduce bit for bit. The fifth is the kernel table
-writer as it was before block formatting, one `%.17g` template per table row, whose text
-`fmt17.table_chunks` must reproduce byte for byte. The sixth is the operator
-as chained `np.kron` products built it, which `spectral.assemble` must
-reproduce bit for bit. The seventh are the pair scans of `spaces` as they
+writer as it was before block formatting, one `%.17g` template per table row,
+whose text `fmt17.table_chunks` must reproduce byte for byte. The sixth is the
+operator as chained `np.kron` products built it, which `spectral.assemble`
+must reproduce bit for bit. The seventh are the pair scans of `spaces` as they
 were before row blocks, over one N x N (or sample x sample) distance table,
 which `spaces.lipschitz_norm` and the n >= 2 `spaces.area_function` must
 reproduce bit for bit. The eighth is the scan accumulator's update as it was
@@ -42,9 +43,8 @@ from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams,
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
 from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
-                                _block_functional, _radial_profile_about,
-                                _simpson_weights, ball_integral, compute_rho,
-                                eval_on_grid, eval_potential, is_zero)
+                                _ball_integrals, _block_functional, _radial_profile_about,
+                                compute_rho, eval_on_grid, eval_potential, is_zero)
 from subheat.spaces import (SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at,
                             ball_centers, d_field)
 from subheat.spectral import (KernelSlice, SpectralDecomposition, _laplacian_1d,
@@ -252,22 +252,43 @@ class ReverseHolderResult:
     excluded: int
 
 
+def ball_integral(spec: PotentialSpec, grid: Grid, center, radius: float) -> float:
+    """Integral of V over B(center, radius), by the package's ball-integral path."""
+    center = np.asarray(center, dtype=float).reshape(1, grid.dimension)
+    return float(_ball_integrals(spec, grid, center)([0], [radius])[0])
+
+
+def power_of(spec: PotentialSpec, q: float) -> PotentialSpec:
+    """The catalog potential V^q: c^q, |x|^(sigma q) or v^q on the well, times
+    scale^q. V^q of a sum is not in the catalog."""
+    if spec.kind == "sum":
+        raise ValueError("V^q of a sum is not a catalog potential")
+    params = dict(spec.params)
+    if spec.kind == "power":
+        params["sigma"] *= q
+    elif spec.kind != "zero":
+        key = "c" if spec.kind == "constant" else "v"
+        params[key] = params[key] ** q
+    return PotentialSpec(spec.kind, params, scale=spec.scale ** q)
+
+
 def reverse_holder_constant(spec: PotentialSpec, q: float, ball_sample: list[Ball],
                             grid: Grid) -> ReverseHolderResult:
     """Measured reverse-Holder constant max_B (avg V^q)^(1/q) / (avg V) over the sample."""
     if q <= 1:
         raise ValueError("reverse-Holder exponent q must exceed 1")
     n = grid.dimension
+    spec_q = power_of(spec, q)
     c_best, excluded = 0.0, 0
     for ball in ball_sample:
         if ball.members.size < 32:
             raise ValueError("each sampled ball needs at least 32 interior points")
         vol = _BALL_VOLUME[n] * ball.radius ** n
-        avg_v = ball_integral(spec, n, ball.center, ball.radius, grid) / vol
+        avg_v = ball_integral(spec, grid, ball.center, ball.radius) / vol
         if avg_v <= 0.0:
             excluded += 1
             continue
-        avg_vq = ball_integral(spec, n, ball.center, ball.radius, grid, q=q) / vol
+        avg_vq = ball_integral(spec_q, grid, ball.center, ball.radius) / vol
         c_best = max(c_best, avg_vq ** (1.0 / q) / avg_v)
     if excluded == len(ball_sample):
         raise ValueError("all sampled balls have vanishing average potential")
@@ -285,7 +306,7 @@ def gaussian_average(spec: PotentialSpec, grid: Grid, x, t: float) -> float:
     x = np.asarray(x, dtype=float).reshape(n)
     r_max = min(2.0 * grid.half_width * np.sqrt(n), 12.0 * np.sqrt(t))
     s = np.linspace(0.0, r_max, SIMPSON_INTERVALS + 1)
-    w = _simpson_weights(r_max)
+    w = simpson_weights(r_max)
     gauss = np.exp(-s * s / (4.0 * t))
     if n == 1:
         vplus = eval_potential(spec, (x[0] + s)[:, None])
@@ -320,30 +341,35 @@ def norm_potential(spec: PotentialSpec, pts: np.ndarray) -> np.ndarray:
     return spec.scale * out
 
 
-def shell_integrals_1d_linspace(spec: PotentialSpec, centers, radii,
-                                q: float = 1.0) -> np.ndarray:
-    """The n = 1 Simpson sums of V^q over [c - r, c + r] as the package wrote
-    them before fixed node and weight patterns: np.linspace nodes, explicit
-    1-4-2-...-4-1 weights times r / m / 3, V from `norm_potential` and ** q.
-    It calls neither `eval_potential` nor `_simpson_weights`, so it does not
-    follow them when they change."""
-    m = SIMPSON_INTERVALS
-    radii = np.asarray(radii, dtype=float)
-    s = np.linspace(0.0, radii, m + 1, axis=-1)
-    w = np.ones(m + 1)
+def simpson_weights(r):
+    """The composite Simpson weights on [0, r]: 1-4-2-...-4-1 times r / m / 3,
+    for a scalar r or, one row per radius, a (k, 1) column."""
+    w = np.ones(SIMPSON_INTERVALS + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w = w * (radii[:, None] / m / 3.0)
+    return w * (r / SIMPSON_INTERVALS / 3.0)
+
+
+def shell_integrals_1d_linspace(spec: PotentialSpec, centers, radii) -> np.ndarray:
+    """The n = 1 Simpson sums of V over [c - r, c + r] as the package wrote
+    them before fixed node and weight patterns: np.linspace nodes, literal
+    `simpson_weights` and V from `norm_potential`. It calls neither
+    `eval_potential` nor the package's Simpson rule, so it does not follow
+    them when they change."""
+    radii = np.asarray(radii, dtype=float)
+    s = np.linspace(0.0, radii, SIMPSON_INTERVALS + 1, axis=-1)
+    w = simpson_weights(radii[:, None])
     c = np.asarray(centers, dtype=float)[:, None]
     vplus = norm_potential(spec, (c + s).reshape(-1, 1)).reshape(s.shape)
     vminus = norm_potential(spec, (c - s).reshape(-1, 1)).reshape(s.shape)
-    return np.sum(w * (vplus ** q + vminus ** q), axis=1)
+    return np.sum(w * (vplus + vminus), axis=1)
 
 
 def per_step_functional(spec: PotentialSpec, grid: Grid, x):
     """r -> r^(2-n) * integral of V over B(x, r), with no reuse between calls.
 
     The shell branch runs one Simpson sum per call: at n = 1 the one row of
-    `shell_integrals_1d_linspace`, and for V radial about x the radial sum.
+    `shell_integrals_1d_linspace`, and for V radial about x the radial sum
+    over np.linspace nodes.
     The grid-sum branch re-evaluates V on the whole grid and the distances
     from x at every call, as the package did at commit d2efde8.
     """
@@ -356,10 +382,10 @@ def per_step_functional(spec: PotentialSpec, grid: Grid, x):
             return float(shell_integrals_1d_linspace(spec, x, [r])[0])
         if prof is not None:
             s = np.linspace(0.0, r, SIMPSON_INTERVALS + 1)
-            w = _simpson_weights(r)
-            return float(_SPHERE_SURFACE[n] * np.sum(w * prof(s) ** 1.0 * s ** (n - 1)))
+            w = simpson_weights(r)
+            return float(_SPHERE_SURFACE[n] * np.sum(w * prof(s) * s ** (n - 1)))
         dist = grid.distances_from(x)
-        vals = eval_potential(spec, grid.points)[dist < r] ** 1.0
+        vals = eval_potential(spec, grid.points)[dist < r]
         return float(np.sum(vals) * grid.cell_weight)
 
     return lambda r: r ** (2 - n) * integral(r)
@@ -407,8 +433,8 @@ def check_aux_lemmas(spec: PotentialSpec, grid: Grid, sample_points,
         for r in scales:
             if 2.0 * r >= 2.0 * grid.half_width:
                 continue
-            small = ball_integral(spec, n, x, r, grid)
-            big = ball_integral(spec, n, x, 2.0 * r, grid)
+            small = ball_integral(spec, grid, x, r)
+            big = ball_integral(spec, grid, x, 2.0 * r)
             if small > 0:
                 doubling = max(doubling, big / small)
 

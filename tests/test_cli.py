@@ -213,10 +213,13 @@ def test_main_overflowing_potential_exits_1_naming_it(tmp_path, capsys, grid):
 
 
 def test_zero_scale_gives_the_zero_potential(tmp_path):
-    """0 * |x|^400 is V = 0, not 0 * inf: `verify` then exits as V = 0 does,
-    with the same certificate rows and no numpy warning."""
+    """0 * |x|^400 is V = 0, not 0 * inf, and so are a constant and a well at
+    scale 0: `verify` then exits as V = 0 does, with the same certificate rows
+    and no numpy warning."""
     rows, codes = {}, {}
-    for name, kind in (("scaled", "power\nsigma = 400\nscale = 0"), ("zero", "zero")):
+    for name, kind in (("scaled", "power\nsigma = 400\nscale = 0"),
+                       ("constant", "constant\nc = 1\nscale = 0"),
+                       ("well", "well\nheight = 2\nwidth = 1\nscale = 0"), ("zero", "zero")):
         cfg_path = tmp_path / f"{name}.ini"
         cfg_path.write_text(f"[grid]\nn = 1\nL = 16\nM = 64\n[potential]\nkind = {kind}\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -226,8 +229,9 @@ def test_zero_scale_gives_the_zero_potential(tmp_path):
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         # the first line is the config comment, which names the potential
         rows[name] = (tmp_path / name / "certificates.csv").read_text().splitlines()[1:]
-    assert codes["scaled"] == codes["zero"]
-    assert rows["scaled"] == rows["zero"] and len(rows["zero"]) > 1
+    assert codes["scaled"] == codes["constant"] == codes["well"] == codes["zero"]
+    assert rows["scaled"] == rows["constant"] == rows["well"] == rows["zero"]
+    assert len(rows["zero"]) > 1
 
 
 def test_main_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):

@@ -202,3 +202,33 @@ def test_the_product_guard_sees_numpy_products():
                      "    return np.dot(a, b) + numpy.einsum('ij,jk', a, b) + np.matmul(a, b)\n"
                      "def matmul(a, b):\n    return a @ b\n")
     assert sorted(line for line, _ in _products(tree)) == [2, 3, 4, 4, 4]
+
+
+def _simpson_breaches(tree: ast.Module) -> list:
+    """(line, text) of each `linspace`, and of each read of `_NODE_INDEX`
+    outside `_simpson_nodes`: the Simpson nodes have one builder."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_simpson_nodes":
+            skip = {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linspace"
+                or isinstance(node, ast.Name) and node.id == "linspace"
+                or isinstance(node, ast.Name) and node.id == "_NODE_INDEX"
+                and isinstance(node.ctx, ast.Load) and id(node) not in skip):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_the_simpson_nodes_have_one_builder():
+    tree = _modules()["potentials"]
+    assert _simpson_breaches(tree) == [], "Simpson nodes built outside _simpson_nodes"
+
+
+def test_the_simpson_guard_sees_linspace_and_node_reads():
+    tree = ast.parse("_NODE_INDEX = np.arange(5.0)\n"
+                     "def _simpson_nodes(r):\n    return _NODE_INDEX * r\n"
+                     "def f(r):\n    s = np.linspace(0.0, r, 5)\n"
+                     "    return _NODE_INDEX * r + linspace(0, 1, 3)\n")
+    assert sorted(line for line, _ in _simpson_breaches(tree)) == [5, 6, 6]

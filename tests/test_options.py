@@ -25,8 +25,6 @@ ALLOWED = {
     "spaces.default_time_grid.n_times": "tests run short ladders",
     "estimates.decay_exponent_fit.points": "sample count of the tail-exponent leg, "
                                            "to be chosen when verify runs it",
-    "potentials.ball_integral.q": "the reverse-Holder oracle in tests/oracles.py "
-                                  "integrates V^q",
     "potentials.power.scale": "public constructor of the potential catalog",
     "cli.main.argv": "the command line, or an argument list in-process",
     "spectral.multiplier_kernel.t": "unread; perfbench's tracer tests still pass a time "

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (_rho_functional, check_aux_lemmas, norm_potential, per_step_functional,
-                     per_step_rho, reverse_holder_constant, shell_integrals_1d_linspace)
+                     per_step_rho, power_of, reverse_holder_constant,
+                     shell_integrals_1d_linspace)
 from subheat import potentials
 from subheat.cli import main
 from subheat.estimates import lattice_indices
@@ -272,16 +273,21 @@ STEP_SPECS = [power(2.0), power(1.5), power(400.0), scaled(power(2.0), 3.0),
               sum_of(constant(0.01), power(2.0)), scaled(sum_of(well(1.0, 0.5), power(1.5)), 0.5)]
 STEP_IDS = ["power2", "power1.5", "power400-inf", "scaled-power2", "well", "constant",
             "constant+power", "scaled-well+power1.5"]
+#: each potential V as `name-1.0`, and V^2 as `name-2.0` where the catalog holds
+#: it: the reverse-Holder oracle integrates `power_of(V, q)` through this step
+STEP_CASES = ([pytest.param(spec, id=f"{name}-1.0") for spec, name in zip(STEP_SPECS, STEP_IDS)]
+              + [pytest.param(power_of(spec, 2.0), id=f"{name}-2.0")
+                 for spec, name in zip(STEP_SPECS, STEP_IDS) if spec.kind != "sum"])
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0])
-@pytest.mark.parametrize("spec", STEP_SPECS, ids=STEP_IDS)
-def test_shell_step_matches_linspace_oracle(spec, q):
+@pytest.mark.parametrize("spec", STEP_CASES)
+def test_shell_step_matches_linspace_oracle(spec):
     """The patterned n = 1 step gives the bits of np.linspace nodes, literal
     Simpson weights and V from np.linalg.norm on 2,064 (centre, radius)
     rows: every point of n = 1 L = 16 M = 512 four times, with radii spread
     from 1e-9 h to 2L, and rows whose nodes land exactly on the well's walls
-    at -0.75 and 1.25. |x|^400 overflows to inf beyond |x| ~ 5.9."""
+    at -0.75 and 1.25. |x|^400 overflows to inf beyond |x| ~ 5.9, |x|^800
+    beyond ~2.4."""
     grid = build_grid(1, 16.0, 512)
     h = grid.spacing
     rng = np.random.default_rng(22)
@@ -295,11 +301,11 @@ def test_shell_step_matches_linspace_oracle(spec, q):
     nodes = centers[-16:, None] + np.linspace(0.0, radii[-16:], 513, axis=-1)
     assert np.any(nodes == 1.25, axis=1).sum() >= 8 and np.any(nodes == -0.75)
     with np.errstate(over="ignore"):
-        got = potentials._shell_integrals_1d(spec, centers, radii, q)
-        want = shell_integrals_1d_linspace(spec, centers, radii, q)
+        got = potentials._shell_integrals_1d(spec, centers, radii)
+        want = shell_integrals_1d_linspace(spec, centers, radii)
     assert got.shape == (2064,)
     assert np.array_equal(got, want)
-    if spec.kind == "power" and spec.params["sigma"] == 400.0:
+    if spec.kind == "power" and spec.params["sigma"] >= 400.0:
         assert np.isinf(got).any() and np.isfinite(got).any()
 
 
@@ -352,10 +358,13 @@ def test_rho_power2_n1_matches_closed_form(M, bc):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("spec", N1_SPECS, ids=N1_IDS)
+@pytest.mark.parametrize("spec", N1_SPECS + [constant(0.5), sum_of(constant(0.3), constant(0.2))],
+                         ids=N1_IDS + ["constant", "constant+constant"])
 def test_block_functional_matches_per_step_functional(spec, n):
     # Radii 1.0, 1.0 + 1e-9 and 1.1 read one table entry where no distance
-    # lies between them; every value must still be a fresh sum's bits.
+    # lies between them; every value must still be a fresh sum's bits. The
+    # constants are radial about every point, so one call takes all eight
+    # rows (repeated ones too) through one Simpson shell sum.
     grid = build_grid(n, 4.0, 16 if n == 2 else 8)
     points = grid.points[::7][:RHO_BLOCK]
     rows = np.array([0, 5, 5, 5, 5, RHO_BLOCK - 1, 0, 0])
@@ -365,21 +374,40 @@ def test_block_functional_matches_per_step_functional(spec, n):
     assert np.array_equal(got, want)
 
 
+def _odd_grid(n: int, L: float, M: int) -> Grid:
+    """A Dirichlet midpoint grid with odd M, whose middle point is the origin
+    (`build_grid` takes even M only)."""
+    h = 2.0 * L / M
+    axis = -L + (np.arange(M) + 0.5) * h
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    grid = Grid(n, L, M, "dirichlet", axis, np.stack([m.ravel() for m in mesh], axis=-1))
+    assert np.linalg.norm(grid.points[M ** n // 2]) < 1e-12
+    return grid
+
+
 def test_aux_function_matches_per_step_bisection_radial_n2():
     # With odd M the origin is a grid point, where |x|^2 is radial and the
     # shell branch runs; every other point takes the grid sum.
-    L, M = 8.0, 9
-    h = 2.0 * L / M
-    axis = -L + (np.arange(M) + 0.5) * h
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    grid = Grid(2, L, M, "dirichlet", axis, np.stack([m.ravel() for m in mesh], axis=-1))
-    origin = M * M // 2
-    assert np.linalg.norm(grid.points[origin]) < 1e-12
+    grid = _odd_grid(2, 8.0, 9)
+    origin = grid.size // 2
     aux = compute_aux_function(power(2.0), grid)
     expected = [per_step_rho(power(2.0), grid, x) for x in grid.points]
     assert np.array_equal(aux.rho, [value for value, _ in expected])
     assert np.array_equal(aux.box_limited, [flag for _, flag in expected])
     assert compute_rho(power(2.0), grid, grid.points[origin]) == expected[origin]
+
+
+def test_aux_function_matches_per_step_bisection_radial_n3():
+    # The n = 3 case of the test above, at every ninth point and the 32
+    # points around the origin: the block that holds the origin mixes the
+    # shell row with grid rows.
+    grid = _odd_grid(3, 4.0, 7)
+    origin = grid.size // 2
+    idx = np.union1d(np.arange(0, grid.size, 9), np.arange(origin - 16, origin + 16))
+    aux = compute_aux_function(power(2.0), grid, indices=idx)
+    expected = [per_step_rho(power(2.0), grid, grid.points[i]) for i in idx]
+    assert np.array_equal(aux.rho[idx], [value for value, _ in expected])
+    assert np.array_equal(aux.box_limited[idx], [flag for _, flag in expected])
 
 
 def _nan_potential(spec, x):
@@ -400,7 +428,7 @@ def test_nan_functional_exits_1(monkeypatch, tmp_path, capsys):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text("[grid]\nn = 1\nL = 16\nM = 64\n[potential]\nkind = power\nsigma = 2\n")
     monkeypatch.setattr(potentials, "_shell_integrals_1d",
-                        lambda spec, centers, radii, q=1.0: np.full(len(radii), np.nan))
+                        lambda spec, centers, radii: np.full(len(radii), np.nan))
     assert main(["spaces", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "functional is not finite" in capsys.readouterr().err
 
