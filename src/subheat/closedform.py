@@ -25,19 +25,25 @@ def poisson_value(r, t: float, n: int) -> np.ndarray:
     return c_n * t / (t * t + r * r) ** ((n + 1) / 2.0)
 
 
-def _distances(grid: Grid, rows) -> np.ndarray:
-    """Euclidean |x - y| (no periodic image) for x in `rows` (all when None) and every y."""
+def _distances(grid: Grid, rows, cols) -> np.ndarray:
+    """Euclidean |x - y| (no periodic image) for x in `rows` and y in `cols`
+    (every grid point where None)."""
     left = grid.points if rows is None else grid.points[rows]
-    return point_distances(left[:, None, :], grid.points[None, :, :])
+    right = grid.points if cols is None else grid.points[cols]
+    return point_distances(left[:, None, :], right[None, :, :])
 
 
-def gaussian_heat_table(grid: Grid, t: float, rows=None) -> KernelSlice:
-    """Free heat kernel on grid points, at the rows `rows` only when given."""
-    return KernelSlice(grid, gaussian_heat_value(_distances(grid, rows), t, grid.dimension), rows)
+def gaussian_heat_table(grid: Grid, t: float, rows=None, cols=None) -> KernelSlice:
+    """Free heat kernel on grid points, at the rows `rows` and columns `cols`
+    only when given; each entry is elementwise, so a block has the full
+    table's bits."""
+    return KernelSlice(grid, gaussian_heat_value(_distances(grid, rows, cols), t,
+                                                 grid.dimension), rows, cols)
 
 
-def poisson_table(grid: Grid, t: float, rows=None) -> KernelSlice:
-    return KernelSlice(grid, poisson_value(_distances(grid, rows), t, grid.dimension), rows)
+def poisson_table(grid: Grid, t: float, rows=None, cols=None) -> KernelSlice:
+    return KernelSlice(grid, poisson_value(_distances(grid, rows, cols), t, grid.dimension),
+                       rows, cols)
 
 
 def fourier_fractional_value(r: float, t: float, alpha: float) -> float:
@@ -77,7 +83,7 @@ def fourier_table(grid: Grid, t: float, alpha: float) -> KernelSlice:
     """Fractional heat kernel table from the n=1 Fourier oracle (slow; oracle use)."""
     if grid.dimension != 1:
         raise ValueError("Fourier oracle implemented for n=1 only")
-    dist = _distances(grid, None)
+    dist = _distances(grid, None, None)
     uniq, inv = np.unique(np.round(dist / grid.spacing).astype(int), return_inverse=True)
     vals = np.array([fourier_fractional_value(u * grid.spacing, t, alpha) for u in uniq])
     return KernelSlice(grid, vals[inv].reshape(dist.shape))

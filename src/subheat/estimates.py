@@ -12,10 +12,12 @@ k in HOLDER_SHIFTS, that are whole cells, as a shift rule allows), mass rows.
 The scan geometry is fixed per grid and built with its backend: the lattice,
 its pair distances, rho there, the represented shifts and one row block (the
 lattice, its shifted rows and their axis-0 stencil neighbours). Every kernel
-and gradient table of a scan is computed on those rows only. No row of
-the block leaves the box: the lattice lies in |x|_inf <= L/2, and the largest
-shift plus one stencil cell reaches L/2 + L/16 + h, within the outermost cell
-centre L - h/2 for every M >= 8.
+and gradient table of a scan is computed on those rows only, and on the
+lattice columns only when no job of its family reads a mass row (E8 and E11
+integrate whole rows) and the grid has at least NARROW_MIN_POINTS points. No
+row of the block leaves the box: the lattice lies in |x|_inf <= L/2, and the
+largest shift plus one stencil cell reaches L/2 + L/16 + h, within the
+outermost cell centre L - h/2 for every M >= 8.
 
 A certificate records the measured supremum of |object| / majorant over the
 lattice, the argmax, and the stability of that supremum under grid
@@ -46,6 +48,12 @@ GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
 CEILING = 1e8                # a certificate fails above this measured constant
 HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64; a grid scans the whole-cell ones
+#: Grids with fewer points keep every column of their tables. OpenBLAS
+#: (0.3.30, AVX-512) picks its kernel by the product's shape, and on grids
+#: below 128 points a lattice-column sandwich moved the last place at n=1
+#: M = 32 to 64 and n=2 M = 8, the coarse grids of the n=1 M=128 and n=2
+#: M=16 certificates under tests/data/; there a full row costs little more.
+NARROW_MIN_POINTS = 128
 
 ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
                 "E7", "E8", "E9", "E10", "E11", "E12"]
@@ -148,7 +156,8 @@ class VerifierBackend:
     and `rho` rho at the lattice points (+inf for V = 0). `shifts` are the
     Holder shifts the grid represents and `moved` the lattice moved by each
     of them. `block` holds the rows the scans read: the lattice, its shifts
-    and the stencil neighbours of both.
+    and the stencil neighbours of both. Every column a scan reads outside a
+    mass row is a lattice point.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -167,50 +176,58 @@ class VerifierBackend:
         pos[rows] = np.arange(rows.size)
         self.block = _RowBlock(rows, pos, base.size)
 
-    def kernel_rows(self, t: float, alpha: float, power, rows) -> np.ndarray:
-        """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to sign).
+    def kernel_rows(self, t: float, alpha: float, power, rows, cols=None) -> np.ndarray:
+        """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to
+        sign), at the columns `cols` only when given.
 
         For V = 0 the semigroup itself (power 0) comes from the closed forms,
-        computed at the rows only: the Gaussian at alpha = 1 and the Poisson
-        kernel at alpha = 1/2. Everything else is one row-restricted sandwich.
+        computed at the rows and columns only: the Gaussian at alpha = 1 and
+        the Poisson kernel at alpha = 1/2. Everything else is one restricted
+        sandwich.
         """
         if power == 0 and self.zero_potential:
             if alpha == 1:
-                return closedform.gaussian_heat_table(self.grid, t, rows).table
+                return closedform.gaussian_heat_table(self.grid, t, rows, cols).table
             if abs(alpha - 0.5) < 1e-14:
-                return closedform.poisson_table(self.grid, t, rows).table
+                return closedform.poisson_table(self.grid, t, rows, cols).table
         return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power),
-                                 rows=rows).table
+                                 rows=rows, cols=cols).table
 
 
 class _Tables:
     """One time of a table family, with the lattice views every job of the
     family reads. Each is computed on first read:
 
-    - `kernel`: the row-block kernel (304 of 1,024 rows at n=2 M=32);
+    - `kernel`: the row-block kernel (304 of 1,024 rows at n=2 M=32), at the
+      columns `cols` (the lattice, 256 of 1,024 columns there) or at every
+      column where `cols` is None;
     - `gradient`: its axis-0 gradient at the block's first `stencil` rows;
     - `kernel_pairs`, `gradient_pairs`: the table at the lattice pairs;
     - `kernel_increments`, `gradient_increments`: per represented shift, the
       table at the shifted lattice rows minus its pair block.
 
-    A table that raises is not kept: each reader raises. `factors` holds the
-    majorant factors of the lattice pairs at this time (see `_Point.factor`),
-    at most one lattice x lattice array per penalty (kind, N), decay exponent
-    and Gaussian factor the family's jobs read.
+    `row_masses` integrates whole rows and raises on a column block. A table
+    that raises is not kept: each reader raises. `factors` holds the majorant
+    factors of the lattice pairs at this time (see `_Point.factor`), at most
+    one lattice x lattice array per penalty (kind, N), decay exponent and
+    Gaussian factor the family's jobs read.
     """
 
-    def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power):
+    def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power,
+                 cols: np.ndarray | None):
         self.backend, self.t, self.t_sc, self.family = backend, t, t_sc, (alpha, power)
+        self.cols = cols
         self.factors = {}
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        return self.backend.kernel_rows(self.t, *self.family, self.backend.block.rows)
+        return self.backend.kernel_rows(self.t, *self.family, self.backend.block.rows, self.cols)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        blk = self.backend.block
-        return _axis0_gradient(self.backend.grid, blk, self.kernel, blk.rows[:blk.stencil])
+        blk, kernel = self.backend.block, self.kernel
+        return _axis0_gradient(self.backend.grid, lambda rows: kernel[blk.at(rows, kernel)],
+                               blk.rows[:blk.stencil])
 
     @cached_property
     def kernel_pairs(self) -> np.ndarray:
@@ -236,10 +253,26 @@ class _Tables:
     def increments(self, gradient: bool) -> list:
         return self.gradient_increments if gradient else self.kernel_increments
 
+    def row_masses(self, rows: np.ndarray) -> np.ndarray:
+        """integral of K(x, y) dy at the grid rows `rows`, from full-width rows."""
+        if self.cols is not None:
+            raise ValueError("scan reads a kernel column outside its table")
+        blk, kernel = self.backend.block, self.kernel
+        return np.sum(kernel[blk.at(rows, kernel)], axis=1) * self.backend.grid.cell_weight
+
+    def _columns(self, idx: np.ndarray) -> np.ndarray:
+        """Positions of the grid columns `idx` in this time's tables; `cols` ascends."""
+        if self.cols is None:
+            return idx
+        p = np.minimum(np.searchsorted(self.cols, idx), self.cols.size - 1)
+        if not np.array_equal(self.cols[p], idx):
+            raise ValueError("scan reads a kernel column outside its table")
+        return p
+
     def _lattice_view(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """`table` at the grid rows `rows` and the lattice columns."""
-        blk = self.backend.block
-        return table[np.ix_(blk.at(rows, table), self.backend.lattice)]
+        lattice = self._columns(self.backend.lattice)
+        return table[np.ix_(self.backend.block.at(rows, table), lattice)]
 
 
 def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 256,
@@ -340,12 +373,13 @@ def _shift_indices(grid: Grid, idx: np.ndarray, steps: int) -> np.ndarray:
     return idx + steps * stride
 
 
-def _axis0_gradient(grid: Grid, blk: _RowBlock, values: np.ndarray, targets: np.ndarray):
-    """`grid.gradient_values(grid, ., axis=0)` at the grid rows `targets`, from `values`
-    aligned with the block's rows: the interior case of that stencil, with the
-    same expression, so the values are the same bits."""
-    plus = values[blk.at(_shift_indices(grid, targets, 1), values)]
-    minus = values[blk.at(_shift_indices(grid, targets, -1), values)]
+def _axis0_gradient(grid: Grid, read: Callable, targets: np.ndarray):
+    """`grid.gradient_values(grid, ., axis=0)` at the grid rows `targets`, where
+    `read(idx)` gives the values at the grid rows `idx`: the interior case of
+    that stencil, with the same expression, so the values are the same bits.
+    Only the targets' two neighbours along axis 0 are read."""
+    plus = read(_shift_indices(grid, targets, 1))
+    minus = read(_shift_indices(grid, targets, -1))
     return (plus - minus) / (2.0 * grid.spacing)
 
 
@@ -426,12 +460,12 @@ def _shifted_pairs(entry, p, backend, at, acc):
 
 def _mass_rows(entry, p, backend, at, acc):
     """With `gradient`, the x-gradient of the row integrals (E8's semigroup of one),
-    from the full-width sums of the lattice's neighbour rows."""
-    idx, blk, w = backend.lattice, backend.block, backend.grid.cell_weight
+    from the sums of the lattice's neighbour rows only."""
+    idx = backend.lattice
     if entry.gradient:
-        obj = _axis0_gradient(backend.grid, blk, np.sum(at.kernel, axis=1) * w, idx)
+        obj = _axis0_gradient(backend.grid, at.row_masses, idx)
     else:
-        obj = np.sum(at.kernel[blk.at(idx, at.kernel)], axis=1) * w
+        obj = at.row_masses(idx)
     if entry.scaled:
         obj = at.t_sc * obj
     point = _Point(p, backend.grid.dimension, at.t, at.t_sc, backend.rho)
@@ -505,6 +539,15 @@ _REGISTRY = {
 }
 
 
+def _table_columns(backend: VerifierBackend, entries: list) -> np.ndarray | None:
+    """The columns of a family's tables: the lattice, or None (every column)
+    where an entry reads a mass row or the grid has fewer than
+    NARROW_MIN_POINTS points."""
+    if backend.grid.size < NARROW_MIN_POINTS or any(e.lattice is _mass_rows for e in entries):
+        return None
+    return backend.lattice
+
+
 def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     """Sup of |object| / majorant over each (id, params) job's lattice; one grid.
 
@@ -513,7 +556,9 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     grouped by table family (heat ladder or not, alpha, order b), and each
     family walks its time ladder once, in ascending t: each time's tables are
     computed once, read by every job of the family and dropped, so at most one
-    kernel table and one gradient table are alive.
+    kernel table and one gradient table are alive. A family none of whose
+    jobs reads a mass row computes its tables at the lattice columns only,
+    on grids of NARROW_MIN_POINTS points or more.
     """
     outcomes, families = [], {}
     for eid, params in jobs:
@@ -528,9 +573,10 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
             families.setdefault(family, []).append((len(outcomes), entry))
             outcomes.append((_ScanAccumulator(), p))
     for (heat, alpha, power), entries in families.items():
+        cols = _table_columns(backend, [entry for _, entry in entries])
         for t in time_grid(backend.grid, alpha, heat_scaling=heat):
             at = _Tables(backend, t, np.sqrt(t) if heat else _scaling_time(t, alpha),
-                         alpha, power)
+                         alpha, power, cols)
             for k, entry in entries:
                 if isinstance(outcomes[k], tuple):
                     try:

@@ -116,14 +116,17 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class KernelSlice:
     grid: Grid
-    table: np.ndarray = field(repr=False)   # (len(rows), N), 1/volume units
+    table: np.ndarray = field(repr=False)   # (len(rows), len(cols)), 1/volume units
     rows: np.ndarray | None = field(default=None, repr=False)   # None: all N rows
+    cols: np.ndarray | None = field(default=None, repr=False)   # None: all N columns
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.table)))
 
     def row_masses(self) -> np.ndarray:
         """integral of K(x, y) dy per computed row x."""
+        if self.cols is not None:
+            raise ValueError("row_masses needs every column of the kernel, not a column block")
         return np.sum(self.table, axis=1) * self.grid.cell_weight
 
 
@@ -201,26 +204,39 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float | None = None,
-                      rows=None) -> KernelSlice:
+                      rows=None, cols=None) -> KernelSlice:
     """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m.
 
-    This is the one place the sandwich B diag(m) B^T is written. With `rows`
-    (grid indices) only those rows x are computed, shaped (len(rows), N);
-    each entry is the same dot product as in the full table. OpenBLAS gave
-    the full table's bits for every block of four rows or more tried; one
-    to three rows may take another kernel (gemv for one) and differ in the
-    last place. Multiplier entries below 1e-300 in magnitude are set to 0
-    first: their terms lie below the rounding of the table's entries, and
-    subnormal products would make the matrix product up to 3x slower.
-    `t` is not read; it keeps its place for callers that pass a time.
+    This is the one place the sandwich B diag(m) B^T is written, as
+    (B[rows] * m) @ B[cols].T. With `rows` and `cols` (grid indices) only
+    those rows x and columns y are computed, shaped (len(rows), len(cols));
+    each entry is the same dot product as in the full table, but OpenBLAS
+    (0.3.30, AVX-512) picks its kernel by the product's shape, so a block
+    can differ from the full table in the last place. A block of four rows
+    or more gave the full table's bits in every case tried; one to three
+    rows may take another kernel (gemv for one). With `rows` the `verify`
+    row block and `cols` its lattice, on both boundary conditions, the bits
+    were the full table's at every n=1 M from 128 to 512 that 16 divides,
+    at n=2 M = 10 to 48 except 26, 28, 34, 36, 42 and 44, and at n=3 M = 8
+    to 16, and they differed in the last place at n=1 M = 32 to 64, at 59
+    of the 97 n=1 M from 128 to 512 in steps of 4 (200 among them) and at
+    n=2 M = 8. So `verify` keeps every column on grids below 128 points,
+    where the coarse grids of its pinned n=1 M=128 and n=2 M=16
+    certificates lie (`estimates.NARROW_MIN_POINTS`).
+    Multiplier entries below 1e-300 in magnitude are set to 0 first: their
+    terms lie below the rounding of the table's entries, and subnormal
+    products would make the matrix product up to 3x slower. `t` is not
+    read; it keeps its place for callers that pass a time.
     """
     m = np.asarray(multiplier(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("multiplier not finite on the spectrum")
     m = np.where(np.abs(m) < 1e-300, 0.0, m)
     left = dec.basis if rows is None else dec.basis[rows]
-    table = matmul(left * m[None, :], dec.basis.T)
-    return KernelSlice(dec.grid, table, None if rows is None else np.asarray(rows))
+    right = dec.basis if cols is None else dec.basis[cols]
+    table = matmul(left * m[None, :], right.T)
+    return KernelSlice(dec.grid, table, None if rows is None else np.asarray(rows),
+                       None if cols is None else np.asarray(cols))
 
 
 def semigroup_multiplier(t, alpha: float = 1.0, power=0):
@@ -253,8 +269,9 @@ def poisson_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
 
 
 def _require_full(K: KernelSlice, operation: str) -> None:
-    if K.rows is not None:
-        raise ValueError(f"{operation} needs the full kernel table, not a row block")
+    for name, block in (("row", K.rows), ("column", K.cols)):
+        if block is not None:
+            raise ValueError(f"{operation} needs the full kernel table, not a {name} block")
 
 
 def apply_kernel(K: KernelSlice, f: GridFunction) -> GridFunction:

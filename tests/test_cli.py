@@ -310,18 +310,24 @@ def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
 def test_verify_computes_each_table_once(tmp_path, monkeypatch):
     """One sandwich per distinct (t, alpha, b) kernel table of each grid: 92 at
     n=1 M=128 V=|x|^2 (coarse M=64), where one time ladder per certificate row
-    and a 64-entry cache that cleared on overflow made 150."""
-    calls = []
+    and a 64-entry cache that cleared on overflow made 150.
 
-    def counting(dec, multiplier, rows=None):
-        calls.append(multiplier)
-        return multiplier_kernel(dec, multiplier, rows=rows)
+    Each table is as wide as its scans read: the lattice columns for a family
+    none of whose rows reads a mass row (E8 and E11 do), all N columns for the
+    others and on the coarse grid, which has fewer than NARROW_MIN_POINTS
+    points. A table that silently kept every column fails the count."""
+    widths = []
+
+    def counting(dec, multiplier, rows=None, cols=None):
+        K = multiplier_kernel(dec, multiplier, rows=rows, cols=cols)
+        widths.append((dec.grid.points_per_axis, K.table.shape[1]))
+        return K
 
     monkeypatch.setattr(estimates, "multiplier_kernel", counting)
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
-    tables = set()
+    tables, mass_families = set(), set()
     for M in (64, 128):
         grid = build_grid(1, 16.0, M)
         for eid in ESTIMATE_IDS:
@@ -329,7 +335,16 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
             alpha = 1.0 if entry.heat else p.alpha
             b = p.beta if entry.power is None else entry.power
             tables |= {(M, t, alpha, b) for t in estimates.time_grid(grid, p.alpha, entry.heat)}
-    assert len(calls) == len(tables) == 92
+            if entry.lattice is estimates._mass_rows:
+                mass_families.add((alpha, b))
+    assert len(widths) == len(tables) == 92
+    expected = {}
+    for M, _, alpha, b in tables:
+        full = M < estimates.NARROW_MIN_POINTS or (alpha, b) in mass_families
+        width = M if full else estimates.lattice_indices(build_grid(1, 16.0, M)).size
+        expected[M, width] = expected.get((M, width), 0) + 1
+    assert sorted(expected) == [(64, 64), (128, 32), (128, 128)]
+    assert {key: widths.count(key) for key in set(widths)} == expected
 
 
 def test_verify_builds_each_grids_scan_geometry_once(tmp_path, monkeypatch):

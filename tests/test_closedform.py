@@ -66,11 +66,13 @@ def test_oscillator_trace_identity():
 @pytest.mark.parametrize("n, M", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
 def test_closed_form_rows_equal_the_full_difference_tensor_table_rows(n, M, bc):
-    """Tables computed at a few rows give the bits of those rows of the table
-    built from the (N, N, n) difference tensor, Euclidean on both boundary
-    conditions."""
+    """Tables computed at a few rows, or at a few rows and columns, give the
+    bits of that block of the table built from the (N, N, n) difference
+    tensor, Euclidean on both boundary conditions."""
     g = build_grid(n, 8.0, M, bc)
-    rows = np.random.default_rng(n).choice(g.size, 13, replace=False)
+    rng = np.random.default_rng(n)
+    rows = rng.choice(g.size, 13, replace=False)
+    cols = np.sort(rng.choice(g.size, 21, replace=False))
     dist = np.linalg.norm(g.points[:, None, :] - g.points[None, :, :], axis=-1)
     for table, value in ((gaussian_heat_table, gaussian_heat_value),
                          (poisson_table, poisson_value)):
@@ -78,5 +80,8 @@ def test_closed_form_rows_equal_the_full_difference_tensor_table_rows(n, M, bc):
             want = value(dist, t, n)
             got = table(g, t, rows)
             assert np.array_equal(got.table, want[rows])
-            assert np.array_equal(got.rows, rows)
+            assert np.array_equal(got.rows, rows) and got.cols is None
+            block = table(g, t, rows, cols)
+            assert np.array_equal(block.table, want[np.ix_(rows, cols)])
+            assert np.array_equal(block.cols, cols)
             assert np.array_equal(table(g, t).table, want)

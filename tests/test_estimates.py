@@ -417,7 +417,7 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
     blk = backend.block
     lat = backend.lattice
     for t, alpha, power_ in ((0.5, 1.0, 0), (1.0, 0.5, 1)):
-        at = estimates._Tables(backend, t, 1.0, alpha, power_)
+        at = estimates._Tables(backend, t, 1.0, alpha, power_, None)
         assert np.array_equal(at.kernel, full.kernel_table(t, alpha, power_)[blk.rows])
         assert np.array_equal(at.gradient,
                               full.gradient_table(t, alpha, power_)[blk.rows[:blk.stencil]])
@@ -466,7 +466,7 @@ def test_shifted_row_outside_the_box_is_an_error():
 def test_row_block_never_reads_an_uncomputed_row():
     backend = build_backend(n=1, points_per_axis=64, potential=power(2.0))
     blk = backend.block
-    at = estimates._Tables(backend, 1.0, 1.0, 0.5, 0)
+    at = estimates._Tables(backend, 1.0, 1.0, 0.5, 0, None)
     table = at.kernel
     assert table.shape == (blk.rows.size, backend.grid.size) and blk.rows.size < backend.grid.size
     outside = np.setdiff1d(np.arange(backend.grid.size), blk.rows)[:3]
@@ -476,6 +476,78 @@ def test_row_block_never_reads_an_uncomputed_row():
     blk.at(neighbour_only, table)
     with pytest.raises(ValueError):
         blk.at(neighbour_only, at.gradient)
+
+
+def test_column_block_never_reads_an_uncomputed_column():
+    """Tables at the lattice columns refuse a mass row, which integrates every
+    column, and any column off the lattice."""
+    backend = build_backend(n=1, points_per_axis=128, potential=power(2.0))
+    lat = backend.lattice
+    at = estimates._Tables(backend, 1.0, 1.0, 0.5, 0, lat)
+    assert at.kernel.shape == (backend.block.rows.size, lat.size) and lat.size < backend.grid.size
+    assert np.array_equal(at._columns(lat), np.arange(lat.size))
+    off = np.setdiff1d(np.arange(backend.grid.size), lat)
+    for idx in (off[:3], off[-1:], np.concatenate([lat[:2], off[:1]])):
+        with pytest.raises(ValueError, match="column outside its table"):
+            at._columns(idx)
+    with pytest.raises(ValueError, match="column outside its table"):
+        at.row_masses(lat)
+    acc = estimates._ScanAccumulator()
+    with pytest.raises(ValueError, match="column outside its table"):
+        estimates._mass_rows(estimates._REGISTRY["E11"], DEFAULT_PARAMS["E11"].resolved("E11", 1),
+                             backend, at, acc)
+
+
+_COLUMN_CASES = [(n, M, bc, potential)
+                 for n, M in ((1, 64), (1, 128), (1, 512), (2, 8), (2, 16), (2, 32), (3, 8))
+                 for bc in ("dirichlet", "periodic") for potential in ("power2", "zero")]
+
+
+@pytest.mark.parametrize("n, M, bc, potential", _COLUMN_CASES)
+def test_lattice_column_tables_keep_the_full_width_bits(n, M, bc, potential):
+    """Every family of the default rows reads the same bits from the tables
+    `scan_estimate` computes as from full-width ones: the kernel and gradient
+    pairs and increments, at every time of its ladder. A family that reads no
+    mass row holds the lattice columns only, except below NARROW_MIN_POINTS
+    (n=1 M=64 and n=2 M=8, the coarse grids of two pinned certificate files),
+    where every family keeps all N columns. The mass rows (E8's gradient and
+    E11), summed over the rows they read only, equal the sums of every block
+    row they were read from before."""
+    spec = power(2.0) if potential == "power2" else zero()
+    backend = build_backend(n=n, points_per_axis=M, bc=bc, potential=spec)
+    grid, lat, blk, w = backend.grid, backend.lattice, backend.block, backend.grid.cell_weight
+    families = {}
+    for eid in ESTIMATE_IDS:
+        if eid in estimates.RHO_ONLY_IDS and backend.zero_potential:
+            continue
+        p, entry = DEFAULT_PARAMS[eid], estimates._REGISTRY[eid]
+        family = (entry.heat, 1.0 if entry.heat else p.alpha,
+                  p.beta if entry.power is None else entry.power)
+        families.setdefault(family, []).append(entry)
+    narrowed = 0
+    for (heat, alpha, power_), entries in families.items():
+        cols = estimates._table_columns(backend, entries)
+        mass = any(entry.lattice is estimates._mass_rows for entry in entries)
+        assert (cols is None) == (mass or grid.size < estimates.NARROW_MIN_POINTS)
+        narrowed += cols is not None
+        for t in estimates.time_grid(grid, alpha, heat_scaling=heat):
+            at = estimates._Tables(backend, t, 1.0, alpha, power_, cols)
+            full = at if cols is None else estimates._Tables(backend, t, 1.0, alpha, power_, None)
+            assert at.kernel.shape == (blk.rows.size, grid.size if cols is None else lat.size)
+            for gradient in (False, True):
+                assert np.array_equal(at.pairs(gradient), full.pairs(gradient))
+                for part, whole in zip(at.increments(gradient), full.increments(gradient),
+                                       strict=True):
+                    assert np.array_equal(part, whole)
+            if mass:
+                sums = np.sum(full.kernel, axis=1) * w     # every block row
+                near = [sums[blk.at(estimates._shift_indices(grid, lat, step), full.kernel)]
+                        for step in (1, -1)]
+                assert np.array_equal(at.row_masses(lat), sums[blk.at(lat, full.kernel)])
+                assert np.array_equal(estimates._axis0_gradient(grid, at.row_masses, lat),
+                                      (near[0] - near[1]) / (2.0 * grid.spacing))
+    assert narrowed == (0 if grid.size < estimates.NARROW_MIN_POINTS
+                        else 3 if backend.zero_potential else 2)
 
 
 @pytest.mark.parametrize("M", [64, 256, 512])

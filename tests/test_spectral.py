@@ -232,6 +232,22 @@ def test_row_block_refuses_full_table_operations(dirichlet_flat):
         compose(heat_kernel(dec, 1.0), part)
 
 
+@pytest.mark.parametrize("operation", ["row_masses", "apply_kernel", "compose_left",
+                                       "compose_right"])
+def test_column_block_refuses_full_table_operations(dirichlet_flat, operation):
+    """A table at a few columns holds no whole row: its row masses, its action
+    on a function and its compositions raise as a row block's do."""
+    dec = dirichlet_flat
+    part = multiplier_kernel(dec, semigroup_multiplier(1.0), cols=np.arange(0, dec.grid.size, 3))
+    assert part.table.shape == (dec.grid.size, part.cols.size) and part.rows is None
+    f = grid_function(dec.grid, np.ones(dec.grid.size))
+    run = {"row_masses": part.row_masses, "apply_kernel": lambda: apply_kernel(part, f),
+           "compose_left": lambda: compose(part, heat_kernel(dec, 1.0)),
+           "compose_right": lambda: compose(heat_kernel(dec, 1.0), part)}[operation]
+    with pytest.raises(ValueError, match="column block"):
+        run()
+
+
 CATALOG = {"zero": zero(), "constant": constant(1.0), "power": power(2.0),
            "well": well(3.0, 2.0, 1.5), "sum": sum_of(power(0.5), well(2.0, 4.0))}
 
