@@ -12,12 +12,12 @@ k in HOLDER_SHIFTS, that are whole cells, as a shift rule allows), mass rows.
 The scan geometry is fixed per grid and built with its backend: the lattice,
 its pair distances, rho there, the represented shifts and one row block (the
 lattice, its shifted rows and their axis-0 stencil neighbours). Every kernel
-and gradient table of a scan is computed on those rows only, and on the
-lattice columns only when no job of its family reads a mass row (E8 and E11
-integrate whole rows) and the grid has at least NARROW_MIN_POINTS points. No
-row of the block leaves the box: the lattice lies in |x|_inf <= L/2, and the
-largest shift plus one stencil cell reaches L/2 + L/16 + h, within the
-outermost cell centre L - h/2 for every M >= 8.
+table of a scan is that row block at the lattice columns, on every grid and
+for every family, and the row masses E8 and E11 integrate come from the mode
+sums (`spectral.multiplier_kernel`), not from the table. No row of the block
+leaves the box: the lattice lies in |x|_inf <= L/2, and the largest shift
+plus one stencil cell reaches L/2 + L/16 + h, within the outermost cell
+centre L - h/2 for every M >= 8.
 
 A certificate records the measured supremum of |object| / majorant over the
 lattice, the argmax, and the stability of that supremum under grid
@@ -41,19 +41,14 @@ import numpy as np
 from . import closedform, potentials
 from .grid import Grid, build_grid, inner_box_mask
 from .potentials import PotentialSpec, is_zero
-from .spectral import (SpectralDecomposition, assemble, eigendecompose, matmul,
-                       multiplier_kernel, semigroup_multiplier)
+from .spectral import (KernelBlock, KernelSlice, SpectralDecomposition, assemble,
+                       eigendecompose, kernel_block, matmul, multiplier_kernel,
+                       semigroup_multiplier)
 
 GAUSS_DECAY = 0.125          # c in exp(-c r^2 / t) majorants
 GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
 CEILING = 1e8                # a certificate fails above this measured constant
 HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64; a grid scans the whole-cell ones
-#: Grids with fewer points keep every column of their tables. OpenBLAS
-#: (0.3.30, AVX-512) picks its kernel by the product's shape, and on grids
-#: below 128 points a lattice-column sandwich moved the last place at n=1
-#: M = 32 to 64 and n=2 M = 8, the coarse grids of the n=1 M=128 and n=2
-#: M=16 certificates under tests/data/; there a full row costs little more.
-NARROW_MIN_POINTS = 128
 
 ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
                 "E7", "E8", "E9", "E10", "E11", "E12"]
@@ -156,8 +151,9 @@ class VerifierBackend:
     and `rho` rho at the lattice points (+inf for V = 0). `shifts` are the
     Holder shifts the grid represents and `moved` the lattice moved by each
     of them. `block` holds the rows the scans read: the lattice, its shifts
-    and the stencil neighbours of both. Every column a scan reads outside a
-    mass row is a lattice point.
+    and the stencil neighbours of both. `factors` holds the basis at those
+    rows and at the lattice, gathered once: every table of a scan is block
+    rows x lattice, and its row masses come from the mode sums.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -175,63 +171,62 @@ class VerifierBackend:
         pos = np.full(grid.size, -1)
         pos[rows] = np.arange(rows.size)
         self.block = _RowBlock(rows, pos, base.size)
+        self.factors = kernel_block(self.dec, rows, lat)
 
-    def kernel_rows(self, t: float, alpha: float, power, rows, cols=None) -> np.ndarray:
-        """Rows `rows` of the kernel of t^power d_t^power e^{-t L^alpha} (up to
-        sign), at the columns `cols` only when given.
+    def kernel(self, t: float, alpha: float, power, block: KernelBlock | None = None
+               ) -> KernelSlice:
+        """The kernel of t^power d_t^power e^{-t L^alpha} (up to sign) at
+        `block`, the scan's rows x lattice (`factors`) when None.
 
         For V = 0 the semigroup itself (power 0) comes from the closed forms,
-        computed at the rows and columns only: the Gaussian at alpha = 1 and
-        the Poisson kernel at alpha = 1/2. Everything else is one restricted
-        sandwich.
+        computed at the block only: the Gaussian at alpha = 1 and the Poisson
+        kernel at alpha = 1/2. They carry no row masses, which no scan reads
+        at V = 0. Everything else is one sandwich on the block's factors.
         """
+        block = self.factors if block is None else block
         if power == 0 and self.zero_potential:
             if alpha == 1:
-                return closedform.gaussian_heat_table(self.grid, t, rows, cols).table
+                return closedform.gaussian_heat_table(self.grid, t, block.rows, block.cols)
             if abs(alpha - 0.5) < 1e-14:
-                return closedform.poisson_table(self.grid, t, rows, cols).table
-        return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power),
-                                 rows=rows, cols=cols).table
+                return closedform.poisson_table(self.grid, t, block.rows, block.cols)
+        return multiplier_kernel(self.dec, semigroup_multiplier(t, alpha, power), block=block)
 
 
 class _Tables:
     """One time of a table family, with the lattice views every job of the
-    family reads. Each is computed on first read:
+    family reads. Every table is block rows x lattice (304 x 256 of the
+    1,024 x 1,024 table at n=2 M=32). Each is computed on first read:
 
-    - `kernel`: the row-block kernel (304 of 1,024 rows at n=2 M=32), at the
-      columns `cols` (the lattice, 256 of 1,024 columns there) or at every
-      column where `cols` is None;
+    - `kernel`: the row-block kernel at the lattice columns, with its row
+      masses from the mode sums;
     - `gradient`: its axis-0 gradient at the block's first `stencil` rows;
     - `kernel_pairs`, `gradient_pairs`: the table at the lattice pairs;
     - `kernel_increments`, `gradient_increments`: per represented shift, the
       table at the shifted lattice rows minus its pair block.
 
-    `row_masses` integrates whole rows and raises on a column block. A table
-    that raises is not kept: each reader raises. `factors` holds the majorant
-    factors of the lattice pairs at this time (see `_Point.factor`), at most
-    one lattice x lattice array per penalty (kind, N), decay exponent and
-    Gaussian factor the family's jobs read.
+    A table that raises is not kept: each reader raises. `factors` holds the
+    majorant factors of the lattice pairs at this time (see `_Point.factor`),
+    at most one lattice x lattice array per penalty (kind, N), decay exponent
+    and Gaussian factor the family's jobs read.
     """
 
-    def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power,
-                 cols: np.ndarray | None):
+    def __init__(self, backend: VerifierBackend, t: float, t_sc: float, alpha: float, power):
         self.backend, self.t, self.t_sc, self.family = backend, t, t_sc, (alpha, power)
-        self.cols = cols
         self.factors = {}
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        return self.backend.kernel_rows(self.t, *self.family, self.backend.block.rows, self.cols)
+    def kernel(self) -> KernelSlice:
+        return self.backend.kernel(self.t, *self.family)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        blk, kernel = self.backend.block, self.kernel
+        blk, kernel = self.backend.block, self.kernel.table
         return _axis0_gradient(self.backend.grid, lambda rows: kernel[blk.at(rows, kernel)],
                                blk.rows[:blk.stencil])
 
     @cached_property
     def kernel_pairs(self) -> np.ndarray:
-        return self._lattice_view(self.kernel, self.backend.lattice)
+        return self._lattice_view(self.kernel.table, self.backend.lattice)
 
     @cached_property
     def gradient_pairs(self) -> np.ndarray:
@@ -239,7 +234,7 @@ class _Tables:
 
     @cached_property
     def kernel_increments(self) -> list:
-        return [self._lattice_view(self.kernel, moved) - self.kernel_pairs
+        return [self._lattice_view(self.kernel.table, moved) - self.kernel_pairs
                 for moved in self.backend.moved]
 
     @cached_property
@@ -254,25 +249,13 @@ class _Tables:
         return self.gradient_increments if gradient else self.kernel_increments
 
     def row_masses(self, rows: np.ndarray) -> np.ndarray:
-        """integral of K(x, y) dy at the grid rows `rows`, from full-width rows."""
-        if self.cols is not None:
-            raise ValueError("scan reads a kernel column outside its table")
-        blk, kernel = self.backend.block, self.kernel
-        return np.sum(kernel[blk.at(rows, kernel)], axis=1) * self.backend.grid.cell_weight
-
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
-        """Positions of the grid columns `idx` in this time's tables; `cols` ascends."""
-        if self.cols is None:
-            return idx
-        p = np.minimum(np.searchsorted(self.cols, idx), self.cols.size - 1)
-        if not np.array_equal(self.cols[p], idx):
-            raise ValueError("scan reads a kernel column outside its table")
-        return p
+        """integral of K(x, y) dy at the grid rows `rows`, from the mode sums."""
+        masses = self.kernel.row_masses()
+        return masses[self.backend.block.at(rows, masses)]
 
     def _lattice_view(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """`table` at the grid rows `rows` and the lattice columns."""
-        lattice = self._columns(self.backend.lattice)
-        return table[np.ix_(self.backend.block.at(rows, table), lattice)]
+        """`table` at the grid rows `rows`: those rows at the lattice columns."""
+        return table[self.backend.block.at(rows, table)]
 
 
 def build_backend(n: int = 1, half_width: float = 16.0, points_per_axis: int = 256,
@@ -539,15 +522,6 @@ _REGISTRY = {
 }
 
 
-def _table_columns(backend: VerifierBackend, entries: list) -> np.ndarray | None:
-    """The columns of a family's tables: the lattice, or None (every column)
-    where an entry reads a mass row or the grid has fewer than
-    NARROW_MIN_POINTS points."""
-    if backend.grid.size < NARROW_MIN_POINTS or any(e.lattice is _mass_rows for e in entries):
-        return None
-    return backend.lattice
-
-
 def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     """Sup of |object| / majorant over each (id, params) job's lattice; one grid.
 
@@ -556,9 +530,9 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     grouped by table family (heat ladder or not, alpha, order b), and each
     family walks its time ladder once, in ascending t: each time's tables are
     computed once, read by every job of the family and dropped, so at most one
-    kernel table and one gradient table are alive. A family none of whose
-    jobs reads a mass row computes its tables at the lattice columns only,
-    on grids of NARROW_MIN_POINTS points or more.
+    kernel table and one gradient table are alive. Every table is the
+    backend's row block x lattice, and the mass rows are read from the mode
+    sums.
     """
     outcomes, families = [], {}
     for eid, params in jobs:
@@ -573,10 +547,9 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
             families.setdefault(family, []).append((len(outcomes), entry))
             outcomes.append((_ScanAccumulator(), p))
     for (heat, alpha, power), entries in families.items():
-        cols = _table_columns(backend, [entry for _, entry in entries])
         for t in time_grid(backend.grid, alpha, heat_scaling=heat):
             at = _Tables(backend, t, np.sqrt(t) if heat else _scaling_time(t, alpha),
-                         alpha, power, cols)
+                         alpha, power)
             for k, entry in entries:
                 if isinstance(outcomes[k], tuple):
                     try:
@@ -639,8 +612,8 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
                 # t d_t of the Poisson kernel c_n t (t^2 + r^2)^(-(n+1)/2) at beta = 1
                 vals = np.abs(vals * (1.0 - (n + 1.0) * t * t / (t * t + rs * rs)))
         else:
-            row = backend.kernel_rows(t, alpha, 0 if estimate_id == "E1" else params.beta,
-                                      [i0])[0]
+            row = backend.kernel(t, alpha, 0 if estimate_id == "E1" else params.beta,
+                                 kernel_block(backend.dec, [i0])).table[0]
             dist = backend.grid.distances_from(backend.grid.points[i0])
             vals = np.array([np.abs(row[int(np.argmin(np.abs(dist - r)))]) for r in rs])
         slope, r2 = _loglog_fit(rs, vals)
@@ -657,7 +630,8 @@ def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: st
         if backend.zero_potential or np.ptp(rho) < 1e-9 * np.max(rho):
             return {"axis": "rho", "skipped": "axis constant"}
         # at t = 1 the E1 size majorant t (t_sc + r)^-(n+2a) is 1 on the diagonal
-        diag = np.abs(backend.kernel_rows(1.0, params.alpha, 0, idx)[np.arange(idx.size), idx])
+        table = backend.kernel(1.0, params.alpha, 0).table
+        diag = np.abs(table[backend.block.at(idx, table), np.arange(idx.size)])
         slope, r2 = _loglog_fit(1.0 + 2.0 / rho, diag)
         return {"axis": "rho", "slope": slope, "r2": r2}
     raise ValueError(f"unknown axis {axis!r}")

@@ -19,6 +19,7 @@ its results are numpy's bits and the process runs one pool.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +113,32 @@ class SpectralDecomposition:
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
         return matmul(self.basis, coeff)
 
+    @cached_property
+    def mode_sums(self) -> np.ndarray:
+        """h^n sum_y phi_k(y) per mode k, the coefficients of the constant 1."""
+        return self.coefficients(np.ones(self.grid.size))
+
+
+@dataclass(frozen=True)
+class KernelBlock:
+    """The factors of a kernel block, gathered once for every multiplier:
+    B[rows] and a C-contiguous B[cols]^T (None: every row or column)."""
+
+    rows: np.ndarray | None
+    cols: np.ndarray | None
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+
+
+def kernel_block(dec: SpectralDecomposition, rows=None, cols=None) -> KernelBlock:
+    """The block at the grid indices `rows` x `cols`. The full right factor is
+    the transposed view of the basis, which LAPACK leaves F-contiguous, so a
+    column block, copied to C order, reaches `matmul` in the same layout."""
+    rows = None if rows is None else np.asarray(rows)
+    cols = None if cols is None else np.asarray(cols)
+    return KernelBlock(rows, cols, dec.basis if rows is None else dec.basis[rows],
+                       dec.basis.T if cols is None else np.ascontiguousarray(dec.basis[cols].T))
+
 
 @dataclass(frozen=True)
 class KernelSlice:
@@ -119,15 +146,17 @@ class KernelSlice:
     table: np.ndarray = field(repr=False)   # (len(rows), len(cols)), 1/volume units
     rows: np.ndarray | None = field(default=None, repr=False)   # None: all N rows
     cols: np.ndarray | None = field(default=None, repr=False)   # None: all N columns
+    masses: np.ndarray | None = field(default=None, repr=False)  # per row; None: closed form
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.table)))
 
     def row_masses(self) -> np.ndarray:
-        """integral of K(x, y) dy per computed row x."""
-        if self.cols is not None:
-            raise ValueError("row_masses needs every column of the kernel, not a column block")
-        return np.sum(self.table, axis=1) * self.grid.cell_weight
+        """integral of K(x, y) dy per computed row x, from the mode sums."""
+        if self.masses is None:
+            raise ValueError("row_masses needs a spectral kernel: a closed-form table "
+                             "has no mode sums")
+        return self.masses
 
 
 def _laplacian_1d(M: int, h: float, periodic: bool) -> np.ndarray:
@@ -204,39 +233,29 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float | None = None,
-                      rows=None, cols=None) -> KernelSlice:
+                      block: KernelBlock | None = None) -> KernelSlice:
     """K(x, y) = sum_k m(lam_k) phi_k(x) phi_k(y) for a bounded multiplier m.
 
     This is the one place the sandwich B diag(m) B^T is written, as
-    (B[rows] * m) @ B[cols].T. With `rows` and `cols` (grid indices) only
-    those rows x and columns y are computed, shaped (len(rows), len(cols));
-    each entry is the same dot product as in the full table, but OpenBLAS
-    (0.3.30, AVX-512) picks its kernel by the product's shape, so a block
-    can differ from the full table in the last place. A block of four rows
-    or more gave the full table's bits in every case tried; one to three
-    rows may take another kernel (gemv for one). With `rows` the `verify`
-    row block and `cols` its lattice, on both boundary conditions, the bits
-    were the full table's at every n=1 M from 128 to 512 that 16 divides,
-    at n=2 M = 10 to 48 except 26, 28, 34, 36, 42 and 44, and at n=3 M = 8
-    to 16, and they differed in the last place at n=1 M = 32 to 64, at 59
-    of the 97 n=1 M from 128 to 512 in steps of 4 (200 among them) and at
-    n=2 M = 8. So `verify` keeps every column on grids below 128 points,
-    where the coarse grids of its pinned n=1 M=128 and n=2 M=16
-    certificates lie (`estimates.NARROW_MIN_POINTS`).
-    Multiplier entries below 1e-300 in magnitude are set to 0 first: their
-    terms lie below the rounding of the table's entries, and subnormal
-    products would make the matrix product up to 3x slower. `t` is not
-    read; it keeps its place for callers that pass a time.
+    (B[rows] * m) @ B[cols]^T on the factors of `block` (`kernel_block`;
+    None: the full table). The row masses, integral of K(x, y) dy, are
+    (B[rows] * m) @ `dec.mode_sums`, so a block of any width has them. Each
+    table entry is the same dot product as in the full table, but OpenBLAS
+    picks its kernel by the product's shape, so a block may differ from the
+    full table in the last place; one to three rows may take another kernel
+    (gemv for one). Multiplier entries below 1e-300 in magnitude are set to
+    0 first: their terms lie below the rounding of the table's entries, and
+    subnormal products would make the matrix product up to 3x slower. `t`
+    is not read; it keeps its place for callers that pass a time.
     """
     m = np.asarray(multiplier(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("multiplier not finite on the spectrum")
     m = np.where(np.abs(m) < 1e-300, 0.0, m)
-    left = dec.basis if rows is None else dec.basis[rows]
-    right = dec.basis if cols is None else dec.basis[cols]
-    table = matmul(left * m[None, :], right.T)
-    return KernelSlice(dec.grid, table, None if rows is None else np.asarray(rows),
-                       None if cols is None else np.asarray(cols))
+    block = kernel_block(dec) if block is None else block
+    weighted = block.left * m
+    return KernelSlice(dec.grid, matmul(weighted, block.right), block.rows, block.cols,
+                       matmul(weighted, dec.mode_sums))
 
 
 def semigroup_multiplier(t, alpha: float = 1.0, power=0):

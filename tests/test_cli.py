@@ -292,12 +292,16 @@ kind = {kind}
     ("zero", "certificates_n1_m128_zero.csv"),
 ], ids=["power2", "zero"])
 def test_verify_matches_pinned_certificates(tmp_path, kind, pinned):
-    """`verify` output equals the certificates recorded at commit dfa95eb, byte for byte.
+    """`verify` output equals the pinned certificates, byte for byte.
 
     The files in tests/data/ were written by
-    `subheat verify --config <PINNED with kind> --out <dir>` on that commit
-    (n=1 M=128 against M=64, every estimate id at N=0 and N=1). The two
-    potentials cover every registry entry of the default run, both
+    `subheat verify --config <PINNED with kind> --out <dir>` at commit
+    dfa95eb (n=1 M=128 against M=64, every estimate id at N=0 and N=1). The
+    V=|x|^2 file was re-recorded the same way on the child of commit
+    8061047, when every `verify` table became block rows x lattice and the
+    row masses came to be read from the mode sums: only the E8 and E11
+    `C_meas` and `refine_ratio` cells moved, by at most 1.1e-15 relative.
+    The two potentials cover every registry entry of the default run, both
     closed-form substitutions of the zero potential and the E8/E11 skip text.
     """
     cfg_path = tmp_path / "c.ini"
@@ -312,14 +316,14 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
     n=1 M=128 V=|x|^2 (coarse M=64), where one time ladder per certificate row
     and a 64-entry cache that cleared on overflow made 150.
 
-    Each table is as wide as its scans read: the lattice columns for a family
-    none of whose rows reads a mass row (E8 and E11 do), all N columns for the
-    others and on the coarse grid, which has fewer than NARROW_MIN_POINTS
-    points. A table that silently kept every column fails the count."""
+    Every table is the row block x lattice, 32 columns on both grids: the
+    families whose rows read a mass row (E8 and E11) too, and the coarse grid
+    of 64 points too. A table that silently kept every column fails."""
     widths = []
 
-    def counting(dec, multiplier, rows=None, cols=None):
-        K = multiplier_kernel(dec, multiplier, rows=rows, cols=cols)
+    def counting(dec, multiplier, t=None, block=None):
+        K = multiplier_kernel(dec, multiplier, t, block=block)
+        assert K.table.shape == (block.rows.size, block.cols.size)
         widths.append((dec.grid.points_per_axis, K.table.shape[1]))
         return K
 
@@ -327,24 +331,18 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(PINNED.format(kind="power\nsigma = 2"))
     assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
-    tables, mass_families = set(), set()
+    tables = set()
     for M in (64, 128):
         grid = build_grid(1, 16.0, M)
+        assert estimates.lattice_indices(grid).size == 32
         for eid in ESTIMATE_IDS:
             p, entry = DEFAULT_PARAMS[eid], estimates._REGISTRY[eid]
             alpha = 1.0 if entry.heat else p.alpha
             b = p.beta if entry.power is None else entry.power
             tables |= {(M, t, alpha, b) for t in estimates.time_grid(grid, p.alpha, entry.heat)}
-            if entry.lattice is estimates._mass_rows:
-                mass_families.add((alpha, b))
     assert len(widths) == len(tables) == 92
-    expected = {}
-    for M, _, alpha, b in tables:
-        full = M < estimates.NARROW_MIN_POINTS or (alpha, b) in mass_families
-        width = M if full else estimates.lattice_indices(build_grid(1, 16.0, M)).size
-        expected[M, width] = expected.get((M, width), 0) + 1
-    assert sorted(expected) == [(64, 64), (128, 32), (128, 128)]
-    assert {key: widths.count(key) for key in set(widths)} == expected
+    per_grid = {(M, 32): sum(1 for key in tables if key[0] == M) for M in (64, 128)}
+    assert {key: widths.count(key) for key in set(widths)} == per_grid
 
 
 def test_verify_builds_each_grids_scan_geometry_once(tmp_path, monkeypatch):
@@ -438,6 +436,11 @@ def test_outputs_match_pinned_files(tmp_path, command, text, pinned):
     of the gradient stencil). M=16 represents no Holder shift; the n=2 M=32
     certificates, written by `python -m subheat verify` at commit 65262e7
     (the benchmark's certify-n2 config), scan the shift L/16 of one cell.
+    The periodic M=16 and the M=32 certificates were re-recorded by
+    `python -m subheat verify` on the child of commit 8061047, when every
+    `verify` table became block rows x lattice and the row masses came to
+    be read from the mode sums: only E11 `C_meas` (periodic M=16) and E8
+    `C_meas` (M=32) moved, by at most 2.9e-16 relative.
     `kernels` writes the six default tables. The `spaces` and `equiv`
     tables were written by `python -m subheat` at commit 1f80921, and the
     periodic n=2 |x|^2 ones at commit d6dfdef, before the cone index, the

@@ -7,7 +7,10 @@ names imported with `from .mod import name`, and `mod.name` through
 The allowlist's entries are walked too, so their helpers need no entry.
 
 A second inventory lists every `functools` cache in the package with the
-reason its memory stays bounded by the problem.
+reason its memory stays bounded by the problem. Further walks pin one
+implementation per concept: every matrix product goes through
+`spectral.matmul`, the Simpson nodes have one builder, and the eigenbasis is
+read in `spectral` and at a short named list of readers only.
 """
 
 import ast
@@ -117,6 +120,8 @@ CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
 CACHES = {
     ("subordinator", "_descent_nodes"): (
         "lru_cache(maxsize=32)", "quadrature nodes of at most 32 alphas, ~1 KB each"),
+    ("spectral", "SpectralDecomposition.mode_sums"): (
+        "cached_property", "one float per mode, held with its decomposition"),
     ("estimates", "_Tables.kernel"): (
         "cached_property", "one time's row block, dropped with its _Tables after that time"),
     ("estimates", "_Tables.gradient"): (
@@ -232,3 +237,34 @@ def test_the_simpson_guard_sees_linspace_and_node_reads():
                      "def f(r):\n    s = np.linspace(0.0, r, 5)\n"
                      "    return _NODE_INDEX * r + linspace(0, 1, 3)\n")
     assert sorted(line for line, _ in _simpson_breaches(tree)) == [5, 6, 6]
+
+
+#: the readers of `SpectralDecomposition.basis` outside `spectral`: every
+#: product with the basis that a factored basis would have to serve
+BASIS_READERS = {
+    ("spaces", "_synthesis"): "the (J, N) semigroup ladder of a function from its coefficients",
+    ("estimates", "decay_exponent_fit"): "the temporal fit's diagonal sum phi_k(x0)^2",
+}
+
+
+def _basis_reads(tree: ast.Module) -> list:
+    """(top-level definition or "<module>", line) of each `.basis` attribute."""
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        found += [(name, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "basis"]
+    return found
+
+
+def test_the_basis_is_read_in_spectral_and_the_listed_readers_only():
+    found = {(mod, name) for mod, tree in _modules().items() if mod != "spectral"
+             for name, _ in _basis_reads(tree)}
+    assert found == set(BASIS_READERS), f"basis readers outside spectral: {found}"
+
+
+def test_the_basis_guard_sees_every_read():
+    tree = ast.parse("def f(dec):\n    return dec.basis[0]\n"
+                     "class C:\n    def g(self):\n        return self.dec.basis.T\n"
+                     "B = dec.basis\n")
+    assert _basis_reads(tree) == [("f", 2), ("C", 5), ("<module>", 6)]
