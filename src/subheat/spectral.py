@@ -2,27 +2,50 @@
 
 The full eigendecomposition makes every bounded spectral multiplier exact to
 roundoff, so this route serves as the in-repo ground truth for the
-subordination and time-quadrature routes. A tridiagonal operator (n = 1 with
-Dirichlet walls) is solved on its two diagonals by LAPACK's MRRR driver
-`stemr`; every other operator goes to dense `eigh` (`syevr`). `syevr` reduces
-the matrix to tridiagonal form, which leaves a tridiagonal matrix as it is
-with an identity back-transform, and then runs the same `stemr` on the same
-diagonals: both routes give the same bits.
+subordination and time-quadrature routes. The solver is LAPACK's `dsyevr`,
+the driver of `scipy.linalg.eigh`, bit for bit, run as its own stages
+(`_eigh`), each called through ctypes, which releases the GIL:
+
+1. `dsytrd` reduces the matrix to a tridiagonal (d, e);
+2. MRRR (`dstemr`) solves (d, e) in the calling thread while a worker thread
+   runs bisection (`dstebz`) on the same (d, e);
+3. only where MRRR fails, inverse iteration (`dstein`) computes the vectors
+   of the bisection's eigenvalues;
+4. `dormtr` applies the reduction's reflectors to the vectors;
+5. `dsyevr`'s closing selection sort orders the eigenvalues.
+
+`dsyevr` runs bisection only after MRRR has failed, and MRRR does fail (info
+22) on operators whose lattice symmetry gives eigenvalues of exact
+multiplicity; stage 2 overlaps the two. A tridiagonal operator (n = 1 with
+Dirichlet walls) is solved on its two diagonals by `stemr`
+(`scipy.linalg.eigh_tridiagonal`), and where that fails it enters stage 2
+directly: `dsytrd` leaves a tridiagonal matrix as it is, with an identity
+back-transform, so both routes give the same bits.
 
 Every dense product of the package is `matmul`, which calls scipy's BLAS,
-the library (and thread pool) `eigh` runs in. numpy and scipy each ship
+the library (and thread pool) the solver runs in. numpy and scipy each ship
 their own OpenBLAS with its own worker threads, and a pool that has just
 worked spins before it sleeps: on a box with few cores, numpy's `@` right
-after `eigh` (or `eigh` right after a `@`) competes with the other pool's
-spinning workers. `matmul` makes numpy's BLAS calls in scipy's library, so
-its results are numpy's bits and the process runs one pool.
+after the solver (or the solver right after a `@`) competes with the other
+pool's spinning workers. `matmul` makes numpy's BLAS calls in scipy's
+library, so its results are numpy's bits and the process runs one pool.
+That pool is shut down after stage 1, so that its spinning workers leave
+stage 2's two threads their CPUs, and started again before stage 4, while
+no thread holds a BLAS buffer (left to stage 4's first BLAS call, the
+restart lets the calling thread take a worker's buffer, and the process
+keeps more memory resident).
 """
 
+import ctypes
+import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
+import scipy.linalg.lapack
 
 from .grid import Grid, GridFunction, grid_function
 from .potentials import PotentialSpec, eval_on_grid
@@ -96,6 +119,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray = field(repr=False)   # ascending, clipped at 0
     basis: np.ndarray = field(repr=False)         # columns orthonormal wrt h^n inner product
     has_zero_mode: bool
+    solver: str     # route and stage-2 solver: "tridiagonal"/"dense", then "mrrr"/"bisection"
 
     @property
     def positive_min(self) -> float:
@@ -196,17 +220,159 @@ def assemble(grid: Grid, spec: PotentialSpec) -> DiscreteOperator:
     return DiscreteOperator(grid, matrix)
 
 
-def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and l2-orthonormal eigenvectors of the symmetric matrix A,
-    on its diagonals when A has no entry off the three central ones."""
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack_routine(name: str, restype=None):
+    """LAPACK's `name` from scipy's `cython_lapack` table, as a ctypes
+    function whose every argument is a pointer."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    prototype = ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * (signature.count(b",") + 1))
+    return prototype(_capsule_pointer(capsule, signature))
+
+
+_LAPACK = {"dlansy": _lapack_routine("dlansy", ctypes.c_double),
+           **{name: _lapack_routine(name)
+              for name in ("dsytrd", "dstemr", "dstebz", "dstein", "dormtr")}}
+
+
+def _by_reference(x) -> np.ndarray:
+    if isinstance(x, np.ndarray):
+        if not x.flags.forc:
+            raise ValueError("LAPACK would read a strided array as contiguous")
+        return x
+    if isinstance(x, str):
+        return np.frombuffer(x.encode(), np.uint8)
+    return np.array([x], np.intc if isinstance(x, (int, np.integer)) else float)
+
+
+def _lapack(name: str, *args):
+    """Call LAPACK's `name` with every argument by reference: a str is a flag,
+    an int an integer, a float a double and an array its (contiguous) data.
+    Outputs are written into the arrays."""
+    refs = [_by_reference(x) for x in args]
+    return _LAPACK[name](*(r.ctypes.data for r in refs))
+
+
+def _openblas() -> ctypes.CDLL | None:
+    """scipy's OpenBLAS: the handle of the `cython_lapack` module, whose
+    symbol lookups reach the object it links that exports
+    `scipy_openblas_get_num_threads` (None where no such object is linked)."""
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    return lib if hasattr(lib, "scipy_openblas_get_num_threads") else None
+
+
+_OPENBLAS = _openblas()
+_BLAS_THREAD_SHUTDOWN = getattr(_OPENBLAS, "blas_thread_shutdown_", None)
+_BLAS_THREAD_INIT = getattr(_OPENBLAS, "blas_thread_init", None)
+
+# dsyevr scales a matrix whose largest entry lies outside [_RMIN, _RMAX]
+_SAFMIN, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+_RMIN = math.sqrt(_SAFMIN / _EPS)
+_RMAX = min(math.sqrt(1.0 / (_SAFMIN / _EPS)), 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
+
+
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, z: np.ndarray,
+                      scratch: np.ndarray) -> tuple[np.ndarray, str]:
+    """Stages 2 and 3 on the tridiagonal with diagonal d and subdiagonal e
+    (contiguous, kept): the eigenvalues and their solver, with the vectors
+    written into the F-ordered N x N z. MRRR works on copies of d and e in
+    `scratch` (24 N entries: the copies, MRRR's 18 N, then bisection's 4 N)
+    while a worker thread bisects the originals. The worker is joined even
+    where MRRR succeeds, so that no thread outlives the call or holds its
+    buffers."""
+    n = d.size
+    dd, ee = scratch[:n], scratch[n:2 * n]
+    work, work_bisect = scratch[2 * n:20 * n], scratch[20 * n:24 * n]
+    dd[:] = d
+    ee[:n - 1] = e[:n - 1]
+    iwork = np.empty(15 * n, np.intc)    # MRRR's 10 N, then bisection's blocks, splits and 3 N
+    iblock, isplit, iwork_bisect = iwork[10 * n:11 * n], iwork[11 * n:12 * n], iwork[12 * n:]
+    w, w_bisect, isuppz = np.empty(n), np.empty(n), np.empty(2 * n, np.intc)
+    m, m_bisect, nsplit, info = (np.zeros(1, np.intc) for _ in range(4))
+    info_bisect = np.full(1, -1, np.intc)   # dstebz zeroes it; -1 stays where the worker raised first
+
+    def bisect():
+        _lapack("dstebz", "A", "B", n, 0.0, 0.0, 0, 0, 0.0, d, e, m_bisect, nsplit, w_bisect,
+                iblock, isplit, work_bisect, iwork_bisect, info_bisect)
+    worker = threading.Thread(target=bisect)
+    worker.start()
+    _lapack("dstemr", "V", "A", n, dd, ee, 0.0, 0.0, 0, 0, m, w, z, n, n, isuppz, 1,
+            work, work.size, iwork, 10 * n, info)
+    worker.join()
+    if info[0] == 0:
+        return w, "mrrr"
+    if info_bisect[0] == 0:
+        _lapack("dstein", n, d, e, m_bisect, w_bisect, iblock, isplit, z, n, work, iwork[:n],
+                iwork[n:2 * n], info_bisect)
+    if info_bisect[0] != 0:
+        raise scipy.linalg.LinAlgError(f"bisection and inverse iteration failed (info "
+                                       f"{info_bisect[0]}) where MRRR had failed (info {info[0]})")
+    return w_bisect, "bisection"
+
+
+def _dense_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """`dsyevr`'s stages 1 to 4 on the symmetric A (its lower triangle), in
+    one workspace sliced as `dsyevr` slices it: the reduction's tau, d and e,
+    then stage 2's scratch. Its workspace sizes are `dsyevr`'s, on which the
+    blocking of `dsytrd` and `dormtr`, and so their bits, depend."""
+    n = A.shape[0]
+    a = np.array(A, order="F")
+    lwork = int(scipy.linalg.lapack.dsyevr_lwork(n, lower=1)[0])
+    work = np.empty(max(lwork, 27 * n))
+    tau, d, e = work[:n], work[n:2 * n], work[2 * n:3 * n]
+    anrm = _lapack("dlansy", "M", "L", n, a, n, work)
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else 1.0
+    if sigma != 1.0:
+        a *= sigma
+    info = np.zeros(1, np.intc)
+    _lapack("dsytrd", "L", n, a, n, d, e, tau, work[5 * n:], lwork - 5 * n, info)
+    pool = _BLAS_THREAD_SHUTDOWN is not None and _BLAS_THREAD_INIT is not None
+    if pool:
+        _BLAS_THREAD_SHUTDOWN()
+    z = np.empty((n, n), order="F")
+    w, solver = _tridiagonal_eigh(d, e, z, work[3 * n:])
+    if pool:
+        _BLAS_THREAD_INIT()
+    _lapack("dormtr", "L", "L", "N", n, n, a, n, tau, z, n, work[2 * n:], lwork - 2 * n, info)
+    if sigma != 1.0:
+        w *= 1.0 / sigma
+    return w, z, solver
+
+
+def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """Eigenvalues, l2-orthonormal eigenvectors (F-ordered) and the route
+    and stage-2 solver behind them ("dense" or "tridiagonal", then "mrrr" or
+    "bisection") for the symmetric matrix A: the bits of
+    `scipy.linalg.eigh(A)`. A dense A takes stages 1 to 4 (`_dense_eigh`).
+    An A with no entry off its three central diagonals goes to `stemr` on
+    those diagonals, and where that fails to stages 2 and 3 directly, with
+    no reduction and no back-transform. Stage 5, `dsyevr`'s selection sort,
+    closes both routes; it moves columns only after bisection, which orders
+    its eigenvalues within each split block."""
     band = sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
     if np.count_nonzero(A) == band:
+        d, e = np.diagonal(A).copy(), np.diagonal(A, -1).copy()
         try:
-            return scipy.linalg.eigh_tridiagonal(np.diagonal(A), np.diagonal(A, -1),
-                                                 lapack_driver="stemr")
+            w, z = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+            return w, z, "tridiagonal mrrr"
         except scipy.linalg.LinAlgError:
-            pass   # syevr falls back to bisection and inverse iteration where stemr fails
-    return scipy.linalg.eigh(A)
+            z = np.empty(A.shape, order="F")
+            w, solver = _tridiagonal_eigh(d, e, z, np.empty(24 * d.size))
+            route = "tridiagonal"
+    else:
+        w, z, solver = _dense_eigh(A)
+        route = "dense"
+    if np.any(w[1:] < w[:-1]):    # dsyevr's selection sort, which moves nothing otherwise
+        for j in range(w.size - 1):
+            k = j + 1 + int(np.argmin(w[j + 1:]))
+            if w[k] < w[j]:
+                w[[j, k]], z[:, [j, k]] = w[[k, j]], z[:, [k, j]]
+    return w, z, f"{route} {solver}"
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -220,7 +386,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
         sym_defect = max(sym_defect, float(np.max(np.abs(block - A[:, i:i + step].T))))
     if sym_defect > 1e-12:
         raise ValueError(f"operator not symmetric (defect {sym_defect:.2e})")
-    lam, vec = _eigh(A)
+    lam, vec, solver = _eigh(A)
     if lam[0] < -1e-10:
         raise RuntimeError(f"negative eigenvalue {lam[0]:.3e} from the eigensolver")
     lam = np.clip(lam, 0.0, None)
@@ -229,7 +395,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     # both routes return l2-orthonormal columns; rescale to the h^n-weighted inner product
     basis = vec / np.sqrt(op.grid.cell_weight)
     has_zero = bool(lam[0] <= 1e-10 * max(lam[-1], 1.0))
-    return SpectralDecomposition(op.grid, lam, basis, has_zero)
+    return SpectralDecomposition(op.grid, lam, basis, has_zero, solver)
 
 
 def multiplier_kernel(dec: SpectralDecomposition, multiplier, t: float | None = None,

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from oracles import kron_operator
+from subheat import spectral
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 oscillator_heat_value, poisson_value)
 from subheat.grid import build_grid, from_callable, grid_function
@@ -278,6 +279,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_stages(monkeypatch, stemr_info=None):
+    """The LAPACK routines the staged solver calls (stage 2's two threads
+    append in either order); `stemr_info` plants that info on every MRRR."""
+    calls = []
+    real = spectral._lapack
+
+    def counted(name, *args):
+        calls.append(name)
+        out = real(name, *args)
+        if name == "dstemr" and stemr_info is not None:
+            args[-1][0] = stemr_info
+        return out
+    monkeypatch.setattr(spectral, "_lapack", counted)
+    return calls
+
+
 @pytest.mark.parametrize("M", [8, 64, 512])
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_tridiagonal_route_gives_the_dense_bits(monkeypatch, kind, M):
@@ -285,7 +302,7 @@ def test_tridiagonal_route_gives_the_dense_bits(monkeypatch, kind, M):
     op = assemble(build_grid(1, 16.0, M, "dirichlet"), CATALOG[kind])
     calls = _count_calls(monkeypatch, "eigh_tridiagonal")
     dec = eigendecompose(op)
-    assert calls == ["eigh_tridiagonal"]
+    assert calls == ["eigh_tridiagonal"] and dec.solver == "tridiagonal mrrr"
     lam, basis = _dense_reference(op)
     assert np.array_equal(dec.eigenvalues, lam)
     assert np.array_equal(dec.basis, basis)
@@ -295,24 +312,157 @@ def test_tridiagonal_route_gives_the_dense_bits(monkeypatch, kind, M):
                                       (2, 12, "periodic"), (3, 8, "dirichlet"),
                                       (3, 8, "periodic")])
 def test_operators_off_three_diagonals_stay_dense(monkeypatch, n, M, bc):
-    """Periodic corners and the n >= 2 stencil keep the dense solver."""
+    """Periodic corners and the n >= 2 stencil take the staged dense route:
+    one reduction and one back-transform, inverse iteration only after a
+    failed MRRR."""
     op = assemble(build_grid(n, 4.0, M, bc), power(2.0))
     tridiagonal = _count_calls(monkeypatch, "eigh_tridiagonal")
-    dense = _count_calls(monkeypatch, "eigh")
-    eigendecompose(op)
-    assert tridiagonal == [] and dense == ["eigh"]
+    stages = _count_stages(monkeypatch)
+    dec = eigendecompose(op)
+    assert tridiagonal == []
+    assert sorted(set(stages) - {"dstein"}) == ["dlansy", "dormtr", "dstebz", "dstemr", "dsytrd"]
+    assert all(stages.count(name) == 1 for name in set(stages))
+    assert dec.solver == ("dense bisection" if "dstein" in stages else "dense mrrr")
 
 
-def test_failed_tridiagonal_solve_falls_back_to_the_dense_bits(monkeypatch):
-    op = assemble(build_grid(1, 16.0, 128, "dirichlet"), power(2.0))
-
+def _fail_tridiagonal(monkeypatch):
     def failing(*args, **kwargs):
         raise scipy.linalg.LinAlgError("stemr (eigh_tridiagonal) failed")
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+
+
+def test_failed_tridiagonal_solve_falls_back_to_the_dense_bits(monkeypatch):
+    """Where `stemr` fails on the diagonals, stage 2 takes them directly, with
+    no O(N^3) reduction. The failure is planted in `eigh_tridiagonal` only,
+    so stage 2's MRRR succeeds, as dense eigh's does."""
+    op = assemble(build_grid(1, 16.0, 128, "dirichlet"), power(2.0))
+    _fail_tridiagonal(monkeypatch)
+    stages = _count_stages(monkeypatch)
     dec = eigendecompose(op)
+    assert sorted(stages) == ["dstebz", "dstemr"] and dec.solver == "tridiagonal mrrr"
     lam, basis = _dense_reference(op)
     assert np.array_equal(dec.eigenvalues, lam)
     assert np.array_equal(dec.basis, basis)
+
+
+# --- the staged solver: dsyevr's bits -------------------------------------------
+
+#: (n, M, bc, V) at L = 16 -> the stage-2 solvers dsyevr may end with: MRRR
+#: fails (info 22) where the lattice symmetry gives eigenvalues of exact
+#: multiplicity; on certify-n2's coarse operator it fails at one BLAS thread
+#: and succeeds at two, since dsytrd's bits depend on the thread count
+STAGED = {"certify-n2-fine": ((2, 32, "dirichlet", power(2.0)), {"bisection"}),
+          "certify-n2-coarse": ((2, 16, "dirichlet", power(2.0)), {"mrrr", "bisection"}),
+          "spaces-n2": ((2, 24, "dirichlet", constant(1.0)), {"mrrr"}),
+          "n2-M16-periodic-power2": ((2, 16, "periodic", power(2.0)), {"bisection"}),
+          "n3-M10-constant1": ((3, 10, "dirichlet", constant(1.0)), {"bisection"}),
+          "n2-M24-well": ((2, 24, "dirichlet", well(4.0, 3.0)), {"mrrr"}),
+          "n1-M64-periodic-power2": ((1, 64, "periodic", power(2.0)), {"mrrr"})}
+
+
+def _assert_eigh_bits(A) -> str:
+    """The staged solver's bits are eigh's; returns its route and solver."""
+    w, z, solver = spectral._eigh(A)
+    want_w, want_z = scipy.linalg.eigh(A)
+    assert np.array_equal(w, want_w) and np.array_equal(z, want_z) and z.flags.f_contiguous
+    return solver
+
+
+@pytest.mark.parametrize("case", sorted(STAGED))
+def test_staged_solver_gives_the_eigh_bits(case):
+    (n, M, bc, spec), solvers = STAGED[case]
+    route, solver = _assert_eigh_bits(assemble(build_grid(n, 16.0, M, bc), spec).matrix).split()
+    assert route == "dense" and solver in solvers
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-160])
+def test_staged_solver_scales_as_dsyevr_does(scale):
+    """A largest entry above RMAX or below RMIN takes dsyevr's scaling branch."""
+    A = assemble(build_grid(2, 16.0, 8, "periodic"), power(2.0)).matrix * scale
+    assert not spectral._RMIN <= np.max(np.abs(A)) <= spectral._RMAX
+    _assert_eigh_bits(A)
+
+
+@pytest.mark.parametrize("case", ["certify-n2-coarse", "n2-M16-periodic-power2"])
+def test_staged_solver_keeps_its_bits_without_the_pool_shutdown(monkeypatch, case):
+    """The pool shutdown only frees the CPUs for stage 2."""
+    monkeypatch.setattr(spectral, "_BLAS_THREAD_SHUTDOWN", None)
+    (n, M, bc, spec), solvers = STAGED[case]
+    route, solver = _assert_eigh_bits(assemble(build_grid(n, 16.0, M, bc), spec).matrix).split()
+    assert route == "dense" and solver in solvers
+
+
+def test_scipys_blas_pool_is_found_and_shut_down_during_stage_2(monkeypatch):
+    """The handle reaches the loaded object that exports
+    `scipy_openblas_get_num_threads`; without it, or without
+    `blas_thread_shutdown_` and `blas_thread_init`, the solver keeps its bits
+    but the pool's workers spin through stage 2."""
+    assert spectral._OPENBLAS is not None
+    assert spectral._OPENBLAS.scipy_openblas_get_num_threads() >= 1
+    assert spectral._BLAS_THREAD_SHUTDOWN is not None and spectral._BLAS_THREAD_INIT is not None
+    stages = _count_stages(monkeypatch)
+    for name, step in (("_BLAS_THREAD_SHUTDOWN", "shutdown"), ("_BLAS_THREAD_INIT", "init")):
+        real = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda real=real, step=step: (stages.append(step), real()))
+    eigendecompose(assemble(build_grid(2, 16.0, 8, "dirichlet"), power(2.0)))
+    assert stages[stages.index("dsytrd") + 1] == "shutdown"
+    assert stages[stages.index("init") + 1] == "dormtr" and stages.count("init") == 1
+
+
+def test_lapack_calls_refuse_a_strided_array():
+    with pytest.raises(ValueError, match="strided"):
+        spectral._lapack("dlansy", "M", "L", 2, np.eye(4)[::2, ::2], 2, np.empty(2))
+
+
+@pytest.mark.parametrize("route, n", [("dense", 2), ("tridiagonal", 1)])
+def test_failed_mrrr_takes_bisection_and_inverse_iteration(monkeypatch, route, n):
+    """A planted MRRR failure on operators where MRRR succeeds: the basis
+    comes from dstebz + dstein, orthonormal, with MRRR's eigenvalues."""
+    spec = well(4.0, 3.0) if n == 2 else power(2.0)    # MRRR succeeds at any thread count
+    op = assemble(build_grid(n, 16.0, 16 if n == 2 else 128, "dirichlet"), spec)
+    want = eigendecompose(op)
+    assert want.solver == f"{route} mrrr"
+    if route == "tridiagonal":
+        _fail_tridiagonal(monkeypatch)
+    stages = _count_stages(monkeypatch, stemr_info=22)
+    dec = eigendecompose(op)
+    assert dec.solver == f"{route} bisection" and stages.count("dstein") == 1
+    assert np.max(np.abs(dec.eigenvalues - want.eigenvalues)) <= 1e-12 * want.lam_max
+    gram = matmul(dec.basis.T, dec.basis) * op.grid.cell_weight
+    assert np.max(np.abs(gram - np.eye(op.grid.size))) <= 1e-12
+
+
+def test_bisection_blocks_are_sorted_as_dsyevr_sorts_them(monkeypatch):
+    """A direct sum of two operators splits the tridiagonal in two, and
+    bisection orders its eigenvalues within each block only: after a planted
+    MRRR failure, stage 5 sorts the pairs into one ascending spectrum."""
+    blocks = [assemble(build_grid(1, 16.0, 8, "periodic"), spec).matrix
+              for spec in (power(2.0), constant(50.0))]
+    A = scipy.linalg.block_diag(*blocks)
+    _count_stages(monkeypatch, stemr_info=22)
+    w, z, solver = spectral._eigh(A)
+    assert solver == "dense bisection"
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - scipy.linalg.eigvalsh(A))) <= 1e-12 * w[-1]
+    assert np.max(np.abs(matmul(A, z) - z * w)) <= 1e-12 * w[-1]
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_failed_mrrr_with_a_failed_worker_raises(monkeypatch):
+    """Where MRRR fails and the bisection worker raised before `dstebz` ran,
+    the solve raises instead of reading the worker's unwritten outputs."""
+    real = spectral._lapack
+
+    def planted(name, *args):
+        if name == "dstebz":
+            raise RuntimeError("planted failure before dstebz")
+        out = real(name, *args)
+        if name == "dstemr":
+            args[-1][0] = 22
+        return out
+    monkeypatch.setattr(spectral, "_lapack", planted)
+    with pytest.raises(scipy.linalg.LinAlgError, match=r"info -1\) where MRRR had failed \(info 22"):
+        eigendecompose(assemble(build_grid(2, 16.0, 8, "dirichlet"), power(2.0)))
 
 
 # --- the one matrix product ---------------------------------------------------
