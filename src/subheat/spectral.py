@@ -3,7 +3,7 @@
 The full eigendecomposition makes every bounded spectral multiplier exact to
 roundoff, so this route serves as the in-repo ground truth for the
 subordination and time-quadrature routes. The solver is LAPACK's `dsyevr`,
-the driver of `scipy.linalg.eigh`, bit for bit, run as its own stages
+the routine behind `scipy.linalg.eigh`, bit for bit, run as its own stages
 (`_eigh`), each called through ctypes, which releases the GIL:
 
 1. `dsytrd` reduces the matrix to a tridiagonal (d, e);
@@ -231,8 +231,8 @@ def _lapack_routine(name: str, restype=None):
     function whose every argument is a pointer."""
     capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
     signature = _capsule_name(capsule)
-    prototype = ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * (signature.count(b",") + 1))
-    return prototype(_capsule_pointer(capsule, signature))
+    functype = ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * (signature.count(b",") + 1))
+    return functype(_capsule_pointer(capsule, signature))
 
 
 _LAPACK = {"dlansy": _lapack_routine("dlansy", ctypes.c_double),
