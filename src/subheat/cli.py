@@ -17,15 +17,14 @@ import configparser
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import potentials
-from .estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateNotApplicable,
-                        EstimateParams, build_backend, certify, holder_delta0,
-                        scan_estimate)
+from .estimates import (EstimateNotApplicable, build_backend, certify, holder_delta0,
+                        scan_estimate, verify_jobs)
 from .grid import build_grid, grid_function
 from .potentials import PotentialSpec
 from .spaces import (area_function, ball_family, bmo_norm, default_time_grid,
@@ -50,22 +49,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    n: int = 1
-    half_width: float = 16.0
-    points_per_axis: int = 256
-    bc: str = "dirichlet"
-    potential: PotentialSpec = field(default_factory=lambda: potentials.constant(1.0))
-    potential_label: str = "constant c=1"
-    q: float | None = None
-    alpha: float = 0.5
-    beta: float = 1.0
-    gamma: float = 0.25
-    n_list: tuple = (0.0, 1.0)
-    delta_prime: float | None = None
-    command: str = "selftest"
-    out: str = "out"
-    seed: int = 0
-    times: tuple = (0.25, 1.0, 4.0)
+    """A checked config; `_read_config` states every default."""
+    n: int
+    half_width: float
+    points_per_axis: int
+    bc: str
+    potential: PotentialSpec
+    potential_label: str
+    q: float | None
+    alpha: float
+    beta: float
+    gamma: float
+    n_list: tuple
+    delta_prime: float | None
+    command: str
+    out: str
+    seed: int
+    times: tuple
 
     def describe(self) -> str:
         return (f"n={self.n} L={self.half_width} M={self.points_per_axis} bc={self.bc} "
@@ -309,18 +309,13 @@ def _cmd_kernels(cfg: RunConfig, out: Path) -> dict:
 def _cmd_verify(cfg: RunConfig, out: Path) -> dict:
     backends = [build_backend(cfg.n, cfg.half_width, M, cfg.bc, cfg.potential)
                 for M in (cfg.points_per_axis // 2, cfg.points_per_axis)]
-    jobs = []
-    for eid in ESTIMATE_IDS:
-        alpha = DEFAULT_PARAMS[eid].alpha if eid == "E8" else cfg.alpha
-        jobs += [(eid, EstimateParams(alpha=alpha, beta=cfg.beta, N=N, q=cfg.q,
-                                      delta_prime=cfg.delta_prime))
-                 for N in cfg.n_list]
+    jobs = verify_jobs(cfg.alpha, cfg.beta, cfg.n_list, cfg.q, cfg.delta_prime)
     scans = [scan_estimate(jobs, backend) for backend in backends]
     rows, all_pass = [], True
     for (eid, params), *outcomes in zip(jobs, *scans):
         head = (eid, params.alpha, params.beta, params.N)
         try:
-            cert = certify(eid, outcomes)
+            cert = certify(outcomes)
         except ValueError as exc:
             # only an estimate that needs V != 0 may skip; any other error fails
             expected = isinstance(exc, EstimateNotApplicable)
@@ -462,7 +457,7 @@ def main(argv=None) -> int:
             updates["seed"] = args.seed
         cfg = _check_command(replace(_read_config(text), **updates))
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

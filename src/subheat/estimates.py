@@ -99,9 +99,16 @@ DEFAULT_PARAMS = {eid: EstimateParams() for eid in ESTIMATE_IDS} | {
 }
 
 
+def verify_jobs(alpha: float, beta: float, n_list, q: float | None,
+                delta_prime: float | None) -> list:
+    """`verify`'s (id, params) jobs: each id at each N of `n_list`; E8 keeps its alpha."""
+    return [(eid, EstimateParams(DEFAULT_PARAMS[eid].alpha if eid == "E8" else alpha, beta, N,
+                                 q, delta_prime))
+            for eid in ESTIMATE_IDS for N in n_list]
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
-    estimate_id: str
     params: EstimateParams
     c_meas: float
     argmax: tuple                    # (x, y, t)
@@ -564,7 +571,7 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     return outcomes
 
 
-def certify(estimate_id: str, scans: list) -> BoundCertificate:
+def certify(scans: list) -> BoundCertificate:
     """Certificate of one job from its `scan_estimate` outcomes per grid, coarse
     first: the last scan, with its stability against the one before. The first
     outcome that is a ValueError is raised."""
@@ -581,8 +588,7 @@ def certify(estimate_id: str, scans: list) -> BoundCertificate:
     passed = bool(fine.total > 0 and fine.nonfinite == 0 and np.isfinite(fine.c_meas)
                   and fine.c_meas <= CEILING
                   and (np.isnan(ratio) or 0.8 <= ratio <= 1.25))
-    return BoundCertificate(estimate_id, resolved, fine.c_meas, fine.argmax, float(ratio),
-                            passed)
+    return BoundCertificate(resolved, fine.c_meas, fine.argmax, float(ratio), passed)
 
 
 def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: str,

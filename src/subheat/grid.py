@@ -19,7 +19,6 @@ class Grid:
     half_width: float
     points_per_axis: int
     bc: str
-    axis: np.ndarray = field(repr=False)     # (M,) cell centers per axis
     points: np.ndarray = field(repr=False)   # (M^n, n) flattened C-order
 
     @property
@@ -90,7 +89,6 @@ class Ball:
     center: np.ndarray
     radius: float
     members: np.ndarray        # indices of grid points with dist < radius
-    contained: bool            # fully inside the box (Euclidean sense)
     center_index: int          # the grid point nearest the centre
 
 
@@ -108,21 +106,11 @@ def build_grid(n: int, half_width: float, points_per_axis: int, bc: str = DIRICH
     axis = -half_width + (np.arange(M) + 0.5) * h
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    return Grid(n, float(half_width), M, bc, axis, points)
+    return Grid(n, float(half_width), M, bc, points)
 
 
 def grid_function(grid: Grid, values) -> GridFunction:
     return GridFunction(grid, np.asarray(values, dtype=float).ravel())
-
-
-def from_callable(grid: Grid, fn) -> GridFunction:
-    return grid_function(grid, fn(grid.points))
-
-
-def grid_integrate(f: GridFunction) -> float:
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("grid_integrate requires finite values everywhere")
-    return float(np.sum(f.values) * f.grid.cell_weight)
 
 
 def ball_points(grid: Grid, center, radius: float, dist: np.ndarray | None = None) -> Ball:
@@ -138,10 +126,7 @@ def ball_points(grid: Grid, center, radius: float, dist: np.ndarray | None = Non
     members = np.nonzero(dist < radius)[0]
     if members.size == 0:
         raise ValueError("empty ball: radius too small for this grid")
-    contained = bool(
-        np.all(np.abs(center) + radius <= grid.half_width + 1e-12)
-    )
-    return Ball(center, float(radius), members, contained, int(np.argmin(dist)))
+    return Ball(center, float(radius), members, int(np.argmin(dist)))
 
 
 def inner_box_mask(grid: Grid, fraction: float = 0.5) -> np.ndarray:

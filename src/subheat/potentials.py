@@ -32,15 +32,14 @@ _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """One catalog potential: zero | constant | power |x|^sigma | well | sum."""
+    """One catalog potential: zero | constant | power |x|^sigma | well."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    terms: tuple = ()
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "power", "well", "sum"):
+        if self.kind not in ("zero", "constant", "power", "well"):
             raise ValueError(f"kind {self.kind!r} not in catalog")
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
@@ -63,8 +62,8 @@ def constant(c: float) -> PotentialSpec:
     return PotentialSpec("constant", {"c": float(c)})
 
 
-def power(sigma: float, scale: float = 1.0) -> PotentialSpec:
-    return PotentialSpec("power", {"sigma": float(sigma)}, scale=scale)
+def power(sigma: float) -> PotentialSpec:
+    return PotentialSpec("power", {"sigma": float(sigma)})
 
 
 def well(height: float, half_width: float, center=0.0) -> PotentialSpec:
@@ -73,14 +72,10 @@ def well(height: float, half_width: float, center=0.0) -> PotentialSpec:
     )
 
 
-def sum_of(*specs: PotentialSpec) -> PotentialSpec:
-    return PotentialSpec("sum", terms=tuple(specs))
-
-
 def scaled(spec: PotentialSpec, c: float) -> PotentialSpec:
     if c < 0:
         raise ValueError("scale must be nonnegative")
-    return PotentialSpec(spec.kind, spec.params, spec.terms, spec.scale * c)
+    return PotentialSpec(spec.kind, spec.params, spec.scale * c)
 
 
 #: |x| >= _TINY keeps x * x normal and |x| < _HUGE keeps it finite
@@ -112,12 +107,10 @@ def eval_potential(spec: PotentialSpec, x) -> np.ndarray:
         # an overflow gives inf, which the operator's finiteness check names
         with np.errstate(over="ignore"):
             out = _norms(pts) ** spec.params["sigma"]
-    elif spec.kind == "well":
+    else:
         center = np.broadcast_to(np.asarray(spec.params["center"], float), pts.shape[1:])
         inside = np.all(np.abs(pts - center) <= spec.params["w"], axis=1)
         out = np.where(inside, spec.params["v"], 0.0)
-    else:
-        out = np.sum([eval_potential(t, pts) for t in spec.terms], axis=0)
     if spec.scale != 1.0:                  # 1.0 * v == v: skip a pass
         out = spec.scale * out
     return out if np.asarray(x).ndim > 1 else float(out[0])
@@ -128,11 +121,7 @@ def eval_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
 
 
 def is_zero(spec: PotentialSpec) -> bool:
-    if spec.kind == "zero" or spec.scale == 0.0:
-        return True
-    if spec.kind == "sum":
-        return all(is_zero(t) for t in spec.terms)
-    return False
+    return spec.kind == "zero" or spec.scale == 0.0
 
 
 def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
@@ -146,10 +135,6 @@ def _radial_profile_about(spec: PotentialSpec, center: np.ndarray):
     if spec.kind == "power" and np.linalg.norm(center) < 1e-12:
         sigma, sc = spec.params["sigma"], spec.scale
         return lambda s: sc * np.asarray(s, float) ** sigma
-    if spec.kind == "sum":
-        profs = [_radial_profile_about(t, center) for t in spec.terms]
-        if all(p is not None for p in profs):
-            return lambda s: spec.scale * np.sum([p(s) for p in profs], axis=0)
     return None
 
 
@@ -340,16 +325,8 @@ def compute_aux_function(spec: PotentialSpec, grid: Grid, indices=None) -> AuxFu
         return AuxFunction(grid, np.full(grid.size, np.inf), flags)
     rho = np.full(grid.size, np.nan)
     idx = np.arange(grid.size) if indices is None else np.asarray(indices)
-    if _is_translation_invariant(spec):
+    if spec.kind == "constant":       # rho is the same at every point
         rho[idx], flags[idx] = compute_rho(spec, grid, grid.points[idx[0]])
     else:
         rho[idx], flags[idx] = _critical_radii(spec, grid, grid.points[idx])
     return AuxFunction(grid, rho, flags)
-
-
-def _is_translation_invariant(spec: PotentialSpec) -> bool:
-    if spec.kind == "constant":
-        return True
-    if spec.kind == "sum":
-        return all(_is_translation_invariant(t) for t in spec.terms)
-    return False

@@ -29,14 +29,6 @@ ROW_BLOCK = 256          # rows per block of the pair scans, so no N x N array i
 
 
 @dataclass(frozen=True)
-class Atom:
-    function: GridFunction
-    ball: Ball
-    p: float
-    cancellation: bool
-
-
-@dataclass(frozen=True)
 class SpaceTimeField:
     grid: Grid
     times: np.ndarray                 # (J,), any order
@@ -200,31 +192,26 @@ def _holder_block(grid: Grid, idx: np.ndarray, block: slice, samples: list,
     return out
 
 
-def make_atom(grid: Grid, ball: Ball, gamma: float, rho_at_center: float,
-              kind: str = "oscillating") -> Atom:
-    """Normalized Hardy atom on a ball: sup bound, support, and small-ball cancellation."""
+def make_atom(grid: Grid, ball: Ball, gamma: float, rho_at_center: float) -> GridFunction:
+    """Normalized Hardy atom on a ball: sup |B|^(-1/p) with p = n/(n + gamma),
+    support, and small-ball cancellation."""
     n = grid.dimension
     p = n / (n + gamma)
     if ball.radius > rho_at_center:
         raise ValueError("atom balls must satisfy r_B <= rho(x_B)")
-    if kind not in ("oscillating", "plain"):
-        raise ValueError(f"unknown atom kind {kind!r}")
-    if kind == "plain" and ball.radius < rho_at_center / 4.0:
-        raise ValueError("plain atoms need r_B >= rho(x_B)/4 (cancellation is mandatory below)")
     xi = grid.distances_from(ball.center) / ball.radius
     bump = np.where(xi < 1.0, np.cos(0.5 * np.pi * np.clip(xi, 0.0, 1.0)) ** 2, 0.0)
     values = np.zeros(grid.size)
     values[ball.members] = bump[ball.members]
-    if kind == "oscillating":
-        axis = grid.points[:, 0] - ball.center[0]
-        values = values * np.sin(np.pi * axis / ball.radius)
-        values[ball.members] -= values[ball.members].mean()
+    axis = grid.points[:, 0] - ball.center[0]
+    values = values * np.sin(np.pi * axis / ball.radius)
+    values[ball.members] -= values[ball.members].mean()
     sup = np.max(np.abs(values))
     if sup == 0.0:
         raise ValueError("degenerate atom profile")
     target = _ball_measure(grid, ball) ** (-1.0 / p)
     values *= target / sup
-    return Atom(grid_function(grid, values), ball, p, kind == "oscillating")
+    return grid_function(grid, values)
 
 
 def g_function(dec: SpectralDecomposition, alpha: float, beta: float,
@@ -357,18 +344,18 @@ def reproducing_check(dec: SpectralDecomposition, alpha: float, beta: float,
     return float(num / den)
 
 
-def duality_pairing_check(f: GridFunction, atom: Atom, dec: SpectralDecomposition,
+def duality_pairing_check(f: GridFunction, atom: GridFunction, dec: SpectralDecomposition,
                           alpha: float, beta: float, times: np.ndarray):
     """Upper-half-space pairing over C_{a,b} <f, a>; 1.0 when the identity holds.
 
     Returns None for (numerically) orthogonal pairs.
     """
     w = dec.grid.cell_weight
-    inner = float(np.sum(f.values * atom.function.values) * w)
+    inner = float(np.sum(f.values * atom.values) * w)
     if abs(inner) < 1e-12:
         return None
     cf = dec.coefficients(f.values)
-    ca = dec.coefficients(atom.function.values)
+    ca = dec.coefficients(atom.values)
     mult = _reproducing_multiplier(dec, alpha, beta, times)
     return float(np.sum(mult * cf * ca)) / inner
 
@@ -437,8 +424,7 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
         if radius > r_at:
             continue    # coarse grids cannot host sub-critical atoms
         ball = ball_points(grid, center, radius)
-        atom = make_atom(grid, ball, gamma, r_at, kind="oscillating")
-        suite.append(atom.function)
+        suite.append(make_atom(grid, ball, gamma, r_at))
     k_low = min(12, grid.size - 1)
     while len(suite) < SUITE_SIZE:
         coeff = np.zeros(grid.size)

@@ -47,7 +47,7 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 
-from .grid import Grid, GridFunction, grid_function
+from .grid import Grid
 from .potentials import PotentialSpec, eval_on_grid
 
 SIZE_CAPS = {1: 512, 2: 48, 3: 16}
@@ -449,21 +449,10 @@ def fractional_heat_kernel(dec: SpectralDecomposition, alpha: float, t: float) -
     return multiplier_kernel(dec, semigroup_multiplier(t, alpha))
 
 
-def poisson_kernel(dec: SpectralDecomposition, t: float) -> KernelSlice:
-    return multiplier_kernel(dec, semigroup_multiplier(t, 0.5))
-
-
 def _require_full(K: KernelSlice, operation: str) -> None:
     for name, block in (("row", K.rows), ("column", K.cols)):
         if block is not None:
             raise ValueError(f"{operation} needs the full kernel table, not a {name} block")
-
-
-def apply_kernel(K: KernelSlice, f: GridFunction) -> GridFunction:
-    _require_full(K, "apply_kernel")
-    if f.grid.size != K.grid.size:
-        raise ValueError("kernel and function live on different grids")
-    return grid_function(K.grid, matmul(K.table, f.values) * K.grid.cell_weight)
 
 
 def compose(K1: KernelSlice, K2: KernelSlice) -> KernelSlice:

@@ -29,7 +29,8 @@ which `spaces.lipschitz_norm` and the n >= 2 `spaces.area_function` must
 reproduce bit for bit. The eighth is the scan accumulator's update as it was
 before one pass, which `_ScanAccumulator.update` must reproduce in every
 count, maximum and argmax. `certify_on` certifies one estimate on its own, as
-the scans before `scan_estimate` took a list of jobs did.
+the scans before `scan_estimate` took a list of jobs did, and `apply` is a
+full kernel table's action on a grid function.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from subheat.closedform import gaussian_heat_value
 from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams, certify,
                                scan_estimate)
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
-from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points
+from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points, grid_function
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
                                 _ball_integrals, _block_functional, _radial_profile_about,
                                 compute_rho, eval_on_grid, eval_potential, is_zero)
@@ -62,8 +63,12 @@ def certify_on(estimate_id: str, params: EstimateParams | None,
     backends = backends if isinstance(backends, (list, tuple)) else [backends]
     params = params if params is not None else DEFAULT_PARAMS.get(estimate_id,
                                                                   EstimateParams())
-    return certify(estimate_id,
-                   [scan_estimate([(estimate_id, params)], b)[0] for b in backends])
+    return certify([scan_estimate([(estimate_id, params)], b)[0] for b in backends])
+
+
+def apply(K: KernelSlice, f: GridFunction) -> GridFunction:
+    """int K(x, y) f(y) dy on the grid, for a full table K."""
+    return grid_function(K.grid, K.table @ f.values * K.grid.cell_weight)
 
 
 # --- routes equal to the multiplier route by linearity -----------------------
@@ -260,9 +265,7 @@ def ball_integral(spec: PotentialSpec, grid: Grid, center, radius: float) -> flo
 
 def power_of(spec: PotentialSpec, q: float) -> PotentialSpec:
     """The catalog potential V^q: c^q, |x|^(sigma q) or v^q on the well, times
-    scale^q. V^q of a sum is not in the catalog."""
-    if spec.kind == "sum":
-        raise ValueError("V^q of a sum is not a catalog potential")
+    scale^q."""
     params = dict(spec.params)
     if spec.kind == "power":
         params["sigma"] *= q
@@ -332,12 +335,10 @@ def norm_potential(spec: PotentialSpec, pts: np.ndarray) -> np.ndarray:
     elif spec.kind == "power":
         with np.errstate(over="ignore"):
             out = np.linalg.norm(pts, axis=1) ** spec.params["sigma"]
-    elif spec.kind == "well":
+    else:
         center = np.broadcast_to(np.asarray(spec.params["center"], float), pts.shape[1:])
         inside = np.all(np.abs(pts - center) <= spec.params["w"], axis=1)
         out = np.where(inside, spec.params["v"], 0.0)
-    else:
-        out = np.sum([norm_potential(t, pts) for t in spec.terms], axis=0)
     return spec.scale * out
 
 

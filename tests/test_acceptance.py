@@ -240,8 +240,8 @@ def test_criterion_12_area_function(dec_flat):
         radius = rng.uniform(0.3, 0.95 * RHO_FLAT)
         atom = make_atom(dec_flat.grid, ball_points(dec_flat.grid, [center], radius),
                          0.25, RHO_FLAT)
-        S, = area_function(dec_flat, 0.5, 1.0, [atom.function], times)
-        atom_norms.append(quasi_norm(S, atom.p))
+        S, = area_function(dec_flat, 0.5, 1.0, [atom], times)
+        atom_norms.append(quasi_norm(S, 1 / (1 + 0.25)))    # p = n/(n + gamma)
     assert np.all(np.isfinite(atom_norms))
     print(f"  criterion 12 log: max atom area quasi-norm = {max(atom_norms):.4f}")
     _report(12, "area function bounds")

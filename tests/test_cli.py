@@ -161,6 +161,13 @@ def test_main_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: [Errno 20] Not a directory")
 
 
+def test_main_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_bytes(FULL.replace("M = 128", "M = 64").encode() + b"# \xff\n")
+    assert main(["selftest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("command, line, bad_line", [
     ("selftest", "alpha = 0.5", "alpha = abc"),
     ("selftest", "n_list = 0", "n_list = 0,x"),

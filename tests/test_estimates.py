@@ -227,10 +227,10 @@ def test_overflowing_ratio_fails_its_certificate():
     with np.errstate(divide="ignore", over="ignore"):
         acc.update(obj, maj, xs, xs, 1.0)
     assert (acc.c_meas, acc.total, acc.excluded, acc.nonfinite) == (1e-3, 4, 1, 1)
-    assert estimates.certify("E1", [(acc, resolved)]).passed is False
+    assert estimates.certify([(acc, resolved)]).passed is False
     clean = estimates._ScanAccumulator()
     clean.update(obj[:1], maj[:1], xs, xs, 1.0)
-    assert estimates.certify("E1", [(clean, resolved)]).passed is True
+    assert estimates.certify([(clean, resolved)]).passed is True
 
 
 def _accumulator_state(acc):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (frac_derivative_scalar, frac_time_derivative_tables,
+from oracles import (apply, frac_derivative_scalar, frac_time_derivative_tables,
                      mth_time_derivative_kernel)
 from subheat.closedform import gaussian_heat_table
 from subheat.fracderiv import (d_operator, frac_multiplier_quadrature,
@@ -9,7 +9,7 @@ from subheat.fracderiv import (d_operator, frac_multiplier_quadrature,
 from subheat.grid import boundary_layer_mask, build_grid, gradient_values, grid_function
 from subheat.potentials import constant, zero
 from subheat.spaces import gradient_fields
-from subheat.spectral import apply_kernel, assemble, eigendecompose, multiplier_kernel
+from subheat.spectral import assemble, eigendecompose, multiplier_kernel
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_d_operator_eigenrelation(dec):
     K = d_operator(dec, alpha, beta, t)
     k = 7
     phi = grid_function(dec.grid, dec.basis[:, k])
-    out = apply_kernel(K, phi)
+    out = apply(K, phi)
     lam = dec.eigenvalues[k]
     expect = (t * lam ** alpha) ** beta * np.exp(-t * lam ** alpha)
     assert np.max(np.abs(out.values - expect * phi.values)) < 1e-8
@@ -172,7 +172,7 @@ def test_nabla_alpha_time_component_consistent_with_d_operator(dec):
     f = grid_function(dec.grid, rng.standard_normal(dec.grid.size))
     _, timepart, _ = gradient_fields(dec, alpha, dec.coefficients(f.values), np.array([t]))
     K = d_operator(dec, alpha, beta, t)
-    via_d = apply_kernel(K, f)
+    via_d = apply(K, f)
     # t^beta with beta = 1/(2 alpha) is the field's own scaling
     assert np.max(np.abs(timepart[0] - np.abs(via_d.values))) <= \
         1e-6 * max(1.0, np.max(np.abs(via_d.values)))

@@ -6,8 +6,10 @@ names imported with `from .mod import name`, and `mod.name` through
 `from . import mod`. A class counts as one definition with all its methods.
 The allowlist's entries are walked too, so their helpers need no entry.
 
-A second inventory lists every `functools` cache in the package with the
-reason its memory stays bounded by the problem. Further walks pin one
+A second walk fails on a dataclass field that no attribute load in the
+package names, unless a short named allowlist gives its reason. An inventory
+lists every `functools` cache in the package with the reason its memory
+stays bounded by the problem. Further walks pin one
 implementation per concept: every matrix product goes through
 `spectral.matmul`, the Simpson nodes have one builder, and the eigenbasis is
 read in `spectral` and at a short named list of readers only.
@@ -25,17 +27,18 @@ ALLOWED = {
     ("closedform", "oscillator_heat_table"): "perfbench's tracer names it in TARGETS",
     ("closedform", "fourier_table"): "perfbench's tracer names it in TARGETS",
     ("fracderiv", "d_operator"): "perfbench's tracer names it in TARGETS",
-    ("potentials", "sum_of"): "public constructor of the potential catalog",
-    ("grid", "from_callable"): "public constructor of grid functions",
-    ("grid", "grid_integrate"): "public quadrature of a grid function",
-    ("spectral", "poisson_kernel"): "public name of the alpha = 1/2 semigroup",
-    ("spectral", "apply_kernel"): "public action of a kernel on a grid function",
-    ("spaces", "quasi_norm"): "public L^p quasi-norm of the Hardy-atom bounds",
-    ("spaces", "duality_pairing_check"): "public duality functional (README)",
-    ("estimates", "decay_exponent_fit"): "tail-exponent leg of a certificate, to be "
-                                         "wired into verify",
-    ("fracderiv", "frac_multiplier_quadrature"): "time-quadrature route",
-    ("fracderiv", "frac_time_derivative"): "time-quadrature route",
+    ("fracderiv", "frac_multiplier_quadrature"): "acceptance criterion 6 (time quadrature)",
+    ("fracderiv", "frac_time_derivative"): "acceptance criterion 6 (time quadrature)",
+    ("estimates", "decay_exponent_fit"): "acceptance criterion 8: the tail-exponent leg "
+                                         "of a certificate (ROADMAP direction 5)",
+    ("spaces", "duality_pairing_check"): "acceptance criterion 11: the duality pairing",
+    ("spaces", "quasi_norm"): "acceptance criterion 12: the atoms' area quasi-norms",
+}
+
+#: dataclass fields that nothing in the package reads, each kept for the reason given
+UNREAD_FIELDS = {
+    ("AuxFunction", "box_limited"): "the run report of ROADMAP direction 11",
+    ("SpectralDecomposition", "solver"): "the run report of ROADMAP direction 11",
 }
 
 
@@ -112,6 +115,33 @@ def test_allowlist_names_live_unreached_definitions():
     stale = sorted(key for key in ALLOWED
                    if key[1] not in defs.get(key[0], {}) or key in seen)
     assert stale == [], f"allowlist entries that are missing or reached: {stale}"
+
+
+def _unread_fields(trees) -> list:
+    """(class, field) of each dataclass field that no attribute load in
+    `trees` names."""
+    fields, loads = [], set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(dec) for dec in node.decorator_list):
+                fields += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+    return sorted(key for key in fields if key[1] not in loads)
+
+
+def test_every_record_field_is_read_or_allowed():
+    assert _unread_fields(_modules().values()) == sorted(UNREAD_FIELDS)
+
+
+def test_the_field_guard_sees_unread_fields():
+    tree = ast.parse("@dataclass(frozen=True)\nclass R:\n    a: int\n    b: float = 0.0\n"
+                     "    c: str\n\nclass Plain:\n    d: int\n"
+                     "def f(r):\n    r.c = 1\n    return r.a\n")
+    assert _unread_fields([tree]) == [("R", "b"), ("R", "c")]
 
 
 CACHE_NAMES = {"cache", "lru_cache", "cached_property"}

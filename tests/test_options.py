@@ -25,7 +25,6 @@ ALLOWED = {
     "spaces.default_time_grid.n_times": "tests run short ladders",
     "estimates.decay_exponent_fit.points": "sample count of the tail-exponent leg, "
                                            "to be chosen when verify runs it",
-    "potentials.power.scale": "public constructor of the potential catalog",
     "cli.main.argv": "the command line, or an argument list in-process",
     "spectral.multiplier_kernel.t": "unread; perfbench's tracer tests still pass a time "
                                     "as the third positional argument",

@@ -10,7 +10,7 @@ from subheat.estimates import lattice_indices
 from subheat.grid import Grid, ball_points, build_grid
 from subheat.potentials import (RHO_BLOCK, RHO_TOL, PotentialSpec, compute_aux_function,
                                 compute_rho, constant, eval_potential, is_zero, power,
-                                scaled, sum_of, well, zero)
+                                scaled, well, zero)
 
 
 def test_eval_catalog_values():
@@ -40,7 +40,7 @@ def test_spec_rejects_negative_and_degenerate():
 def test_is_zero_detection():
     assert is_zero(zero())
     assert is_zero(scaled(power(2.0), 0.0))
-    assert not is_zero(sum_of(zero(), constant(2.0)))
+    assert not is_zero(constant(2.0))
 
 
 def test_reverse_holder_constant_for_flat_potential():
@@ -106,11 +106,12 @@ def test_rho_box_limited_flag():
 
 
 def test_rho_monotone_in_potential():
+    # the well is 1 on [-2, 2] and 0 outside, so it lies below the constant 1
     g = build_grid(1, 16.0, 256)
     xs = [[-2.0], [0.0], [1.5]]
     for x in xs:
-        r1, _ = compute_rho(constant(1.0), g, x)
-        r2, _ = compute_rho(sum_of(constant(1.0), power(2.0)), g, x)
+        r1, _ = compute_rho(well(1.0, 2.0), g, x)
+        r2, _ = compute_rho(constant(1.0), g, x)
         assert r2 <= r1 + 1e-9
 
 
@@ -178,8 +179,7 @@ def test_reverse_holder_reports_partial_exclusions():
                          ids=["n2-dirichlet", "n2-periodic", "n3-dirichlet", "n3-periodic"])
 @pytest.mark.parametrize("spec", [
     power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
-    sum_of(constant(0.01), power(2.0)),
-], ids=["power2", "well", "scaled-power1.5", "constant+power"])
+], ids=["power2", "well", "scaled-power1.5"])
 def test_aux_function_matches_per_step_bisection(n, M, bc, spec):
     # The midpoint grid holds no origin, so every point takes the grid-sum
     # branch, read from its block's table of sums by member count. The cases
@@ -228,9 +228,8 @@ def test_each_ball_sum_is_taken_once_per_point_and_member_count(monkeypatch):
     assert np.array_equal(aux.rho[lattice[::37]], [value for value, _ in expected])
 
 
-N1_SPECS = [power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3),
-            sum_of(constant(0.01), power(2.0))]
-N1_IDS = ["power2", "well", "scaled-power1.5", "constant+power"]
+N1_SPECS = [power(2.0), well(0.2, 3.0, center=1.0), scaled(power(1.5), 1e-3)]
+N1_IDS = ["power2", "well", "scaled-power1.5"]
 
 
 @pytest.mark.parametrize("spec", N1_SPECS, ids=N1_IDS)
@@ -269,15 +268,13 @@ def test_block_functional_matches_per_step_functional_n1(spec):
 
 
 STEP_SPECS = [power(2.0), power(1.5), power(400.0), scaled(power(2.0), 3.0),
-              well(2.0, 1.0, center=0.25), constant(0.5),
-              sum_of(constant(0.01), power(2.0)), scaled(sum_of(well(1.0, 0.5), power(1.5)), 0.5)]
-STEP_IDS = ["power2", "power1.5", "power400-inf", "scaled-power2", "well", "constant",
-            "constant+power", "scaled-well+power1.5"]
+              well(2.0, 1.0, center=0.25), constant(0.5)]
+STEP_IDS = ["power2", "power1.5", "power400-inf", "scaled-power2", "well", "constant"]
 #: each potential V as `name-1.0`, and V^2 as `name-2.0` where the catalog holds
 #: it: the reverse-Holder oracle integrates `power_of(V, q)` through this step
 STEP_CASES = ([pytest.param(spec, id=f"{name}-1.0") for spec, name in zip(STEP_SPECS, STEP_IDS)]
               + [pytest.param(power_of(spec, 2.0), id=f"{name}-2.0")
-                 for spec, name in zip(STEP_SPECS, STEP_IDS) if spec.kind != "sum"])
+                 for spec, name in zip(STEP_SPECS, STEP_IDS)])
 
 
 @pytest.mark.parametrize("spec", STEP_CASES)
@@ -316,9 +313,9 @@ _EXTREMES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, -1e-16
 
 
 @pytest.mark.parametrize("spec", [power(s) for s in (0.5, 1.0, 1.5, 2.0, 3.0, 400.0)]
-                         + [scaled(power(1.5), 3.0), sum_of(constant(1.0), power(2.0))],
+                         + [scaled(power(1.5), 3.0)],
                          ids=["power0.5", "power1", "power1.5", "power2", "power3",
-                              "power400", "scaled-power1.5", "constant+power2"])
+                              "power400", "scaled-power1.5"])
 def test_eval_potential_one_column_is_the_norm_bitwise(spec):
     """On (k, 1) points np.abs stands in for np.linalg.norm, whose value is
     sqrt(x * x). That is |x| exactly where x * x neither underflows nor
@@ -358,12 +355,11 @@ def test_rho_power2_n1_matches_closed_form(M, bc):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("spec", N1_SPECS + [constant(0.5), sum_of(constant(0.3), constant(0.2))],
-                         ids=N1_IDS + ["constant", "constant+constant"])
+@pytest.mark.parametrize("spec", N1_SPECS + [constant(0.5)], ids=N1_IDS + ["constant"])
 def test_block_functional_matches_per_step_functional(spec, n):
     # Radii 1.0, 1.0 + 1e-9 and 1.1 read one table entry where no distance
     # lies between them; every value must still be a fresh sum's bits. The
-    # constants are radial about every point, so one call takes all eight
+    # constant is radial about every point, so one call takes all eight
     # rows (repeated ones too) through one Simpson shell sum.
     grid = build_grid(n, 4.0, 16 if n == 2 else 8)
     points = grid.points[::7][:RHO_BLOCK]
@@ -380,7 +376,7 @@ def _odd_grid(n: int, L: float, M: int) -> Grid:
     h = 2.0 * L / M
     axis = -L + (np.arange(M) + 0.5) * h
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    grid = Grid(n, L, M, "dirichlet", axis, np.stack([m.ravel() for m in mesh], axis=-1))
+    grid = Grid(n, L, M, "dirichlet", np.stack([m.ravel() for m in mesh], axis=-1))
     assert np.linalg.norm(grid.points[M ** n // 2]) < 1e-12
     return grid
 

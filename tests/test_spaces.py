@@ -8,7 +8,7 @@ from oracles import (area_function_unblocked, ball_family_per_ball, bmo_norm_one
                      carleson_field_nu_alpha, carleson_norm_one, lipschitz_norm_unblocked,
                      nabla_alpha_field)
 from subheat import cli, spaces
-from subheat.grid import Grid, ball_points, build_grid, from_callable, grid_function
+from subheat.grid import Grid, ball_points, build_grid, grid_function
 from subheat.potentials import compute_aux_function, constant, well, zero
 from subheat.spaces import (SpaceTimeField, area_function, ball_centers, ball_family, bmo_norm,
                             carleson_boxes, carleson_norm, d_field, default_time_grid,
@@ -70,7 +70,7 @@ def test_bmo_holder_profile_stable_under_refinement(rho):
     vals = {}
     for M in (256, 512):
         g = build_grid(1, 16.0, M, "dirichlet")
-        f = from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]), 4.0) ** 0.25)
+        f = grid_function(g, np.minimum(np.abs(g.points[:, 0]), 4.0) ** 0.25)
         rho_g = np.full(g.size, RHO_FLAT)
         vals[M], = bmo_norm([f], 0.25, rho_g, ball_family(g, rho_g))
     assert abs(vals[512] - vals[256]) / vals[256] < 0.10
@@ -118,31 +118,22 @@ def test_bmo_lipschitz_equivalence_band(dec, rho):
 
 def test_atom_cancellation_and_saturation(dec, rho):
     ball = ball_points(dec.grid, [0.5], 0.4)
-    atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT, kind="oscillating")
-    total = abs(np.sum(atom.function.values)) * dec.grid.cell_weight
+    atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT)
+    total = abs(np.sum(atom.values)) * dec.grid.cell_weight
     assert total <= 1e-10
     measure = ball.members.size * dec.grid.cell_weight
-    bound = measure ** (-1.0 / atom.p)
-    sup = np.max(np.abs(atom.function.values))
+    bound = measure ** (-1.0 / (1 / (1 + 0.25)))       # |B|^(-1/p), p = n/(n + gamma)
+    sup = np.max(np.abs(atom.values))
     assert sup <= bound * (1.0 + 1e-10)
     assert sup >= bound / 2.0
     outside = np.setdiff1d(np.arange(dec.grid.size), ball.members)
-    assert np.all(atom.function.values[outside] == 0.0)
+    assert np.all(atom.values[outside] == 0.0)
 
 
 def test_atom_rejections(dec):
     big = ball_points(dec.grid, [0.0], 2.0)
     with pytest.raises(ValueError):
         make_atom(dec.grid, big, 0.25, RHO_FLAT)          # r_B > rho
-    small = ball_points(dec.grid, [0.0], 0.15)   # grid-legal, below rho/4
-    with pytest.raises(ValueError):
-        make_atom(dec.grid, small, 0.25, RHO_FLAT, kind="plain")
-
-
-def test_plain_atom_allowed_near_critical(dec):
-    ball = ball_points(dec.grid, [0.0], RHO_FLAT / 2.0)
-    atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT, kind="plain")
-    assert not atom.cancellation
 
 
 def test_g_function_eigen_identity(dec):
@@ -196,9 +187,8 @@ def test_area_function_on_atoms(dec, rho):
         c = rng.uniform(-6.0, 6.0)
         r = rng.uniform(0.3, RHO_FLAT * 0.95)
         ball = ball_points(dec.grid, [c], r)
-        atom = make_atom(dec.grid, ball, 0.25, RHO_FLAT)
-        S, = area_function(dec, 0.5, 1.0, [atom.function], times)
-        vals.append(quasi_norm(S, atom.p))
+        S, = area_function(dec, 0.5, 1.0, [make_atom(dec.grid, ball, 0.25, RHO_FLAT)], times)
+        vals.append(quasi_norm(S, 1 / (1 + 0.25)))         # p = n/(n + gamma)
     assert np.all(np.isfinite(vals))
     assert max(vals) < 50.0
 
@@ -367,7 +357,7 @@ def test_carleson_constant_function_periodic(periodic_free):
 def test_carleson_bmo_variant_finite(dec, rho):
     gamma = 0.25
     times = default_time_grid(dec, 0.5, 1.0, n_times=32)
-    f = from_callable(dec.grid, lambda p: np.minimum(np.abs(p[:, 0]), 4.0) ** gamma)
+    f = grid_function(dec.grid, np.minimum(np.abs(dec.grid.points[:, 0]), 4.0) ** gamma)
     fld = d_field(dec, 0.5, 1.0, f, times)
     sq = SpaceTimeField(dec.grid, times, fld.values ** 2, fld.weights)
     balls = ball_family(dec.grid, rho)
@@ -429,7 +419,7 @@ def test_duality_orthogonal_pair(dec):
     # orthogonalize f against the atom explicitly
     rng = np.random.default_rng(10)
     f = rng.standard_normal(dec.grid.size)
-    a = atom.function.values
+    a = atom.values
     f -= (f @ a) / (a @ a) * a
     assert duality_pairing_check(grid_function(dec.grid, f), atom, dec, 0.5, 1.0,
                                  default_time_grid(dec, 0.5, 1.0)) is None
@@ -678,8 +668,7 @@ def test_ball_family_equals_the_per_ball_oracle(n, M, bc):
                                                       0.5 * grid.half_width, 12))
     for a, b in zip(got, want):
         assert np.array_equal(a.center, b.center) and np.array_equal(a.members, b.members)
-        assert (a.radius, a.contained, a.center_index) == (b.radius, b.contained,
-                                                           b.center_index)
+        assert (a.radius, a.center_index) == (b.radius, b.center_index)
 
 
 @pytest.mark.parametrize("n, M, bc", SCAN_GRIDS)
@@ -747,8 +736,7 @@ def test_every_suite_atom_has_a_positive_campanato_norm(monkeypatch, n, L, M, po
     monkeypatch.setattr(spaces, "make_atom", recorded)
     make_equivalence_suite(dec, rho, 0.25)
     assert len(atoms) >= 2
-    assert all(bn > 0.0 for bn in bmo_norm([a.function for a in atoms], 0.25, rho,
-                                           ball_family(grid, rho)))
+    assert all(bn > 0.0 for bn in bmo_norm(atoms, 0.25, rho, ball_family(grid, rho)))
 
 
 @pytest.mark.parametrize("n, M, bc", SCAN_GRIDS + [(2, 24, "periodic")])
