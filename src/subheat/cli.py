@@ -390,9 +390,10 @@ def _cmd_selftest(cfg: RunConfig, out: Path) -> dict:
     check("heat kernel positivity", heat.table.min() >= -1e-10)
     check("heat kernel symmetry",
           np.max(np.abs(heat.table - heat.table.T)) <= 1e-8)
-    comp = compose(heat_kernel(dec, 0.5), heat_kernel(dec, 0.5))
+    half = heat_kernel(dec, 0.5)
     check("chapman-kolmogorov",
-          np.max(np.abs(comp.table - heat.table)) <= 1e-6)
+          np.max(np.abs(compose(half, half).table - heat.table)) <= 1e-6)
+    del half        # held to the end, it would lift the command's peak by one table
     check("mass bound", heat.row_masses().max() <= 1.0 + 1e-8)
 
     rep = density_selftest(cfg.alpha)

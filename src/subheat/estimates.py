@@ -1,13 +1,15 @@
 """Registry of pointwise kernel estimates as executable majorants.
 
-The table `_REGISTRY` is the list of estimates. Each id's entry names an
-object, its time ladder, its lattice and its majorant. Every object is the
-semigroup multiplier (t lam^a)^b e^{-t lam^a} of
-`spectral.semigroup_multiplier`, as a kernel table or its x-gradient. One
-pass per table family (heat ladder or not, a, b) walks the time ladder once
-and hands each time's tables to a step per entry and lattice shape: pairs of
-lattice points, shifted pairs (increments over the fixed Holder shifts k L/64,
-k in HOLDER_SHIFTS, that are whole cells, as a shift rule allows), mass rows.
+The table `_REGISTRY` is the list of estimates, one row each, and nothing
+about an estimate is stated elsewhere: its object, time ladder, lattice,
+majorant, default delta' and (E8) own alpha in `verify`. The mass-row
+estimates are skipped at V = 0. Every object is the semigroup multiplier
+(t lam^a)^b e^{-t lam^a} of `spectral.semigroup_multiplier`, as a kernel
+table or its x-gradient. One pass per table family (heat ladder or not, a, b)
+walks the time ladder once and hands each time's tables to a step per entry
+and lattice shape: pairs of lattice points, shifted pairs (increments over
+the fixed Holder shifts k L/64, k in HOLDER_SHIFTS, that are whole cells, as
+a shift rule allows), mass rows.
 
 The scan geometry is fixed per grid and built with its backend: the lattice,
 its pair distances, rho there, the represented shifts and one row block (the
@@ -50,12 +52,6 @@ GAUSS_WINDOW = 6.0           # scan cap |x-y| <= GAUSS_WINDOW * sqrt(t)
 CEILING = 1e8                # a certificate fails above this measured constant
 HOLDER_SHIFTS = (1, 2, 4)    # Holder shifts, multiples of L/64; a grid scans the whole-cell ones
 
-ESTIMATE_IDS = ["E1", "E2", "E3", "E4", "E5", "E6",
-                "E7", "E8", "E9", "E10", "E11", "E12"]
-
-#: ids whose majorant is a pure power of t^(1/2a)/rho and needs V != 0
-RHO_ONLY_IDS = {"E8", "E11"}
-
 
 class EstimateNotApplicable(ValueError):
     """The estimate needs V != 0 and the potential is zero: an expected skip."""
@@ -75,36 +71,11 @@ class EstimateParams:
     delta_prime: float | None = None
 
     def resolved(self, eid: str, n: int) -> "EstimateParams":
+        """q and delta' filled in: q = 2n, delta' by the id's registry rule."""
         q = self.q if self.q is not None else 2.0 * n
-        delta0 = holder_delta0(n, q)
-        if self.delta_prime is not None:
-            dp = self.delta_prime
-        elif eid in ("E2",):
-            dp = 0.9 * delta0
-        elif eid in ("E7",):
-            dp = 1.0 - n / q
-        elif eid in ("E3", "E10"):
-            dp = min(2.0 * self.alpha, delta0)
-        elif eid == "E11":
-            # the signed mass of t^b d_t^b e^{-tL^a} behaves like (t_sc/rho)^(2ab) for small t
-            dp = min(2.0 * self.alpha, 2.0 * self.alpha * self.beta, delta0)
-        else:
-            dp = delta0
+        dp = (self.delta_prime if self.delta_prime is not None
+              else _REGISTRY[eid].delta(self, n, q, holder_delta0(n, q)))
         return replace(self, q=q, delta_prime=dp)
-
-
-#: E8 defaults to alpha = 0.3; the rest to EstimateParams()
-DEFAULT_PARAMS = {eid: EstimateParams() for eid in ESTIMATE_IDS} | {
-    "E8": EstimateParams(alpha=0.3),
-}
-
-
-def verify_jobs(alpha: float, beta: float, n_list, q: float | None,
-                delta_prime: float | None) -> list:
-    """`verify`'s (id, params) jobs: each id at each N of `n_list`; E8 keeps its alpha."""
-    return [(eid, EstimateParams(DEFAULT_PARAMS[eid].alpha if eid == "E8" else alpha, beta, N,
-                                 q, delta_prime))
-            for eid in ESTIMATE_IDS for N in n_list]
 
 
 @dataclass(frozen=True)
@@ -290,16 +261,12 @@ def _scaling_time(t: float, alpha: float) -> float:
 
 
 def _sum_penalty(t_sc, rho_x, rho_y, N):
-    """(1 + t_sc/rho(x) + t_sc/rho(y))^-N with the rho = inf sentinel -> 1."""
-    px = np.where(np.isinf(rho_x), 0.0, t_sc / rho_x)
-    py = np.where(np.isinf(rho_y), 0.0, t_sc / rho_y)
-    return (1.0 + px + py) ** (-N)
+    """(1 + t_sc/rho(x) + t_sc/rho(y))^-N; the rho = inf sentinel gives t_sc/rho = +0."""
+    return (1.0 + t_sc / rho_x + t_sc / rho_y) ** (-N)
 
 
 def _prod_penalty(t_sc, rho_x, rho_y, N):
-    px = np.where(np.isinf(rho_x), 0.0, t_sc / rho_x)
-    py = np.where(np.isinf(rho_y), 0.0, t_sc / rho_y)
-    return ((1.0 + px) ** (-N)) * ((1.0 + py) ** (-N))
+    return ((1.0 + t_sc / rho_x) ** (-N)) * ((1.0 + t_sc / rho_y) ** (-N))
 
 
 @dataclass
@@ -414,7 +381,7 @@ class _Point:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One estimate of the registry."""
+    """One estimate of the registry, the only place its facts are stated."""
 
     lattice: Callable               # _pairs, _shifted_pairs or _mass_rows: one time's step
     majorant: Callable              # _Point -> majorant, shaped like the object
@@ -423,6 +390,8 @@ class _Entry:
     gradient: bool = False          # x-gradient of the object
     scaled: bool = False            # object multiplied by t_sc
     shift_rule: Callable | None = None   # _Point -> allowed: a bool, or one per pair
+    delta: Callable = lambda p, n, q, d0: d0   # (params, n, q, delta_0) -> delta'
+    alpha: float | None = None      # the id's own alpha in `verify`; None takes the config's
 
 
 def _pairs(entry, p, backend, at, acc):
@@ -503,8 +472,10 @@ def _e8_majorant(s: _Point):
 _REGISTRY = {
     "E1": _Entry(_pairs, lambda s: _power_majorant(s, 1)),
     "E2": _Entry(_shifted_pairs, lambda s: _power_majorant(s, 1, _holder_lead(s)),
-                 shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha)),
-    "E3": _Entry(_pairs, lambda s: _power_majorant(s, 1), power=1),
+                 shift_rule=lambda s: s.shift <= s.t ** (1.0 / s.p.alpha),
+                 delta=lambda p, n, q, d0: 0.9 * d0),
+    "E3": _Entry(_pairs, lambda s: _power_majorant(s, 1), power=1,
+                 delta=lambda p, n, q, d0: min(2.0 * p.alpha, d0)),
     "E4": _Entry(_pairs, lambda s: _gradient_majorant(s, 1.0, 1.0, s.r),
                  heat=True, gradient=True),
     "E5": _Entry(_pairs,
@@ -514,12 +485,16 @@ _REGISTRY = {
                  gradient=True, scaled=True),
     "E7": _Entry(_shifted_pairs,
                  lambda s: _holder_lead(s) / s.t_sc * s.t * s.decay(-(s.n + 2.0 * s.p.alpha)),
-                 gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0),
-    "E8": _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True),
+                 gradient=True, shift_rule=lambda s: s.shift < s.r / 4.0,
+                 delta=lambda p, n, q, d0: 1.0 - n / q),
+    "E8": _Entry(_mass_rows, _e8_majorant, gradient=True, scaled=True, alpha=0.3),
     "E9": _Entry(_pairs, lambda s: _power_majorant(s, s.p.beta), power=None),
     "E10": _Entry(_shifted_pairs, lambda s: _power_majorant(s, s.p.beta, _holder_lead(s)),
-                  power=None, shift_rule=lambda s: s.shift <= s.t_sc),
-    "E11": _Entry(_mass_rows, _mass_majorant, power=None),
+                  power=None, shift_rule=lambda s: s.shift <= s.t_sc,
+                  delta=lambda p, n, q, d0: min(2.0 * p.alpha, d0)),
+    # the signed mass of t^b d_t^b e^{-tL^a} behaves like (t_sc/rho)^(2ab) for small t
+    "E11": _Entry(_mass_rows, _mass_majorant, power=None,
+                  delta=lambda p, n, q, d0: min(2.0 * p.alpha, 2.0 * p.alpha * p.beta, d0)),
     # the Feynman-Kac normalization (4 pi t)^(-n/2) makes the potential-free
     # closed form the exact equality case
     "E12": _Entry(_pairs,
@@ -527,6 +502,14 @@ _REGISTRY = {
                                             * s.t ** (-s.n / 2.0)),
                   heat=True),
 }
+
+
+def verify_jobs(alpha: float, beta: float, n_list, q: float | None,
+                delta_prime: float | None) -> list:
+    """`verify`'s (id, params) jobs: each id at each N of `n_list`, at its row's alpha if set."""
+    return [(eid, EstimateParams(alpha if entry.alpha is None else entry.alpha, beta, N,
+                                 q, delta_prime))
+            for eid, entry in _REGISTRY.items() for N in n_list]
 
 
 def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
@@ -545,7 +528,9 @@ def scan_estimate(jobs: list, backend: VerifierBackend) -> list:
     for eid, params in jobs:
         p = params.resolved(eid, backend.grid.dimension)
         entry = _REGISTRY[eid]
-        if eid in RHO_ONLY_IDS and backend.zero_potential:
+        # a mass row has no pair distance: its majorant reads only t and rho,
+        # and it degenerates at the V = 0 sentinel rho = +inf
+        if entry.lattice is _mass_rows and backend.zero_potential:
             outcomes.append(EstimateNotApplicable(
                 f"{eid}: majorant degenerates (rho undefined) for the zero potential"))
         else:
@@ -594,8 +579,10 @@ def certify(scans: list) -> BoundCertificate:
 def decay_exponent_fit(estimate_id: str, params: EstimateParams | None, axis: str,
                        backend: VerifierBackend, points: int = 9) -> dict:
     """Log-log slope of the measured kernel along one majorant axis."""
-    params = (params if params is not None else DEFAULT_PARAMS[estimate_id]).resolved(
-        estimate_id, backend.grid.dimension)
+    if params is None:
+        alpha = _REGISTRY[estimate_id].alpha
+        params = EstimateParams() if alpha is None else EstimateParams(alpha=alpha)
+    params = params.resolved(estimate_id, backend.grid.dimension)
     if points < 6:
         raise ValueError("need at least 6 sample points for a decay fit")
     n = backend.grid.dimension

@@ -107,7 +107,7 @@ def ball_family(grid: Grid, rho_values: np.ndarray) -> list[Ball]:
         center = grid.points[i]
         rset = list(radii)
         rho_c = _rho_at(rho_values, i, "ball_family")
-        if np.isfinite(rho_c) and 2.0 * grid.spacing < rho_c < limit:
+        if 2.0 * grid.spacing < rho_c < limit:
             rset.append(rho_c)
         rset = [r for r in rset if np.max(np.abs(center)) + r <= limit]
         if rset:
@@ -360,26 +360,23 @@ def duality_pairing_check(f: GridFunction, atom: GridFunction, dec: SpectralDeco
     return float(np.sum(mult * cf * ca)) / inner
 
 
-def gradient_fields(dec: SpectralDecomposition, alpha: float, coeff: np.ndarray,
-                    times: np.ndarray, half: np.ndarray | None = None):
-    """N4's and N5's fields of u(t) = e^{-t L^alpha} f, (J, N) each, from f's
-    coefficients `coeff` and f's d-fields of orders 0 (u), 1/(2a) and 1, one
-    synthesis each (`half`, the order-1/(2a) field on `times`, is used as
-    given when the caller has it): `grads` and `timeparts`, the magnitudes
-    |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|, and `nu`, the squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in
-    semigroup time. With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha)
-    |grad_x v(s)|^2 and |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while
-    dt/t = ds/(2 alpha s); the 1/(2 alpha) substitution factor is folded into `nu`.
+def gradient_fields(grid: Grid, alpha: float, times: np.ndarray, ladder: dict):
+    """N4's and N5's fields of u(t) = e^{-t L^alpha} f, (J, N) each, from
+    `ladder`, f's d-fields on `times` by order: 0 (u, popped once
+    differentiated), 1/(2a) and 1. They are `grads` and `timeparts`, the
+    magnitudes |t^(1/2a) grad_x u| and |t^(1/2a) d_t^(1/2a) u|, and `nu`, the
+    squared density of |t grad e^{-t^(2a) L^a} f|^2 dx dt/t in semigroup
+    time. With s = t^(2 alpha): |t grad_x|^2 = s^(1/alpha) |grad_x v(s)|^2
+    and |t d_t|^2 = 4 alpha^2 |s d_s v(s)|^2, while dt/t = ds/(2 alpha s);
+    the 1/(2 alpha) substitution factor is folded into `nu`.
     """
-    if half is None:
-        half = _synthesis(dec, alpha, 1.0 / (2.0 * alpha), coeff, times)
-    grad = gradient_values(dec.grid, _synthesis(dec, alpha, 0, coeff, times).T)  # (N, J, n)
+    grad = gradient_values(grid, ladder.pop(0).T)  # (N, J, n)
     slope = np.ascontiguousarray(np.sqrt(np.sum(grad ** 2, axis=-1)).T)
     # scalar powers per time: an array power may round the last bit differently
     t_sc = np.array([t ** (1.0 / (2.0 * alpha)) for t in times])[:, None]
     t_sq = np.array([t ** (1.0 / alpha) for t in times])[:, None]
-    timeparts = np.abs(half)
-    dsq = 4.0 * alpha ** 2 * _synthesis(dec, alpha, 1, coeff, times) ** 2
+    timeparts = np.abs(ladder[1.0 / (2.0 * alpha)])
+    dsq = 4.0 * alpha ** 2 * ladder[1] ** 2
     return t_sc * slope, timeparts, (t_sq * slope ** 2 + dsq) / (2.0 * alpha)
 
 
@@ -420,7 +417,6 @@ def make_equivalence_suite(dec: SpectralDecomposition, rho_values: np.ndarray,
     for center, i_c, radius in _suite_atoms(grid):
         radius = max(radius, 2.2 * grid.spacing)
         r_at = _rho_at(rho_values, i_c, "make_equivalence_suite")
-        r_at = r_at if np.isfinite(r_at) else radius * 4
         if radius > r_at:
             continue    # coarse grids cannot host sub-critical atoms
         ball = ball_points(grid, center, radius)
@@ -458,14 +454,15 @@ def equivalence_experiment(suite: list[GridFunction], dec: SpectralDecomposition
     rows = [{"N1": n1} for n1 in bmo_norm(suite, gamma, rho_values, balls)]
     live = [(f, row) for f, row in zip(suite, rows) if row["N1"] != 0.0]
     # |D f|^2 and nu of every live member: one Carleson pass serves N3 and N5;
-    # at beta = 1/(2 alpha) the d-field is also the time part of N4's gradient
+    # each distinct order of D and N4's gradient is synthesized once
     fields = np.empty((2, len(live), times.size, grid.size))
     for k, (f, row) in enumerate(live):
         coeff = dec.coefficients(f.values)
-        d = _synthesis(dec, alpha, beta, coeff, times)
+        ladder = {b: _synthesis(dec, alpha, b, coeff, times)
+                  for b in dict.fromkeys((beta, 0, 1.0 / (2.0 * alpha), 1))}
+        d = ladder[beta]
         np.square(d, out=fields[0, k])
-        half = d if beta == 1.0 / (2.0 * alpha) else None
-        grads, timeparts, fields[1, k] = gradient_fields(dec, alpha, coeff, times, half)
+        grads, timeparts, fields[1, k] = gradient_fields(grid, alpha, times, ladder)
         mags = np.sqrt(grads ** 2 + timeparts ** 2)
         row["N2"] = float(np.max(times ** (-g_over_a) * np.max(np.abs(d[:, interior]), axis=1)))
         row["N4"] = float(np.max(times ** (-g_over_a) * np.max(mags[:, interior], axis=1)))

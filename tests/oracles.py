@@ -29,8 +29,10 @@ which `spaces.lipschitz_norm` and the n >= 2 `spaces.area_function` must
 reproduce bit for bit. The eighth is the scan accumulator's update as it was
 before one pass, which `_ScanAccumulator.update` must reproduce in every
 count, maximum and argmax. `certify_on` certifies one estimate on its own, as
-the scans before `scan_estimate` took a list of jobs did, and `apply` is a
-full kernel table's action on a grid function.
+the scans before `scan_estimate` took a list of jobs did, `default_params`
+and `skipped_at_zero` read an id's registry row, `ladder` synthesizes the
+d-fields `spaces.gradient_fields` reads, and `apply` is a full kernel table's
+action on a grid function.
 """
 
 from dataclasses import dataclass
@@ -39,31 +41,54 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from subheat.closedform import gaussian_heat_value
-from subheat.estimates import (DEFAULT_PARAMS, BoundCertificate, EstimateParams, certify,
-                               scan_estimate)
+from subheat.estimates import (_REGISTRY, BoundCertificate, EstimateParams, _mass_rows,
+                               certify, scan_estimate)
 from subheat.fracderiv import _node_multipliers, _u_quadrature, integer_order
 from subheat.grid import PERIODIC, Ball, Grid, GridFunction, ball_points, grid_function
 from subheat.potentials import (SIMPSON_INTERVALS, _SPHERE_SURFACE, PotentialSpec,
                                 _ball_integrals, _block_functional, _radial_profile_about,
                                 compute_rho, eval_on_grid, eval_potential, is_zero)
 from subheat.spaces import (SpaceTimeField, _ball_measure, _log_trapezoid_weights, _rho_at,
-                            ball_centers, d_field)
+                            _synthesis, ball_centers, d_field)
 from subheat.spectral import (KernelSlice, SpectralDecomposition, _laplacian_1d,
                               multiplier_kernel, semigroup_multiplier)
 from subheat.subordinator import _check_alpha, _log_gl, density
 
 _BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
+ESTIMATE_IDS = list(_REGISTRY)
+
+
+def default_params(estimate_id: str) -> EstimateParams:
+    """The id's parameters in a default `verify` run: its own alpha, if its
+    registry row has one, and EstimateParams' defaults otherwise."""
+    alpha = _REGISTRY[estimate_id].alpha
+    return EstimateParams() if alpha is None else EstimateParams(alpha=alpha)
+
+
+def skipped_at_zero(estimate_id: str) -> bool:
+    """Whether `scan_estimate` skips the id at V = 0: its row scans mass rows."""
+    return _REGISTRY[estimate_id].lattice is _mass_rows
+
 
 def certify_on(estimate_id: str, params: EstimateParams | None,
                backends) -> BoundCertificate:
     """`certify` of the one job (estimate_id, params) scanned on `backends`, a
     backend or a list of them, coarse first; params None takes the id's
-    defaults. A job's error is raised, and an unknown id raises KeyError."""
+    defaults (EstimateParams() for an unknown id, whose scan raises KeyError).
+    A job's error is raised."""
     backends = backends if isinstance(backends, (list, tuple)) else [backends]
-    params = params if params is not None else DEFAULT_PARAMS.get(estimate_id,
-                                                                  EstimateParams())
+    if params is None:
+        params = default_params(estimate_id) if estimate_id in _REGISTRY else EstimateParams()
     return certify([scan_estimate([(estimate_id, params)], b)[0] for b in backends])
+
+
+def ladder(dec: SpectralDecomposition, alpha: float, coeff: np.ndarray,
+           times: np.ndarray) -> dict:
+    """The d-fields of orders 0, 1/(2 alpha) and 1 on `times` by order, from
+    f's coefficients: what `spaces.gradient_fields` reads (and pops order 0 of)."""
+    return {b: _synthesis(dec, alpha, b, coeff, times)
+            for b in dict.fromkeys((0, 1.0 / (2.0 * alpha), 1))}
 
 
 def apply(K: KernelSlice, f: GridFunction) -> GridFunction:

@@ -9,12 +9,11 @@ import filecmp
 import numpy as np
 import pytest
 
-from oracles import certify_on, mth_time_derivative_kernel, subordinate_tables
+from oracles import ESTIMATE_IDS, certify_on, mth_time_derivative_kernel, subordinate_tables
 from subheat.cli import parse_config, run
 from subheat.closedform import (gaussian_heat_table, gaussian_heat_value,
                                 poisson_value)
-from subheat.estimates import (ESTIMATE_IDS, EstimateParams, build_backend,
-                               decay_exponent_fit)
+from subheat.estimates import EstimateParams, build_backend, decay_exponent_fit
 from subheat.fracderiv import frac_multiplier_quadrature, frac_time_derivative
 from subheat.grid import build_grid, grid_function, inner_box_mask
 from subheat.potentials import constant, power, zero

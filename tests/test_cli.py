@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import kernel_lines_per_row
+from oracles import ESTIMATE_IDS, default_params, kernel_lines_per_row
 from subheat import cli, estimates, fmt17, potentials
 from subheat.cli import ConfigError, _fmt, _write_csv, main, parse_config, run
-from subheat.estimates import DEFAULT_PARAMS, ESTIMATE_IDS
 from subheat.grid import build_grid, grid_function
 from subheat.spaces import make_equivalence_suite
 from subheat.spectral import (assemble, eigendecompose, fractional_heat_kernel, heat_kernel,
@@ -343,7 +342,7 @@ def test_verify_computes_each_table_once(tmp_path, monkeypatch):
         grid = build_grid(1, 16.0, M)
         assert estimates.lattice_indices(grid).size == 32
         for eid in ESTIMATE_IDS:
-            p, entry = DEFAULT_PARAMS[eid], estimates._REGISTRY[eid]
+            p, entry = default_params(eid), estimates._REGISTRY[eid]
             alpha = 1.0 if entry.heat else p.alpha
             b = p.beta if entry.power is None else entry.power
             tables |= {(M, t, alpha, b) for t in estimates.time_grid(grid, p.alpha, entry.heat)}

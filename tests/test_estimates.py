@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import certify_on, multi_pass_update
+from oracles import (ESTIMATE_IDS, certify_on, default_params, multi_pass_update,
+                     skipped_at_zero)
 from subheat import estimates
 from subheat.closedform import gaussian_heat_table, poisson_table
-from subheat.estimates import (DEFAULT_PARAMS, ESTIMATE_IDS, EstimateParams,
-                               build_backend, decay_exponent_fit, scan_estimate)
+from subheat.estimates import EstimateParams, build_backend, decay_exponent_fit, scan_estimate
 from subheat.grid import build_grid, gradient_values, inner_box_mask
 from subheat.potentials import compute_aux_function, power, zero
 from subheat.spectral import kernel_block, semigroup_multiplier
@@ -58,7 +58,7 @@ def test_all_ids_finite_power_potential(power_pair):
 
 def test_zero_potential_where_defined(zero_pair):
     for eid in ESTIMATE_IDS:
-        if eid in ("E8", "E11"):
+        if skipped_at_zero(eid):
             with pytest.raises(ValueError):
                 certify_on(eid, None, zero_pair)
         else:
@@ -82,7 +82,7 @@ def test_e12_gaussian_equality_case(zero_pair):
 
 def test_refinement_study_e5(flat_pair):
     # the two-grid study: each grid's sup and the coarse/fine ratio of them
-    c_by_grid = [_scan("E5", DEFAULT_PARAMS["E5"], b)[0].c_meas for b in flat_pair]
+    c_by_grid = [_scan("E5", default_params("E5"), b)[0].c_meas for b in flat_pair]
     assert certify_on("E5", None, flat_pair).passed
     assert 0.8 <= c_by_grid[0] / c_by_grid[1] <= 1.25
 
@@ -119,7 +119,7 @@ def test_symmetry_under_xy_swap(flat_pair):
 
 
 def test_registry_has_one_entry_per_id():
-    assert list(estimates._REGISTRY) == ESTIMATE_IDS
+    assert list(estimates._REGISTRY) == [f"E{k}" for k in range(1, 13)]
     assert all(isinstance(entry, estimates._Entry) for entry in estimates._REGISTRY.values())
 
 
@@ -157,10 +157,10 @@ def test_decay_fit_needs_points(flat_pair):
 
 
 def test_params_resolution_defaults():
-    p = DEFAULT_PARAMS["E7"].resolved("E7", 1)
+    p = default_params("E7").resolved("E7", 1)
     assert p.q == 2.0
     assert p.delta_prime == pytest.approx(0.5)
-    p10 = DEFAULT_PARAMS["E10"].resolved("E10", 1)
+    p10 = default_params("E10").resolved("E10", 1)
     assert p10.delta_prime == pytest.approx(min(2 * 0.5, 1.0))
 
 
@@ -220,7 +220,7 @@ def test_overflowing_ratio_fails_its_certificate():
     """A positive object over a majorant that underflowed to a subnormal gives an
     infinite ratio: it is counted, and the certificate fails, though every
     finite ratio lies far below the ceiling."""
-    resolved = DEFAULT_PARAMS["E1"].resolved("E1", 1)
+    resolved = default_params("E1").resolved("E1", 1)
     xs = np.arange(4.0)
     obj, maj = np.array([1e-3, 2.0, 0.0, 1.0]), np.array([1.0, 1e-310, 1e-310, 0.0])
     acc = estimates._ScanAccumulator()
@@ -430,9 +430,9 @@ def test_row_block_scans_equal_full_table_scans(n, M, bc, potential):
             assert len(at.increments(gradient)) == len(backend.shifts)
             for incr, moved in zip(at.increments(gradient), backend.moved):
                 assert np.array_equal(incr, whole[moved][:, lat] - whole[lat][:, lat])
-    jobs = [(eid, replace(DEFAULT_PARAMS[eid], N=1.0, beta=2.0)) for eid in estimates._REGISTRY]
+    jobs = [(eid, replace(default_params(eid), N=1.0, beta=2.0)) for eid in estimates._REGISTRY]
     for (eid, params), outcome in zip(jobs, scan_estimate(jobs, backend), strict=True):
-        if eid in estimates.RHO_ONLY_IDS and backend.zero_potential:
+        if skipped_at_zero(eid) and backend.zero_potential:
             assert isinstance(outcome, estimates.EstimateNotApplicable), eid
             continue
         expected = _full_scan(eid, params, full)
@@ -513,7 +513,7 @@ def test_column_block_never_reads_an_uncomputed_column():
     full = backend.kernel(1.0, 0.5, 1, kernel_block(backend.dec)).table
     assert _close_masses(at.row_masses(lat), lat, full, w)
     acc = estimates._ScanAccumulator()
-    estimates._mass_rows(estimates._REGISTRY["E11"], DEFAULT_PARAMS["E11"].resolved("E11", 1),
+    estimates._mass_rows(estimates._REGISTRY["E11"], default_params("E11").resolved("E11", 1),
                          backend, at, acc)
     assert acc.total == lat.size and acc.c_meas > 0.0
     with pytest.raises(ValueError, match="no mode sums"):
@@ -541,9 +541,9 @@ def test_lattice_column_tables_keep_the_full_width_bits(n, M, bc, potential):
     grid, lat, blk, w = backend.grid, backend.lattice, backend.block, backend.grid.cell_weight
     families = {}
     for eid in ESTIMATE_IDS:
-        if eid in estimates.RHO_ONLY_IDS and backend.zero_potential:
+        if skipped_at_zero(eid) and backend.zero_potential:
             continue
-        p, entry = DEFAULT_PARAMS[eid], estimates._REGISTRY[eid]
+        p, entry = default_params(eid), estimates._REGISTRY[eid]
         family = (entry.heat, 1.0 if entry.heat else p.alpha,
                   p.beta if entry.power is None else entry.power)
         families.setdefault(family, []).append(entry)
@@ -603,7 +603,7 @@ def test_each_majorant_factor_is_computed_once_per_time(monkeypatch):
         return real(self, key, compute)
 
     monkeypatch.setattr(estimates._Point, "factor", counting)
-    jobs = [(eid, replace(DEFAULT_PARAMS[eid], N=N)) for eid in ESTIMATE_IDS for N in (0.0, 1.0)]
+    jobs = [(eid, replace(default_params(eid), N=N)) for eid in ESTIMATE_IDS for N in (0.0, 1.0)]
     outcomes = scan_estimate(jobs, backend)
     assert all(isinstance(outcome, tuple) for outcome in outcomes)
     heat = estimates.time_grid(backend.grid, 1.0, heat_scaling=True).size

@@ -11,11 +11,14 @@ package names, unless a short named allowlist gives its reason. An inventory
 lists every `functools` cache in the package with the reason its memory
 stays bounded by the problem. Further walks pin one
 implementation per concept: every matrix product goes through
-`spectral.matmul`, the Simpson nodes have one builder, and the eigenbasis is
-read in `spectral` and at a short named list of readers only.
+`spectral.matmul`, the Simpson nodes have one builder, the eigenbasis is
+read in `spectral` and at a short named list of readers only, and an
+estimate id is named as a key of `estimates._REGISTRY` and at a short named
+list of readers only.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "subheat"
@@ -298,3 +301,48 @@ def test_the_basis_guard_sees_every_read():
                      "class C:\n    def g(self):\n        return self.dec.basis.T\n"
                      "B = dec.basis\n")
     assert _basis_reads(tree) == [("f", 2), ("C", 5), ("<module>", 6)]
+
+
+ESTIMATE_ID = re.compile(r"E\d+")
+
+#: definitions that name an estimate id outside the `_REGISTRY` keys, each
+#: kept for the reason given
+ID_READERS = {
+    ("estimates", "decay_exponent_fit"): "its per-id fit windows move onto the registry "
+                                         "rows with the tail-exponent leg (ROADMAP direction 5)",
+}
+
+
+def _top_name(node) -> str:
+    """The name a top-level statement defines or assigns first, or "<module>"."""
+    if isinstance(node, ast.Assign):
+        node = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        node = node.target
+    return getattr(node, "name", None) or getattr(node, "id", "<module>")
+
+
+def _id_literals(tree: ast.Module) -> list:
+    """(top-level definition, id) of each string constant that is an estimate
+    id, other than a key of the `_REGISTRY` dict."""
+    keys = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and _top_name(node) == "_REGISTRY"):
+            keys = {id(key) for key in node.value.keys}
+    return [(_top_name(top), node.value) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ESTIMATE_ID.fullmatch(node.value) and id(node) not in keys]
+
+
+def test_estimate_ids_are_named_on_registry_rows_and_the_listed_readers_only():
+    found = {(mod, name) for mod, tree in _modules().items() for name, _ in _id_literals(tree)}
+    assert found == set(ID_READERS), f"estimate ids named off the registry: {found}"
+
+
+def test_the_id_guard_sees_ids_off_the_registry_keys():
+    tree = ast.parse('IDS = ["E1", "E12"]\n_REGISTRY = {"E1": f("E3"), "E2": 0}\n'
+                     'class P:\n    def g(self, eid):\n        return eid == "E8" or eid == "E8x"\n'
+                     'def h(eid):\n    return f"{eid}: E9", "XE1"\n')
+    assert _id_literals(tree) == [("IDS", "E1"), ("IDS", "E12"), ("_REGISTRY", "E3"),
+                                  ("P", "E8")]
